@@ -66,9 +66,10 @@ class BMGReport:
 
 
 def effective_order(g: GroupAction, override: int | None = None) -> int:
-    """Order used by the rank prefilter: an explicit override, the declared
-    exact-or-lower bound, or generators+1 when nothing is declared. Capped so
-    astronomically large symbolic orders stay comparable."""
+    """Order used by the rank prefilter: an explicit override, else the
+    declared exact-or-lower bound, else ORDER_CAP when no bound is declared
+    (None). Only a bound below 1 falls back to generators+1. Capped at
+    ORDER_CAP so astronomically large symbolic orders stay comparable."""
     if override is not None:
         bound = override
     elif g.order_lower_bound is not None:
@@ -109,22 +110,20 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
                  grid: AlphaGrid = DEFAULT_GRID,
                  folds: FoldScheme | None = None,
                  use_lwnl_sample_term: bool = False) -> BMGReport:
-    """Cross-validated held-out NLL per candidate; the arg-min candidate is
-    selected (ties break to library order) and its intensity is refit as the
-    one-standard-error alpha of ``calibration.cv_nll_alpha`` applied to the
+    """Cross-validated held-out NLL per candidate, every candidate scored
+    from one shared fold pass (``calibration.cv_nll_alphas``); the arg-min
+    candidate is selected (ties break to library order) with its
+    one-standard-error alpha, which the caller applies to the
     full-training-data covariance. A candidate's tier-2 score is its mean CV
     NLL at that alpha."""
     if not admitted:
         raise ValueError("tier2_select needs a non-empty admitted list; use the fallback path")
     if folds is None:
         folds = FoldScheme.contiguous(data.n_obs)
-    scores: dict[str, float] = {}
-    alphas: dict[str, float] = {}
-    for g in admitted:
-        res = calibration.cv_nll_alpha(data, g, grid, folds,
-                                       use_lwnl_sample_term=use_lwnl_sample_term)
-        scores[g.name] = res.per_alpha_scores[res.alpha]
-        alphas[g.name] = res.alpha
+    results = calibration.cv_nll_alphas(data, admitted, grid, folds,
+                                        use_lwnl_sample_term=use_lwnl_sample_term)
+    scores = {g.name: res.per_alpha_scores[res.alpha] for g, res in zip(admitted, results)}
+    alphas = {g.name: res.alpha for g, res in zip(admitted, results)}
     ordered = [scores[g.name] for g in admitted]
     best_idx = int(np.argmin(ordered))   # first minimum = library order tie-break
     best = admitted[best_idx]

@@ -9,6 +9,7 @@ so a parallel caller gets identical results to a serial one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,16 +184,19 @@ def _one_se_index(scores: np.ndarray) -> int:
     return best + 1 + int(promoted[-1]) if promoted.size else best
 
 
-def cv_nll_alpha(data: Dataset, g: GroupAction, grid: AlphaGrid = DEFAULT_GRID,
-                 folds: FoldScheme | None = None,
-                 use_lwnl_sample_term: bool = False) -> CalibrationResult:
-    """K-fold held-out-NLL calibration of the blend intensity on the grid.
+def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
+                  grid: AlphaGrid = DEFAULT_GRID, folds: FoldScheme | None = None,
+                  use_lwnl_sample_term: bool = False) -> list[CalibrationResult]:
+    """K-fold held-out-NLL calibration of the blend intensity on the grid,
+    one result per group of ``candidates``.
 
     Per fold: the training-complement covariance is blended with its own
     projection at each grid alpha and scored against the fold's sample
-    covariance. Scores average across folds per alpha. The returned alpha
-    follows the paired one-standard-error rule toward the structured end
-    (Hastie, Tibshirani & Friedman, ESL section 7.10): with ``best`` the
+    covariance. Only the projection depends on the group, so the per-fold
+    train moment, sample term and test moment are computed once and shared
+    by every candidate. Scores average across folds per alpha. The returned
+    alpha follows the paired one-standard-error rule toward the structured
+    end (Hastie, Tibshirani & Friedman, ESL section 7.10): with ``best`` the
     first (smallest-alpha) minimizer of the mean score, it is the largest
     alpha whose per-fold score differences from ``best`` have a mean below
     their own standard error, or alpha_best when no larger alpha qualifies.
@@ -208,34 +212,44 @@ def cv_nll_alpha(data: Dataset, g: GroupAction, grid: AlphaGrid = DEFAULT_GRID,
     if folds.n_obs != data.n_obs:
         raise ValueError("fold scheme built for a different number of rows")
     alphas = np.asarray(grid.points)
-    k = folds.k
-    scores = np.empty((k, len(alphas)))
-    for fold in range(k):
+    fold_terms = []
+    for fold in range(folds.k):
         mask = folds.fold_mask(fold)
         train_rows = data.rows[~mask]
         if train_rows.shape[0] < 2:
             raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
         r_train = second_moment(train_rows)
-        r_test = second_moment(data.rows[mask])
-        target = reynolds_project(g, r_train)
         if use_lwnl_sample_term:
             sample_term = shrinkage.lwnl_from_covariance(r_train, train_rows.shape[0]).matrix
         else:
             sample_term = r_train
-        # difference form: a zero-residual target (e.g. the trivial group)
-        # yields bitwise-identical blends at every alpha, so structural ties
-        # stay exact
-        residual = target.values - sample_term.values
-        for j, alpha in enumerate(alphas):
-            blend = SymmetricMatrix(sample_term.values + alpha * residual)
-            scores[fold, j] = matrixcore.gaussian_nll_per_sample(blend, r_test)
-    mean_scores = scores.mean(axis=0)
-    chosen = _one_se_index(scores)
-    return CalibrationResult(
-        alpha=float(alphas[chosen]), method=METHOD_CV_NLL,
-        per_alpha_scores={float(a): float(s) for a, s in zip(alphas, mean_scores)},
-        fold_scores=scores,
-    )
+        fold_terms.append((r_train, sample_term, second_moment(data.rows[mask])))
+    results = []
+    for g in candidates:
+        scores = np.empty((folds.k, len(alphas)))
+        for fold, (r_train, sample_term, r_test) in enumerate(fold_terms):
+            # difference form: a zero-residual target (e.g. the trivial
+            # group) yields bitwise-identical blends at every alpha, so
+            # structural ties stay exact
+            residual = reynolds_project(g, r_train).values - sample_term.values
+            for j, alpha in enumerate(alphas):
+                blend = SymmetricMatrix(sample_term.values + alpha * residual)
+                scores[fold, j] = matrixcore.gaussian_nll_per_sample(blend, r_test)
+        mean_scores = scores.mean(axis=0)
+        chosen = _one_se_index(scores)
+        results.append(CalibrationResult(
+            alpha=float(alphas[chosen]), method=METHOD_CV_NLL,
+            per_alpha_scores={float(a): float(s) for a, s in zip(alphas, mean_scores)},
+            fold_scores=scores,
+        ))
+    return results
+
+
+def cv_nll_alpha(data: Dataset, g: GroupAction, grid: AlphaGrid = DEFAULT_GRID,
+                 folds: FoldScheme | None = None,
+                 use_lwnl_sample_term: bool = False) -> CalibrationResult:
+    """``cv_nll_alphas`` for a single group."""
+    return cv_nll_alphas(data, (g,), grid, folds, use_lwnl_sample_term)[0]
 
 
 def write_cv_trace_csv(path, result: CalibrationResult, grid: AlphaGrid) -> None:

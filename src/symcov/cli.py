@@ -18,6 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -155,21 +156,17 @@ def cmd_decoy(args) -> int:
     config = synth.parse_sweep_config(args.config)
     if len(config.n_list) != 1:
         raise ValueError("decoy runs use a single training-size cell")
-    n = config.n_list[0]
-    sigma = synth.make_population(config.population)
-    folds_proto = config.folds
     selected_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
     score_sums: dict[str, float] = {g.name: 0.0 for g in config.library.candidates}
     score_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
+    records = synth.run_trial_sweep(dataclasses.replace(config, estimators=("ad_bmg",)))
     with open(args.out, "w") as fh:
         fh.write("trial,candidate,admitted,mean_cv_nll,best_alpha,selected,margin,delta\n")
-        for trial in range(config.trials):
-            train = synth.sample_gaussian(sigma, n, (config.base_seed, 0, trial, 0))
-            folds = FoldScheme.feasible_contiguous(n, folds_proto)
-            _, report = bmg_mod.bmg_with_fallback(
-                train, config.library, config.kappa, config.grid, folds,
-                use_lwnl=False)
-            for line in bmg_mod.report_rows(config.library, report, trial):
+        for record in records:
+            if record.error:
+                raise ValueError(record.error)
+            report = record.ad
+            for line in bmg_mod.report_rows(config.library, report, record.trial):
                 fh.write(line + "\n")
             if not report.fallback_used:
                 selected_counts[report.selected] += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -686,10 +686,7 @@ def parse_group_spec(text: str) -> GroupAction:
             maker = {"block": block_symmetric, "tied-cyclic": tied_cyclic_blocks,
                      "cartesian": cartesian_power_shifts, "wreath": wreath_shifts}[head]
             g = maker(k, b, perm=perm)
-            return g if not suffix else GroupAction(
-                name=g.name + suffix, dim=g.dim, generators=g.generators,
-                kind=g.kind, order_description=g.order_description,
-                order_lower_bound=g.order_lower_bound)
+            return replace(g, name=g.name + suffix) if suffix else g
         if head == "random-block":
             k, b = _parse_kxb(args[0])
             return decoy_random_partition_blocks(k * b, k, int(args[1]))

@@ -8,6 +8,7 @@ so concurrent callers need no locking.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +161,6 @@ def spectral(a: SymmetricMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(w[::-1].copy(), u[:, ::-1].copy())
 
 
-def cholesky_pivots(a: SymmetricMatrix) -> np.ndarray | None:
-    """Diagonal of the Cholesky factor, or None when the matrix is not SPD."""
-    try:
-        ell = np.linalg.cholesky(a.values)
-    except np.linalg.LinAlgError:
-        return None
-    return np.diag(ell)
-
-
 def gaussian_nll_per_sample(sigma: SymmetricMatrix, r_test: SymmetricMatrix) -> float:
     """Per-sample Gaussian NLL: (1/2) logdet(sigma) + (1/2) tr(sigma^-1 r_test).
 
@@ -212,6 +204,30 @@ def _format_row(row: np.ndarray) -> str:
     return ",".join(repr(float(v)) for v in row)
 
 
+def read_csv_lines(path) -> list[tuple[int, str]]:
+    """Non-blank lines of a CSV file, stripped, with their 1-based line numbers."""
+    with open(path) as fh:
+        return [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+
+
+def parse_rows(path, lines: list[tuple[int, str]], width: int) -> np.ndarray:
+    """Rows of ``width`` comma-separated finite decimals. A malformed token,
+    a non-finite value or a row of the wrong length raises ValueError naming
+    the file and line."""
+    rows = []
+    for no, line in lines:
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: {exc}") from None
+        if len(row) != width:
+            raise ValueError(f"{path}:{no}: expected {width} values, found {len(row)}")
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"{path}:{no}: non-finite value")
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
 def write_matrix_csv(path, a: SymmetricMatrix) -> None:
     with open(path, "w") as fh:
         fh.write(f"{a.dim}\n")
@@ -220,18 +236,13 @@ def write_matrix_csv(path, a: SymmetricMatrix) -> None:
 
 
 def read_matrix_csv(path) -> SymmetricMatrix:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = read_csv_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    m = int(lines[0])
+    m = int(lines[0][1])
     if len(lines) != m + 1:
         raise ValueError(f"{path}: expected {m} rows, found {len(lines) - 1}")
-    rows = [np.fromstring(ln, sep=",") for ln in lines[1:]]
-    a = np.vstack(rows)
-    if a.shape != (m, m):
-        raise ValueError(f"{path}: malformed matrix body {a.shape}")
-    return SymmetricMatrix(a)
+    return SymmetricMatrix(parse_rows(path, lines[1:], m))
 
 
 def write_dataset_csv(path, data: Dataset) -> None:
@@ -242,14 +253,10 @@ def write_dataset_csv(path, data: Dataset) -> None:
 
 
 def read_dataset_csv(path, centered: bool = True) -> Dataset:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = read_csv_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    n, m = (int(tok) for tok in lines[0].split(","))
+    n, m = (int(tok) for tok in lines[0][1].split(","))
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    rows = np.vstack([np.fromstring(ln, sep=",") for ln in lines[1:]])
-    if rows.shape != (n, m):
-        raise ValueError(f"{path}: malformed dataset body {rows.shape}")
-    return Dataset(rows, centered=centered)
+    return Dataset(parse_rows(path, lines[1:], m), centered=centered)

@@ -220,35 +220,27 @@ def shah_projection(r_hat: SymmetricMatrix, g: GroupAction) -> EstimatorResult:
 def ad_blend(r_hat: SymmetricMatrix, g: GroupAction, alpha: float) -> EstimatorResult:
     """Convex blend (1 - alpha) R_hat + alpha P_G(R_hat); PSD whenever the
     input is PSD, being a non-negative combination of two PSD matrices."""
-    alpha = _check_alpha(alpha)
-    target = reynolds_project(g, r_hat)
-    out = SymmetricMatrix((1.0 - alpha) * r_hat.values + alpha * target.values)
-    return EstimatorResult(EST_AD, out, alpha=alpha, group_name=g.name,
-                           flags=_pin_flags(alpha))
+    return _structural_blend(EST_AD, r_hat, r_hat, g, alpha)
 
 
-def ad_lwnl_blend(data: Dataset, g: GroupAction, alpha: float,
-                  lwnl_result: EstimatorResult | None = None) -> EstimatorResult:
+def ad_lwnl_blend(data: Dataset, g: GroupAction, alpha: float) -> EstimatorResult:
     """Blend with the sample term upgraded to its nonlinear shrinkage:
     (1 - alpha) LWNL + alpha P_G(R_hat), the projection taken of the raw
-    sample covariance. Pass a precomputed ``lwnl_result`` to reuse one
-    shrinkage across an alpha grid.
-    """
-    alpha = _check_alpha(alpha)
+    sample covariance."""
     r_hat = matrixcore.sample_covariance(data)
-    if lwnl_result is None:
-        lwnl_result = lwnl_from_covariance(r_hat, data.n_obs)
-    return ad_lwnl_from_parts(r_hat, lwnl_result, g, alpha)
+    shrunk = lwnl_from_covariance(r_hat, data.n_obs)
+    return _structural_blend(EST_ADLWNL, shrunk.matrix, r_hat, g, alpha, shrunk.flags)
 
 
-def ad_lwnl_from_parts(r_hat: SymmetricMatrix, lwnl_result: EstimatorResult,
-                       g: GroupAction, alpha: float) -> EstimatorResult:
+def _structural_blend(estimator_name: str, sample_term: SymmetricMatrix,
+                      r_hat: SymmetricMatrix, g: GroupAction, alpha: float,
+                      flags: frozenset[str] = frozenset()) -> EstimatorResult:
+    """(1 - alpha) sample_term + alpha P_G(r_hat), carrying ``flags``."""
     alpha = _check_alpha(alpha)
     target = reynolds_project(g, r_hat)
-    out = SymmetricMatrix((1.0 - alpha) * lwnl_result.matrix.values
-                          + alpha * target.values)
-    return EstimatorResult(EST_ADLWNL, out, alpha=alpha, group_name=g.name,
-                           flags=_pin_flags(alpha) | set(lwnl_result.flags))
+    out = SymmetricMatrix((1.0 - alpha) * sample_term.values + alpha * target.values)
+    return EstimatorResult(estimator_name, out, alpha=alpha, group_name=g.name,
+                           flags=_pin_flags(alpha) | flags)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +260,15 @@ def write_estimator_csv(path, result: EstimatorResult) -> None:
 
 
 def read_estimator_csv(path) -> EstimatorResult:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    name, alpha, group, flags = lines[0].split(",", 3)
-    m = int(lines[1])
-    rows = np.vstack([np.fromstring(ln, sep=",") for ln in lines[2:2 + m]])
+    lines = matrixcore.read_csv_lines(path)
+    name, alpha, group, flags = lines[0][1].split(",", 3)
+    m = int(lines[1][1])
+    body = lines[2:2 + m]
+    if len(body) != m:
+        raise ValueError(f"{path}: expected {m} rows, found {len(body)}")
     return EstimatorResult(
         estimator_name=name,
-        matrix=SymmetricMatrix(rows),
+        matrix=SymmetricMatrix(matrixcore.parse_rows(path, body, m)),
         alpha=float(alpha) if alpha else None,
         group_name=group or None,
         flags=frozenset(flags.split(";")) if flags else frozenset(),

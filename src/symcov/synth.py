@@ -223,21 +223,15 @@ def pathway_library(m: int = 100, block_size: int = 20) -> CandidateLibrary:
         groups.full_symmetric(m),
         groups.block_symmetric(block_size, b),
         groups.tied_cyclic_blocks(block_size, b),
-        _with_name(groups.tied_cyclic_blocks(
-            block_size, b, perm=groups.random_partition_perm(m, block_size, 101)),
-            f"z{block_size}-tied{b}-perm1"),
-        _with_name(groups.tied_cyclic_blocks(
-            block_size, b, perm=groups.random_partition_perm(m, block_size, 102)),
-            f"z{block_size}-tied{b}-perm2"),
+        groups.tied_cyclic_blocks(
+            block_size, b, perm=groups.random_partition_perm(m, block_size, 101),
+            name=f"z{block_size}-tied{b}-perm1"),
+        groups.tied_cyclic_blocks(
+            block_size, b, perm=groups.random_partition_perm(m, block_size, 102),
+            name=f"z{block_size}-tied{b}-perm2"),
         groups.cartesian_power_shifts(block_size, b),
         groups.wreath_shifts(block_size, b),
     ))
-
-
-def _with_name(g: GroupAction, name: str) -> GroupAction:
-    return GroupAction(name=name, dim=g.dim, generators=g.generators, kind=g.kind,
-                       order_description=g.order_description,
-                       order_lower_bound=g.order_lower_bound)
 
 
 def grid_library(height: int = 8, width: int = 8) -> CandidateLibrary:
@@ -277,22 +271,19 @@ def build_decoy_library(m: int = 100, block_size: int = 20,
             decoys.append(groups.decoy_random_partition_blocks(m, size, seed))
     # Family B: wrong-domain cyclic and Cartesian.
     decoys.append(groups.cyclic(m))
-    decoys.append(_with_name(
-        groups.cartesian_power_shifts(
-            block_size, m // block_size,
-            perm=groups.random_partition_perm(m, block_size, seeds["cartesian"])),
-        f"z{block_size}-{m // block_size}-cartesian-random-seed{seeds['cartesian']}"))
+    decoys.append(groups.cartesian_power_shifts(
+        block_size, m // block_size,
+        perm=groups.random_partition_perm(m, block_size, seeds["cartesian"]),
+        name=f"z{block_size}-{m // block_size}-cartesian-random-seed{seeds['cartesian']}"))
     decoys.append(groups.pairwise_z2_power(m))
     # Family C: wreaths at inverted scales.
     small = m // block_size
-    decoys.append(_with_name(
-        groups.wreath_shifts(small, block_size,
-                             perm=groups.random_partition_perm(m, small, seeds["wreath_small"])),
-        f"z{small}-wr-s{block_size}-seed{seeds['wreath_small']}"))
-    decoys.append(_with_name(
-        groups.wreath_shifts(2, m // 2,
-                             perm=groups.random_partition_perm(m, 2, seeds["wreath_pairs"])),
-        f"z2-wr-s{m // 2}-seed{seeds['wreath_pairs']}"))
+    decoys.append(groups.wreath_shifts(
+        small, block_size, perm=groups.random_partition_perm(m, small, seeds["wreath_small"]),
+        name=f"z{small}-wr-s{block_size}-seed{seeds['wreath_small']}"))
+    decoys.append(groups.wreath_shifts(
+        2, m // 2, perm=groups.random_partition_perm(m, 2, seeds["wreath_pairs"]),
+        name=f"z2-wr-s{m // 2}-seed{seeds['wreath_pairs']}"))
     # Family D: pure noise.
     decoys.append(groups.decoy_random_subgroup_closure(m, 5, 10**6, seeds["subgroup"]))
     return decoys

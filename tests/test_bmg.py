@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcov import groups, synth
+from symcov import groups, shrinkage, synth
 from symcov.bmg import (
     BMGReport,
     CandidateLibrary,
@@ -16,7 +16,7 @@ from symcov.bmg import (
     tier2_select,
     write_report_csv,
 )
-from symcov.calibration import AlphaGrid, FoldScheme
+from symcov.calibration import AlphaGrid, FoldScheme, cv_nll_alpha
 from symcov.matrixcore import Dataset, SymmetricMatrix, sample_covariance
 
 
@@ -141,6 +141,33 @@ class TestTier2:
         a = tier2_select(data, list(lib.candidates))
         b = tier2_select(data, list(lib.candidates))
         assert a == b
+
+    @pytest.mark.parametrize("use_lwnl", [False, True])
+    def test_scores_equal_standalone_calibration(self, use_lwnl):
+        rng = np.random.default_rng(69)
+        data = Dataset(rng.standard_normal((30, 6))).center()
+        cands = list(small_library(6).candidates)
+        report = tier2_select(data, cands, use_lwnl_sample_term=use_lwnl)
+        for g in cands:
+            res = cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl)
+            assert report.tier2_alphas[g.name] == res.alpha
+            assert report.tier2_scores[g.name] == res.per_alpha_scores[res.alpha]
+
+    def test_lwnl_sample_term_computed_once_per_fold(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        data = Dataset(rng.standard_normal((30, 6))).center()
+        cands = list(small_library(6).candidates)
+        calls = []
+        original = shrinkage.lwnl_from_covariance
+
+        def counting(r_hat, n_obs):
+            calls.append(n_obs)
+            return original(r_hat, n_obs)
+
+        monkeypatch.setattr(shrinkage, "lwnl_from_covariance", counting)
+        folds = FoldScheme.contiguous(data.n_obs, 5)
+        tier2_select(data, cands, folds=folds, use_lwnl_sample_term=True)
+        assert len(calls) == folds.k
 
     def test_empty_admitted_rejected(self):
         rng = np.random.default_rng(65)

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from symcov import bmg as bmg_mod
 from symcov import groups, synth
 from symcov.cli import main
 from symcov.matrixcore import (
@@ -72,6 +73,13 @@ class TestProject:
         assert run_cli("project", "--matrix", str(tmp_path / "nope.csv"),
                        "--group", "trivial:3", "--out", str(tmp_path / "o.csv")) == 4
 
+    def test_nan_matrix_is_config_error_naming_line(self, tmp_path, capsys):
+        src = tmp_path / "nan.csv"
+        src.write_text("2\n1.0,nan\nnan,1.0\n")
+        assert run_cli("project", "--matrix", str(src), "--group", "cyclic:2",
+                       "--out", str(tmp_path / "out.csv")) == 2
+        assert f"{src}:2:" in capsys.readouterr().err
+
     def test_bad_group_spec_is_config_error(self, tmp_path, identity_csv):
         assert run_cli("project", "--matrix", str(identity_csv),
                        "--group", "bogus:3", "--out", str(tmp_path / "o.csv")) == 2
@@ -137,6 +145,14 @@ class TestBmg:
         assert code == 0
         body = report.read_text()
         assert "candidate," in body
+
+    @pytest.mark.parametrize("token", ["inf", "1x"])
+    def test_bad_value_is_config_error_naming_line(self, tmp_path, capsys, token):
+        data_path = tmp_path / "bad.csv"
+        data_path.write_text(f"3,2\n1.0,2.0\n-1.0,{token}\n0.0,-2.0\n")
+        assert run_cli("bmg", "--data", str(data_path), "--library", "trivial:2;s:2",
+                       "--report", str(tmp_path / "report.csv")) == 2
+        assert f"{data_path}:3:" in capsys.readouterr().err
 
     def test_library_directory(self, tmp_path, dataset_csv):
         libdir = tmp_path / "lib"
@@ -215,6 +231,18 @@ class TestSweepAndDecoy:
         assert len(lines) == 1 + 2 * 4  # trials x candidates
         assert summary.read_text().startswith("candidate,mean_cv_nll,selected_count")
 
+    def test_decoy_trial_failure_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(bmg_mod, "bmg_with_fallback", boom)
+        cfg = tmp_path / "decoy.cfg"
+        cfg.write_text("m = 6\npopulation = identity\nlibrary = trivial:6;block:3x2\n"
+                       "n_list = 20\ntrials = 2\n")
+        assert run_cli("decoy", "--config", str(cfg),
+                       "--out", str(tmp_path / "scores.csv")) == 2
+        assert "LinAlgError: forced failure" in capsys.readouterr().err
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert run_cli("sweep", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path / "o.csv")) == 4
@@ -235,6 +263,15 @@ class TestCliContract:
         for cmd in ("project", "estimate", "calibrate", "bmg", "sweep",
                     "verify-lwnl", "decoy"):
             assert cmd in out
+
+    def test_package_import_leaves_numpy_unloaded(self):
+        # the CLI pins the BLAS thread pools in its environment, which only
+        # takes effect if importing the package has not loaded numpy yet
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, symcov; sys.exit('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self, tmp_path):
         # the installed script wires to the same main

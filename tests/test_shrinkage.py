@@ -228,15 +228,6 @@ class TestAdLwnl:
         raw_proj = groups.reynolds_project(g, sample_covariance(data)).values
         np.testing.assert_allclose(hi, raw_proj, atol=1e-14)
 
-    def test_precomputed_lwnl_reused(self):
-        rng = np.random.default_rng(35)
-        data = gaussian_dataset(rng, 24, 6)
-        g = groups.cyclic(6)
-        pre = lwnl(data)
-        a = ad_lwnl_blend(data, g, 0.25, lwnl_result=pre)
-        b = ad_lwnl_blend(data, g, 0.25)
-        np.testing.assert_array_equal(a.matrix.values, b.matrix.values)
-
 
 class TestEstimatorResult:
     def test_alpha_required_for_blends(self):
