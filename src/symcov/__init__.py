@@ -14,9 +14,8 @@ import importlib
 
 # public name -> defining module, grouped by module
 _EXPORTS = {name: module for module, names in {
-    "matrixcore": ("Dataset", "SpectralDecomposition", "SymmetricMatrix", "frobenius_inner",
-                   "frobenius_norm", "gaussian_nll_per_sample", "sample_covariance",
-                   "spectral"),
+    "matrixcore": ("Dataset", "SymmetricMatrix", "frobenius_norm", "gaussian_nll_per_sample",
+                   "sample_covariance"),
     "groups": ("GroupAction", "OrbitPartition", "orbit_partition", "reynolds_project"),
     "shrinkage": ("EstimatorResult", "ad_blend", "ad_lwnl_blend", "lw2004", "lw2004_auto",
                   "lwnl", "shah_projection"),

@@ -65,36 +65,25 @@ class BMGReport:
     tied: bool = False
 
 
-def effective_order(g: GroupAction, override: int | None = None) -> int:
-    """Order used by the rank prefilter: an explicit override, else the
-    declared exact-or-lower bound, else ORDER_CAP when no bound is declared
-    (None). Only a bound below 1 falls back to generators+1. Capped at
-    ORDER_CAP so astronomically large symbolic orders stay comparable."""
-    if override is not None:
-        bound = override
-    elif g.order_lower_bound is not None:
-        bound = g.order_lower_bound
-    else:
-        bound = ORDER_CAP  # no finite bound declared: treat as huge
-    if bound < 1:
-        bound = len(g.generators) + 1
-    return min(bound, ORDER_CAP)
+def effective_order(g: GroupAction) -> int:
+    """Order used by the rank prefilter: the group's order lower bound
+    (declared, exact, or certified from the generators at construction; see
+    GroupAction), capped at ORDER_CAP so astronomically large symbolic
+    orders stay comparable. The Haar kind, which has no finite order,
+    counts as ORDER_CAP."""
+    if g.order_lower_bound is None:
+        return ORDER_CAP
+    return min(g.order_lower_bound, ORDER_CAP)
 
 
 def tier1_admit(lib: CandidateLibrary, n: int, m: int,
-                kappa: float = DEFAULT_KAPPA,
-                order_bound: dict | None = None) -> list[str]:
+                kappa: float = DEFAULT_KAPPA) -> list[str]:
     """Admit candidates with N * |G| >= kappa * M, using per-candidate
-    effective orders (exact for small groups, declared lower bounds for
-    symbolic ones). Raising kappa never grows the admitted set."""
+    effective orders (exact for small groups, lower bounds for symbolic
+    ones). Raising kappa never grows the admitted set."""
     if kappa < 1.0:
         raise ValueError("conservatism constant kappa must be >= 1")
-    admitted = []
-    for g in lib.candidates:
-        override = None if order_bound is None else order_bound.get(g.name)
-        if n * effective_order(g, override) >= kappa * m:
-            admitted.append(g.name)
-    return admitted
+    return [g.name for g in lib.candidates if n * effective_order(g) >= kappa * m]
 
 
 def delta_residual(g: GroupAction, r_hat: SymmetricMatrix) -> float:
@@ -200,16 +189,12 @@ def shah_at_selected(data: Dataset, lib: CandidateLibrary,
     return shrinkage.shah_projection(r_hat, lib.by_name(report.selected))
 
 
-def write_report_csv(path, lib: CandidateLibrary, report: BMGReport,
-                     trial: int | None = None) -> None:
+def write_report_csv(path, lib: CandidateLibrary, report: BMGReport) -> None:
     """One row per candidate: candidate,admitted,mean_cv_nll,best_alpha,
-    selected,margin,delta (with an optional leading trial column)."""
-    header = "candidate,admitted,mean_cv_nll,best_alpha,selected,margin,delta"
-    if trial is not None:
-        header = "trial," + header
+    selected,margin,delta."""
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for line in report_rows(lib, report, trial):
+        fh.write("candidate,admitted,mean_cv_nll,best_alpha,selected,margin,delta\n")
+        for line in report_rows(lib, report):
             fh.write(line + "\n")
 
 

@@ -34,6 +34,10 @@ NOTE_MATCHED_LIMIT = "matched_limit"
 # predictions; see predict_alpha_nll_asymptotic.
 PLUGIN_RIDGE_SCALE = 1e-8
 
+# Held-out calibration defaults, shared by the CLI and the sweep config.
+DEFAULT_GRID_POINTS = 13
+DEFAULT_FOLDS = 5
+
 
 @dataclass(frozen=True)
 class AlphaGrid:
@@ -50,7 +54,9 @@ class AlphaGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def uniform(cls, n_points: int = 13) -> "AlphaGrid":
+    def uniform(cls, n_points: int = DEFAULT_GRID_POINTS) -> "AlphaGrid":
+        if n_points < 2:
+            raise ValueError(f"a uniform alpha grid needs at least 2 points, got {n_points}")
         return cls(tuple(i / (n_points - 1) for i in range(n_points)))
 
     @property
@@ -58,63 +64,39 @@ class AlphaGrid:
         return max(b - a for a, b in zip(self.points, self.points[1:]))
 
 
-DEFAULT_GRID = AlphaGrid.uniform(13)
+DEFAULT_GRID = AlphaGrid.uniform()
 
 
 @dataclass(frozen=True)
 class FoldScheme:
-    """Partition of row indices into k folds.
-
-    The default is contiguous blocks with sizes differing by at most one;
-    a shuffled variant exists behind an explicit constructor but contiguous
-    is the reference behavior.
-    """
+    """Partition of n_obs row indices into k contiguous blocks, in row
+    order, with sizes differing by at most one (the larger blocks first)."""
 
     n_obs: int
-    membership: tuple[int, ...]
+    k: int
 
     def __post_init__(self) -> None:
-        if len(self.membership) != self.n_obs:
-            raise ValueError("fold membership must cover every row")
-        counts = np.bincount(np.asarray(self.membership, dtype=int))
-        if counts.min() < 1:
-            raise ValueError("every fold must be non-empty")
-        if counts.max() - counts.min() > 1:
-            raise ValueError("fold sizes may differ by at most one")
-
-    @property
-    def k(self) -> int:
-        return max(self.membership) + 1
+        if not 2 <= self.k <= self.n_obs:
+            raise ValueError(f"cannot split {self.n_obs} rows into {self.k} folds")
 
     @classmethod
-    def contiguous(cls, n_obs: int, k: int = 5) -> "FoldScheme":
-        if not 2 <= k <= n_obs:
-            raise ValueError(f"cannot split {n_obs} rows into {k} folds")
-        sizes = [n_obs // k + (1 if i < n_obs % k else 0) for i in range(k)]
-        membership = []
-        for fold, size in enumerate(sizes):
-            membership.extend([fold] * size)
-        return cls(n_obs, tuple(membership))
+    def contiguous(cls, n_obs: int, k: int = DEFAULT_FOLDS) -> "FoldScheme":
+        return cls(n_obs, k)
 
     @classmethod
-    def feasible_contiguous(cls, n_obs: int, k: int = 5) -> "FoldScheme | None":
+    def feasible_contiguous(cls, n_obs: int, k: int = DEFAULT_FOLDS) -> "FoldScheme | None":
         """Contiguous folds with k clamped to the row count, or None when no
         scheme leaves every training complement at least 2 rows (n_obs < 3)."""
         if n_obs < 3:
             return None
         return cls.contiguous(n_obs, min(k, n_obs))
 
-    @classmethod
-    def shuffled(cls, n_obs: int, k: int, seed: int) -> "FoldScheme":
-        base = cls.contiguous(n_obs, k)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((n_obs, k, seed))))
-        perm = rng.permutation(n_obs)
-        shuffled = np.empty(n_obs, dtype=int)
-        shuffled[perm] = np.asarray(base.membership)
-        return cls(n_obs, tuple(int(v) for v in shuffled))
-
     def fold_mask(self, fold: int) -> np.ndarray:
-        return np.asarray(self.membership) == fold
+        size, extra = divmod(self.n_obs, self.k)
+        start = fold * size + min(fold, extra)
+        mask = np.zeros(self.n_obs, dtype=bool)
+        mask[start:start + size + (fold < extra)] = True
+        return mask
 
 
 @dataclass(frozen=True)

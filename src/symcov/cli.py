@@ -7,7 +7,8 @@ byte-identical at any --threads setting; parallelism comes from the
 sweep's own worker pool.
 
 Exit codes: 0 success (including the flagged fallback path), 2 config
-error, 3 numerical failure, 4 I/O error.
+error, 3 numerical failure (a dense linear-algebra kernel raised
+LinAlgError), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from . import bmg as bmg_mod
 from . import calibration, groups, matrixcore, shrinkage, synth
-from .calibration import AlphaGrid, FoldScheme
+from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, FoldScheme
 from .groups import GroupValidationError
-from .matrixcore import CenteringError, DimensionMismatchError, NumericalError
+from .matrixcore import CenteringError, DimensionMismatchError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -209,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="group file or constructor string")
     p.add_argument("--alpha", type=float)
     p.add_argument("--auto-alpha", choices=["mse", "cv"])
-    p.add_argument("--grid-points", type=int, default=13)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -218,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--method", required=True, choices=["mse", "cv"])
-    p.add_argument("--grid-points", type=int, default=13)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--use-lwnl", action="store_true",
                    help="nonlinearly shrink the sample term inside the CV blend")
     p.add_argument("--trace", help="write the per-fold CV trace CSV here")
@@ -230,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", required=True,
                    help="directory of group files, preset:<name>, or ;-list of constructors")
     p.add_argument("--kappa", type=float, default=bmg_mod.DEFAULT_KAPPA)
-    p.add_argument("--grid-points", type=int, default=13)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--use-lwnl", action="store_true")
     p.add_argument("--report", required=True, help="per-candidate report CSV")
     p.add_argument("--estimator-out", help="write the winning estimator CSV here")
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NumericalError as exc:
+    except np.linalg.LinAlgError as exc:   # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, CenteringError, DimensionMismatchError,

@@ -38,7 +38,8 @@ ORDER_CAP = 10**18
 
 
 class GroupValidationError(ValueError):
-    """A generator is not a permutation, or kind/generator fields disagree."""
+    """A generator is not a permutation, kind/generator fields disagree, or a
+    declared order bound is below 1."""
 
 
 Perm = tuple[int, ...]
@@ -58,9 +59,14 @@ class GroupAction:
     ``generators`` are index arrays with g[i] = image of i, so the matrix
     action is A -> P A P^T with P[g[i], i] = 1. ``order_description`` is
     symbolic (orders like 5^11*11! are not representable as counts one would
-    want to print); ``order_lower_bound`` is an exact integer when the order
-    is known in closed form, a declared lower bound otherwise, and None when
-    no finite bound applies (the Haar kind).
+    want to print).
+
+    ``order_lower_bound`` is a valid lower bound on |G|: exact when the
+    order is known in closed form, otherwise as declared. A bound left
+    undeclared (None) is filled at construction: m! for the full symmetric
+    kind and ``order_certificate`` of the generators for the generator and
+    trivial kinds. Only the Haar kind, which has no finite order, keeps None.
+    A declared bound below 1 is rejected.
     """
 
     name: str
@@ -68,7 +74,7 @@ class GroupAction:
     generators: tuple[Perm, ...] = ()
     kind: str = KIND_GENERATOR
     order_description: str = ""
-    order_lower_bound: int | None = 1
+    order_lower_bound: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -81,9 +87,40 @@ class GroupAction:
         object.__setattr__(self, "generators", gens)
         if not self.order_description:
             object.__setattr__(self, "order_description", "1" if self.kind == KIND_TRIVIAL else "?")
+        bound = self.order_lower_bound
+        if bound is not None and bound < 1:
+            raise GroupValidationError(f"declared order bound {bound} is below 1")
+        if bound is None and self.kind == KIND_FULL_SYMMETRIC:
+            bound = math.factorial(self.dim)
+        elif bound is None and self.kind != KIND_HAAR:
+            bound = order_certificate(gens, self.dim)
+        object.__setattr__(self, "order_lower_bound", bound)
 
     def generator_arrays(self) -> list[np.ndarray]:
         return [np.array(g, dtype=int) for g in self.generators]
+
+
+def _component_sizes(perms, m: int) -> set[int]:
+    """Sizes of the connected components of the graph on {0..m-1} that joins
+    i to p[i] for every p in ``perms``."""
+    src = np.tile(np.arange(m), len(perms))
+    dst = np.concatenate([np.asarray(p, dtype=int) for p in perms]) if perms else src
+    graph = scipy.sparse.csr_matrix((np.ones(src.size), (src, dst)), shape=(m, m))
+    _, labels = connected_components(graph, directed=False)
+    return set(np.bincount(labels).tolist())
+
+
+def order_certificate(generators, m: int) -> int:
+    """A divisor of the order of the group the generators produce on
+    {0..m-1}: the lcm of the generators' orders (each the lcm of its cycle
+    lengths) and of the point-orbit lengths. By Lagrange's theorem every
+    element order and every orbit length divides |G|, so the result is a
+    valid lower bound on |G|. O(M * number of generators); 1 for no
+    generators."""
+    sizes = _component_sizes(generators, m)
+    for perm in generators:
+        sizes |= _component_sizes([perm], m)
+    return math.lcm(*sizes)
 
 
 @dataclass(frozen=True)
@@ -151,15 +188,12 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
     class_of = labels.reshape(m, m)
 
     # Merge each class with its transpose class to get the symmetric count.
+    # Transposition maps classes to classes as an involution, so the merged
+    # class of c is {c, partner[c]}, labelled by its smaller id.
     transpose_partner = np.empty(n_classes, dtype=int)
     transpose_partner[class_of] = class_of.T
-    merge_graph = scipy.sparse.csr_matrix(
-        (np.ones(n_classes, dtype=np.int8),
-         (np.arange(n_classes), transpose_partner)),
-        shape=(n_classes, n_classes),
-    )
-    _, raw_sym = connected_components(merge_graph, directed=False)
-    sym_labels, d_g = _renumber_first_occurrence(raw_sym[labels])
+    sym_labels, d_g = _renumber_first_occurrence(
+        np.minimum(labels, transpose_partner[labels]))
     sym_class_of = sym_labels.reshape(m, m)
     _, sym_anchor = np.unique(sym_labels, return_index=True)
     return OrbitPartition(dim=m, class_of=class_of, n_classes=n_classes,
@@ -287,8 +321,7 @@ def grid_translation2d(height: int, width: int) -> GroupAction:
     """Z_H x Z_W joint translation on both grid axes."""
     return direct_product(grid_cyclic(height, width, "row"),
                           grid_cyclic(height, width, "col"),
-                          name=f"z{height}xz{width}-{height}x{width}",
-                          order=height * width)
+                          name=f"z{height}xz{width}-{height}x{width}")
 
 
 def grid_dihedral(height: int, width: int, axis: str = "col") -> GroupAction:
@@ -333,27 +366,25 @@ def grid_d4(n: int) -> GroupAction:
                        order_description="8", order_lower_bound=8)
 
 
-def direct_product(g1: GroupAction, g2: GroupAction, name: str | None = None,
-                   order: int | None = None) -> GroupAction:
-    """Product of two commuting actions on the same index set.
+def direct_product(g1: GroupAction, g2: GroupAction,
+                   name: str | None = None) -> GroupAction:
+    """Product of two commuting actions on the same index set that intersect
+    trivially (true for all the axis-wise grid factors used here).
 
     Generators are the union of the factor generators. The recorded order is
-    the product of factor orders, exact whenever the factors intersect
-    trivially (true for all the axis-wise grid factors used here).
+    the product of the factor orders, exact under that condition.
     """
     if g1.dim != g2.dim:
         raise DimensionMismatchError(f"direct product dims {g1.dim} != {g2.dim}")
     for g in (g1, g2):
         if g.kind not in (KIND_GENERATOR, KIND_TRIVIAL):
             raise GroupValidationError("direct products need generator-based factors")
-    if order is None and g1.order_lower_bound and g2.order_lower_bound:
-        order = g1.order_lower_bound * g2.order_lower_bound
     return GroupAction(
         name=name or f"{g1.name}*{g2.name}",
         dim=g1.dim,
         generators=g1.generators + g2.generators,
         order_description=f"{g1.order_description}*{g2.order_description}",
-        order_lower_bound=order,
+        order_lower_bound=g1.order_lower_bound * g2.order_lower_bound,
     )
 
 
@@ -519,16 +550,22 @@ def enumerate_group(generators: list[np.ndarray], dim: int,
 
 def decoy_random_subgroup_closure(m: int, n_generators: int, order_cap: int,
                                   seed: int) -> GroupAction:
-    """Random elements of S_m retained as generators; the BFS closure probe
-    only sizes the group and is capped, since projection needs orbits, not
-    elements."""
+    """Random elements of S_m retained as generators, sized up to
+    ``order_cap``: an order above the cap is recorded as ">=cap" with bound
+    cap, a smaller one exactly. The generator certificate decides "above
+    the cap" when it exceeds it; otherwise a capped BFS closure sizes the
+    group (projection needs orbits, not elements). The BFS reports an order
+    equal to the cap exactly, so a certificate equal to the cap still runs
+    it."""
     if order_cap < 1:
         raise GroupValidationError("order_cap must be >= 1")
     if n_generators == 0:
         return trivial(m)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((m, n_generators, seed))))
     gens = [rng.permutation(m) for _ in range(n_generators)]
-    elements = enumerate_group(gens, m, cap=order_cap)
+    elements = None
+    if order_certificate(gens, m) <= order_cap:
+        elements = enumerate_group(gens, m, cap=order_cap)
     if elements is None:
         desc = f">={order_cap}"
         bound = order_cap

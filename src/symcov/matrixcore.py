@@ -1,5 +1,5 @@
-"""Dense symmetric-matrix algebra: sample covariance, spectral decomposition,
-Gaussian negative log-likelihood, Frobenius norms, and the CSV carriers.
+"""Dense symmetric-matrix algebra: sample covariance, Gaussian negative
+log-likelihood, the Frobenius norm, and the CSV carriers.
 
 Everything here is immutable after construction and every operation is pure,
 so concurrent callers need no locking.
@@ -7,7 +7,6 @@ so concurrent callers need no locking.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -24,14 +23,6 @@ class CenteringError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Incompatible matrix or dataset dimensions."""
-
-
-class NumericalError(RuntimeError):
-    """A dense linear-algebra kernel failed to converge."""
-
-
-def _matrix_digest(values: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -111,27 +102,6 @@ class Dataset:
         return Dataset(self.rows - self.rows.mean(axis=0), centered=True)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues sorted descending with the matching orthonormal column basis."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.eigenvalues, dtype=float)
-        u = np.asarray(self.eigenvectors, dtype=float)
-        w.flags.writeable = False
-        u.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", u)
-
-    def reconstruct(self) -> SymmetricMatrix:
-        return SymmetricMatrix(
-            (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-        )
-
-
 def second_moment(rows: np.ndarray) -> SymmetricMatrix:
     """(1/N) X^T X of raw rows, with no centering contract attached.
 
@@ -148,17 +118,6 @@ def sample_covariance(data: Dataset) -> SymmetricMatrix:
     if not data.centered:
         raise CenteringError("sample_covariance requires centered data; call Dataset.center()")
     return second_moment(data.rows)
-
-
-def spectral(a: SymmetricMatrix) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues descending."""
-    try:
-        w, u = np.linalg.eigh(a.values)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigendecomposition failed to converge (matrix sha256:{_matrix_digest(a.values)})"
-        ) from exc
-    return SpectralDecomposition(w[::-1].copy(), u[:, ::-1].copy())
 
 
 def gaussian_nll_per_sample(sigma: SymmetricMatrix, r_test: SymmetricMatrix) -> float:
@@ -187,12 +146,6 @@ def frobenius_norm(a: SymmetricMatrix) -> float:
     return float(np.linalg.norm(a.values, "fro"))
 
 
-def frobenius_inner(a: SymmetricMatrix, b: SymmetricMatrix) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"inner product dims {a.dim} != {b.dim}")
-    return float(np.sum(a.values * b.values))
-
-
 # ---------------------------------------------------------------------------
 # CSV carriers.
 #
@@ -208,6 +161,19 @@ def read_csv_lines(path) -> list[tuple[int, str]]:
     """Non-blank lines of a CSV file, stripped, with their 1-based line numbers."""
     with open(path) as fh:
         return [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+
+
+def parse_header(path, line: tuple[int, str], width: int) -> list[int]:
+    """The ``width`` comma-separated integers of a header line. A malformed
+    token or a wrong count raises ValueError naming the file and line."""
+    no, text = line
+    try:
+        values = [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{no}: {exc}") from None
+    if len(values) != width:
+        raise ValueError(f"{path}:{no}: expected {width} header values, found {len(values)}")
+    return values
 
 
 def parse_rows(path, lines: list[tuple[int, str]], width: int) -> np.ndarray:
@@ -236,10 +202,14 @@ def write_matrix_csv(path, a: SymmetricMatrix) -> None:
 
 
 def read_matrix_csv(path) -> SymmetricMatrix:
-    lines = read_csv_lines(path)
+    return parse_matrix(path, read_csv_lines(path))
+
+
+def parse_matrix(path, lines: list[tuple[int, str]]) -> SymmetricMatrix:
+    """A matrix CSV body: the dimension line M, then exactly M rows."""
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    m = int(lines[0][1])
+    (m,) = parse_header(path, lines[0], 1)
     if len(lines) != m + 1:
         raise ValueError(f"{path}: expected {m} rows, found {len(lines) - 1}")
     return SymmetricMatrix(parse_rows(path, lines[1:], m))
@@ -252,11 +222,12 @@ def write_dataset_csv(path, data: Dataset) -> None:
             fh.write(_format_row(row) + "\n")
 
 
-def read_dataset_csv(path, centered: bool = True) -> Dataset:
+def read_dataset_csv(path) -> Dataset:
+    """A centered dataset: the header line N,M, then N rows."""
     lines = read_csv_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    n, m = (int(tok) for tok in lines[0][1].split(","))
+    n, m = parse_header(path, lines[0], 2)
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    return Dataset(parse_rows(path, lines[1:], m), centered=centered)
+    return Dataset(parse_rows(path, lines[1:], m), centered=True)

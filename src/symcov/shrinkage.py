@@ -261,14 +261,17 @@ def write_estimator_csv(path, result: EstimatorResult) -> None:
 
 def read_estimator_csv(path) -> EstimatorResult:
     lines = matrixcore.read_csv_lines(path)
-    name, alpha, group, flags = lines[0][1].split(",", 3)
-    m = int(lines[1][1])
-    body = lines[2:2 + m]
-    if len(body) != m:
-        raise ValueError(f"{path}: expected {m} rows, found {len(body)}")
+    if not lines:
+        raise ValueError(f"{path}: empty estimator file")
+    no, meta = lines[0]
+    fields = meta.split(",", 3)
+    if len(fields) != 4:
+        raise ValueError(f"{path}:{no}: expected 4 metadata fields "
+                         f"(estimator,alpha,group,flags), found {len(fields)}")
+    name, alpha, group, flags = fields
     return EstimatorResult(
         estimator_name=name,
-        matrix=SymmetricMatrix(matrixcore.parse_rows(path, body, m)),
+        matrix=matrixcore.parse_matrix(path, lines[1:]),
         alpha=float(alpha) if alpha else None,
         group_name=group or None,
         flags=frozenset(flags.split(";")) if flags else frozenset(),

@@ -20,7 +20,7 @@ import numpy as np
 from . import bmg as bmg_mod
 from . import groups, matrixcore, shrinkage
 from .bmg import BMGReport, CandidateLibrary
-from .calibration import AlphaGrid, FoldScheme
+from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, FoldScheme
 from .groups import GroupAction, parse_group_spec, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
@@ -251,12 +251,11 @@ def grid_library(height: int = 8, width: int = 8) -> CandidateLibrary:
     ))
 
 
-def build_decoy_library(m: int = 100, block_size: int = 20,
-                        seeds: dict | None = None) -> list[GroupAction]:
+def build_decoy_library(m: int = 100, block_size: int = 20) -> list[GroupAction]:
     """Twelve decoys in four families: wrong-partition free permutation (3
     same-scale seeded partitions + 3 wrong scales), wrong-domain cyclic and
     Cartesian, wrong-scale wreaths, and a pure-noise random subgroup."""
-    seeds = dict(DECOY_SEEDS if seeds is None else seeds)
+    seeds = DECOY_SEEDS
     if m % block_size:
         raise ValueError(f"block size {block_size} does not divide {m}")
     decoys: list[GroupAction] = []
@@ -420,8 +419,8 @@ class SweepConfig:
     n_list: tuple[int, ...]
     n_test: int = 200
     kappa: float = bmg_mod.DEFAULT_KAPPA
-    grid_points: int = 13
-    folds: int = 5
+    grid_points: int = DEFAULT_GRID_POINTS
+    folds: int = DEFAULT_FOLDS
     trials: int = 50
     base_seed: int = 1
     estimators: tuple[str, ...] = ESTIMATOR_ORDER
@@ -432,6 +431,9 @@ class SweepConfig:
             raise ValueError(f"unknown estimator toggles {sorted(unknown)}")
         if not self.n_list:
             raise ValueError("sweep needs at least one training-size cell")
+        if self.grid_points < 2 or self.folds < 2:
+            raise ValueError(f"sweep needs grid_points >= 2 and folds >= 2, got "
+                             f"{self.grid_points} and {self.folds}")
 
     @property
     def grid(self) -> AlphaGrid:
@@ -564,6 +566,35 @@ def write_trial_records_csv(path, records) -> None:
 # Sweep configuration files: key=value lines, # comments.
 # ---------------------------------------------------------------------------
 
+# Optional config keys: key -> (field name, parser). An absent key leaves
+# the field at its PopulationSpec / SweepConfig default.
+_POPULATION_KEYS = {
+    "population": ("kind", str),
+    "population_seed": ("base_seed", int),
+    "target_delta": ("target_delta", float),
+    "two_block_ratio": ("two_block_ratio", float),
+    "two_block_split": ("two_block_split", float),
+    "geometric_decay": ("geometric_decay", float),
+    "block_size": ("block_size", int),
+    "circulant_rho": ("circulant_rho", float),
+    "cross_block": ("cross_block", float),
+}
+_SWEEP_KEYS = {
+    "n_test": ("n_test", int),
+    "kappa": ("kappa", float),
+    "grid_points": ("grid_points", int),
+    "folds": ("folds", int),
+    "trials": ("trials", int),
+    "base_seed": ("base_seed", int),
+    "estimators": ("estimators",
+                   lambda val: tuple(tok.strip() for tok in val.split(",") if tok.strip())),
+}
+
+
+def _given(raw: dict[str, str], keys: dict) -> dict:
+    return {field: parse(raw[key]) for key, (field, parse) in keys.items() if key in raw}
+
+
 def parse_sweep_config(path) -> SweepConfig:
     raw: dict[str, str] = {}
     with open(path) as fh:
@@ -576,36 +607,14 @@ def parse_sweep_config(path) -> SweepConfig:
             key, val = line.split("=", 1)
             raw[key.strip()] = val.strip()
     try:
-        m = int(raw["m"])
         group = parse_group_spec(raw["population_group"]) if "population_group" in raw else None
-        population = PopulationSpec(
-            m=m,
-            kind=raw.get("population", POP_RANDOM_SPD),
-            base_seed=int(raw.get("population_seed", 0)),
-            group=group,
-            target_delta=float(raw["target_delta"]) if "target_delta" in raw else None,
-            two_block_ratio=float(raw.get("two_block_ratio", 8.0)),
-            two_block_split=float(raw.get("two_block_split", 0.25)),
-            geometric_decay=float(raw.get("geometric_decay", 0.9)),
-            block_size=int(raw.get("block_size", 20)),
-            circulant_rho=float(raw.get("circulant_rho", 0.5)),
-            cross_block=float(raw.get("cross_block", 0.1)),
-        )
-        library = parse_library_spec(raw["library"])
-        estimators = tuple(tok.strip() for tok in
-                           raw.get("estimators", ",".join(ESTIMATOR_ORDER)).split(",")
-                           if tok.strip())
+        population = PopulationSpec(m=int(raw["m"]), group=group,
+                                    **_given(raw, _POPULATION_KEYS))
         return SweepConfig(
             population=population,
-            library=library,
+            library=parse_library_spec(raw["library"]),
             n_list=tuple(int(tok) for tok in raw["n_list"].split(",")),
-            n_test=int(raw.get("n_test", 200)),
-            kappa=float(raw.get("kappa", bmg_mod.DEFAULT_KAPPA)),
-            grid_points=int(raw.get("grid_points", 13)),
-            folds=int(raw.get("folds", 5)),
-            trials=int(raw.get("trials", 50)),
-            base_seed=int(raw.get("base_seed", 1)),
-            estimators=estimators,
+            **_given(raw, _SWEEP_KEYS),
         )
     except KeyError as exc:
         raise ValueError(f"sweep config missing required key {exc}") from exc

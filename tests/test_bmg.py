@@ -67,10 +67,13 @@ class TestTier1:
         assert tier1_admit(lib, n=50, m=100, kappa=2.0) == [g.name]
         assert effective_order(g) == min(g.order_lower_bound, 10**18)
 
-    def test_order_override(self):
-        lib = CandidateLibrary((groups.trivial(100),))
-        assert tier1_admit(lib, 50, 100, 2.0, order_bound={"trivial-100": 1000}) \
-            == ["trivial-100"]
+    def test_undeclared_order_same_from_file_and_python(self, tmp_path):
+        perm = (1, 0, 2, 3, 4, 5)
+        path = tmp_path / "swap.grp"
+        path.write_text("name=swap\ndim=6\nkind=generator_based\n1,0,2,3,4,5\n")
+        from_file = groups.read_group_file(path)
+        in_python = groups.GroupAction(name="swap", dim=6, generators=(perm,))
+        assert effective_order(from_file) == effective_order(in_python) == 2
 
     def test_kappa_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -84,6 +84,19 @@ class TestProject:
         assert run_cli("project", "--matrix", str(identity_csv),
                        "--group", "bogus:3", "--out", str(tmp_path / "o.csv")) == 2
 
+    def test_bad_header_is_config_error_naming_line(self, tmp_path, capsys):
+        src = tmp_path / "hdr.csv"
+        src.write_text("x\n1.0\n")
+        assert run_cli("project", "--matrix", str(src), "--group", "trivial:1",
+                       "--out", str(tmp_path / "out.csv")) == 2
+        assert f"{src}:1:" in capsys.readouterr().err
+
+    def test_group_file_order_bound_below_one_is_config_error(self, tmp_path, identity_csv):
+        gpath = tmp_path / "g.grp"
+        gpath.write_text("name=z3\ndim=3\nkind=generator_based\norder_lower_bound=0\n1,2,0\n")
+        assert run_cli("project", "--matrix", str(identity_csv),
+                       "--group", str(gpath), "--out", str(tmp_path / "o.csv")) == 2
+
 
 class TestEstimate:
     def test_every_estimator_writes_parseable_output(self, tmp_path, dataset_csv):
@@ -108,6 +121,22 @@ class TestEstimate:
         assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", "ad",
                        "--group", "block:2x2", "--out", str(tmp_path / "o.csv")) == 2
 
+    def test_eigensolver_failure_is_numerical_error(self, tmp_path, dataset_csv,
+                                                    monkeypatch):
+        def boom(values):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", "lwnl",
+                       "--out", str(tmp_path / "o.csv")) == 3
+
+    def test_short_estimator_metadata_names_line(self, tmp_path):
+        # no subcommand reads estimator CSVs; the reader is checked directly
+        path = tmp_path / "est.csv"
+        path.write_text("sample,,\n1\n1.0\n")
+        with pytest.raises(ValueError, match=f"{path}:1: expected 4 metadata fields"):
+            read_estimator_csv(path)
+
 
 class TestCalibrate:
     def test_mse_and_cv(self, tmp_path, dataset_csv, capsys):
@@ -121,6 +150,10 @@ class TestCalibrate:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "fold,alpha,nll"
         assert len(lines) == 1 + 3 * 5
+
+    def test_one_grid_point_is_config_error(self, dataset_csv):
+        assert run_cli("calibrate", "--data", str(dataset_csv), "--group", "block:2x2",
+                       "--method", "cv", "--grid-points", "1") == 2
 
 
 class TestBmg:
@@ -145,6 +178,17 @@ class TestBmg:
         assert code == 0
         body = report.read_text()
         assert "candidate," in body
+
+    def test_one_grid_point_is_config_error(self, tmp_path, dataset_csv):
+        assert run_cli("bmg", "--data", str(dataset_csv), "--library", "trivial:4;s:4",
+                       "--grid-points", "1", "--report", str(tmp_path / "r.csv")) == 2
+
+    def test_one_token_header_is_config_error_naming_line(self, tmp_path, capsys):
+        data_path = tmp_path / "hdr.csv"
+        data_path.write_text("5\n1.0,2.0\n")
+        assert run_cli("bmg", "--data", str(data_path), "--library", "trivial:2;s:2",
+                       "--report", str(tmp_path / "report.csv")) == 2
+        assert f"{data_path}:1:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["inf", "1x"])
     def test_bad_value_is_config_error_naming_line(self, tmp_path, capsys, token):
@@ -199,6 +243,12 @@ class TestSweepAndDecoy:
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # cells x trials
+
+    @pytest.mark.parametrize("key", ["folds", "grid_points"])
+    def test_sweep_single_fold_or_grid_point_is_config_error(self, tmp_path, key):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + f"{key} = 1\n")
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
 
     def test_sweep_deterministic_under_threads(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

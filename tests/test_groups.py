@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcov import groups
 from symcov.groups import (
@@ -12,6 +14,7 @@ from symcov.groups import (
     decoy_random_subgroup_closure,
     enumerate_group,
     orbit_partition,
+    order_certificate,
     parse_group_spec,
     permutation_matrix,
     read_group_file,
@@ -61,6 +64,34 @@ class TestValidation:
         with pytest.raises(GroupValidationError):
             GroupAction(name="bad", dim=3, generators=((1, 2, 0),),
                         kind=groups.KIND_HAAR)
+
+    def test_declared_order_bound_below_one_rejected(self):
+        with pytest.raises(GroupValidationError, match="below 1"):
+            GroupAction(name="bad", dim=3, generators=((1, 2, 0),), order_lower_bound=0)
+
+    def test_undeclared_order_bound_filled_at_construction(self):
+        swap_cycle = GroupAction(name="g", dim=5, generators=((1, 0, 2, 3, 4), (0, 1, 3, 4, 2)))
+        assert swap_cycle.order_lower_bound == 6   # lcm(2, 3); |G| = 6
+        assert GroupAction(name="s", dim=5, kind=groups.KIND_FULL_SYMMETRIC) \
+            .order_lower_bound == 120
+        assert GroupAction(name="t", dim=5, kind=groups.KIND_TRIVIAL).order_lower_bound == 1
+        assert GroupAction(name="h", dim=5, kind=groups.KIND_HAAR).order_lower_bound is None
+
+
+@st.composite
+def generator_sets(draw):
+    m = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(m)), max_size=3))
+    return m, [np.array(g) for g in gens]
+
+
+class TestOrderCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets())
+    def test_divides_enumerated_order(self, case):
+        m, gens = case
+        order = len(enumerate_group(gens, m))
+        assert order % order_certificate(gens, m) == 0
 
 
 class TestOrbitPartition:
@@ -244,6 +275,14 @@ class TestDecoys:
         # a tame draw enumerates exactly
         h = decoy_random_subgroup_closure(6, 1, order_cap=10**4, seed=0)
         assert h.order_description.isdigit()
+
+    def test_subgroup_closure_certificate_at_cap_still_enumerates(self):
+        # the certificate of this draw is 5, equal to the cap; only the BFS
+        # can tell an order of exactly 5 from a larger one
+        g = decoy_random_subgroup_closure(6, 1, order_cap=5, seed=0)
+        assert order_certificate(g.generators, 6) == 5
+        assert g.order_description == "5"
+        assert g.order_lower_bound == 5
 
     def test_subgroup_closure_zero_generators_is_trivial(self):
         g = decoy_random_subgroup_closure(10, 0, order_cap=100, seed=5)

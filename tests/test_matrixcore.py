@@ -8,14 +8,12 @@ from symcov.matrixcore import (
     Dataset,
     DimensionMismatchError,
     SymmetricMatrix,
-    frobenius_inner,
     frobenius_norm,
     gaussian_nll_per_sample,
     read_dataset_csv,
     read_matrix_csv,
     sample_covariance,
     second_moment,
-    spectral,
     write_dataset_csv,
     write_matrix_csv,
 )
@@ -99,45 +97,6 @@ class TestSampleCovariance:
             assert w.min() >= -1e-10 * max(w.max(), 1.0)
 
 
-class TestSpectral:
-    def test_identity(self):
-        dec = spectral(SymmetricMatrix(np.eye(3)))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-
-    def test_diagonal_descending_with_axis_vectors(self):
-        dec = spectral(SymmetricMatrix(np.diag([3.0, 1.0])))
-        np.testing.assert_allclose(dec.eigenvalues, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(dec.eigenvectors), np.eye(2), atol=1e-14)
-
-    def test_eigenpairs_satisfy_residual(self):
-        rng = np.random.default_rng(2)
-        a = rand_sym(rng, 4)
-        dec = spectral(a)
-        for k in range(4):
-            resid = a.values @ dec.eigenvectors[:, k] - dec.eigenvalues[k] * dec.eigenvectors[:, k]
-            assert np.linalg.norm(resid) <= 1e-8
-
-    def test_non_convergence_carries_matrix_hash(self, monkeypatch):
-        def boom(values):
-            raise np.linalg.LinAlgError("no convergence")
-        monkeypatch.setattr(np.linalg, "eigh", boom)
-        from symcov.matrixcore import NumericalError
-        with pytest.raises(NumericalError, match="sha256:"):
-            spectral(SymmetricMatrix(np.eye(3)))
-
-    def test_reconstruction_and_orthonormality_bounds(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            m = int(rng.integers(1, 65))
-            a = rand_sym(rng, m)
-            dec = spectral(a)
-            err = np.linalg.norm(dec.reconstruct().values - a.values, "fro")
-            assert err <= 1e-8 * max(np.linalg.norm(a.values, "fro"), 1e-30)
-            ortho = dec.eigenvectors.T @ dec.eigenvectors - np.eye(m)
-            assert np.linalg.norm(ortho, "fro") <= 1e-8 * math.sqrt(m)
-            assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-
-
 class TestGaussianNll:
     def test_identity_pair(self):
         for m in (1, 4, 9):
@@ -175,21 +134,11 @@ class TestFrobenius:
     def test_identity_norm(self):
         assert frobenius_norm(SymmetricMatrix(np.eye(3))) == pytest.approx(math.sqrt(3))
 
-    def test_orthogonal_basis_elements(self):
-        a = SymmetricMatrix(np.eye(2))
-        b = SymmetricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert frobenius_inner(a, b) == 0.0
-
     def test_matches_double_loop(self):
         rng = np.random.default_rng(5)
-        a, b = rand_sym(rng, 4), rand_sym(rng, 4)
-        want = sum(a.values[i, j] * b.values[i, j] for i in range(4) for j in range(4))
-        assert frobenius_inner(a, b) == pytest.approx(want)
-        assert frobenius_norm(a) == pytest.approx(math.sqrt(frobenius_inner(a, a)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            frobenius_inner(SymmetricMatrix(np.eye(2)), SymmetricMatrix(np.eye(3)))
+        a = rand_sym(rng, 4)
+        want = sum(a.values[i, j] ** 2 for i in range(4) for j in range(4))
+        assert frobenius_norm(a) == pytest.approx(math.sqrt(want))
 
 
 class TestCsv:
