@@ -15,7 +15,7 @@ import numpy as np
 
 from . import calibration, matrixcore, shrinkage
 from .calibration import AlphaGrid, FoldScheme, DEFAULT_GRID
-from .groups import GroupAction, KIND_TRIVIAL, KIND_FULL_SYMMETRIC, ORDER_CAP, reynolds_project
+from .groups import GroupAction, KIND_TRIVIAL, KIND_FULL_SYMMETRIC, capped_order, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
 DEFAULT_KAPPA = 2.0
@@ -65,25 +65,17 @@ class BMGReport:
     tied: bool = False
 
 
-def effective_order(g: GroupAction) -> int:
-    """Order used by the rank prefilter: the group's order lower bound
-    (declared, exact, or certified from the generators at construction; see
-    GroupAction), capped at ORDER_CAP so astronomically large symbolic
-    orders stay comparable. The Haar kind, which has no finite order,
-    counts as ORDER_CAP."""
-    if g.order_lower_bound is None:
-        return ORDER_CAP
-    return min(g.order_lower_bound, ORDER_CAP)
-
-
 def tier1_admit(lib: CandidateLibrary, n: int, m: int,
                 kappa: float = DEFAULT_KAPPA) -> list[str]:
-    """Admit candidates with N * |G| >= kappa * M, using per-candidate
-    effective orders (exact for small groups, lower bounds for symbolic
-    ones). Raising kappa never grows the admitted set."""
-    if kappa < 1.0:
-        raise ValueError("conservatism constant kappa must be >= 1")
-    return [g.name for g in lib.candidates if n * effective_order(g) >= kappa * m]
+    """Admit candidates with N * |G| >= kappa * M. Every order at or above
+    cap = ceil(kappa * M / N) + 1 admits, so each group is counted exactly up
+    to that cap (``groups.capped_order``) and the test runs on
+    min(|G|, cap). Raising kappa never grows the admitted set."""
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError("conservatism constant kappa must be finite and >= 1")
+    # n < 1 admits nothing, whatever the cap
+    cap = math.ceil(kappa * m / max(n, 1)) + 1
+    return [g.name for g in lib.candidates if n * capped_order(g, cap) >= kappa * m]
 
 
 def delta_residual(g: GroupAction, r_hat: SymmetricMatrix) -> float:
@@ -156,8 +148,8 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
     """
     if folds is None:
         folds = FoldScheme.feasible_contiguous(data.n_obs)
-    admitted_names = tier1_admit(lib, data.n_obs, data.dim, kappa)
-    if not admitted_names or folds is None:
+    admitted_names = [] if folds is None else tier1_admit(lib, data.n_obs, data.dim, kappa)
+    if not admitted_names:
         est = shrinkage.lw2004_auto(data)
         report = BMGReport(
             selected="", alpha=est.alpha, tier1_admitted=(),

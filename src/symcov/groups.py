@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
+from . import matrixcore
 from .matrixcore import DimensionMismatchError, SymmetricMatrix
 
 KIND_GENERATOR = "generator_based"
@@ -32,14 +33,9 @@ KIND_TRIVIAL = "trivial"
 
 _KINDS = (KIND_GENERATOR, KIND_FULL_SYMMETRIC, KIND_HAAR, KIND_TRIVIAL)
 
-# Effective-order cap: orders at or above this are "astronomically large"
-# for every rank-prefilter purpose.
-ORDER_CAP = 10**18
-
 
 class GroupValidationError(ValueError):
-    """A generator is not a permutation, kind/generator fields disagree, or a
-    declared order bound is below 1."""
+    """A generator is not a permutation, or kind and generator fields disagree."""
 
 
 Perm = tuple[int, ...]
@@ -57,24 +53,15 @@ class GroupAction:
     """A finite group acting on indices {0..M-1}.
 
     ``generators`` are index arrays with g[i] = image of i, so the matrix
-    action is A -> P A P^T with P[g[i], i] = 1. ``order_description`` is
-    symbolic (orders like 5^11*11! are not representable as counts one would
-    want to print).
-
-    ``order_lower_bound`` is a valid lower bound on |G|: exact when the
-    order is known in closed form, otherwise as declared. A bound left
-    undeclared (None) is filled at construction: m! for the full symmetric
-    kind and ``order_certificate`` of the generators for the generator and
-    trivial kinds. Only the Haar kind, which has no finite order, keeps None.
-    A declared bound below 1 is rejected.
+    action is A -> P A P^T with P[g[i], i] = 1. The group order is never
+    stored: ``capped_order`` counts it from the generators up to the cap a
+    caller needs.
     """
 
     name: str
     dim: int
     generators: tuple[Perm, ...] = ()
     kind: str = KIND_GENERATOR
-    order_description: str = ""
-    order_lower_bound: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -85,42 +72,9 @@ class GroupAction:
         if self.kind != KIND_GENERATOR and gens:
             raise GroupValidationError(f"kind {self.kind} carries no generators")
         object.__setattr__(self, "generators", gens)
-        if not self.order_description:
-            object.__setattr__(self, "order_description", "1" if self.kind == KIND_TRIVIAL else "?")
-        bound = self.order_lower_bound
-        if bound is not None and bound < 1:
-            raise GroupValidationError(f"declared order bound {bound} is below 1")
-        if bound is None and self.kind == KIND_FULL_SYMMETRIC:
-            bound = math.factorial(self.dim)
-        elif bound is None and self.kind != KIND_HAAR:
-            bound = order_certificate(gens, self.dim)
-        object.__setattr__(self, "order_lower_bound", bound)
 
     def generator_arrays(self) -> list[np.ndarray]:
         return [np.array(g, dtype=int) for g in self.generators]
-
-
-def _component_sizes(perms, m: int) -> set[int]:
-    """Sizes of the connected components of the graph on {0..m-1} that joins
-    i to p[i] for every p in ``perms``."""
-    src = np.tile(np.arange(m), len(perms))
-    dst = np.concatenate([np.asarray(p, dtype=int) for p in perms]) if perms else src
-    graph = scipy.sparse.csr_matrix((np.ones(src.size), (src, dst)), shape=(m, m))
-    _, labels = connected_components(graph, directed=False)
-    return set(np.bincount(labels).tolist())
-
-
-def order_certificate(generators, m: int) -> int:
-    """A divisor of the order of the group the generators produce on
-    {0..m-1}: the lcm of the generators' orders (each the lcm of its cycle
-    lengths) and of the point-orbit lengths. By Lagrange's theorem every
-    element order and every orbit length divides |G|, so the result is a
-    valid lower bound on |G|. O(M * number of generators); 1 for no
-    generators."""
-    sizes = _component_sizes(generators, m)
-    for perm in generators:
-        sizes |= _component_sizes([perm], m)
-    return math.lcm(*sizes)
 
 
 @dataclass(frozen=True)
@@ -253,18 +207,15 @@ def reynolds_project(g: GroupAction, a: SymmetricMatrix) -> SymmetricMatrix:
 # ---------------------------------------------------------------------------
 
 def trivial(m: int) -> GroupAction:
-    return GroupAction(name=f"trivial-{m}", dim=m, kind=KIND_TRIVIAL,
-                       order_description="1", order_lower_bound=1)
+    return GroupAction(name=f"trivial-{m}", dim=m, kind=KIND_TRIVIAL)
 
 
 def full_symmetric(m: int) -> GroupAction:
-    return GroupAction(name=f"s{m}", dim=m, kind=KIND_FULL_SYMMETRIC,
-                       order_description=f"{m}!", order_lower_bound=math.factorial(m))
+    return GroupAction(name=f"s{m}", dim=m, kind=KIND_FULL_SYMMETRIC)
 
 
 def haar_orthogonal(m: int) -> GroupAction:
-    return GroupAction(name=f"haar-o{m}", dim=m, kind=KIND_HAAR,
-                       order_description="inf", order_lower_bound=None)
+    return GroupAction(name=f"haar-o{m}", dim=m, kind=KIND_HAAR)
 
 
 def symmetric_generators(m: int) -> GroupAction:
@@ -274,22 +225,18 @@ def symmetric_generators(m: int) -> GroupAction:
     cycle = tuple((np.arange(m) + 1) % m)
     swap = list(range(m))
     swap[0], swap[1] = 1, 0
-    return GroupAction(name=f"s{m}-gen", dim=m, generators=(cycle, tuple(swap)),
-                       order_description=f"{m}!", order_lower_bound=math.factorial(m))
+    return GroupAction(name=f"s{m}-gen", dim=m, generators=(cycle, tuple(swap)))
 
 
 def cyclic(m: int) -> GroupAction:
     """Flat cyclic shift i -> i+1 (mod m) on all m indices."""
-    shift = tuple((np.arange(m) + 1) % m)
-    return GroupAction(name=f"z{m}-flat", dim=m, generators=(shift,),
-                       order_description=str(m), order_lower_bound=m)
+    return tied_cyclic_blocks(m, 1, name=f"z{m}-flat")
 
 
 def transposition(m: int, i: int = 0, j: int = 1) -> GroupAction:
     perm = list(range(m))
     perm[i], perm[j] = j, i
-    return GroupAction(name=f"z2-swap{i}{j}-{m}", dim=m, generators=(tuple(perm),),
-                       order_description="2", order_lower_bound=2)
+    return GroupAction(name=f"z2-swap{i}{j}-{m}", dim=m, generators=(tuple(perm),))
 
 
 def _grid_perm(height: int, width: int, fn) -> Perm:
@@ -303,18 +250,14 @@ def _grid_perm(height: int, width: int, fn) -> Perm:
 
 def grid_cyclic(height: int, width: int, axis: str) -> GroupAction:
     """Z_H or Z_W acting by uniform translation along one grid axis."""
-    if axis == "row":
-        gen = _grid_perm(height, width, lambda r, c: ((r + 1) % height, c))
-        order = height
-        name = f"z{height}-rows-{height}x{width}"
-    elif axis == "col":
-        gen = _grid_perm(height, width, lambda r, c: (r, (c + 1) % width))
-        order = width
-        name = f"z{width}-cols-{height}x{width}"
-    else:
+    if axis == "col":
+        # each row is a contiguous block of width indices, all shifted together
+        return tied_cyclic_blocks(width, height, name=f"z{width}-cols-{height}x{width}")
+    if axis != "row":
         raise GroupValidationError(f"axis must be 'row' or 'col', got {axis!r}")
-    return GroupAction(name=name, dim=height * width, generators=(gen,),
-                       order_description=str(order), order_lower_bound=order)
+    gen = _grid_perm(height, width, lambda r, c: ((r + 1) % height, c))
+    return GroupAction(name=f"z{height}-rows-{height}x{width}", dim=height * width,
+                       generators=(gen,))
 
 
 def grid_translation2d(height: int, width: int) -> GroupAction:
@@ -329,17 +272,14 @@ def grid_dihedral(height: int, width: int, axis: str = "col") -> GroupAction:
     if axis == "col":
         shift = _grid_perm(height, width, lambda r, c: (r, (c + 1) % width))
         flip = _grid_perm(height, width, lambda r, c: (r, width - 1 - c))
-        order = 2 * width
         name = f"d{width}-cols-{height}x{width}"
     elif axis == "row":
         shift = _grid_perm(height, width, lambda r, c: ((r + 1) % height, c))
         flip = _grid_perm(height, width, lambda r, c: (height - 1 - r, c))
-        order = 2 * height
         name = f"d{height}-rows-{height}x{width}"
     else:
         raise GroupValidationError(f"axis must be 'row' or 'col', got {axis!r}")
-    return GroupAction(name=name, dim=height * width, generators=(shift, flip),
-                       order_description=str(order), order_lower_bound=order)
+    return GroupAction(name=name, dim=height * width, generators=(shift, flip))
 
 
 def grid_klein(height: int, width: int) -> GroupAction:
@@ -347,32 +287,27 @@ def grid_klein(height: int, width: int) -> GroupAction:
     hflip = _grid_perm(height, width, lambda r, c: (r, width - 1 - c))
     vflip = _grid_perm(height, width, lambda r, c: (height - 1 - r, c))
     return GroupAction(name=f"klein-{height}x{width}", dim=height * width,
-                       generators=(hflip, vflip),
-                       order_description="4", order_lower_bound=4)
+                       generators=(hflip, vflip))
 
 
 def grid_rot4(n: int) -> GroupAction:
     """Z_4 generated by the 90-degree rotation of a square n x n patch."""
     rot = _grid_perm(n, n, lambda r, c: (c, n - 1 - r))
-    return GroupAction(name=f"rot4-{n}x{n}", dim=n * n, generators=(rot,),
-                       order_description="4", order_lower_bound=4)
+    return GroupAction(name=f"rot4-{n}x{n}", dim=n * n, generators=(rot,))
 
 
 def grid_d4(n: int) -> GroupAction:
     """Full dihedral symmetry of the square patch: rotation plus transpose."""
     rot = _grid_perm(n, n, lambda r, c: (c, n - 1 - r))
     mirror = _grid_perm(n, n, lambda r, c: (c, r))
-    return GroupAction(name=f"d4-{n}x{n}", dim=n * n, generators=(rot, mirror),
-                       order_description="8", order_lower_bound=8)
+    return GroupAction(name=f"d4-{n}x{n}", dim=n * n, generators=(rot, mirror))
 
 
 def direct_product(g1: GroupAction, g2: GroupAction,
                    name: str | None = None) -> GroupAction:
-    """Product of two commuting actions on the same index set that intersect
-    trivially (true for all the axis-wise grid factors used here).
-
-    Generators are the union of the factor generators. The recorded order is
-    the product of the factor orders, exact under that condition.
+    """The group generated by two actions on the same index set: the union
+    of their generators. It is their direct product when the factors commute
+    and intersect trivially, as the axis-wise grid factors used here do.
     """
     if g1.dim != g2.dim:
         raise DimensionMismatchError(f"direct product dims {g1.dim} != {g2.dim}")
@@ -383,8 +318,6 @@ def direct_product(g1: GroupAction, g2: GroupAction,
         name=name or f"{g1.name}*{g2.name}",
         dim=g1.dim,
         generators=g1.generators + g2.generators,
-        order_description=f"{g1.order_description}*{g2.order_description}",
-        order_lower_bound=g1.order_lower_bound * g2.order_lower_bound,
     )
 
 
@@ -412,8 +345,6 @@ def cartesian_power_shifts(block_size: int, n_blocks: int,
     return GroupAction(
         name=name or f"z{block_size}-pow{n_blocks}",
         dim=m, generators=tuple(gens),
-        order_description=f"{block_size}^{n_blocks}",
-        order_lower_bound=block_size**n_blocks,
     )
 
 
@@ -440,8 +371,6 @@ def wreath_shifts(block_size: int, n_blocks: int,
     return GroupAction(
         name=name or f"z{block_size}-wr-s{n_blocks}",
         dim=base.dim, generators=gens,
-        order_description=f"{block_size}^{n_blocks}*{n_blocks}!",
-        order_lower_bound=block_size**n_blocks * math.factorial(n_blocks),
     )
 
 
@@ -454,8 +383,6 @@ def wreath_rowshift_rowcycle(height: int, width: int) -> GroupAction:
         name=f"z{width}-wr-z{height}-{height}x{width}",
         dim=height * width,
         generators=base.generators + rowcycle.generators,
-        order_description=f"{width}^{height}*{height}",
-        order_lower_bound=width**height * height,
     )
 
 
@@ -477,8 +404,6 @@ def block_symmetric(block_size: int, n_blocks: int,
     return GroupAction(
         name=name or f"block-s{block_size}x{n_blocks}",
         dim=m, generators=tuple(gens),
-        order_description=f"({block_size}!)^{n_blocks}",
-        order_lower_bound=math.factorial(block_size)**n_blocks,
     )
 
 
@@ -495,7 +420,6 @@ def tied_cyclic_blocks(block_size: int, n_blocks: int,
     return GroupAction(
         name=name or f"z{block_size}-tied{n_blocks}",
         dim=m, generators=(tuple(int(v) for v in p),),
-        order_description=str(block_size), order_lower_bound=block_size,
     )
 
 
@@ -503,13 +427,7 @@ def pairwise_z2_power(m: int) -> GroupAction:
     """Z_2^(m/2): independent transpositions of consecutive index pairs."""
     if m % 2:
         raise GroupValidationError("pairwise Z2 power needs even dimension")
-    gens = []
-    for i in range(0, m, 2):
-        p = np.arange(m)
-        p[i], p[i + 1] = i + 1, i
-        gens.append(tuple(int(v) for v in p))
-    return GroupAction(name=f"z2-{m // 2}-cartesian", dim=m, generators=tuple(gens),
-                       order_description=f"2^{m // 2}", order_lower_bound=2**(m // 2))
+    return cartesian_power_shifts(2, m // 2, name=f"z2-{m // 2}-cartesian")
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +451,7 @@ def enumerate_group(generators: list[np.ndarray], dim: int,
         return [np.arange(dim)]
     seen = {tuple(range(dim))}
     frontier = [tuple(range(dim))]
-    gens = [tuple(int(v) for v in g) for g in generators]
+    gens = [tuple(g) for g in generators]
     while frontier:
         nxt = []
         for elem in frontier:
@@ -548,33 +466,28 @@ def enumerate_group(generators: list[np.ndarray], dim: int,
     return [np.array(e, dtype=int) for e in sorted(seen)]
 
 
-def decoy_random_subgroup_closure(m: int, n_generators: int, order_cap: int,
-                                  seed: int) -> GroupAction:
-    """Random elements of S_m retained as generators, sized up to
-    ``order_cap``: an order above the cap is recorded as ">=cap" with bound
-    cap, a smaller one exactly. The generator certificate decides "above
-    the cap" when it exceeds it; otherwise a capped BFS closure sizes the
-    group (projection needs orbits, not elements). The BFS reports an order
-    equal to the cap exactly, so a certificate equal to the cap still runs
-    it."""
-    if order_cap < 1:
-        raise GroupValidationError("order_cap must be >= 1")
+def capped_order(g: GroupAction, cap: int) -> int:
+    """min(|G|, cap) for cap >= 1, exact: the generator closure stops once it
+    has ``cap`` elements, so the cost is bounded by the cap, not by |G|. The
+    Haar average, which has no finite order, counts as ``cap``."""
+    if g.kind == KIND_FULL_SYMMETRIC:
+        return min(math.factorial(g.dim), cap)
+    if g.kind == KIND_HAAR:
+        return cap
+    elements = enumerate_group(g.generators, g.dim, cap=cap - 1)
+    return cap if elements is None else len(elements)
+
+
+def decoy_random_subgroup_closure(m: int, n_generators: int, seed: int) -> GroupAction:
+    """The subgroup of S_m generated by ``n_generators`` seeded random
+    permutations; the trivial group for none. The group is never enumerated:
+    projection needs only orbits, and Tier 1 counts elements up to its
+    admission threshold with ``capped_order``."""
     if n_generators == 0:
         return trivial(m)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((m, n_generators, seed))))
-    gens = [rng.permutation(m) for _ in range(n_generators)]
-    elements = None
-    if order_certificate(gens, m) <= order_cap:
-        elements = enumerate_group(gens, m, cap=order_cap)
-    if elements is None:
-        desc = f">={order_cap}"
-        bound = order_cap
-    else:
-        desc = str(len(elements))
-        bound = len(elements)
     return GroupAction(name=f"random-s{m}-subgroup-seed{seed}", dim=m,
-                       generators=tuple(tuple(int(v) for v in g) for g in gens),
-                       order_description=desc, order_lower_bound=bound)
+                       generators=tuple(rng.permutation(m) for _ in range(n_generators)))
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:
@@ -612,38 +525,35 @@ def write_group_file(path, g: GroupAction) -> None:
         fh.write(f"name={g.name}\n")
         fh.write(f"dim={g.dim}\n")
         fh.write(f"kind={g.kind}\n")
-        fh.write(f"order_description={g.order_description}\n")
-        if g.order_lower_bound is not None:
-            fh.write(f"order_lower_bound={g.order_lower_bound}\n")
         for gen in g.generators:
             fh.write(",".join(str(v) for v in gen) + "\n")
 
 
 def read_group_file(path) -> GroupAction:
-    fields: dict[str, str] = {}
+    """The ``name=``, ``dim=`` and ``kind=`` fields and the generators of a
+    group file; other keys and ``#`` comments are ignored. A malformed
+    integer raises ValueError naming the file and line."""
+    fields: dict[str, tuple[int, str]] = {}
     gens: list[Perm] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line and not line.split("=", 1)[0].lstrip("-").isdigit():
-                key, val = line.split("=", 1)
-                fields[key.strip()] = val.strip()
-            else:
+    for no, line in matrixcore.read_csv_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" in line and not line.split("=", 1)[0].lstrip("-").isdigit():
+            key, val = line.split("=", 1)
+            fields[key.strip()] = (no, val.strip())
+        else:
+            try:
                 gens.append(tuple(int(tok) for tok in line.split(",")))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{no}: {exc}") from None
     try:
-        name = fields["name"]
-        dim = int(fields["dim"])
-        kind = fields["kind"]
+        name = fields["name"][1]
+        dim_line = fields["dim"]
+        kind = fields["kind"][1]
     except KeyError as exc:
         raise ValueError(f"{path}: missing required group field {exc}") from exc
-    bound = fields.get("order_lower_bound")
-    return GroupAction(
-        name=name, dim=dim, generators=tuple(gens), kind=kind,
-        order_description=fields.get("order_description", ""),
-        order_lower_bound=int(bound) if bound is not None else None,
-    )
+    (dim,) = matrixcore.parse_header(path, dim_line, 1)
+    return GroupAction(name=name, dim=dim, generators=tuple(gens), kind=kind)
 
 
 def read_library_dir(path) -> list[GroupAction]:
@@ -676,7 +586,7 @@ def parse_group_spec(text: str) -> GroupAction:
       grid-translation:HxW | klein:HxW | rot4:N | d4:N | wreath-rows:HxW |
       block:KxB[:seed] | tied-cyclic:KxB[:seed] | cartesian:KxB[:seed] |
       wreath:KxB[:seed] | random-block:KxB:seed |
-      random-subgroup:M:n_generators:seed[:cap]
+      random-subgroup:M:n_generators:seed
     A trailing seed on the block constructors routes the blocks through a
     seeded random partition of the indices.
     """
@@ -728,9 +638,7 @@ def parse_group_spec(text: str) -> GroupAction:
             k, b = _parse_kxb(args[0])
             return decoy_random_partition_blocks(k * b, k, int(args[1]))
         if head == "random-subgroup":
-            m, n_gen, seed = int(args[0]), int(args[1]), int(args[2])
-            cap = int(args[3]) if len(args) > 3 else 10**6
-            return decoy_random_subgroup_closure(m, n_gen, cap, seed)
+            return decoy_random_subgroup_closure(int(args[0]), int(args[1]), int(args[2]))
     except (IndexError, ValueError) as exc:
         raise GroupValidationError(f"bad group spec {text!r}: {exc}") from exc
     raise GroupValidationError(f"unknown group constructor {head!r}")

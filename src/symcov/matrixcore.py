@@ -62,8 +62,9 @@ class SymmetricMatrix:
 class Dataset:
     """N x M observation matrix with a mean-centering flag.
 
-    When ``centered`` is set, every column mean must vanish to within
-    1e-10 times the column standard deviation; the constructor checks this.
+    Every value must be finite. When ``centered`` is set, every column mean
+    must vanish to within 1e-10 times the column standard deviation; the
+    constructor checks both.
     """
 
     rows: np.ndarray
@@ -75,6 +76,8 @@ class Dataset:
             raise DimensionMismatchError(f"dataset rows must be 2-D, got shape {r.shape}")
         if r.shape[0] < 1 or r.shape[1] < 1:
             raise DimensionMismatchError("dataset needs at least one row and one column")
+        if not np.isfinite(r).all():
+            raise ValueError("dataset contains a non-finite value")
         if self.centered and r.shape[0] >= 2:
             # A single row carries no empirical centering evidence, and a
             # zero-spread column has no scale to compare against; in both

@@ -269,10 +269,14 @@ def read_estimator_csv(path) -> EstimatorResult:
         raise ValueError(f"{path}:{no}: expected 4 metadata fields "
                          f"(estimator,alpha,group,flags), found {len(fields)}")
     name, alpha, group, flags = fields
+    try:
+        alpha_value = float(alpha) if alpha else None
+    except ValueError as exc:
+        raise ValueError(f"{path}:{no}: {exc}") from None
     return EstimatorResult(
         estimator_name=name,
         matrix=matrixcore.parse_matrix(path, lines[1:]),
-        alpha=float(alpha) if alpha else None,
+        alpha=alpha_value,
         group_name=group or None,
         flags=frozenset(flags.split(";")) if flags else frozenset(),
     )

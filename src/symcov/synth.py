@@ -284,7 +284,7 @@ def build_decoy_library(m: int = 100, block_size: int = 20) -> list[GroupAction]
         2, m // 2, perm=groups.random_partition_perm(m, 2, seeds["wreath_pairs"]),
         name=f"z2-wr-s{m // 2}-seed{seeds['wreath_pairs']}"))
     # Family D: pure noise.
-    decoys.append(groups.decoy_random_subgroup_closure(m, 5, 10**6, seeds["subgroup"]))
+    decoys.append(groups.decoy_random_subgroup_closure(m, 5, seeds["subgroup"]))
     return decoys
 
 

@@ -9,7 +9,6 @@ from symcov.bmg import (
     CandidateLibrary,
     bmg_with_fallback,
     delta_residual,
-    effective_order,
     report_rows,
     shah_at_selected,
     tier1_admit,
@@ -62,10 +61,9 @@ class TestTier1:
             prev = admitted
 
     def test_symbolic_orders_admit_through_bound(self):
-        g = groups.wreath_shifts(20, 5)  # order ~3.8e8, stored exactly
+        g = groups.wreath_shifts(20, 5)  # order 20^5 * 5!, counted only up to the cap
         lib = CandidateLibrary((g,))
         assert tier1_admit(lib, n=50, m=100, kappa=2.0) == [g.name]
-        assert effective_order(g) == min(g.order_lower_bound, 10**18)
 
     def test_undeclared_order_same_from_file_and_python(self, tmp_path):
         perm = (1, 0, 2, 3, 4, 5)
@@ -73,11 +71,31 @@ class TestTier1:
         path.write_text("name=swap\ndim=6\nkind=generator_based\n1,0,2,3,4,5\n")
         from_file = groups.read_group_file(path)
         in_python = groups.GroupAction(name="swap", dim=6, generators=(perm,))
-        assert effective_order(from_file) == effective_order(in_python) == 2
+        for n in (5, 6):   # |G| = 2 admits from n = 6 at m = 6, kappa = 2
+            assert tier1_admit(CandidateLibrary((from_file,)), n, 6) \
+                == tier1_admit(CandidateLibrary((in_python,)), n, 6) \
+                == (["swap"] if n == 6 else [])
+
+    @pytest.mark.parametrize("spec,n,m", [
+        ("klein:1x4", 2, 4),               # |G| = 2: both flips of one row coincide
+        ("grid-dihedral:2x2:col", 2, 4),   # |G| = 2: shift and flip of 2 columns coincide
+        ("d4:1", 1, 1),                    # |G| = 1 on a single cell
+    ])
+    def test_order_is_counted_not_named(self, spec, n, m):
+        # groups whose names suggest orders 4, 4 and 8 need N * |G| >= 2M
+        # on their true order
+        g = groups.parse_group_spec(spec)
+        assert tier1_admit(CandidateLibrary((g,)), n=n, m=m, kappa=2.0) == []
+        assert tier1_admit(CandidateLibrary((g,)), n=2 * n, m=m, kappa=2.0) == [g.name]
 
     def test_kappa_below_one_rejected(self):
         with pytest.raises(ValueError):
             tier1_admit(small_library(), 10, 4, kappa=0.5)
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            tier1_admit(small_library(), 10, 4, kappa=kappa)
 
 
 class TestDeltaResidual:

@@ -91,11 +91,17 @@ class TestProject:
                        "--out", str(tmp_path / "out.csv")) == 2
         assert f"{src}:1:" in capsys.readouterr().err
 
-    def test_group_file_order_bound_below_one_is_config_error(self, tmp_path, identity_csv):
+    @pytest.mark.parametrize("text,line", [
+        ("name=z3\ndim=3\nkind=generator_based\n1,x,0\n", 4),
+        ("name=z3\ndim=x\nkind=generator_based\n1,2,0\n", 2),
+    ], ids=["generator", "dim"])
+    def test_bad_group_file_integer_is_config_error_naming_line(self, tmp_path, identity_csv,
+                                                                 capsys, text, line):
         gpath = tmp_path / "g.grp"
-        gpath.write_text("name=z3\ndim=3\nkind=generator_based\norder_lower_bound=0\n1,2,0\n")
+        gpath.write_text(text)
         assert run_cli("project", "--matrix", str(identity_csv),
                        "--group", str(gpath), "--out", str(tmp_path / "o.csv")) == 2
+        assert f"{gpath}:{line}:" in capsys.readouterr().err
 
 
 class TestEstimate:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +8,11 @@ from symcov.groups import (
     GroupAction,
     GroupValidationError,
     brute_force_project,
+    capped_order,
     decoy_random_partition_blocks,
     decoy_random_subgroup_closure,
     enumerate_group,
     orbit_partition,
-    order_certificate,
     parse_group_spec,
     permutation_matrix,
     read_group_file,
@@ -65,18 +63,6 @@ class TestValidation:
             GroupAction(name="bad", dim=3, generators=((1, 2, 0),),
                         kind=groups.KIND_HAAR)
 
-    def test_declared_order_bound_below_one_rejected(self):
-        with pytest.raises(GroupValidationError, match="below 1"):
-            GroupAction(name="bad", dim=3, generators=((1, 2, 0),), order_lower_bound=0)
-
-    def test_undeclared_order_bound_filled_at_construction(self):
-        swap_cycle = GroupAction(name="g", dim=5, generators=((1, 0, 2, 3, 4), (0, 1, 3, 4, 2)))
-        assert swap_cycle.order_lower_bound == 6   # lcm(2, 3); |G| = 6
-        assert GroupAction(name="s", dim=5, kind=groups.KIND_FULL_SYMMETRIC) \
-            .order_lower_bound == 120
-        assert GroupAction(name="t", dim=5, kind=groups.KIND_TRIVIAL).order_lower_bound == 1
-        assert GroupAction(name="h", dim=5, kind=groups.KIND_HAAR).order_lower_bound is None
-
 
 @st.composite
 def generator_sets(draw):
@@ -85,13 +71,19 @@ def generator_sets(draw):
     return m, [np.array(g) for g in gens]
 
 
-class TestOrderCertificate:
+class TestCappedOrder:
     @settings(max_examples=60, deadline=None)
-    @given(generator_sets())
-    def test_divides_enumerated_order(self, case):
+    @given(generator_sets(), st.integers(1, 30))
+    def test_equals_capped_enumeration(self, case, cap):
         m, gens = case
-        order = len(enumerate_group(gens, m))
-        assert order % order_certificate(gens, m) == 0
+        g = GroupAction(name="g", dim=m, generators=tuple(gens))
+        assert capped_order(g, cap) == min(len(enumerate_group(gens, m)), cap)
+
+    def test_closed_form_kinds(self):
+        assert capped_order(groups.full_symmetric(4), 100) == 24
+        assert capped_order(groups.full_symmetric(100), 7) == 7
+        assert capped_order(groups.haar_orthogonal(4), 7) == 7
+        assert capped_order(groups.trivial(4), 7) == 1
 
 
 class TestOrbitPartition:
@@ -222,8 +214,17 @@ class TestConstructors:
         g = groups.wreath_shifts(5, 11)
         assert g.dim == 55
         assert len(g.generators) == 11 + 10  # shifts plus adjacent block swaps
-        assert g.order_description == "5^11*11!"
-        assert g.order_lower_bound == 5**11 * math.factorial(11)
+        assert capped_order(g, 1000) == 1000   # |G| = 5^11 * 11!
+
+    def test_shift_constructor_generators(self):
+        assert groups.cyclic(5).generators == ((1, 2, 3, 4, 0),)
+        assert groups.grid_cyclic(2, 3, "col").generators == ((1, 2, 0, 4, 5, 3),)
+        assert groups.pairwise_z2_power(4).generators == ((1, 0, 2, 3), (0, 1, 3, 2))
+        assert [g.name for g in (groups.cyclic(5), groups.grid_cyclic(2, 3, "col"),
+                                 groups.pairwise_z2_power(4))] \
+            == ["z5-flat", "z3-cols-2x3", "z2-2-cartesian"]
+        with pytest.raises(GroupValidationError):
+            groups.pairwise_z2_power(5)
 
     def test_direct_product_dim_mismatch(self):
         with pytest.raises(Exception):
@@ -267,30 +268,21 @@ class TestDecoys:
         assert part.n_classes == 30
 
     def test_subgroup_closure_cap_and_probe(self):
-        g = decoy_random_subgroup_closure(100, 5, order_cap=10**6, seed=42)
+        g = decoy_random_subgroup_closure(100, 5, seed=42)
         assert g.kind == groups.KIND_GENERATOR
         assert len(g.generators) == 5
-        assert g.order_description == ">=1000000"
-        assert g.order_lower_bound == 10**6
-        # a tame draw enumerates exactly
-        h = decoy_random_subgroup_closure(6, 1, order_cap=10**4, seed=0)
-        assert h.order_description.isdigit()
-
-    def test_subgroup_closure_certificate_at_cap_still_enumerates(self):
-        # the certificate of this draw is 5, equal to the cap; only the BFS
-        # can tell an order of exactly 5 from a larger one
-        g = decoy_random_subgroup_closure(6, 1, order_cap=5, seed=0)
-        assert order_certificate(g.generators, 6) == 5
-        assert g.order_description == "5"
-        assert g.order_lower_bound == 5
+        assert capped_order(g, 1000) == 1000
+        # a tame draw is counted exactly
+        h = decoy_random_subgroup_closure(6, 1, seed=0)
+        assert capped_order(h, 1000) == len(enumerate_group(h.generator_arrays(), 6)) == 5
 
     def test_subgroup_closure_zero_generators_is_trivial(self):
-        g = decoy_random_subgroup_closure(10, 0, order_cap=100, seed=5)
+        g = decoy_random_subgroup_closure(10, 0, seed=5)
         assert g.kind == groups.KIND_TRIVIAL
 
     def test_subgroup_closure_reproducible(self):
-        a = decoy_random_subgroup_closure(50, 3, order_cap=1000, seed=9)
-        b = decoy_random_subgroup_closure(50, 3, order_cap=1000, seed=9)
+        a = decoy_random_subgroup_closure(50, 3, seed=9)
+        b = decoy_random_subgroup_closure(50, 3, seed=9)
         assert a.generators == b.generators
 
 
@@ -300,11 +292,11 @@ class TestGroupFiles:
         path = tmp_path / "wreath.grp"
         write_group_file(path, g)
         back = read_group_file(path)
-        assert back.name == g.name
-        assert back.dim == g.dim
-        assert back.kind == g.kind
-        assert back.generators == g.generators
-        assert back.order_lower_bound == g.order_lower_bound
+        assert back == g
+        # order lines written by older versions are ignored like any unknown key
+        with open(path, "a") as fh:
+            fh.write("order_description=9\norder_lower_bound=0\n")
+        assert read_group_file(path) == g
 
     def test_library_dir_sorted(self, tmp_path):
         write_group_file(tmp_path / "b.grp", groups.cyclic(4))

@@ -54,6 +54,11 @@ class TestDataset:
         assert d.centered
         assert np.allclose(d.rows.mean(axis=0), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.array([[1.0, bad], [0.0, 1.0]]))
+
     def test_single_row_centers_to_zero(self):
         d = Dataset(np.array([[3.0, -1.0, 2.0]])).center()
         assert np.array_equal(d.rows, np.zeros((1, 3)))

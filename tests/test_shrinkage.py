@@ -262,3 +262,9 @@ class TestEstimatorResult:
         write_estimator_csv(path, res)
         back = read_estimator_csv(path)
         assert back.alpha is None and back.group_name is None
+
+    def test_malformed_alpha_names_line(self, tmp_path):
+        path = tmp_path / "est.csv"
+        path.write_text("ad,abc,g,\n1\n1.0\n")
+        with pytest.raises(ValueError, match=f"{path}:1: could not convert"):
+            read_estimator_csv(path)
