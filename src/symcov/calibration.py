@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import matrixcore
 from .matrixcore import Dataset, DimensionMismatchError, SymmetricMatrix, second_moment
@@ -21,6 +22,7 @@ from .groups import (
     KIND_FULL_SYMMETRIC,
     KIND_HAAR,
     orbit_partition,
+    projected_outer_sq_norms,
     reynolds_project,
 )
 
@@ -37,6 +39,11 @@ PLUGIN_RIDGE_SCALE = 1e-8
 # Held-out calibration defaults, shared by the CLI and the sweep config.
 DEFAULT_GRID_POINTS = 13
 DEFAULT_FOLDS = 5
+
+# _alpha_curve certifies an alpha when its lower bound on lambda_min(blend) is
+# this fraction of the largest diagonal entry: far above PIVOT_RTOL**2, so the
+# rounding of either factorization (about M^2 eps) cannot flip the verdict.
+CURVE_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,11 +142,10 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
         return CalibrationResult(alpha=1.0, method=METHOD_MSE_PLUGIN,
                                  v_perp_hat=0.0, v_plus_d_hat=denom,
                                  note=NOTE_DENOMINATOR_DEGENERATE)
-    total = 0.0
-    for row in data.rows:
-        outer = SymmetricMatrix(np.outer(row, row))
-        perp_outer = outer.values - reynolds_project(g, outer).values
-        total += float(np.sum((perp_outer - perp_rhat) ** 2))
+    # sum_k ||Pperp(x_k x_k^T) - Pperp(R_hat)||^2
+    #   = sum_k (||x_k||^4 - ||P(x_k x_k^T)||^2) - N ||Pperp(R_hat)||^2
+    sq = np.einsum("ij,ij->i", data.rows, data.rows)
+    total = float(np.sum(sq**2 - projected_outer_sq_norms(g, data.rows))) - n * denom
     v_perp = total / (n * n)
     alpha = min(1.0, max(0.0, v_perp / denom))
     return CalibrationResult(alpha=alpha, method=METHOD_MSE_PLUGIN,
@@ -164,6 +170,48 @@ def _one_se_index(scores: np.ndarray) -> int:
         within = diffs.mean(axis=0) < se
     promoted = np.flatnonzero(within[best + 1:])
     return best + 1 + int(promoted[-1]) if promoted.size else best
+
+
+def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix,
+                 r_test: SymmetricMatrix, alphas: np.ndarray, at_zero: float) -> np.ndarray:
+    """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
+    from one factorization. With T = L L^T, L^-1 (S - T) L^-T = Q diag(mu) Q^T
+    and e = 1 + (1 - alpha) mu, the logdet is logdet T + sum log e and the
+    trace term sum d / e with d = diag(Q^T L^-1 R_test L^-T Q). Alphas not
+    certified to pass the pivot test of ``gaussian_nll_per_sample``
+    (lambda_min(blend) >= min e / ||L^-1||_F^2, and no squared pivot exceeds
+    the largest diagonal entry), and all alphas when T is not positive
+    definite, are scored on their explicit blends, so the +inf sentinel stays
+    in one place. ``at_zero`` is the group-free alpha = 0 score.
+    """
+    s, t = sample_term.values, target.values
+    # difference form: a zero residual (e.g. the trivial group) gives every
+    # alpha the sample term's score bitwise, so structural ties stay exact
+    residual = t - s
+    scores = np.full(len(alphas), at_zero)
+    if not residual.any():
+        return scores
+    certified = np.zeros(len(alphas), dtype=bool)
+    try:
+        ell = np.linalg.cholesky(t)
+    except np.linalg.LinAlgError:
+        ell = None
+    if ell is not None:
+        inv_ell = scipy.linalg.solve_triangular(ell, np.eye(len(t)), lower=True)
+        mu, q = np.linalg.eigh(inv_ell @ -residual @ inv_ell.T)
+        rot = q.T @ inv_ell
+        d = np.einsum("ij,ij->i", rot @ r_test.values, rot)
+        e = 1.0 + np.outer(1.0 - alphas, mu)
+        max_diag = max(np.diag(s).max(), np.diag(t).max())
+        certified = e.min(axis=1) >= CURVE_GUARD * max_diag * np.sum(rot**2)
+        certified[0] = False   # the shared at_zero score stands
+        good = e[certified]
+        logdet_t = 2.0 * np.sum(np.log(np.diag(ell)))
+        scores[certified] = 0.5 * (logdet_t + np.log(good).sum(axis=1) + (d / good).sum(axis=1))
+    for j in np.flatnonzero(~certified[1:]) + 1:
+        blend = SymmetricMatrix(s + alphas[j] * residual)
+        scores[j] = matrixcore.gaussian_nll_per_sample(blend, r_test)
+    return scores
 
 
 def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
@@ -205,18 +253,16 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
             sample_term = shrinkage.lwnl_from_covariance(r_train, train_rows.shape[0]).matrix
         else:
             sample_term = r_train
-        fold_terms.append((r_train, sample_term, second_moment(data.rows[mask])))
+        r_test = second_moment(data.rows[mask])
+        # the alpha = 0 blend is the sample term alone, whatever the group
+        at_zero = matrixcore.gaussian_nll_per_sample(sample_term, r_test)
+        fold_terms.append((r_train, sample_term, r_test, at_zero))
     results = []
     for g in candidates:
         scores = np.empty((folds.k, len(alphas)))
-        for fold, (r_train, sample_term, r_test) in enumerate(fold_terms):
-            # difference form: a zero-residual target (e.g. the trivial
-            # group) yields bitwise-identical blends at every alpha, so
-            # structural ties stay exact
-            residual = reynolds_project(g, r_train).values - sample_term.values
-            for j, alpha in enumerate(alphas):
-                blend = SymmetricMatrix(sample_term.values + alpha * residual)
-                scores[fold, j] = matrixcore.gaussian_nll_per_sample(blend, r_test)
+        for fold, (r_train, sample_term, r_test, at_zero) in enumerate(fold_terms):
+            scores[fold] = _alpha_curve(sample_term, reynolds_project(g, r_train),
+                                        r_test, alphas, at_zero)
         mean_scores = scores.mean(axis=0)
         chosen = _one_se_index(scores)
         results.append(CalibrationResult(

@@ -200,6 +200,29 @@ def reynolds_project(g: GroupAction, a: SymmetricMatrix) -> SymmetricMatrix:
     return SymmetricMatrix(means[flat_class].reshape(m, m))
 
 
+def projected_outer_sq_norms(g: GroupAction, rows: np.ndarray) -> np.ndarray:
+    """||P_G(x x^T)||_F^2 for each row x: closed forms for the Haar and
+    full-symmetric kinds; otherwise the sum over merged orbit classes c of
+    (sum of x x^T over c)^2 / |c|, by bincount over chunks of rows."""
+    m = g.dim
+    sq = np.einsum("ij,ij->i", rows, rows)
+    if g.kind == KIND_HAAR:
+        return sq**2 / m
+    if g.kind == KIND_FULL_SYMMETRIC:
+        off = rows.sum(axis=1) ** 2 - sq    # sum of the off-diagonal entries
+        return sq**2 / m + off**2 / max(m * (m - 1), 1)
+    part = orbit_partition(g)
+    flat_class = part.sym_class_of.ravel()
+    inv_counts = 1.0 / np.bincount(flat_class)
+    step = max(1, (1 << 20) // (m * m))   # about 8 MB of outer-product entries
+    out = []
+    for x in np.split(rows, range(step, len(rows), step)):
+        labels = (flat_class + part.d_g * np.arange(len(x))[:, None]).ravel()
+        sums = np.bincount(labels, weights=np.einsum("ki,kj->kij", x, x).ravel())
+        out.append(sums.reshape(len(x), part.d_g) ** 2 @ inv_counts)
+    return np.concatenate(out)
+
+
 # ---------------------------------------------------------------------------
 # Constructors: named groups and the product/power/wreath families.
 #
@@ -532,9 +555,10 @@ def write_group_file(path, g: GroupAction) -> None:
 def read_group_file(path) -> GroupAction:
     """The ``name=``, ``dim=`` and ``kind=`` fields and the generators of a
     group file; other keys and ``#`` comments are ignored. A malformed
-    integer raises ValueError naming the file and line."""
+    integer, an unknown kind or a generator that is not a permutation
+    raises ValueError naming the file and line."""
     fields: dict[str, tuple[int, str]] = {}
-    gens: list[Perm] = []
+    gens: list[tuple[int, Perm]] = []
     for no, line in matrixcore.read_csv_lines(path):
         if line.startswith("#"):
             continue
@@ -543,17 +567,24 @@ def read_group_file(path) -> GroupAction:
             fields[key.strip()] = (no, val.strip())
         else:
             try:
-                gens.append(tuple(int(tok) for tok in line.split(",")))
+                gens.append((no, tuple(int(tok) for tok in line.split(","))))
             except ValueError as exc:
                 raise ValueError(f"{path}:{no}: {exc}") from None
     try:
         name = fields["name"][1]
         dim_line = fields["dim"]
-        kind = fields["kind"][1]
+        kind_no, kind = fields["kind"]
     except KeyError as exc:
         raise ValueError(f"{path}: missing required group field {exc}") from exc
     (dim,) = matrixcore.parse_header(path, dim_line, 1)
-    return GroupAction(name=name, dim=dim, generators=tuple(gens), kind=kind)
+    if kind not in _KINDS:
+        raise ValueError(f"{path}:{kind_no}: unknown group kind {kind!r}")
+    for no, gen in gens:
+        try:
+            _as_perm(gen, dim)
+        except GroupValidationError as exc:
+            raise ValueError(f"{path}:{no}: {exc}") from None
+    return GroupAction(name=name, dim=dim, generators=tuple(g for _, g in gens), kind=kind)
 
 
 def read_library_dir(path) -> list[GroupAction]:
@@ -577,68 +608,70 @@ def _parse_kxb(token: str) -> tuple[int, int]:
     return int(k), int(b)
 
 
+def _seeded_blocks(maker, args: list[str]) -> GroupAction:
+    """A block constructor on KxB; a trailing seed routes the blocks through
+    a seeded random partition of the indices."""
+    k, b = _parse_kxb(args[0])
+    if len(args) == 1:
+        return maker(k, b)
+    seed = int(args[1])
+    g = maker(k, b, perm=random_partition_perm(k * b, k, seed))
+    return replace(g, name=f"{g.name}-seed{seed}")
+
+
+def _random_blocks(args: list[str]) -> GroupAction:
+    k, b = _parse_kxb(args[0])
+    return decoy_random_partition_blocks(k * b, k, int(args[1]))
+
+
+# constructor -> (most fields it takes after its name, builder from the fields)
+_SPEC_CONSTRUCTORS = {
+    "trivial": (1, lambda a: trivial(int(a[0]))),
+    "full-symmetric": (1, lambda a: full_symmetric(int(a[0]))),
+    "s": (1, lambda a: full_symmetric(int(a[0]))),
+    "haar": (1, lambda a: haar_orthogonal(int(a[0]))),
+    "cyclic": (1, lambda a: cyclic(int(a[0]))),
+    "z2-pairs": (1, lambda a: pairwise_z2_power(int(a[0]))),
+    "grid-cyclic": (2, lambda a: grid_cyclic(*_parse_kxb(a[0]), a[1])),
+    "grid-dihedral": (2, lambda a: grid_dihedral(*_parse_kxb(a[0]), *a[1:])),
+    "grid-translation": (1, lambda a: grid_translation2d(*_parse_kxb(a[0]))),
+    "klein": (1, lambda a: grid_klein(*_parse_kxb(a[0]))),
+    "rot4": (1, lambda a: grid_rot4(int(a[0]))),
+    "d4": (1, lambda a: grid_d4(int(a[0]))),
+    "wreath-rows": (1, lambda a: wreath_rowshift_rowcycle(*_parse_kxb(a[0]))),
+    "block": (2, lambda a: _seeded_blocks(block_symmetric, a)),
+    "tied-cyclic": (2, lambda a: _seeded_blocks(tied_cyclic_blocks, a)),
+    "cartesian": (2, lambda a: _seeded_blocks(cartesian_power_shifts, a)),
+    "wreath": (2, lambda a: _seeded_blocks(wreath_shifts, a)),
+    "random-block": (2, _random_blocks),
+    "random-subgroup": (3, lambda a: decoy_random_subgroup_closure(
+        int(a[0]), int(a[1]), int(a[2]))),
+}
+
+
 def parse_group_spec(text: str) -> GroupAction:
     """Build a named group from a compact constructor string.
 
     Grammar (sizes as KxB or HxW):
       trivial:M | full-symmetric:M | haar:M | cyclic:M | z2-pairs:M |
-      grid-cyclic:HxW:row|col | grid-dihedral:HxW:row|col |
+      grid-cyclic:HxW:row|col | grid-dihedral:HxW[:row|col] |
       grid-translation:HxW | klein:HxW | rot4:N | d4:N | wreath-rows:HxW |
       block:KxB[:seed] | tied-cyclic:KxB[:seed] | cartesian:KxB[:seed] |
       wreath:KxB[:seed] | random-block:KxB:seed |
       random-subgroup:M:n_generators:seed
     A trailing seed on the block constructors routes the blocks through a
-    seeded random partition of the indices.
+    seeded random partition of the indices. Missing, malformed or surplus
+    fields raise GroupValidationError.
     """
-    parts = text.strip().split(":")
-    head, args = parts[0], parts[1:]
+    head, *args = text.strip().split(":")
+    if head not in _SPEC_CONSTRUCTORS:
+        raise GroupValidationError(f"unknown group constructor {head!r}")
+    max_fields, build = _SPEC_CONSTRUCTORS[head]
+    if len(args) > max_fields:
+        raise GroupValidationError(
+            f"bad group spec {text!r}: {head} takes at most {max_fields} field(s), "
+            f"got {len(args)}")
     try:
-        if head == "trivial":
-            return trivial(int(args[0]))
-        if head in ("full-symmetric", "s"):
-            return full_symmetric(int(args[0]))
-        if head == "haar":
-            return haar_orthogonal(int(args[0]))
-        if head == "cyclic":
-            return cyclic(int(args[0]))
-        if head == "z2-pairs":
-            return pairwise_z2_power(int(args[0]))
-        if head == "grid-cyclic":
-            h, w = _parse_kxb(args[0])
-            return grid_cyclic(h, w, args[1])
-        if head == "grid-dihedral":
-            h, w = _parse_kxb(args[0])
-            return grid_dihedral(h, w, args[1] if len(args) > 1 else "col")
-        if head == "grid-translation":
-            h, w = _parse_kxb(args[0])
-            return grid_translation2d(h, w)
-        if head == "klein":
-            h, w = _parse_kxb(args[0])
-            return grid_klein(h, w)
-        if head == "rot4":
-            return grid_rot4(int(args[0]))
-        if head == "d4":
-            return grid_d4(int(args[0]))
-        if head == "wreath-rows":
-            h, w = _parse_kxb(args[0])
-            return wreath_rowshift_rowcycle(h, w)
-        if head in ("block", "tied-cyclic", "cartesian", "wreath"):
-            k, b = _parse_kxb(args[0])
-            perm = None
-            suffix = ""
-            if len(args) > 1:
-                seed = int(args[1])
-                perm = random_partition_perm(k * b, k, seed)
-                suffix = f"-seed{seed}"
-            maker = {"block": block_symmetric, "tied-cyclic": tied_cyclic_blocks,
-                     "cartesian": cartesian_power_shifts, "wreath": wreath_shifts}[head]
-            g = maker(k, b, perm=perm)
-            return replace(g, name=g.name + suffix) if suffix else g
-        if head == "random-block":
-            k, b = _parse_kxb(args[0])
-            return decoy_random_partition_blocks(k * b, k, int(args[1]))
-        if head == "random-subgroup":
-            return decoy_random_subgroup_closure(int(args[0]), int(args[1]), int(args[2]))
+        return build(args)
     except (IndexError, ValueError) as exc:
         raise GroupValidationError(f"bad group spec {text!r}: {exc}") from exc
-    raise GroupValidationError(f"unknown group constructor {head!r}")

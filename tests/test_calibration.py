@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from symcov import groups, synth
+from symcov import groups, matrixcore, shrinkage, synth
 from symcov.calibration import (
     AlphaGrid,
+    DEFAULT_GRID,
     FoldScheme,
     METHOD_CV_NLL,
     METHOD_MSE_PLUGIN,
     NOTE_DENOMINATOR_DEGENERATE,
     _one_se_index,
     cv_nll_alpha,
+    cv_nll_alphas,
     curvature_constant,
     mse_plugin_alpha,
     predict_alpha_nll_asymptotic,
@@ -19,7 +21,13 @@ from symcov.calibration import (
     write_cv_trace_csv,
 )
 from symcov.groups import brute_force_project, reynolds_project
-from symcov.matrixcore import Dataset, SymmetricMatrix, sample_covariance
+from symcov.matrixcore import (
+    Dataset,
+    SymmetricMatrix,
+    gaussian_nll_per_sample,
+    sample_covariance,
+    second_moment,
+)
 
 
 class TestAlphaGrid:
@@ -111,6 +119,27 @@ class TestMsePlugin:
         with pytest.raises(ValueError):
             mse_plugin_alpha(Dataset(np.array([[1.0, 2.0]])).center(), groups.trivial(2))
 
+    def test_matches_per_row_loop(self):
+        # the per-row projection loop the closed forms replace, on every
+        # projection kind: Haar, full-symmetric and partitioned
+        library = synth.parse_library_spec("preset:pathway100+decoys").candidates
+        sigma = synth.make_population(
+            synth.PopulationSpec(m=100, kind=synth.POP_RANDOM_SPD, base_seed=5))
+        for n, cases in ((50, library), (2000, library[1:3] + library[-1:])):
+            data = synth.sample_gaussian(sigma, n, (60, n))
+            r_hat = sample_covariance(data)
+            for g in (*cases, groups.haar_orthogonal(100)):
+                res = mse_plugin_alpha(data, g)
+                if res.note == NOTE_DENOMINATOR_DEGENERATE:
+                    continue
+                perp_rhat = r_hat.values - reynolds_project(g, r_hat).values
+                total = 0.0
+                for row in data.rows:
+                    outer = SymmetricMatrix(np.outer(row, row))
+                    perp_outer = outer.values - reynolds_project(g, outer).values
+                    total += float(np.sum((perp_outer - perp_rhat) ** 2))
+                assert res.v_perp_hat == pytest.approx(total / n**2, rel=1e-12, abs=0), g.name
+
     def test_plus_d_identity(self):
         # || R - P(R) ||^2 equals || Pperp(R) ||^2 with the projector applied
         # through enumeration on the complement side.
@@ -192,6 +221,72 @@ class TestCvNll:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "fold,alpha,nll"
         assert len(lines) == 1 + 5 * 5  # folds x grid
+
+
+def _explicit_fold_scores(data, g, grid=DEFAULT_GRID, use_lwnl=False):
+    """Every (fold, alpha) score from its own explicit blend."""
+    folds = FoldScheme.contiguous(data.n_obs)
+    scores = np.empty((folds.k, len(grid.points)))
+    for fold in range(folds.k):
+        mask = folds.fold_mask(fold)
+        r_train = second_moment(data.rows[~mask])
+        sample_term = (shrinkage.lwnl_from_covariance(r_train, int((~mask).sum())).matrix
+                       if use_lwnl else r_train)
+        residual = reynolds_project(g, r_train).values - sample_term.values
+        r_test = second_moment(data.rows[mask])
+        for j, alpha in enumerate(grid.points):
+            blend = SymmetricMatrix(sample_term.values + alpha * residual)
+            scores[fold, j] = gaussian_nll_per_sample(blend, r_test)
+    return scores
+
+
+def _rows(n, m, seed, zero_column=None):
+    rows = np.random.default_rng(seed).standard_normal((n, m))
+    if zero_column is not None:
+        rows[:, zero_column] = 0.0
+    return Dataset(rows).center()
+
+
+class TestAlphaCurve:
+    """cv_nll_alphas scores each candidate's whole alpha curve per fold from
+    one factorization; every fold score must match its explicit blend."""
+
+    @pytest.mark.parametrize("data,g,use_lwnl", [
+        # N < M: the alpha = 0 blend is singular
+        (_rows(10, 16, 48), groups.full_symmetric(16), False),
+        # a zero column makes the target singular: the explicit-blend path
+        (_rows(40, 6, 60, zero_column=2), groups.trivial(6), True),
+        (_rows(40, 8, 61), groups.block_symmetric(4, 2), True),
+        (_rows(60, 12, 62), groups.wreath_shifts(3, 4), False),
+    ], ids=["n-below-m", "singular-target", "lwnl", "wreath"])
+    def test_fold_scores_match_explicit_blends(self, data, g, use_lwnl):
+        got = cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl).fold_scores
+        want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+        assert finite.any()
+
+    def test_zero_residual_columns_bitwise_equal(self):
+        scores = cv_nll_alpha(_rows(30, 5, 63), groups.trivial(5)).fold_scores
+        assert (scores == scores[:, :1]).all()
+
+    def test_alpha_zero_column_shared_across_groups(self):
+        data = _rows(30, 6, 64)
+        a, b = cv_nll_alphas(data, [groups.cyclic(6), groups.haar_orthogonal(6)])
+        np.testing.assert_array_equal(a.fold_scores[:, 0], b.fold_scores[:, 0])
+        assert not np.array_equal(a.fold_scores[:, 1:], b.fold_scores[:, 1:])
+
+    def test_one_cholesky_score_per_fold_when_well_conditioned(self, monkeypatch):
+        calls = []
+        def counting(sigma, r_test):
+            calls.append(1)
+            return gaussian_nll_per_sample(sigma, r_test)
+        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
+        folds = FoldScheme.contiguous(200, 5)
+        cv_nll_alphas(_rows(200, 6, 65), [groups.cyclic(6), groups.block_symmetric(3, 2)],
+                      folds=folds)
+        assert len(calls) == folds.k
 
 
 class TestOneStandardErrorRule:

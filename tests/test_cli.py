@@ -94,7 +94,9 @@ class TestProject:
     @pytest.mark.parametrize("text,line", [
         ("name=z3\ndim=3\nkind=generator_based\n1,x,0\n", 4),
         ("name=z3\ndim=x\nkind=generator_based\n1,2,0\n", 2),
-    ], ids=["generator", "dim"])
+        ("name=z3\ndim=3\nkind=generator_based\n0,0,1\n", 4),
+        ("name=z3\ndim=3\nkind=generator\n1,2,0\n", 3),
+    ], ids=["generator", "dim", "not-a-permutation", "unknown-kind"])
     def test_bad_group_file_integer_is_config_error_naming_line(self, tmp_path, identity_csv,
                                                                  capsys, text, line):
         gpath = tmp_path / "g.grp"

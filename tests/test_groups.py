@@ -330,9 +330,22 @@ class TestParseGroupSpec:
         ("z2-pairs:8", 8),
         ("random-block:5x4:7", 20),
         ("random-subgroup:10:2:3", 10),
+        ("grid-dihedral:2x3", 6),
+        ("grid-dihedral:2x3:row", 6),
+        ("block:4x3:7", 12),
+        ("tied-cyclic:4x3:7", 12),
+        ("cartesian:4x3:7", 12),
     ])
     def test_constructors(self, spec, expected_dim):
         assert parse_group_spec(spec).dim == expected_dim
+
+    @pytest.mark.parametrize("spec", [
+        "trivial:3:9", "cyclic:4:junk", "haar:4:x", "random-subgroup:10:2:3:1000",
+        "wreath:4x3:7:1", "grid-dihedral:2x3:row:1",
+    ])
+    def test_surplus_fields_rejected(self, spec):
+        with pytest.raises(GroupValidationError, match="at most"):
+            parse_group_spec(spec)
 
     def test_seeded_block_spec_reproducible(self):
         a = parse_group_spec("wreath:5x4:9")
