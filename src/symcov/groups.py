@@ -3,9 +3,9 @@ projection onto the commutant algebra.
 
 Groups are carried by generators and are never enumerated for projection:
 the orbit partition of ordered index pairs under (i, j) -> (g(i), g(j)) is
-computed by connected-components closure over generator edges, which costs
-O(M^2 * n_generators) regardless of group order. A wreath product of order
-1e32 projects exactly as fast as a single transposition.
+computed from a transversal of the point orbits and one union-find, in O(M^2)
+memory and O(M^2) work per generator regardless of group order. A wreath
+product of order 1e32 projects exactly as fast as a single transposition.
 
 Two kinds bypass generators entirely with closed forms: the full symmetric
 group (compound symmetry) and the Haar average over the orthogonal group
@@ -20,8 +20,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import matrixcore
 from .matrixcore import DimensionMismatchError, SymmetricMatrix
@@ -109,45 +107,62 @@ def _renumber_first_occurrence(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return order[inverse], len(first_idx)
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node 0..n-1 labelled by the smallest node of its component under
+    the edges a[e]--b[e]: hook roots under smaller roots, then jump pointers."""
+    root = np.arange(n)
+    while (cross := root[a] != root[b]).any():
+        a, b = a[cross], b[cross]
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return root
+
+
 @functools.lru_cache(maxsize=128)
 def orbit_partition(g: GroupAction) -> OrbitPartition:
     """Orbit classes of ordered pairs under the generated group.
 
     Generator-based and trivial kinds only; the closed-form kinds have no
     pair partition. Results are memoized per GroupAction.
+
+    Pair (k, y) is labelled (r, u_k^-1(y)), where r is the smallest point of
+    k's orbit and the transversal element u_k maps r to k; one union-find
+    joins the labels of (i, j) and (g(i), g(j)) for every generator g. Each
+    join is made by a group element, so the classes are exactly the orbitals.
     """
     if g.kind not in (KIND_GENERATOR, KIND_TRIVIAL):
         raise GroupValidationError(f"orbit_partition undefined for kind {g.kind}")
     m = g.dim
-    n_pairs = m * m
-    base = np.arange(n_pairs)
-    gens = g.generator_arrays()
-    if gens:
-        srcs = []
-        dsts = []
-        for perm in gens:
-            # pair (i, j) -> (g(i), g(j)) in flat row-major indexing
-            mapped = (perm[:, None] * m + perm[None, :]).ravel()
-            srcs.append(base)
-            dsts.append(mapped)
-        graph = scipy.sparse.csr_matrix(
-            (np.ones(n_pairs * len(gens), dtype=np.int8),
-             (np.concatenate(srcs), np.concatenate(dsts))),
-            shape=(n_pairs, n_pairs),
-        )
-        _, raw = connected_components(graph, directed=False)
-    else:
-        raw = base
-    labels, n_classes = _renumber_first_occurrence(raw)
+    gens = np.array(g.generators, dtype=np.intp).reshape(-1, m)
+    points = np.arange(m)
+    rep = _components(m, np.tile(points, len(gens)), gens.ravel())
+    # BFS from every orbit's smallest point at once: u_{g(k)}^-1 = u_k^-1 o g^-1
+    inv_gens = np.argsort(gens, axis=1)
+    reached = rep == points
+    frontier = np.flatnonzero(reached)
+    u_inv = np.tile(points, (m, 1))
+    while frontier.size:
+        images, first = np.unique(gens[:, frontier], return_index=True)
+        new = ~reached[images]
+        gen_of, parent = np.divmod(first[new], frontier.size)
+        u_inv[images[new]] = u_inv[frontier[parent][:, None], inv_gens[gen_of]]
+        frontier = images[new]
+        reached[frontier] = True
+    raw = rep[:, None] * m + u_inv
+    joins = [np.empty(0, dtype=np.intp)]
+    for perm in gens:
+        s = np.flatnonzero(perm != points)   # a pair of fixed points keeps its label
+        for r in (raw, raw.T):               # the moved points' rows, then columns
+            moved, kept = r[np.ix_(perm[s], perm)], r[s]
+            differ = moved != kept
+            joins.append(np.unique(kept[differ] * (m * m) + moved[differ]))
+    src, dst = np.divmod(np.concatenate(joins), m * m)
+    labels, n_classes = _renumber_first_occurrence(_components(m * m, src, dst)[raw.ravel()])
     class_of = labels.reshape(m, m)
-
-    # Merge each class with its transpose class to get the symmetric count.
-    # Transposition maps classes to classes as an involution, so the merged
-    # class of c is {c, partner[c]}, labelled by its smaller id.
-    transpose_partner = np.empty(n_classes, dtype=int)
-    transpose_partner[class_of] = class_of.T
-    sym_labels, d_g = _renumber_first_occurrence(
-        np.minimum(labels, transpose_partner[labels]))
+    # Transposition is an involution on classes: merge each with its image.
+    sym_labels, d_g = _renumber_first_occurrence(np.minimum(class_of, class_of.T).ravel())
     sym_class_of = sym_labels.reshape(m, m)
     _, sym_anchor = np.unique(sym_labels, return_index=True)
     return OrbitPartition(dim=m, class_of=class_of, n_classes=n_classes,

@@ -31,7 +31,8 @@ class SymmetricMatrix:
 
     Symmetry is enforced at construction by replacing the input with
     (A + A.T)/2, which removes a class of accumulation-drift bugs in long
-    projection/blend chains. The backing array is read-only.
+    projection/blend chains. A non-finite entry raises ValueError. The
+    backing array is read-only.
     """
 
     values: np.ndarray
@@ -43,6 +44,8 @@ class SymmetricMatrix:
         if a.shape[0] < 1:
             raise DimensionMismatchError("matrix dimension must be >= 1")
         a = (a + a.T) / 2.0
+        if not np.isfinite(a).all():
+            raise ValueError("matrix contains a non-finite value")
         a.flags.writeable = False
         object.__setattr__(self, "values", a)
 

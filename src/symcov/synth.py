@@ -193,17 +193,25 @@ def block_circulant_population(m: int, block_size: int, rho: float,
     return sigma
 
 
+def _symmetric_root(sigma: SymmetricMatrix) -> tuple[np.ndarray, float]:
+    """sigma^(1/2) with negative eigenvalues clipped, and sigma's smallest eigenvalue."""
+    w, u = np.linalg.eigh(sigma.values)
+    return (u * np.sqrt(np.maximum(w, 0.0))) @ u.T, w.min()
+
+
+def _draw_gaussian(root: np.ndarray, w_min: float, n: int, seed) -> Dataset:
+    if w_min <= 0.0:
+        raise ValueError("sample_gaussian requires a positive-definite covariance")
+    key = seed if isinstance(seed, tuple) else (seed,)
+    z = _rng(*key).standard_normal((n, root.shape[0]))
+    return Dataset(z @ root, centered=False).center()
+
+
 def sample_gaussian(sigma: SymmetricMatrix, n: int, seed) -> Dataset:
     """N mean-zero Gaussian draws through the symmetric square root, then
     column-centered. A single observation centers to the zero row and its
     sample covariance is the zero matrix (documented degenerate case)."""
-    w, u = np.linalg.eigh(sigma.values)
-    if w.min() <= 0.0:
-        raise ValueError("sample_gaussian requires a positive-definite covariance")
-    root = (u * np.sqrt(w)) @ u.T
-    key = seed if isinstance(seed, tuple) else (seed,)
-    z = _rng(*key).standard_normal((n, sigma.dim))
-    return Dataset(z @ root, centered=False).center()
+    return _draw_gaussian(*_symmetric_root(sigma), n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +327,10 @@ def parse_library_spec(text: str) -> CandidateLibrary:
 # Monte Carlo oracles: variance components and blend risk.
 # ---------------------------------------------------------------------------
 
-def _raw_second_moment(sigma: SymmetricMatrix, n: int, key) -> SymmetricMatrix:
-    """Second moment (1/N) X^T X of mean-zero draws with no empirical
-    centering: the theory oracles below need E[R_hat] = Sigma exactly, and
-    column-centering would bias that expectation by a factor (N-1)/N."""
-    w, u = np.linalg.eigh(sigma.values)
-    root = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
-    z = _rng(*key).standard_normal((n, sigma.dim))
+def _raw_second_moment(root: np.ndarray, n: int, key) -> SymmetricMatrix:
+    """Second moment (1/N) X^T X of draws X = Z root, not centered: the theory
+    oracles below need E[R_hat] = Sigma exactly, which centering biases by (N-1)/N."""
+    z = _rng(*key).standard_normal((n, root.shape[0]))
     return matrixcore.second_moment(z @ root)
 
 
@@ -335,8 +340,9 @@ def estimate_variance_components(sigma: SymmetricMatrix, g: GroupAction, n: int,
     V_perp = E||(I - P_G)(R - Sigma)||_F^2 with standard errors."""
     v_in = np.empty(trials)
     v_perp = np.empty(trials)
+    root, _ = _symmetric_root(sigma)
     for t in range(trials):
-        u = _raw_second_moment(sigma, n, (seed, "vc", t)).values - sigma.values
+        u = _raw_second_moment(root, n, (seed, "vc", t)).values - sigma.values
         u_in = reynolds_project(g, SymmetricMatrix(u)).values
         v_in[t] = np.sum(u_in**2)
         v_perp[t] = np.sum((u - u_in) ** 2)
@@ -350,8 +356,9 @@ def estimate_blend_risk(sigma: SymmetricMatrix, g: GroupAction, n: int,
     All alphas share each trial's draw (paired across the grid)."""
     alphas = np.asarray(alphas, dtype=float)
     risks = np.empty((trials, len(alphas)))
+    root, _ = _symmetric_root(sigma)
     for t in range(trials):
-        r_hat = _raw_second_moment(sigma, n, (seed, "risk", t))
+        r_hat = _raw_second_moment(root, n, (seed, "risk", t))
         proj = reynolds_project(g, r_hat)
         for j, alpha in enumerate(alphas):
             blend = (1.0 - alpha) * r_hat.values + alpha * proj.values
@@ -463,15 +470,14 @@ TRIAL_CSV_COLUMNS = (
 )
 
 
-def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix, cell_idx: int,
-                   trial: int) -> TrialRecord:
+def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
+                   root: tuple[np.ndarray, float], cell_idx: int, trial: int) -> TrialRecord:
     n = config.n_list[cell_idx]
     record = TrialRecord(cell_n=n, trial=trial, seed=config.base_seed,
                          nll={}, frob={})
     try:
-        train = sample_gaussian(sigma, n, (config.base_seed, cell_idx, trial, 0))
-        test = sample_gaussian(sigma, config.n_test,
-                               (config.base_seed, cell_idx, trial, 1))
+        train = _draw_gaussian(*root, n, (config.base_seed, cell_idx, trial, 0))
+        test = _draw_gaussian(*root, config.n_test, (config.base_seed, cell_idx, trial, 1))
         r_test = matrixcore.sample_covariance(test)
         folds = FoldScheme.feasible_contiguous(n, config.folds)
         wanted = set(config.estimators)
@@ -516,14 +522,15 @@ def run_trial_sweep(config: SweepConfig, threads: int = 1):
     worker count.
     """
     sigma = make_population(config.population)
+    root = _symmetric_root(sigma)
     tasks = [(ci, t) for ci in range(len(config.n_list))
              for t in range(config.trials)]
     if threads <= 1:
         for ci, t in tasks:
-            yield _run_one_trial(config, sigma, ci, t)
+            yield _run_one_trial(config, sigma, root, ci, t)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda ct: _run_one_trial(config, sigma, *ct), tasks)
+        yield from pool.map(lambda ct: _run_one_trial(config, sigma, root, *ct), tasks)
 
 
 def _fmt(value) -> str:

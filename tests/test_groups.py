@@ -1,9 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcov import groups
+from symcov import groups, synth
 from symcov.groups import (
     GroupAction,
     GroupValidationError,
@@ -66,9 +69,51 @@ class TestValidation:
 
 @st.composite
 def generator_sets(draw):
+    """Up to three generators on m <= 7 points. Each permutes a drawn subset
+    of the points and fixes the rest; the last may repeat the first."""
     m = draw(st.integers(1, 7))
-    gens = draw(st.lists(st.permutations(range(m)), max_size=3))
-    return m, [np.array(g) for g in gens]
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        moved = sorted(draw(st.sets(st.integers(0, m - 1))))
+        perm = np.arange(m)
+        perm[moved] = draw(st.permutations(moved))
+        gens.append(perm)
+    if len(gens) >= 2 and draw(st.booleans()):
+        gens[-1] = gens[0].copy()
+    return m, gens
+
+
+def pair_union_find_partition(g):
+    """The five OrbitPartition fields from a plain union-find over the M^2
+    ordered pairs, joining every pair with its image under each generator.
+    A pair whose points a generator fixes is its own image, so only pairs
+    with a moved point are visited."""
+    m = g.dim
+    parent = list(range(m * m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in g.generators:
+        moved = [i for i in range(m) if perm[i] != i]
+        pairs = [(i, j) for i in moved for j in range(m)]
+        pairs += [(i, j) for i in range(m) for j in moved]
+        for i, j in pairs:
+            parent[find(i * m + j)] = find(perm[i] * m + perm[j])
+    ids, sym_ids, anchors = {}, {}, []
+    class_of = np.array([ids.setdefault(find(x), len(ids)) for x in range(m * m)])
+    class_of = class_of.reshape(m, m)
+    sym_class_of = np.empty((m, m), dtype=int)
+    for i in range(m):
+        for j in range(m):
+            key = min(class_of[i, j], class_of[j, i])
+            if key not in sym_ids:
+                anchors.append(i * m + j)
+            sym_class_of[i, j] = sym_ids.setdefault(key, len(sym_ids))
+    return class_of, len(ids), sym_class_of, len(sym_ids), np.array(anchors)
 
 
 class TestCappedOrder:
@@ -133,6 +178,39 @@ class TestOrbitPartition:
     def test_closed_form_kinds_have_no_partition(self):
         with pytest.raises(GroupValidationError):
             orbit_partition(groups.haar_orthogonal(4))
+
+    @settings(max_examples=80, deadline=None)
+    @given(generator_sets())
+    def test_classes_are_exactly_the_orbitals(self, case):
+        # (a, b) and (c, d) share a class exactly when an enumerated group
+        # element maps one to the other
+        m, gens = case
+        part = orbit_partition(GroupAction(name="g", dim=m, generators=tuple(gens)))
+        elements = np.array(enumerate_group(gens, m))
+        images = (elements[:, :, None] * m + elements[:, None, :]).reshape(len(elements), -1)
+        joined = np.zeros((m * m, m * m), dtype=bool)
+        joined[np.arange(m * m), images] = True
+        flat = part.class_of.ravel()
+        np.testing.assert_array_equal(joined, flat[:, None] == flat[None, :])
+
+    @pytest.mark.parametrize("spec", ["preset:pathway100+decoys", "preset:grid8"])
+    def test_library_partitions_match_pair_union_find(self, spec):
+        for g in synth.parse_library_spec(spec).candidates:
+            if g.kind not in (groups.KIND_GENERATOR, groups.KIND_TRIVIAL):
+                continue
+            part = orbit_partition(g)
+            class_of, n_classes, sym_class_of, d_g, sym_anchor = pair_union_find_partition(g)
+            np.testing.assert_array_equal(part.class_of, class_of, err_msg=g.name)
+            np.testing.assert_array_equal(part.sym_class_of, sym_class_of, err_msg=g.name)
+            np.testing.assert_array_equal(part.sym_anchor, sym_anchor, err_msg=g.name)
+            assert (part.n_classes, part.d_g) == (n_classes, d_g), g.name
+
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, symcov.cli; sys.exit('scipy.sparse' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReynoldsProject:

@@ -44,6 +44,11 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             a.values[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymmetricMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+
 
 class TestDataset:
     def test_centered_flag_is_checked(self):
