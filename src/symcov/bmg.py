@@ -15,7 +15,7 @@ import numpy as np
 
 from . import calibration, matrixcore, shrinkage
 from .calibration import AlphaGrid, FoldScheme, DEFAULT_GRID
-from .groups import GroupAction, KIND_TRIVIAL, KIND_FULL_SYMMETRIC, capped_order, reynolds_project
+from .groups import GroupAction, capped_order, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
 DEFAULT_KAPPA = 2.0
@@ -36,14 +36,6 @@ class CandidateLibrary:
         if not cands:
             raise ValueError("candidate library is empty")
         object.__setattr__(self, "candidates", cands)
-
-    @property
-    def contains_trivial(self) -> bool:
-        return any(g.kind == KIND_TRIVIAL for g in self.candidates)
-
-    @property
-    def contains_full_symmetric(self) -> bool:
-        return any(g.kind == KIND_FULL_SYMMETRIC for g in self.candidates)
 
     def by_name(self, name: str) -> GroupAction:
         for g in self.candidates:

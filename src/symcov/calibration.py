@@ -19,7 +19,6 @@ from . import matrixcore
 from .matrixcore import Dataset, DimensionMismatchError, SymmetricMatrix, second_moment
 from .groups import (
     GroupAction,
-    KIND_FULL_SYMMETRIC,
     KIND_HAAR,
     orbit_partition,
     projected_outer_sq_norms,
@@ -308,8 +307,6 @@ class NllAsymptote:
 def _commutant_sym_dim(g: GroupAction) -> int:
     if g.kind == KIND_HAAR:
         return 1
-    if g.kind == KIND_FULL_SYMMETRIC:
-        return 2 if g.dim > 1 else 1
     return orbit_partition(g).d_g
 
 
@@ -330,16 +327,18 @@ def curvature_constant(sigma: SymmetricMatrix, g: GroupAction,
     """c(Sigma, G) = M(M+1) - 2 d_G - 2(M+1) tr(Sigma^-1 B_G), the leading-
     order numerator of the expected-NLL optimum; strictly positive for any
     non-trivially acting group."""
+    return _q_b_and_curvature(sigma, g, ridge_scale)[1]
+
+
+def _q_b_and_curvature(sigma: SymmetricMatrix, g: GroupAction,
+                       ridge_scale: float | None) -> tuple[float, float]:
+    """Q_B = tr((Sigma^-1 B_G)^2) and c(Sigma, G) from one inversion of Sigma."""
     m = sigma.dim
     sigma_inv = _inverse_spd(sigma, ridge_scale)
-    b = sigma.values - reynolds_project(g, sigma).values
+    sb = sigma_inv @ (sigma.values - reynolds_project(g, sigma).values)
     d_g = _commutant_sym_dim(g)
-    return float(m * (m + 1) - 2 * d_g - 2 * (m + 1) * np.trace(sigma_inv @ b))
-
-
-def _q_b(sigma_inv: np.ndarray, b: np.ndarray) -> float:
-    sb = sigma_inv @ b
-    return float(np.trace(sb @ sb))
+    return (float(np.trace(sb @ sb)),
+            float(m * (m + 1) - 2 * d_g - 2 * (m + 1) * np.trace(sb)))
 
 
 def predict_alpha_nll_asymptotic(sigma: SymmetricMatrix, g: GroupAction, n: int,
@@ -358,12 +357,9 @@ def predict_alpha_nll_asymptotic(sigma: SymmetricMatrix, g: GroupAction, n: int,
     the spectrum is very spread; the held-out calibration avoids inverting
     anything and is the robust choice there.
     """
-    sigma_inv = _inverse_spd(sigma, ridge_scale)
-    b = sigma.values - reynolds_project(g, sigma).values
-    q_b = _q_b(sigma_inv, b)
+    q_b, c_const = _q_b_and_curvature(sigma, g, ridge_scale)
     if q_b <= 1e-14 * sigma.dim:
         return NllAsymptote(alpha=1.0, matched_limit=True)
-    c_const = curvature_constant(sigma, g, ridge_scale)
     return NllAsymptote(alpha=min(1.0, max(0.0, c_const / (n * q_b + c_const))))
 
 
@@ -371,9 +367,7 @@ def predict_n_star(sigma: SymmetricMatrix, g: GroupAction,
                    ridge_scale: float | None = None) -> float:
     """Transition sample size c(Sigma, G) / Q_B at which the asymptotic
     NLL-optimal intensity crosses 1/2; undefined at the matched limit."""
-    sigma_inv = _inverse_spd(sigma, ridge_scale)
-    b = sigma.values - reynolds_project(g, sigma).values
-    q_b = _q_b(sigma_inv, b)
+    q_b, c_const = _q_b_and_curvature(sigma, g, ridge_scale)
     if q_b <= 1e-14 * sigma.dim:
         raise ValueError("transition scale undefined at the matched limit (Q_B = 0)")
-    return curvature_constant(sigma, g, ridge_scale) / q_b
+    return c_const / q_b

@@ -1,21 +1,20 @@
 """Finite permutation-group actions, orbit-pair partitions, and the Reynolds
 projection onto the commutant algebra.
 
-Groups are carried by generators and are never enumerated for projection:
+Every permutation group, the trivial group and the full symmetric group
+included, is carried by generators and is never enumerated for projection:
 the orbit partition of ordered index pairs under (i, j) -> (g(i), g(j)) is
 computed from a transversal of the point orbits and one union-find, in O(M^2)
 memory and O(M^2) work per generator regardless of group order. A wreath
 product of order 1e32 projects exactly as fast as a single transposition.
 
-Two kinds bypass generators entirely with closed forms: the full symmetric
-group (compound symmetry) and the Haar average over the orthogonal group
-(scaled identity).
+The one other kind is the Haar average over the orthogonal group, which has
+no generators and projects by a closed form (scaled identity).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -25,11 +24,13 @@ from . import matrixcore
 from .matrixcore import DimensionMismatchError, SymmetricMatrix
 
 KIND_GENERATOR = "generator_based"
-KIND_FULL_SYMMETRIC = "full_symmetric"
 KIND_HAAR = "haar_orthogonal"
+# Kind values of group files written by older versions; read_group_file
+# builds these groups from generators.
 KIND_TRIVIAL = "trivial"
+KIND_FULL_SYMMETRIC = "full_symmetric"
 
-_KINDS = (KIND_GENERATOR, KIND_FULL_SYMMETRIC, KIND_HAAR, KIND_TRIVIAL)
+_KINDS = (KIND_GENERATOR, KIND_HAAR)
 
 
 class GroupValidationError(ValueError):
@@ -67,7 +68,7 @@ class GroupAction:
         if self.dim < 1:
             raise GroupValidationError("group dimension must be >= 1")
         gens = tuple(_as_perm(g, self.dim) for g in self.generators)
-        if self.kind != KIND_GENERATOR and gens:
+        if self.kind == KIND_HAAR and gens:
             raise GroupValidationError(f"kind {self.kind} carries no generators")
         object.__setattr__(self, "generators", gens)
 
@@ -124,15 +125,15 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def orbit_partition(g: GroupAction) -> OrbitPartition:
     """Orbit classes of ordered pairs under the generated group.
 
-    Generator-based and trivial kinds only; the closed-form kinds have no
-    pair partition. Results are memoized per GroupAction.
+    Generator-based kind only; the Haar average has no pair partition.
+    Results are memoized per GroupAction.
 
     Pair (k, y) is labelled (r, u_k^-1(y)), where r is the smallest point of
     k's orbit and the transversal element u_k maps r to k; one union-find
     joins the labels of (i, j) and (g(i), g(j)) for every generator g. Each
     join is made by a group element, so the classes are exactly the orbitals.
     """
-    if g.kind not in (KIND_GENERATOR, KIND_TRIVIAL):
+    if g.kind == KIND_HAAR:
         raise GroupValidationError(f"orbit_partition undefined for kind {g.kind}")
     m = g.dim
     gens = np.array(g.generators, dtype=np.intp).reshape(-1, m)
@@ -180,31 +181,21 @@ def _anchored_mean(values: np.ndarray, anchor: float) -> float:
 def reynolds_project(g: GroupAction, a: SymmetricMatrix) -> SymmetricMatrix:
     """Orthogonal projection of ``a`` onto the commutant algebra of ``g``.
 
-    Generator kinds replace each entry by the mean over its (symmetrically
-    merged) orbit class, which equals (1/|G|) sum_g P A P^T without ever
-    enumerating the group. The full symmetric group maps to compound
-    symmetry, and the Haar-orthogonal average maps to (tr A / M) I.
-    Trace is preserved, the PSD cone is preserved, and class means are
-    anchored at one representative entry so that projecting twice is
-    bitwise equal to projecting once.
+    Permutation groups replace each entry by the mean over its
+    (symmetrically merged) orbit class, which equals (1/|G|) sum_g P A P^T
+    without ever enumerating the group: the full symmetric group gives
+    compound symmetry, and the trivial group returns ``a`` unchanged. The
+    Haar-orthogonal average maps to (tr A / M) I. Trace is preserved, the
+    PSD cone is preserved, and class means are anchored at one
+    representative entry so that projecting twice is bitwise equal to
+    projecting once.
     """
     if g.dim != a.dim:
         raise DimensionMismatchError(f"group dim {g.dim} != matrix dim {a.dim}")
     m = a.dim
-    if g.kind == KIND_TRIVIAL:
-        return a
     if g.kind == KIND_HAAR:
         diag = np.diag(a.values)
         return SymmetricMatrix(np.eye(m) * _anchored_mean(diag, diag[0]))
-    if g.kind == KIND_FULL_SYMMETRIC:
-        diag = np.diag(a.values)
-        mean_diag = _anchored_mean(diag, diag[0])
-        if m == 1:
-            return SymmetricMatrix(np.array([[mean_diag]]))
-        off = a.values[~np.eye(m, dtype=bool)]
-        out = np.full((m, m), _anchored_mean(off, a.values[0, 1]))
-        np.fill_diagonal(out, mean_diag)
-        return SymmetricMatrix(out)
     part = orbit_partition(g)
     flat_class = part.sym_class_of.ravel()
     flat_vals = a.values.ravel()
@@ -216,16 +207,12 @@ def reynolds_project(g: GroupAction, a: SymmetricMatrix) -> SymmetricMatrix:
 
 
 def projected_outer_sq_norms(g: GroupAction, rows: np.ndarray) -> np.ndarray:
-    """||P_G(x x^T)||_F^2 for each row x: closed forms for the Haar and
-    full-symmetric kinds; otherwise the sum over merged orbit classes c of
-    (sum of x x^T over c)^2 / |c|, by bincount over chunks of rows."""
+    """||P_G(x x^T)||_F^2 for each row x: ||x||^4 / M for the Haar kind;
+    otherwise the sum over merged orbit classes c of (sum of x x^T over c)^2
+    / |c|, by bincount over chunks of rows."""
     m = g.dim
-    sq = np.einsum("ij,ij->i", rows, rows)
     if g.kind == KIND_HAAR:
-        return sq**2 / m
-    if g.kind == KIND_FULL_SYMMETRIC:
-        off = rows.sum(axis=1) ** 2 - sq    # sum of the off-diagonal entries
-        return sq**2 / m + off**2 / max(m * (m - 1), 1)
+        return np.einsum("ij,ij->i", rows, rows) ** 2 / m
     part = orbit_partition(g)
     flat_class = part.sym_class_of.ravel()
     inv_counts = 1.0 / np.bincount(flat_class)
@@ -245,11 +232,17 @@ def projected_outer_sq_norms(g: GroupAction, rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def trivial(m: int) -> GroupAction:
-    return GroupAction(name=f"trivial-{m}", dim=m, kind=KIND_TRIVIAL)
+    """The trivial group: no generators, so every ordered pair is its own orbit."""
+    return GroupAction(name=f"trivial-{m}", dim=m)
 
 
 def full_symmetric(m: int) -> GroupAction:
-    return GroupAction(name=f"s{m}", dim=m, kind=KIND_FULL_SYMMETRIC)
+    """S_m from the m-cycle i -> i+1 (mod m) and the transposition (0 1);
+    its projection is compound symmetry (d_G = 2 for m >= 2)."""
+    cycle = np.roll(np.arange(m), -1)
+    swap = np.arange(m)
+    swap[:2] = swap[1::-1]      # the identity when m = 1
+    return GroupAction(name=f"s{m}", dim=m, generators=(cycle, swap))
 
 
 def haar_orthogonal(m: int) -> GroupAction:
@@ -257,13 +250,8 @@ def haar_orthogonal(m: int) -> GroupAction:
 
 
 def symmetric_generators(m: int) -> GroupAction:
-    """S_m as a generator-based action (for enumeration-friendly tests)."""
-    if m < 2:
-        return trivial(m)
-    cycle = tuple((np.arange(m) + 1) % m)
-    swap = list(range(m))
-    swap[0], swap[1] = 1, 0
-    return GroupAction(name=f"s{m}-gen", dim=m, generators=(cycle, tuple(swap)))
+    """full_symmetric(m) under the name the enumeration tests use."""
+    return replace(full_symmetric(m), name=f"s{m}-gen")
 
 
 def cyclic(m: int) -> GroupAction:
@@ -349,9 +337,8 @@ def direct_product(g1: GroupAction, g2: GroupAction,
     """
     if g1.dim != g2.dim:
         raise DimensionMismatchError(f"direct product dims {g1.dim} != {g2.dim}")
-    for g in (g1, g2):
-        if g.kind not in (KIND_GENERATOR, KIND_TRIVIAL):
-            raise GroupValidationError("direct products need generator-based factors")
+    if KIND_HAAR in (g1.kind, g2.kind):
+        raise GroupValidationError("direct products need generator-based factors")
     return GroupAction(
         name=name or f"{g1.name}*{g2.name}",
         dim=g1.dim,
@@ -508,8 +495,6 @@ def capped_order(g: GroupAction, cap: int) -> int:
     """min(|G|, cap) for cap >= 1, exact: the generator closure stops once it
     has ``cap`` elements, so the cost is bounded by the cap, not by |G|. The
     Haar average, which has no finite order, counts as ``cap``."""
-    if g.kind == KIND_FULL_SYMMETRIC:
-        return min(math.factorial(g.dim), cap)
     if g.kind == KIND_HAAR:
         return cap
     elements = enumerate_group(g.generators, g.dim, cap=cap - 1)
@@ -558,6 +543,9 @@ def brute_force_project(g: GroupAction, a: SymmetricMatrix,
 # as a comma-separated index array.
 # ---------------------------------------------------------------------------
 
+_LEGACY_KINDS = {KIND_TRIVIAL: trivial, KIND_FULL_SYMMETRIC: full_symmetric}
+
+
 def write_group_file(path, g: GroupAction) -> None:
     with open(path, "w") as fh:
         fh.write(f"name={g.name}\n")
@@ -569,9 +557,11 @@ def write_group_file(path, g: GroupAction) -> None:
 
 def read_group_file(path) -> GroupAction:
     """The ``name=``, ``dim=`` and ``kind=`` fields and the generators of a
-    group file; other keys and ``#`` comments are ignored. A malformed
-    integer, an unknown kind or a generator that is not a permutation
-    raises ValueError naming the file and line."""
+    group file; other keys and ``#`` comments are ignored. The legacy kinds
+    ``trivial`` and ``full_symmetric`` read as ``trivial(dim)`` and
+    ``full_symmetric(dim)`` under the file's name. A malformed integer, an
+    unknown kind, a generator under a kind that carries none, or a generator
+    that is not a permutation raises ValueError naming the file and line."""
     fields: dict[str, tuple[int, str]] = {}
     gens: list[tuple[int, Perm]] = []
     for no, line in matrixcore.read_csv_lines(path):
@@ -592,8 +582,12 @@ def read_group_file(path) -> GroupAction:
     except KeyError as exc:
         raise ValueError(f"{path}: missing required group field {exc}") from exc
     (dim,) = matrixcore.parse_header(path, dim_line, 1)
-    if kind not in _KINDS:
+    if kind not in _KINDS and kind not in _LEGACY_KINDS:
         raise ValueError(f"{path}:{kind_no}: unknown group kind {kind!r}")
+    if kind != KIND_GENERATOR and gens:
+        raise ValueError(f"{path}:{gens[0][0]}: kind {kind} carries no generators")
+    if kind in _LEGACY_KINDS:
+        return replace(_LEGACY_KINDS[kind](dim), name=name)
     for no, gen in gens:
         try:
             _as_perm(gen, dim)

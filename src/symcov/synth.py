@@ -384,11 +384,12 @@ def run_mp_verification(c: float, spec: PopulationSpec, trials: int,
     if trials < 10:
         raise ValueError("MP verification needs at least 10 trials")
     sigma = make_population(spec)
+    root = _symmetric_root(sigma)
     n = round(spec.m / c)
     err = {"sample": np.empty(trials), "lw2004": np.empty(trials),
            "lwnl": np.empty(trials)}
     for t in range(trials):
-        data = sample_gaussian(sigma, n, (base_seed, "mp", t))
+        data = _draw_gaussian(*root, n, (base_seed, "mp", t))
         fits = {
             "sample": matrixcore.sample_covariance(data).values,
             "lw2004": shrinkage.lw2004_auto(data).matrix.values,

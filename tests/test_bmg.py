@@ -32,11 +32,6 @@ class TestCandidateLibrary:
         with pytest.raises(ValueError):
             CandidateLibrary((groups.trivial(3), groups.trivial(3)))
 
-    def test_extrema_flags(self):
-        lib = small_library()
-        assert lib.contains_trivial
-        assert lib.contains_full_symmetric
-
 
 class TestTier1:
     def test_trivial_excluded_at_small_n(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcov import groups, matrixcore, shrinkage, synth
+from symcov import calibration, groups, matrixcore, shrinkage, synth
 from symcov.calibration import (
     AlphaGrid,
     DEFAULT_GRID,
@@ -358,6 +358,19 @@ class TestAsymptotics:
         with pytest.raises(ValueError):
             predict_n_star(sigma, g)
 
+    def test_one_inversion_per_prediction(self, monkeypatch):
+        calls = []
+        inverse = calibration._inverse_spd
+        monkeypatch.setattr(calibration, "_inverse_spd",
+                            lambda *args: calls.append(1) or inverse(*args))
+        g = groups.cyclic(6)
+        a = np.random.default_rng(50).standard_normal((6, 6))
+        sigma = SymmetricMatrix(a @ a.T / 6 + 0.2 * np.eye(6))
+        predict_alpha_nll_asymptotic(sigma, g, 100)
+        assert len(calls) == 1
+        predict_n_star(sigma, g)
+        assert len(calls) == 2
+
     def test_curvature_constant_positive(self):
         rng = np.random.default_rng(51)
         cases = [groups.transposition(6), groups.cyclic(6),
@@ -370,7 +383,7 @@ class TestAsymptotics:
             c = curvature_constant(sigma, g)
             m = 6
             from symcov.groups import orbit_partition
-            d_g = 2 if g.kind == groups.KIND_FULL_SYMMETRIC else orbit_partition(g).d_g
+            d_g = orbit_partition(g).d_g
             assert c >= m * (m + 1) - 2 * d_g > 0
 
     def test_prediction_halves_when_n_doubles_in_small_alpha_regime(self):

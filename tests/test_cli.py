@@ -96,7 +96,10 @@ class TestProject:
         ("name=z3\ndim=x\nkind=generator_based\n1,2,0\n", 2),
         ("name=z3\ndim=3\nkind=generator_based\n0,0,1\n", 4),
         ("name=z3\ndim=3\nkind=generator\n1,2,0\n", 3),
-    ], ids=["generator", "dim", "not-a-permutation", "unknown-kind"])
+        ("name=s3\ndim=3\nkind=full_symmetric\n1,2,0\n", 4),
+        ("name=h3\ndim=3\nkind=haar_orthogonal\n1,2,0\n", 4),
+    ], ids=["generator", "dim", "not-a-permutation", "unknown-kind",
+            "legacy-kind-generator", "haar-generator"])
     def test_bad_group_file_integer_is_config_error_naming_line(self, tmp_path, identity_csv,
                                                                  capsys, text, line):
         gpath = tmp_path / "g.grp"
@@ -225,6 +228,19 @@ class TestVerifyLwnl:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "estimator,prial,se,mean_err,mean_err_sample,trials"
         assert len(lines) == 3
+
+    def test_unset_shape_flags_take_population_spec_defaults(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(synth, "run_mp_verification",
+                            lambda c, spec, trials, base_seed: specs.append(spec) or [])
+        for extra in ([], ["--geometric-decay", "0.5"]):
+            assert run_cli("verify-lwnl", "--c", "0.5", "--m", "16", "--population",
+                           synth.POP_GEOMETRIC, "--seed", "3",
+                           "--out", str(tmp_path / "p.csv"), *extra) == 0
+        assert specs == [
+            synth.PopulationSpec(16, synth.POP_GEOMETRIC, 3),
+            synth.PopulationSpec(16, synth.POP_GEOMETRIC, 3, geometric_decay=0.5),
+        ]
 
 
 SWEEP_CFG = """

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ class TestOrbitPartition:
         assert part.n_classes == 9
         assert part.d_g == 6  # M(M+1)/2 with no merging beyond transposition
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 100])
+    def test_full_symmetric_is_generator_based(self, m):
+        g = groups.full_symmetric(m)
+        assert g.kind == groups.KIND_GENERATOR and len(g.generators) == 2
+        # compound symmetry: one diagonal class and one off-diagonal class
+        assert orbit_partition(g).d_g == (2 if m >= 2 else 1)
+
     def test_class_invariance_under_generators(self):
         for g in small_groups():
             part = orbit_partition(g)
@@ -219,6 +227,10 @@ class TestReynoldsProject:
                   groups.haar_orthogonal(5), groups.trivial(5)):
             out = reynolds_project(g, SymmetricMatrix(np.eye(5)))
             np.testing.assert_allclose(out.values, np.eye(5), atol=1e-15)
+
+    def test_trivial_returns_input_bitwise(self):
+        a = rand_sym(np.random.default_rng(12), 7)
+        assert np.array_equal(reynolds_project(groups.trivial(7), a).values, a.values)
 
     def test_haar_is_scaled_identity(self):
         a = SymmetricMatrix(np.diag([1.0, 2.0, 3.0]))  # trace 6
@@ -356,7 +368,7 @@ class TestDecoys:
 
     def test_subgroup_closure_zero_generators_is_trivial(self):
         g = decoy_random_subgroup_closure(10, 0, seed=5)
-        assert g.kind == groups.KIND_TRIVIAL
+        assert g == groups.trivial(10)
 
     def test_subgroup_closure_reproducible(self):
         a = decoy_random_subgroup_closure(50, 3, seed=9)
@@ -375,6 +387,15 @@ class TestGroupFiles:
         with open(path, "a") as fh:
             fh.write("order_description=9\norder_lower_bound=0\n")
         assert read_group_file(path) == g
+
+    @pytest.mark.parametrize("kind,build", [("full_symmetric", groups.full_symmetric),
+                                            ("trivial", groups.trivial)])
+    def test_legacy_kinds_read_as_generator_groups(self, tmp_path, kind, build):
+        path = tmp_path / "legacy.grp"
+        path.write_text(f"name=legacy\ndim=5\nkind={kind}\n")
+        back = read_group_file(path)
+        assert back == replace(build(5), name="legacy")
+        assert back.kind == groups.KIND_GENERATOR
 
     def test_library_dir_sorted(self, tmp_path):
         write_group_file(tmp_path / "b.grp", groups.cyclic(4))

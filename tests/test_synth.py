@@ -166,6 +166,14 @@ class TestMpVerification:
         prial = {r["estimator"]: r["prial"] for r in rows}
         assert abs(prial["lwnl"] - prial["lw2004"]) <= 5.0
 
+    def test_one_population_root_per_call(self, monkeypatch):
+        roots = []
+        symmetric_root = synth._symmetric_root
+        monkeypatch.setattr(synth, "_symmetric_root",
+                            lambda sigma: roots.append(1) or symmetric_root(sigma))
+        run_mp_verification(0.5, PopulationSpec(m=8, kind=synth.POP_IDENTITY), 12)
+        assert len(roots) == 1
+
     def test_bad_concentration_rejected(self):
         with pytest.raises(ValueError):
             run_mp_verification(1.5, PopulationSpec(m=8, kind=synth.POP_IDENTITY), 10)
@@ -214,8 +222,8 @@ class TestLibraryPresets:
     def test_pathway_library_shape(self):
         lib = pathway_library(100, 20)
         assert len(lib.candidates) == 8
-        assert lib.contains_trivial and lib.contains_full_symmetric
-        assert lib.candidates[0].kind == groups.KIND_TRIVIAL
+        assert lib.candidates[0] == groups.trivial(100)
+        assert lib.candidates[1].name == "s100"
 
     def test_parse_presets_and_lists(self):
         assert len(parse_library_spec("preset:pathway100").candidates) == 8
