@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calibration, matrixcore, shrinkage
-from .calibration import AlphaGrid, FoldScheme, DEFAULT_GRID
+from .calibration import AlphaGrid, FoldScheme, FoldStats, DEFAULT_GRID
 from .groups import GroupAction, capped_order, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
@@ -82,7 +82,8 @@ def delta_residual(g: GroupAction, r_hat: SymmetricMatrix) -> float:
 def tier2_select(data: Dataset, admitted: list[GroupAction],
                  grid: AlphaGrid = DEFAULT_GRID,
                  folds: FoldScheme | None = None,
-                 use_lwnl_sample_term: bool = False) -> BMGReport:
+                 use_lwnl_sample_term: bool = False,
+                 fold_stats: FoldStats | None = None) -> BMGReport:
     """Cross-validated held-out NLL per candidate, every candidate scored
     from one shared fold pass (``calibration.cv_nll_alphas``); the arg-min
     candidate is selected (ties break to library order) with its
@@ -91,25 +92,17 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
     NLL at that alpha."""
     if not admitted:
         raise ValueError("tier2_select needs a non-empty admitted list; use the fallback path")
-    if folds is None:
-        folds = FoldScheme.contiguous(data.n_obs)
     results = calibration.cv_nll_alphas(data, admitted, grid, folds,
-                                        use_lwnl_sample_term=use_lwnl_sample_term)
+                                        use_lwnl_sample_term, fold_stats)
     scores = {g.name: res.per_alpha_scores[res.alpha] for g, res in zip(admitted, results)}
     alphas = {g.name: res.alpha for g, res in zip(admitted, results)}
     ordered = [scores[g.name] for g in admitted]
     best_idx = int(np.argmin(ordered))   # first minimum = library order tie-break
     best = admitted[best_idx]
     tied = ordered.count(ordered[best_idx]) > 1
-    if len(ordered) >= 2:
-        rest = [s for i, s in enumerate(ordered) if i != best_idx]
-        second = min(rest)
-        if math.isinf(second) and math.isinf(ordered[best_idx]):
-            margin = 0.0
-        else:
-            margin = float(second - ordered[best_idx])
-    else:
-        margin = 0.0
+    # a lone candidate, or a second +inf behind a +inf best, has margin 0
+    second = min((s for i, s in enumerate(ordered) if i != best_idx), default=ordered[best_idx])
+    margin = 0.0 if second == ordered[best_idx] else float(second - ordered[best_idx])
     r_full = matrixcore.sample_covariance(data)
     return BMGReport(
         selected=best.name,
@@ -128,7 +121,8 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
                       kappa: float = DEFAULT_KAPPA,
                       grid: AlphaGrid = DEFAULT_GRID,
                       folds: FoldScheme | None = None,
-                      use_lwnl: bool = False):
+                      use_lwnl: bool = False,
+                      fold_stats: FoldStats | None = None):
     """Full selection pipeline; total on valid centered data.
 
     An empty Tier 1 shortlist falls back to auto-calibrated linear
@@ -136,7 +130,7 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
     as success; so does a dataset too small to carry any valid fold scheme
     (fewer than 3 rows). Otherwise returns the blend estimator (structural,
     or with the nonlinearly shrunken sample term when ``use_lwnl``) at the
-    selected group and refit intensity.
+    selected group and refit intensity. ``fold_stats`` is as in ``cv_nll_alphas``.
     """
     if folds is None:
         folds = FoldScheme.feasible_contiguous(data.n_obs)
@@ -150,8 +144,7 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
         )
         return est, report
     admitted = [lib.by_name(name) for name in admitted_names]
-    report = tier2_select(data, admitted, grid, folds,
-                          use_lwnl_sample_term=use_lwnl)
+    report = tier2_select(data, admitted, grid, folds, use_lwnl, fold_stats)
     selected = lib.by_name(report.selected)
     if use_lwnl:
         est = shrinkage.ad_lwnl_blend(data, selected, report.alpha)

@@ -9,11 +9,12 @@ so a parallel caller gets identical results to a serial one.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from . import matrixcore
 from .matrixcore import Dataset, DimensionMismatchError, SymmetricMatrix, second_moment
@@ -171,7 +172,42 @@ def _one_se_index(scores: np.ndarray) -> int:
     return best + 1 + int(promoted[-1]) if promoted.size else best
 
 
-def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix,
+def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float] | None:
+    """(L^-1, logdet T) with T = L L^T, or None when T is not positive definite."""
+    ell, info = lapack.dpotrf(t.values, lower=1, clean=1)
+    if info == 0:
+        inv_ell, info = lapack.dtrtri(ell, lower=1)
+    return (inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell))))) if info == 0 else None
+
+
+class FoldStats:
+    """One dataset's per-fold moments under one fold scheme, and each
+    distinct target's fold projections P_G(R_train) with their ``_factor``,
+    all computed on first use. Targets are keyed by merged orbit partition,
+    which fixes the projection bitwise; Haar groups of one dimension share one."""
+
+    def __init__(self, data: Dataset, folds: FoldScheme) -> None:
+        if folds.n_obs != data.n_obs:
+            raise ValueError("fold scheme built for a different number of rows")
+        self.data, self.folds, self._targets = data, folds, {}
+
+    @functools.cached_property
+    def moments(self) -> list[tuple[SymmetricMatrix, int, SymmetricMatrix]]:
+        """(R_train, training row count, R_test) per fold."""
+        masks = [self.folds.fold_mask(fold) for fold in range(self.folds.k)]
+        return [(second_moment(self.data.rows[~mask]), int((~mask).sum()),
+                 second_moment(self.data.rows[mask])) for mask in masks]
+
+    def targets(self, g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
+        """(T, _factor(T)) per fold, shared by every group of g's partition."""
+        key = g.dim if g.kind == KIND_HAAR else orbit_partition(g).sym_class_of.tobytes()
+        if key not in self._targets:
+            projected = [reynolds_project(g, r_train) for r_train, _, _ in self.moments]
+            self._targets[key] = tuple((t, _factor(t)) for t in projected)
+        return self._targets[key]
+
+
+def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors: tuple | None,
                  r_test: SymmetricMatrix, alphas: np.ndarray, at_zero: float) -> np.ndarray:
     """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
     from one factorization. With T = L L^T, L^-1 (S - T) L^-T = Q diag(mu) Q^T
@@ -191,12 +227,8 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix,
     if not residual.any():
         return scores
     certified = np.zeros(len(alphas), dtype=bool)
-    try:
-        ell = np.linalg.cholesky(t)
-    except np.linalg.LinAlgError:
-        ell = None
-    if ell is not None:
-        inv_ell = scipy.linalg.solve_triangular(ell, np.eye(len(t)), lower=True)
+    if factors is not None:
+        inv_ell, logdet_t = factors
         mu, q = np.linalg.eigh(inv_ell @ -residual @ inv_ell.T)
         rot = q.T @ inv_ell
         d = np.einsum("ij,ij->i", rot @ r_test.values, rot)
@@ -205,7 +237,6 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix,
         certified = e.min(axis=1) >= CURVE_GUARD * max_diag * np.sum(rot**2)
         certified[0] = False   # the shared at_zero score stands
         good = e[certified]
-        logdet_t = 2.0 * np.sum(np.log(np.diag(ell)))
         scores[certified] = 0.5 * (logdet_t + np.log(good).sum(axis=1) + (d / good).sum(axis=1))
     for j in np.flatnonzero(~certified[1:]) + 1:
         blend = SymmetricMatrix(s + alphas[j] * residual)
@@ -215,20 +246,23 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix,
 
 def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
                   grid: AlphaGrid = DEFAULT_GRID, folds: FoldScheme | None = None,
-                  use_lwnl_sample_term: bool = False) -> list[CalibrationResult]:
+                  use_lwnl_sample_term: bool = False,
+                  fold_stats: FoldStats | None = None) -> list[CalibrationResult]:
     """K-fold held-out-NLL calibration of the blend intensity on the grid,
     one result per group of ``candidates``.
 
     Per fold: the training-complement covariance is blended with its own
     projection at each grid alpha and scored against the fold's sample
     covariance. Only the projection depends on the group, so the per-fold
-    train moment, sample term and test moment are computed once and shared
-    by every candidate. Scores average across folds per alpha. The returned
-    alpha follows the paired one-standard-error rule toward the structured
-    end (Hastie, Tibshirani & Friedman, ESL section 7.10): with ``best`` the
-    first (smallest-alpha) minimizer of the mean score, it is the largest
-    alpha whose per-fold score differences from ``best`` have a mean below
-    their own standard error, or alpha_best when no larger alpha qualifies.
+    moments, sample term and alpha = 0 score are shared by every candidate,
+    and candidates with one target share one curve; ``fold_stats``, built
+    for ``data`` and ``folds``, shares the moments and targets across calls.
+    Scores average across folds per alpha. The returned alpha follows the
+    paired one-standard-error rule toward the structured end (Hastie,
+    Tibshirani & Friedman, ESL section 7.10): with ``best`` the first
+    (smallest-alpha) minimizer of the mean score, it is the largest alpha
+    whose per-fold score differences from ``best`` have a mean below their
+    own standard error, or alpha_best when no larger alpha qualifies.
     The inequality is strict, so exact ties (the trivial group) keep the
     smallest alpha. Non-finite scores participate and simply lose, and a
     grid point with any non-finite fold score is never promoted, so
@@ -238,30 +272,29 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
 
     if folds is None:
         folds = FoldScheme.contiguous(data.n_obs)
-    if folds.n_obs != data.n_obs:
-        raise ValueError("fold scheme built for a different number of rows")
+    if fold_stats is None:
+        fold_stats = FoldStats(data, folds)
+    elif fold_stats.folds != folds or not np.array_equal(fold_stats.data.rows, data.rows):
+        raise ValueError("fold statistics built for other rows or another fold scheme")
     alphas = np.asarray(grid.points)
     fold_terms = []
-    for fold in range(folds.k):
-        mask = folds.fold_mask(fold)
-        train_rows = data.rows[~mask]
-        if train_rows.shape[0] < 2:
+    for fold, (r_train, n_train, r_test) in enumerate(fold_stats.moments):
+        if n_train < 2:
             raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
-        r_train = second_moment(train_rows)
-        if use_lwnl_sample_term:
-            sample_term = shrinkage.lwnl_from_covariance(r_train, train_rows.shape[0]).matrix
-        else:
-            sample_term = r_train
-        r_test = second_moment(data.rows[mask])
+        sample_term = (shrinkage.lwnl_from_covariance(r_train, n_train).matrix
+                       if use_lwnl_sample_term else r_train)
         # the alpha = 0 blend is the sample term alone, whatever the group
         at_zero = matrixcore.gaussian_nll_per_sample(sample_term, r_test)
-        fold_terms.append((r_train, sample_term, r_test, at_zero))
+        fold_terms.append((sample_term, r_test, at_zero))
     results = []
+    curves: dict = {}   # fold scores per distinct target, keyed by its identity
     for g in candidates:
-        scores = np.empty((folds.k, len(alphas)))
-        for fold, (r_train, sample_term, r_test, at_zero) in enumerate(fold_terms):
-            scores[fold] = _alpha_curve(sample_term, reynolds_project(g, r_train),
-                                        r_test, alphas, at_zero)
+        targets = fold_stats.targets(g)
+        if id(targets) not in curves:
+            curves[id(targets)] = np.array([
+                _alpha_curve(sample_term, *target, r_test, alphas, at_zero)
+                for (sample_term, r_test, at_zero), target in zip(fold_terms, targets)])
+        scores = curves[id(targets)]
         mean_scores = scores.mean(axis=0)
         chosen = _one_se_index(scores)
         results.append(CalibrationResult(
@@ -304,12 +337,6 @@ class NllAsymptote:
         return NOTE_MATCHED_LIMIT if self.matched_limit else None
 
 
-def _commutant_sym_dim(g: GroupAction) -> int:
-    if g.kind == KIND_HAAR:
-        return 1
-    return orbit_partition(g).d_g
-
-
 def _inverse_spd(sigma: SymmetricMatrix, ridge_scale: float | None) -> np.ndarray:
     values = sigma.values
     if ridge_scale is not None:
@@ -336,7 +363,7 @@ def _q_b_and_curvature(sigma: SymmetricMatrix, g: GroupAction,
     m = sigma.dim
     sigma_inv = _inverse_spd(sigma, ridge_scale)
     sb = sigma_inv @ (sigma.values - reynolds_project(g, sigma).values)
-    d_g = _commutant_sym_dim(g)
+    d_g = 1 if g.kind == KIND_HAAR else orbit_partition(g).d_g
     return (float(np.trace(sb @ sb)),
             float(m * (m + 1) - 2 * d_g - 2 * (m + 1) * np.trace(sb)))
 

@@ -55,21 +55,27 @@ def cmd_project(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    name = args.estimator
+    alpha_given, takes_alpha = args.alpha is not None, name in ("lw2004", "ad", "ad-lwnl")
+    for flag, ignored in (("--alpha", alpha_given and not takes_alpha),
+                          ("--auto-alpha", args.auto_alpha and (alpha_given or not takes_alpha)),
+                          ("--group", args.group and name in ("sample", "lwnl", "lw2004"))):
+        if ignored:
+            raise ValueError(f"estimator {name} would ignore {flag}")
     data = matrixcore.read_dataset_csv(args.data)
     r_hat = matrixcore.sample_covariance(data)
     group = _load_group(args.group) if args.group else None
-    name = args.estimator
     if name in ("shah", "ad", "ad-lwnl") and group is None:
         raise ValueError(f"estimator {name} requires --group")
     alpha = args.alpha
-    if name in ("ad", "ad-lwnl", "lw2004") and alpha is None and args.auto_alpha:
-        grid = AlphaGrid.uniform(args.grid_points)
+    if args.auto_alpha:
         target = group if name != "lw2004" else groups.haar_orthogonal(data.dim)
         if args.auto_alpha == "mse":
             alpha = calibration.mse_plugin_alpha(data, target).alpha
         else:
             alpha = calibration.cv_nll_alpha(
-                data, target, grid, FoldScheme.contiguous(data.n_obs, args.folds),
+                data, target, AlphaGrid.uniform(args.grid_points),
+                FoldScheme.contiguous(data.n_obs, args.folds),
                 use_lwnl_sample_term=(name == "ad-lwnl")).alpha
     if name == "sample":
         result = shrinkage.sample_estimator(data)
@@ -95,6 +101,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    for flag, given in (("--use-lwnl", args.use_lwnl), ("--trace", args.trace)):
+        if given and args.method == "mse":
+            raise ValueError(f"--method mse would ignore {flag}")
     data = matrixcore.read_dataset_csv(args.data)
     group = _load_group(args.group)
     if args.method == "mse":

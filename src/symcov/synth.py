@@ -20,7 +20,7 @@ import numpy as np
 from . import bmg as bmg_mod
 from . import groups, matrixcore, shrinkage
 from .bmg import BMGReport, CandidateLibrary
-from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, FoldScheme
+from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, FoldScheme, FoldStats
 from .groups import GroupAction, parse_group_spec, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
@@ -481,6 +481,7 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
         test = _draw_gaussian(*root, config.n_test, (config.base_seed, cell_idx, trial, 1))
         r_test = matrixcore.sample_covariance(test)
         folds = FoldScheme.feasible_contiguous(n, config.folds)
+        fold_stats = None if folds is None else FoldStats(train, folds)
         wanted = set(config.estimators)
         fitted: dict[str, SymmetricMatrix] = {}
         if "sample" in wanted:
@@ -492,7 +493,7 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
         if wanted & {"ad_bmg", "shah_bmg"}:
             est_ad, record.ad = bmg_mod.bmg_with_fallback(
                 train, config.library, config.kappa, config.grid, folds,
-                use_lwnl=False)
+                use_lwnl=False, fold_stats=fold_stats)
             if "ad_bmg" in wanted:
                 fitted["ad_bmg"] = est_ad.matrix
             if "shah_bmg" in wanted:
@@ -501,7 +502,7 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
         if "ad_lwnl_bmg" in wanted:
             est_lw, record.ad_lwnl = bmg_mod.bmg_with_fallback(
                 train, config.library, config.kappa, config.grid, folds,
-                use_lwnl=True)
+                use_lwnl=True, fold_stats=fold_stats)
             fitted["ad_lwnl_bmg"] = est_lw.matrix
         for name, matrix in fitted.items():
             record.nll[name] = matrixcore.gaussian_nll_per_sample(matrix, r_test)

@@ -8,6 +8,7 @@ from symcov.calibration import (
     AlphaGrid,
     DEFAULT_GRID,
     FoldScheme,
+    FoldStats,
     METHOD_CV_NLL,
     METHOD_MSE_PLUGIN,
     NOTE_DENOMINATOR_DEGENERATE,
@@ -287,6 +288,84 @@ class TestAlphaCurve:
         cv_nll_alphas(_rows(200, 6, 65), [groups.cyclic(6), groups.block_symmetric(3, 2)],
                       folds=folds)
         assert len(calls) == folds.k
+
+
+@pytest.fixture(scope="module")
+def pathway_decoys():
+    return synth.parse_library_spec("preset:pathway100+decoys")
+
+
+class TestAlphaCurveOnLibrary:
+    """Every pathway100+decoys candidate's fold scores agree with their
+    explicit blends, across N < M and N > M and both sample terms."""
+
+    @pytest.mark.parametrize("n", [50, 400])
+    @pytest.mark.parametrize("use_lwnl", [False, True])
+    def test_fold_scores_match_explicit_blends(self, pathway_decoys, n, use_lwnl):
+        sigma = synth.make_population(synth.PopulationSpec(
+            m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
+        data = synth.sample_gaussian(sigma, n, (71, n))
+        results = cv_nll_alphas(data, pathway_decoys.candidates,
+                                use_lwnl_sample_term=use_lwnl)
+        for g, res in zip(pathway_decoys.candidates, results):
+            want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl)
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(np.isfinite(res.fold_scores), finite, err_msg=g.name)
+            np.testing.assert_allclose(res.fold_scores[finite], want[finite],
+                                       rtol=1e-12, atol=0, err_msg=g.name)
+
+
+def _alternating_6():
+    """A_6 from a 3-cycle and a 5-cycle: another group than S_6, with the
+    same orbitals on pairs."""
+    return groups.GroupAction("a6", 6, ((1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)))
+
+
+class TestFoldStats:
+    def test_same_partition_scored_once(self, monkeypatch):
+        s6, a6 = groups.full_symmetric(6), _alternating_6()
+        assert np.array_equal(groups.orbit_partition(s6).sym_class_of,
+                              groups.orbit_partition(a6).sym_class_of)
+        calls = []
+        def counting(g, a):
+            calls.append(g.name)
+            return reynolds_project(g, a)
+        monkeypatch.setattr(calibration, "reynolds_project", counting)
+        folds = FoldScheme.contiguous(40, 5)
+        a, b = cv_nll_alphas(_rows(40, 6, 66), [s6, a6], folds=folds)
+        np.testing.assert_array_equal(a.fold_scores, b.fold_scores)
+        assert a.alpha == b.alpha
+        assert calls == ["s6"] * folds.k
+
+    def test_haar_groups_of_one_dimension_share_a_target(self):
+        data = _rows(30, 6, 67)
+        stats = FoldStats(data, FoldScheme.contiguous(30))
+        other = groups.GroupAction("haar-b", 6, kind=groups.KIND_HAAR)
+        assert stats.targets(groups.haar_orthogonal(6)) is stats.targets(other)
+
+    def test_shared_stats_give_standalone_results_bitwise(self):
+        data = _rows(60, 12, 68)
+        cands = [groups.trivial(12), groups.wreath_shifts(3, 4), groups.haar_orthogonal(12)]
+        folds = FoldScheme.contiguous(60)
+        stats = FoldStats(data, folds)
+        for use_lwnl in (False, True):
+            shared = cv_nll_alphas(data, cands, folds=folds, use_lwnl_sample_term=use_lwnl,
+                                   fold_stats=stats)
+            alone = cv_nll_alphas(data, cands, folds=folds, use_lwnl_sample_term=use_lwnl)
+            for x, y in zip(shared, alone):
+                np.testing.assert_array_equal(x.fold_scores, y.fold_scores)
+                assert (x.alpha, x.per_alpha_scores) == (y.alpha, y.per_alpha_scores)
+
+    def test_stats_for_other_rows_or_folds_rejected(self):
+        data, g = _rows(30, 6, 70), groups.cyclic(6)
+        folds = FoldScheme.contiguous(30, 5)
+        stats = FoldStats(data, folds)
+        with pytest.raises(ValueError, match="fold statistics"):
+            cv_nll_alphas(_rows(30, 6, 71), [g], folds=folds, fold_stats=stats)
+        with pytest.raises(ValueError, match="fold statistics"):
+            cv_nll_alphas(data, [g], folds=FoldScheme.contiguous(30, 3), fold_stats=stats)
+        with pytest.raises(ValueError, match="fold scheme"):
+            FoldStats(data, FoldScheme.contiguous(31, 5))
 
 
 class TestOneStandardErrorRule:

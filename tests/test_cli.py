@@ -141,6 +141,31 @@ class TestEstimate:
         assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", "lwnl",
                        "--out", str(tmp_path / "o.csv")) == 3
 
+    @pytest.mark.parametrize("name,extra,flag", [
+        ("ad", ["--group", "block:2x2", "--alpha", "0.25", "--auto-alpha", "cv"],
+         "--auto-alpha"),
+        ("shah", ["--group", "block:2x2", "--auto-alpha", "mse"], "--auto-alpha"),
+        ("sample", ["--auto-alpha", "cv"], "--auto-alpha"),
+        ("sample", ["--alpha", "0.5"], "--alpha"),
+        ("lwnl", ["--alpha", "0"], "--alpha"),
+        ("shah", ["--group", "block:2x2", "--alpha", "0.5"], "--alpha"),
+        ("sample", ["--group", "block:2x2"], "--group"),
+        ("lwnl", ["--group", "block:2x2"], "--group"),
+        ("lw2004", ["--group", "block:2x2", "--alpha", "0.5"], "--group"),
+    ])
+    def test_unread_flag_is_config_error_naming_it(self, tmp_path, dataset_csv, capsys,
+                                                   name, extra, flag):
+        out = tmp_path / "o.csv"
+        assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", name,
+                       "--out", str(out), *extra) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mse_auto_alpha_builds_no_grid(self, tmp_path, dataset_csv):
+        assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", "ad",
+                       "--group", "block:2x2", "--auto-alpha", "mse", "--grid-points", "1",
+                       "--out", str(tmp_path / "o.csv")) == 0
+
     def test_short_estimator_metadata_names_line(self, tmp_path):
         # no subcommand reads estimator CSVs; the reader is checked directly
         path = tmp_path / "est.csv"
@@ -165,6 +190,16 @@ class TestCalibrate:
     def test_one_grid_point_is_config_error(self, dataset_csv):
         assert run_cli("calibrate", "--data", str(dataset_csv), "--group", "block:2x2",
                        "--method", "cv", "--grid-points", "1") == 2
+
+    @pytest.mark.parametrize("extra,flag", [(["--use-lwnl"], "--use-lwnl"),
+                                            (["--trace", "TRACE"], "--trace")])
+    def test_mse_with_cv_only_flag_is_config_error_naming_it(self, tmp_path, dataset_csv,
+                                                              capsys, extra, flag):
+        extra = [str(tmp_path / "trace.csv") if a == "TRACE" else a for a in extra]
+        assert run_cli("calibrate", "--data", str(dataset_csv), "--group", "block:2x2",
+                       "--method", "mse", *extra) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
 
 
 class TestBmg:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symcov import bmg as bmg_mod
-from symcov import groups, synth
+from symcov import calibration, groups, synth
 from symcov.bmg import CandidateLibrary, delta_residual, tier1_admit
 from symcov.groups import reynolds_project
 from symcov.matrixcore import SymmetricMatrix, sample_covariance
@@ -317,6 +317,58 @@ class TestTrialSweep:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * len(config.n_list)
         assert lines[0].startswith("cell_n,trial,seed,nll_sample")
+
+
+@pytest.fixture(scope="module")
+def pathway_decoys():
+    return parse_library_spec("preset:pathway100+decoys")
+
+
+def _bmg_trial_config(library, n):
+    return SweepConfig(
+        population=PopulationSpec(m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20),
+        library=library, n_list=(n,), n_test=50, trials=1, base_seed=12,
+        estimators=("ad_bmg", "ad_lwnl_bmg"))
+
+
+class TestTrialFoldSharing:
+    """One sweep trial builds one calibration.FoldStats for both BMG
+    selections."""
+
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_shared_selections_equal_standalone_calls(self, pathway_decoys, monkeypatch, n):
+        original = bmg_mod.bmg_with_fallback
+        calls = []
+
+        def capturing(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(bmg_mod, "bmg_with_fallback", capturing)
+        (record,) = run_trial_sweep(_bmg_trial_config(pathway_decoys, n))
+        assert record.error is None
+        assert [kw["use_lwnl"] for _, kw, _ in calls] == [False, True]
+        assert calls[0][1]["fold_stats"] is calls[1][1]["fold_stats"] is not None
+        for (args, kwargs, (est, report)), recorded in zip(calls, (record.ad, record.ad_lwnl)):
+            alone_est, alone = original(*args, use_lwnl=kwargs["use_lwnl"])
+            assert recorded == report == alone
+            assert np.array_equal(est.matrix.values, alone_est.matrix.values)
+
+    def test_each_fold_target_projected_and_factored_once(self, pathway_decoys, monkeypatch):
+        projections, factorizations = [], []
+        project, factor = calibration.reynolds_project, calibration.lapack.dpotrf
+        monkeypatch.setattr(calibration, "reynolds_project",
+                            lambda g, a: projections.append(1) or project(g, a))
+        monkeypatch.setattr(calibration.lapack, "dpotrf",
+                            lambda a, **kw: factorizations.append(1) or factor(a, **kw))
+        config = _bmg_trial_config(pathway_decoys, 400)
+        (record,) = run_trial_sweep(config)
+        assert record.error is None and record.ad_lwnl is not None
+        admitted = [pathway_decoys.by_name(name) for name in record.ad.tier1_admitted]
+        distinct = {groups.orbit_partition(g).sym_class_of.tobytes() for g in admitted}
+        assert len(distinct) < len(admitted) == len(pathway_decoys.candidates)
+        assert len(projections) == len(factorizations) == config.folds * len(distinct)
 
 
 class TestSweepConfigFile:
