@@ -144,10 +144,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_lwnl(args) -> int:
-    # the shape flags default to None, so PopulationSpec states their defaults
-    shape = {field: getattr(args, field)
-             for field in ("two_block_ratio", "two_block_split", "geometric_decay")
-             if getattr(args, field) is not None}
+    # each shape flag defaults to None, so PopulationSpec states its default,
+    # and is read by one population only
+    reader = {"two_block_ratio": synth.POP_TWO_BLOCK, "two_block_split": synth.POP_TWO_BLOCK,
+              "geometric_decay": synth.POP_GEOMETRIC}
+    shape = {field: getattr(args, field) for field in reader if getattr(args, field) is not None}
+    for field in shape:
+        if reader[field] != args.population:
+            raise ValueError(f"population {args.population} would ignore "
+                             f"--{field.replace('_', '-')}")
     spec = synth.PopulationSpec(m=args.m, kind=args.population, base_seed=args.seed, **shape)
     rows = synth.run_mp_verification(args.c, spec, args.trials, base_seed=args.seed)
     with open(args.out, "w") as fh:

@@ -662,15 +662,15 @@ def parse_group_spec(text: str) -> GroupAction:
     """Build a named group from a compact constructor string.
 
     Grammar (sizes as KxB or HxW):
-      trivial:M | full-symmetric:M | haar:M | cyclic:M | z2-pairs:M |
+      trivial:M | full-symmetric:M | s:M | haar:M | cyclic:M | z2-pairs:M |
       grid-cyclic:HxW:row|col | grid-dihedral:HxW[:row|col] |
       grid-translation:HxW | klein:HxW | rot4:N | d4:N | wreath-rows:HxW |
       block:KxB[:seed] | tied-cyclic:KxB[:seed] | cartesian:KxB[:seed] |
       wreath:KxB[:seed] | random-block:KxB:seed |
       random-subgroup:M:n_generators:seed
-    A trailing seed on the block constructors routes the blocks through a
-    seeded random partition of the indices. Missing, malformed or surplus
-    fields raise GroupValidationError.
+    s:M is short for full-symmetric:M. A trailing seed on the block
+    constructors routes the blocks through a seeded random partition of the
+    indices. Missing, malformed or surplus fields raise GroupValidationError.
     """
     head, *args = text.strip().split(":")
     if head not in _SPEC_CONSTRUCTORS:

@@ -1,5 +1,5 @@
 """Dense symmetric-matrix algebra: sample covariance, Gaussian negative
-log-likelihood, the Frobenius norm, and the CSV carriers.
+log-likelihood, the convex blend, the Frobenius norm, and the CSV carriers.
 
 Everything here is immutable after construction and every operation is pure,
 so concurrent callers need no locking.
@@ -146,6 +146,14 @@ def gaussian_nll_per_sample(sigma: SymmetricMatrix, r_test: SymmetricMatrix) -> 
     logdet = 2.0 * float(np.sum(np.log(piv)))
     solved = scipy.linalg.cho_solve((ell, True), r_test.values, check_finite=False)
     return 0.5 * logdet + 0.5 * float(np.trace(solved))
+
+
+def blend(a: SymmetricMatrix, b: SymmetricMatrix, alpha: float) -> SymmetricMatrix:
+    """The convex blend (1 - alpha) a + alpha b: ``a`` itself at alpha = 0 and
+    ``b`` itself at alpha = 1, so both ends are bitwise exact."""
+    if alpha == 0.0 or alpha == 1.0:
+        return b if alpha else a
+    return SymmetricMatrix((1.0 - alpha) * a.values + alpha * b.values)
 
 
 def frobenius_norm(a: SymmetricMatrix) -> float:

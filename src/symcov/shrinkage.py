@@ -8,13 +8,13 @@ Monte Carlo trials may call them concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matrixcore
 from .matrixcore import Dataset, SymmetricMatrix
-from .groups import GroupAction, reynolds_project
+from .groups import GroupAction, haar_orthogonal, reynolds_project
 
 EST_SAMPLE = "sample"
 EST_LW2004 = "lw2004"
@@ -64,13 +64,6 @@ class EstimatorResult:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"shrinkage intensity {alpha} outside [0, 1]")
-    return alpha
-
-
 def _pin_flags(alpha: float) -> set[str]:
     if alpha == 0.0:
         return {FLAG_ALPHA_PINNED_0}
@@ -83,13 +76,23 @@ def sample_estimator(data: Dataset) -> EstimatorResult:
     return EstimatorResult(EST_SAMPLE, matrixcore.sample_covariance(data))
 
 
+def _blend(estimator_name: str, sample_term: SymmetricMatrix, target: SymmetricMatrix,
+           alpha: float, group_name: str | None = None,
+           flags: frozenset[str] = frozenset()) -> EstimatorResult:
+    """(1 - alpha) sample_term + alpha target, carrying the pin flags and
+    ``flags``; EstimatorResult rejects an alpha outside [0, 1]."""
+    alpha = float(alpha)
+    return EstimatorResult(estimator_name, matrixcore.blend(sample_term, target, alpha),
+                           alpha=alpha, group_name=group_name,
+                           flags=_pin_flags(alpha) | flags)
+
+
 def lw2004(r_hat: SymmetricMatrix, alpha: float) -> EstimatorResult:
-    """(1 - alpha) R_hat + alpha (tr R_hat / M) I."""
-    alpha = _check_alpha(alpha)
-    m = r_hat.dim
-    target = np.eye(m) * (r_hat.trace() / m)
-    out = SymmetricMatrix((1.0 - alpha) * r_hat.values + alpha * target)
-    return EstimatorResult(EST_LW2004, out, alpha=alpha, flags=_pin_flags(alpha))
+    """The blend's Haar member: (1 - alpha) R_hat + alpha P_G(R_hat) with G the
+    Haar-orthogonal group, whose projection is the scaled identity
+    (tr R_hat / M) I. Bitwise equal to ``ad_blend`` at that group."""
+    target = reynolds_project(haar_orthogonal(r_hat.dim), r_hat)
+    return _blend(EST_LW2004, r_hat, target, alpha)
 
 
 def lw2004_auto(data: Dataset) -> EstimatorResult:
@@ -101,15 +104,12 @@ def lw2004_auto(data: Dataset) -> EstimatorResult:
     and alpha is pinned to 1.
     """
     from . import calibration
-    from .groups import haar_orthogonal
 
+    r_hat = matrixcore.sample_covariance(data)
     if data.n_obs < 2:
-        r_hat = matrixcore.sample_covariance(data)
         res = lw2004(r_hat, 1.0)
-        return EstimatorResult(EST_LW2004, res.matrix, alpha=1.0,
-                               flags=res.flags | {FLAG_SINGULAR_INPUT})
-    cal = calibration.mse_plugin_alpha(data, haar_orthogonal(data.dim))
-    return lw2004(matrixcore.sample_covariance(data), cal.alpha)
+        return replace(res, flags=res.flags | {FLAG_SINGULAR_INPUT})
+    return lw2004(r_hat, calibration.mse_plugin_alpha(data, haar_orthogonal(data.dim)).alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +211,14 @@ def lwnl(data: Dataset) -> EstimatorResult:
 # ---------------------------------------------------------------------------
 
 def shah_projection(r_hat: SymmetricMatrix, g: GroupAction) -> EstimatorResult:
-    """Projection-only estimator: the group average used alone (alpha = 1)."""
-    return EstimatorResult(EST_SHAH, reynolds_project(g, r_hat),
-                           alpha=1.0, group_name=g.name,
-                           flags={FLAG_ALPHA_PINNED_1})
+    """Projection-only estimator: the blend's alpha = 1 end, P_G(R_hat)."""
+    return _blend(EST_SHAH, r_hat, reynolds_project(g, r_hat), 1.0, g.name)
 
 
 def ad_blend(r_hat: SymmetricMatrix, g: GroupAction, alpha: float) -> EstimatorResult:
     """Convex blend (1 - alpha) R_hat + alpha P_G(R_hat); PSD whenever the
     input is PSD, being a non-negative combination of two PSD matrices."""
-    return _structural_blend(EST_AD, r_hat, r_hat, g, alpha)
+    return _blend(EST_AD, r_hat, reynolds_project(g, r_hat), alpha, g.name)
 
 
 def ad_lwnl_blend(data: Dataset, g: GroupAction, alpha: float) -> EstimatorResult:
@@ -229,18 +227,8 @@ def ad_lwnl_blend(data: Dataset, g: GroupAction, alpha: float) -> EstimatorResul
     sample covariance."""
     r_hat = matrixcore.sample_covariance(data)
     shrunk = lwnl_from_covariance(r_hat, data.n_obs)
-    return _structural_blend(EST_ADLWNL, shrunk.matrix, r_hat, g, alpha, shrunk.flags)
-
-
-def _structural_blend(estimator_name: str, sample_term: SymmetricMatrix,
-                      r_hat: SymmetricMatrix, g: GroupAction, alpha: float,
-                      flags: frozenset[str] = frozenset()) -> EstimatorResult:
-    """(1 - alpha) sample_term + alpha P_G(r_hat), carrying ``flags``."""
-    alpha = _check_alpha(alpha)
-    target = reynolds_project(g, r_hat)
-    out = SymmetricMatrix((1.0 - alpha) * sample_term.values + alpha * target.values)
-    return EstimatorResult(estimator_name, out, alpha=alpha, group_name=g.name,
-                           flags=_pin_flags(alpha) | flags)
+    return _blend(EST_ADLWNL, shrunk.matrix, reynolds_project(g, r_hat), alpha, g.name,
+                  shrunk.flags)
 
 
 # ---------------------------------------------------------------------------

@@ -109,33 +109,23 @@ def _random_orthogonal(m: int, seed_key) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _delta_controlled(spec: PopulationSpec) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """Convex mix Sigma(t) = (1-t) P_G(S) + t S bisected on the monotone
-    residual delta(t) until within 1e-3 of the target; returns the trace of
-    (t, measured delta) pairs for diagnostics."""
+def _delta_controlled(spec: PopulationSpec) -> np.ndarray:
+    """The point Sigma(t) = (1-t) P_G(S) + t S of the blend path whose residual
+    delta(t) = t q / sqrt(p^2 + t^2 q^2) hits the target, with p = ||P_G(S)||
+    and q = ||S - P_G(S)||: P_G(S) is Frobenius-orthogonal to S - P_G(S), so t
+    has a closed form. When G fixes S (q = 0) only delta = 0 is reachable, at t = 0."""
     s = SymmetricMatrix(_random_spd(spec.m, (spec.base_seed, "pop", spec.m)))
     proj = reynolds_project(spec.group, s)
-    attainable = bmg_mod.delta_residual(spec.group, s)
+    p = matrixcore.frobenius_norm(proj)
+    q = float(np.linalg.norm(s.values - proj.values, "fro"))
+    attainable = q / matrixcore.frobenius_norm(s)
     target = float(spec.target_delta)
-    if target < 0.0 or target > attainable + 1e-12:
+    if not 0.0 <= target <= attainable + 1e-12:
         raise ValueError(
             f"target delta {target} unreachable; attainable range is [0, {attainable:.6f}] "
             f"for this draw")
-    trace: list[tuple[float, float]] = []
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        t = 0.5 * (lo + hi)
-        mix = SymmetricMatrix((1.0 - t) * proj.values + t * s.values)
-        measured = bmg_mod.delta_residual(spec.group, mix)
-        trace.append((t, measured))
-        if abs(measured - target) <= 1e-3:
-            return _ridge(mix.values), trace
-        if measured < target:
-            lo = t
-        else:
-            hi = t
-    raise ValueError(f"delta bisection failed to reach {target} (last measured "
-                     f"{trace[-1][1]:.6f})")
+    t = 0.0 if q == 0.0 else min(1.0, target * p / (q * math.sqrt(1.0 - target * target)))
+    return _ridge(matrixcore.blend(proj, s, t).values)
 
 
 def make_population(spec: PopulationSpec) -> SymmetricMatrix:
@@ -152,8 +142,7 @@ def make_population(spec: PopulationSpec) -> SymmetricMatrix:
         base = _random_spd(m, (spec.base_seed, "pop", m))
         return SymmetricMatrix(_ridge(reynolds_project(spec.group, SymmetricMatrix(base)).values))
     if spec.kind == POP_DELTA_CONTROLLED:
-        values, _ = _delta_controlled(spec)
-        return SymmetricMatrix(values)
+        return SymmetricMatrix(_delta_controlled(spec))
     if spec.kind == POP_IDENTITY:
         return SymmetricMatrix.identity(m)
     if spec.kind == POP_TWO_BLOCK:
@@ -361,7 +350,7 @@ def estimate_blend_risk(sigma: SymmetricMatrix, g: GroupAction, n: int,
         r_hat = _raw_second_moment(root, n, (seed, "risk", t))
         proj = reynolds_project(g, r_hat)
         for j, alpha in enumerate(alphas):
-            blend = (1.0 - alpha) * r_hat.values + alpha * proj.values
+            blend = matrixcore.blend(r_hat, proj, alpha).values
             risks[t, j] = np.sum((blend - sigma.values) ** 2)
     return risks.mean(axis=0), risks.std(axis=0, ddof=1) / np.sqrt(trials)
 
@@ -439,9 +428,17 @@ class SweepConfig:
             raise ValueError(f"unknown estimator toggles {sorted(unknown)}")
         if not self.n_list:
             raise ValueError("sweep needs at least one training-size cell")
-        if self.grid_points < 2 or self.folds < 2:
-            raise ValueError(f"sweep needs grid_points >= 2 and folds >= 2, got "
-                             f"{self.grid_points} and {self.folds}")
+        # settings under which every trial would fail
+        for key, ok, need in (("grid_points", self.grid_points >= 2, ">= 2"),
+                              ("folds", self.folds >= 2, ">= 2"),
+                              ("n_list", min(self.n_list) >= 1, "entries >= 1"),
+                              ("n_test", self.n_test >= 1, ">= 1"),
+                              ("kappa", 1.0 <= self.kappa < math.inf, "finite and >= 1")):
+            if not ok:
+                raise ValueError(f"sweep needs {key} {need}, got {getattr(self, key)}")
+        wrong = [g.name for g in self.library.candidates if g.dim != self.population.m]
+        if wrong:
+            raise ValueError(f"library groups {wrong} do not act on m = {self.population.m}")
 
     @property
     def grid(self) -> AlphaGrid:

@@ -277,6 +277,21 @@ class TestVerifyLwnl:
             synth.PopulationSpec(16, synth.POP_GEOMETRIC, 3, geometric_decay=0.5),
         ]
 
+    @pytest.mark.parametrize("population, flag", [
+        (synth.POP_IDENTITY, "--geometric-decay"),
+        (synth.POP_IDENTITY, "--two-block-ratio"),
+        (synth.POP_RANDOM_SPD, "--two-block-split"),
+        (synth.POP_GEOMETRIC, "--two-block-ratio"),
+        (synth.POP_TWO_BLOCK, "--geometric-decay"),
+    ])
+    def test_unread_shape_flag_is_config_error_naming_it(self, tmp_path, capsys,
+                                                         population, flag):
+        out = tmp_path / "p.csv"
+        assert run_cli("verify-lwnl", "--c", "0.5", "--m", "16", "--population", population,
+                       flag, "0.5", "--trials", "10", "--out", str(out)) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 SWEEP_CFG = """
 m = 6
@@ -308,6 +323,18 @@ class TestSweepAndDecoy:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG + f"{key} = 1\n")
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+
+    @pytest.mark.parametrize("line, key", [("kappa = 0.5", "kappa"), ("n_list = 16,0", "n_list"),
+                                           ("n_test = 0", "n_test"),
+                                           ("library = preset:grid8", "library")])
+    def test_sweep_config_failing_every_trial_is_config_error(self, tmp_path, capsys,
+                                                              line, key):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + line + "\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_deterministic_under_threads(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -1,6 +1,8 @@
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,3 +457,13 @@ class TestParseGroupSpec:
     def test_unknown_spec(self):
         with pytest.raises(GroupValidationError):
             parse_group_spec("frobnicate:3")
+
+    def test_every_constructor_documented(self):
+        def heads(grammar):
+            return {tok.split(":")[0] for tok in re.split(r"[|\s]+", grammar) if ":" in tok}
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme_grammar = readme.split("constructor strings:\n\n```\n", 1)[1].split("```", 1)[0]
+        doc_grammar = parse_group_spec.__doc__.split("HxW):", 1)[1].split("A trailing", 1)[0]
+        assert heads(readme_grammar) == set(groups._SPEC_CONSTRUCTORS)
+        assert heads(doc_grammar) == set(groups._SPEC_CONSTRUCTORS)

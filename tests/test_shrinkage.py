@@ -57,6 +57,17 @@ class TestLw2004:
         assert FLAG_ALPHA_PINNED_0 in lw2004(r, 0.0).flags
         assert FLAG_ALPHA_PINNED_1 in lw2004(r, 1.0).flags
 
+    def test_bitwise_haar_member_of_blend(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            m = int(rng.integers(2, 13))
+            a = rng.standard_normal((m, m))
+            r = SymmetricMatrix(a @ a.T / m)
+            alpha = float(rng.uniform())
+            got = lw2004(r, alpha).matrix.values
+            want = ad_blend(r, groups.haar_orthogonal(m), alpha).matrix.values
+            assert got.tobytes() == want.tobytes()
+
 
 class TestLw2004Auto:
     def test_single_observation_pins_alpha(self):

@@ -11,7 +11,6 @@ from symcov.matrixcore import SymmetricMatrix, sample_covariance
 from symcov.synth import (
     PopulationSpec,
     SweepConfig,
-    _delta_controlled,
     build_decoy_library,
     estimate_blend_risk,
     estimate_variance_components,
@@ -54,14 +53,26 @@ class TestPopulations:
         measured = delta_residual(g, sigma)
         assert 0.199 <= measured <= 0.201
 
-    def test_delta_bisection_trace_monotone(self):
-        g = groups.block_symmetric(4, 3)
-        spec = PopulationSpec(m=12, kind=synth.POP_DELTA_CONTROLLED, base_seed=6,
-                              group=g, target_delta=0.3)
-        _, trace = _delta_controlled(spec)
-        by_t = sorted(trace)
-        deltas = [d for _, d in by_t]
-        assert all(b >= a - 1e-12 for a, b in zip(deltas, deltas[1:]))
+    @pytest.mark.parametrize("g", [groups.wreath_shifts(8, 4), groups.block_symmetric(4, 3),
+                                   groups.cyclic(12), groups.haar_orthogonal(12)],
+                             ids=lambda g: g.name)
+    @pytest.mark.parametrize("target", [0.05, 0.2, 0.4])
+    def test_delta_controlled_lands_on_target(self, g, target):
+        sigma = make_population(PopulationSpec(m=g.dim, kind=synth.POP_DELTA_CONTROLLED,
+                                               base_seed=6, group=g, target_delta=target))
+        assert abs(delta_residual(g, sigma) - target) <= 1e-5
+
+    def test_delta_controlled_fixed_draw_is_finite(self):
+        # the trivial group fixes every draw: only delta = 0 is reachable
+        g = groups.trivial(6)
+        spec = PopulationSpec(m=6, kind=synth.POP_DELTA_CONTROLLED, base_seed=6,
+                              group=g, target_delta=0.0)
+        sigma = make_population(spec)
+        assert np.isfinite(sigma.values).all()
+        assert delta_residual(g, sigma) == 0.0
+        with pytest.raises(ValueError, match="attainable"):
+            make_population(PopulationSpec(m=6, kind=synth.POP_DELTA_CONTROLLED,
+                                           base_seed=6, group=g, target_delta=0.1))
 
     def test_delta_unreachable_reports_range(self):
         g = groups.block_symmetric(4, 3)
