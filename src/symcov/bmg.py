@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calibration, matrixcore, shrinkage
-from .calibration import AlphaGrid, FoldScheme, FoldStats, DEFAULT_GRID
-from .groups import GroupAction, capped_order, reynolds_project
+from .calibration import AlphaGrid, DataStats, FoldScheme, DEFAULT_GRID
+from .groups import GroupAction, capped_order, reynolds_project, trivial
 from .matrixcore import Dataset, SymmetricMatrix
 
 DEFAULT_KAPPA = 2.0
@@ -82,8 +82,7 @@ def delta_residual(g: GroupAction, r_hat: SymmetricMatrix) -> float:
 def tier2_select(data: Dataset, admitted: list[GroupAction],
                  grid: AlphaGrid = DEFAULT_GRID,
                  folds: FoldScheme | None = None,
-                 use_lwnl_sample_term: bool = False,
-                 fold_stats: FoldStats | None = None) -> BMGReport:
+                 use_lwnl_sample_term: bool = False) -> BMGReport:
     """Cross-validated held-out NLL per candidate, every candidate scored
     from one shared fold pass (``calibration.cv_nll_alphas``); the arg-min
     candidate is selected (ties break to library order) with its
@@ -92,8 +91,8 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
     NLL at that alpha."""
     if not admitted:
         raise ValueError("tier2_select needs a non-empty admitted list; use the fallback path")
-    results = calibration.cv_nll_alphas(data, admitted, grid, folds,
-                                        use_lwnl_sample_term, fold_stats)
+    stats = DataStats.of(data)
+    results = calibration.cv_nll_alphas(stats, admitted, grid, folds, use_lwnl_sample_term)
     scores = {g.name: res.per_alpha_scores[res.alpha] for g, res in zip(admitted, results)}
     alphas = {g.name: res.alpha for g, res in zip(admitted, results)}
     ordered = [scores[g.name] for g in admitted]
@@ -103,7 +102,6 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
     # a lone candidate, or a second +inf behind a +inf best, has margin 0
     second = min((s for i, s in enumerate(ordered) if i != best_idx), default=ordered[best_idx])
     margin = 0.0 if second == ordered[best_idx] else float(second - ordered[best_idx])
-    r_full = matrixcore.sample_covariance(data)
     return BMGReport(
         selected=best.name,
         alpha=alphas[best.name],
@@ -111,7 +109,7 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
         tier2_scores=scores,
         tier2_alphas=alphas,
         bmg_margin=margin,
-        delta=delta_residual(best, r_full),
+        delta=delta_residual(best, stats.r_hat),
         fallback_used=False,
         tied=tied,
     )
@@ -121,8 +119,7 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
                       kappa: float = DEFAULT_KAPPA,
                       grid: AlphaGrid = DEFAULT_GRID,
                       folds: FoldScheme | None = None,
-                      use_lwnl: bool = False,
-                      fold_stats: FoldStats | None = None):
+                      use_lwnl: bool = False):
     """Full selection pipeline; total on valid centered data.
 
     An empty Tier 1 shortlist falls back to auto-calibrated linear
@@ -130,13 +127,14 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
     as success; so does a dataset too small to carry any valid fold scheme
     (fewer than 3 rows). Otherwise returns the blend estimator (structural,
     or with the nonlinearly shrunken sample term when ``use_lwnl``) at the
-    selected group and refit intensity. ``fold_stats`` is as in ``cv_nll_alphas``.
+    selected group and refit intensity.
     """
+    stats = DataStats.of(data)
     if folds is None:
         folds = FoldScheme.feasible_contiguous(data.n_obs)
     admitted_names = [] if folds is None else tier1_admit(lib, data.n_obs, data.dim, kappa)
     if not admitted_names:
-        est = shrinkage.lw2004_auto(data)
+        est = shrinkage.lw2004_auto(stats)
         report = BMGReport(
             selected="", alpha=est.alpha, tier1_admitted=(),
             tier2_scores={}, tier2_alphas={}, bmg_margin=0.0,
@@ -144,13 +142,12 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
         )
         return est, report
     admitted = [lib.by_name(name) for name in admitted_names]
-    report = tier2_select(data, admitted, grid, folds, use_lwnl, fold_stats)
+    report = tier2_select(stats, admitted, grid, folds, use_lwnl)
     selected = lib.by_name(report.selected)
     if use_lwnl:
-        est = shrinkage.ad_lwnl_blend(data, selected, report.alpha)
+        est = shrinkage.ad_lwnl_blend(stats, selected, report.alpha)
     else:
-        est = shrinkage.ad_blend(matrixcore.sample_covariance(data),
-                                 selected, report.alpha)
+        est = shrinkage.ad_blend(stats.r_hat, selected, report.alpha)
     return est, report
 
 
@@ -159,11 +156,8 @@ def shah_at_selected(data: Dataset, lib: CandidateLibrary,
     """Projection-only comparator composed at the BMG-selected group; under
     fallback there is no selected group and the sample covariance projects
     through the trivial action (i.e. is returned unchanged)."""
-    r_hat = matrixcore.sample_covariance(data)
-    if report.fallback_used:
-        from .groups import trivial
-        return shrinkage.shah_projection(r_hat, trivial(data.dim))
-    return shrinkage.shah_projection(r_hat, lib.by_name(report.selected))
+    g = trivial(data.dim) if report.fallback_used else lib.by_name(report.selected)
+    return shrinkage.shah_projection(DataStats.of(data).r_hat, g)
 
 
 def write_report_csv(path, lib: CandidateLibrary, report: BMGReport) -> None:

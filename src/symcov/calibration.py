@@ -9,7 +9,6 @@ so a parallel caller gets identical results to a serial one.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -65,10 +64,6 @@ class AlphaGrid:
         if n_points < 2:
             raise ValueError(f"a uniform alpha grid needs at least 2 points, got {n_points}")
         return cls(tuple(i / (n_points - 1) for i in range(n_points)))
-
-    @property
-    def spacing(self) -> float:
-        return max(b - a for a, b in zip(self.points, self.points[1:]))
 
 
 DEFAULT_GRID = AlphaGrid.uniform()
@@ -133,7 +128,7 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
     if g.dim != data.dim:
         raise DimensionMismatchError(f"group dim {g.dim} != data dim {data.dim}")
     n = data.n_obs
-    r_hat = matrixcore.sample_covariance(data)
+    r_hat = DataStats.of(data).r_hat
     r_proj = reynolds_project(g, r_hat)
     perp_rhat = r_hat.values - r_proj.values
     denom = float(np.sum(perp_rhat**2))
@@ -180,31 +175,49 @@ def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float] | None:
     return (inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell))))) if info == 0 else None
 
 
-class FoldStats:
-    """One dataset's per-fold moments under one fold scheme, and each
-    distinct target's fold projections P_G(R_train) with their ``_factor``,
-    all computed on first use. Targets are keyed by merged orbit partition,
-    which fixes the projection bitwise; Haar groups of one dimension share one."""
+class DataStats(Dataset):
+    """A dataset that computes on first use, and keeps, R_hat (``r_hat``),
+    its ``lwnl_from_covariance`` result (``lwnl``), and per fold scheme the
+    fold ``moments`` and each distinct target's fold projections with their
+    ``_factor``, keyed by merged orbit partition, which fixes the projection
+    bitwise (Haar groups of one dimension share one). Estimators read
+    statistics through ``of``, which wraps a plain Dataset for one call only:
+    only a caller holding a DataStats keeps them."""
 
-    def __init__(self, data: Dataset, folds: FoldScheme) -> None:
-        if folds.n_obs != data.n_obs:
-            raise ValueError("fold scheme built for a different number of rows")
-        self.data, self.folds, self._targets = data, folds, {}
+    @classmethod
+    def of(cls, data: Dataset) -> "DataStats":
+        return data if isinstance(data, cls) else cls(data.rows, data.centered)
 
-    @functools.cached_property
-    def moments(self) -> list[tuple[SymmetricMatrix, int, SymmetricMatrix]]:
+    def _cached(self, key, compute):
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+    @property
+    def r_hat(self) -> SymmetricMatrix:
+        return self._cached("r_hat", lambda: matrixcore.sample_covariance(self))
+
+    @property
+    def lwnl(self):
+        from . import shrinkage
+        return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat,
+                                                                           self.n_obs))
+
+    def moments(self, folds: FoldScheme) -> list[tuple[SymmetricMatrix, int, SymmetricMatrix]]:
         """(R_train, training row count, R_test) per fold."""
-        masks = [self.folds.fold_mask(fold) for fold in range(self.folds.k)]
-        return [(second_moment(self.data.rows[~mask]), int((~mask).sum()),
-                 second_moment(self.data.rows[mask])) for mask in masks]
+        if folds.n_obs != self.n_obs:
+            raise ValueError("fold scheme built for a different number of rows")
+        return self._cached(folds, lambda: [
+            (second_moment(self.rows[~mask]), int((~mask).sum()), second_moment(self.rows[mask]))
+            for mask in map(folds.fold_mask, range(folds.k))])
 
-    def targets(self, g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
+    def targets(self, folds: FoldScheme,
+                g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
         """(T, _factor(T)) per fold, shared by every group of g's partition."""
         key = g.dim if g.kind == KIND_HAAR else orbit_partition(g).sym_class_of.tobytes()
-        if key not in self._targets:
-            projected = [reynolds_project(g, r_train) for r_train, _, _ in self.moments]
-            self._targets[key] = tuple((t, _factor(t)) for t in projected)
-        return self._targets[key]
+        return self._cached((folds, key), lambda: tuple(
+            (t, _factor(t)) for t in (reynolds_project(g, r) for r, _, _ in self.moments(folds))))
 
 
 def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors: tuple | None,
@@ -249,8 +262,7 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
 
 def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
                   grid: AlphaGrid = DEFAULT_GRID, folds: FoldScheme | None = None,
-                  use_lwnl_sample_term: bool = False,
-                  fold_stats: FoldStats | None = None) -> list[CalibrationResult]:
+                  use_lwnl_sample_term: bool = False) -> list[CalibrationResult]:
     """K-fold held-out-NLL calibration of the blend intensity on the grid,
     one result per group of ``candidates``.
 
@@ -258,8 +270,8 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
     projection at each grid alpha and scored against the fold's sample
     covariance. Only the projection depends on the group, so the per-fold
     moments, sample term and alpha = 0 score are shared by every candidate,
-    and candidates with one target share one curve; ``fold_stats``, built
-    for ``data`` and ``folds``, shares the moments and targets across calls.
+    and candidates with one target share one curve; a ``DataStats`` passed
+    as ``data`` shares the moments and targets across calls.
     Scores average across folds per alpha. The returned alpha follows the
     paired one-standard-error rule toward the structured end (Hastie,
     Tibshirani & Friedman, ESL section 7.10): with ``best`` the first
@@ -273,15 +285,12 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
     """
     from . import shrinkage
 
+    stats = DataStats.of(data)
     if folds is None:
         folds = FoldScheme.contiguous(data.n_obs)
-    if fold_stats is None:
-        fold_stats = FoldStats(data, folds)
-    elif fold_stats.folds != folds or not np.array_equal(fold_stats.data.rows, data.rows):
-        raise ValueError("fold statistics built for other rows or another fold scheme")
     alphas = np.asarray(grid.points)
     fold_terms = []
-    for fold, (r_train, n_train, r_test) in enumerate(fold_stats.moments):
+    for fold, (r_train, n_train, r_test) in enumerate(stats.moments(folds)):
         if n_train < 2:
             raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
         sample_term = (shrinkage.lwnl_from_covariance(r_train, n_train).matrix
@@ -292,7 +301,7 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
     results = []
     curves: dict = {}   # fold scores per distinct target, keyed by its identity
     for g in candidates:
-        targets = fold_stats.targets(g)
+        targets = stats.targets(folds, g)
         if id(targets) not in curves:
             curves[id(targets)] = np.array([
                 _alpha_curve(sample_term, *target, r_test, alphas, at_zero)

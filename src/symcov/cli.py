@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bmg as bmg_mod
 from . import calibration, groups, matrixcore, shrinkage, synth
-from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, FoldScheme
+from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, DataStats, FoldScheme
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,8 +62,7 @@ def cmd_estimate(args) -> int:
                           ("--group", args.group and name in ("sample", "lwnl", "lw2004"))):
         if ignored:
             raise ValueError(f"estimator {name} would ignore {flag}")
-    data = matrixcore.read_dataset_csv(args.data)
-    r_hat = matrixcore.sample_covariance(data)
+    data = DataStats.of(matrixcore.read_dataset_csv(args.data))
     group = _load_group(args.group) if args.group else None
     if name in ("shah", "ad", "ad-lwnl") and group is None:
         raise ValueError(f"estimator {name} requires --group")
@@ -80,16 +79,16 @@ def cmd_estimate(args) -> int:
     if name == "sample":
         result = shrinkage.sample_estimator(data)
     elif name == "lw2004":
-        result = shrinkage.lw2004(r_hat, alpha) if alpha is not None \
+        result = shrinkage.lw2004(data.r_hat, alpha) if alpha is not None \
             else shrinkage.lw2004_auto(data)
     elif name == "lwnl":
         result = shrinkage.lwnl(data)
     elif name == "shah":
-        result = shrinkage.shah_projection(r_hat, group)
+        result = shrinkage.shah_projection(data.r_hat, group)
     elif name == "ad":
         if alpha is None:
             raise ValueError("estimator ad requires --alpha or --auto-alpha")
-        result = shrinkage.ad_blend(r_hat, group, alpha)
+        result = shrinkage.ad_blend(data.r_hat, group, alpha)
     elif name == "ad-lwnl":
         if alpha is None:
             raise ValueError("estimator ad-lwnl requires --alpha or --auto-alpha")

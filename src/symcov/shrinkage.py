@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import matrixcore
+from . import calibration, matrixcore
+from .calibration import DataStats
 from .matrixcore import Dataset, SymmetricMatrix
 from .groups import GroupAction, haar_orthogonal, reynolds_project
 
@@ -73,7 +74,7 @@ def _pin_flags(alpha: float) -> set[str]:
 
 
 def sample_estimator(data: Dataset) -> EstimatorResult:
-    return EstimatorResult(EST_SAMPLE, matrixcore.sample_covariance(data))
+    return EstimatorResult(EST_SAMPLE, DataStats.of(data).r_hat)
 
 
 def _blend(estimator_name: str, sample_term: SymmetricMatrix, target: SymmetricMatrix,
@@ -103,13 +104,12 @@ def lw2004_auto(data: Dataset) -> EstimatorResult:
     information, so the degenerate-denominator branch of the plug-in applies
     and alpha is pinned to 1.
     """
-    from . import calibration
-
-    r_hat = matrixcore.sample_covariance(data)
+    stats = DataStats.of(data)
     if data.n_obs < 2:
-        res = lw2004(r_hat, 1.0)
+        res = lw2004(stats.r_hat, 1.0)
         return replace(res, flags=res.flags | {FLAG_SINGULAR_INPUT})
-    return lw2004(r_hat, calibration.mse_plugin_alpha(data, haar_orthogonal(data.dim)).alpha)
+    return lw2004(stats.r_hat,
+                  calibration.mse_plugin_alpha(stats, haar_orthogonal(data.dim)).alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +201,7 @@ def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
 
 def lwnl(data: Dataset) -> EstimatorResult:
     """Nonlinear eigenvalue shrinkage of the sample covariance."""
-    if data.n_obs < 2:
-        raise ValueError("nonlinear shrinkage requires at least 2 observations")
-    return lwnl_from_covariance(matrixcore.sample_covariance(data), data.n_obs)
+    return DataStats.of(data).lwnl
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +223,9 @@ def ad_lwnl_blend(data: Dataset, g: GroupAction, alpha: float) -> EstimatorResul
     """Blend with the sample term upgraded to its nonlinear shrinkage:
     (1 - alpha) LWNL + alpha P_G(R_hat), the projection taken of the raw
     sample covariance."""
-    r_hat = matrixcore.sample_covariance(data)
-    shrunk = lwnl_from_covariance(r_hat, data.n_obs)
-    return _blend(EST_ADLWNL, shrunk.matrix, reynolds_project(g, r_hat), alpha, g.name,
-                  shrunk.flags)
+    stats = DataStats.of(data)
+    return _blend(EST_ADLWNL, stats.lwnl.matrix, reynolds_project(g, stats.r_hat), alpha,
+                  g.name, stats.lwnl.flags)
 
 
 # ---------------------------------------------------------------------------

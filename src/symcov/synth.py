@@ -20,7 +20,7 @@ import numpy as np
 from . import bmg as bmg_mod
 from . import groups, matrixcore, shrinkage
 from .bmg import BMGReport, CandidateLibrary
-from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, FoldScheme, FoldStats
+from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, DataStats, FoldScheme
 from .groups import GroupAction, parse_group_spec, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
@@ -378,9 +378,9 @@ def run_mp_verification(c: float, spec: PopulationSpec, trials: int,
     err = {"sample": np.empty(trials), "lw2004": np.empty(trials),
            "lwnl": np.empty(trials)}
     for t in range(trials):
-        data = _draw_gaussian(*root, n, (base_seed, "mp", t))
+        data = DataStats.of(_draw_gaussian(*root, n, (base_seed, "mp", t)))
         fits = {
-            "sample": matrixcore.sample_covariance(data).values,
+            "sample": data.r_hat.values,
             "lw2004": shrinkage.lw2004_auto(data).matrix.values,
             "lwnl": shrinkage.lwnl(data).matrix.values,
         }
@@ -474,23 +474,21 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
     record = TrialRecord(cell_n=n, trial=trial, seed=config.base_seed,
                          nll={}, frob={})
     try:
-        train = _draw_gaussian(*root, n, (config.base_seed, cell_idx, trial, 0))
+        train = DataStats.of(_draw_gaussian(*root, n, (config.base_seed, cell_idx, trial, 0)))
         test = _draw_gaussian(*root, config.n_test, (config.base_seed, cell_idx, trial, 1))
         r_test = matrixcore.sample_covariance(test)
         folds = FoldScheme.feasible_contiguous(n, config.folds)
-        fold_stats = None if folds is None else FoldStats(train, folds)
         wanted = set(config.estimators)
         fitted: dict[str, SymmetricMatrix] = {}
         if "sample" in wanted:
-            fitted["sample"] = matrixcore.sample_covariance(train)
+            fitted["sample"] = train.r_hat
         if "lw2004" in wanted:
             fitted["lw2004"] = shrinkage.lw2004_auto(train).matrix
         if "lwnl" in wanted:
             fitted["lwnl"] = shrinkage.lwnl(train).matrix
         if wanted & {"ad_bmg", "shah_bmg"}:
             est_ad, record.ad = bmg_mod.bmg_with_fallback(
-                train, config.library, config.kappa, config.grid, folds,
-                use_lwnl=False, fold_stats=fold_stats)
+                train, config.library, config.kappa, config.grid, folds, use_lwnl=False)
             if "ad_bmg" in wanted:
                 fitted["ad_bmg"] = est_ad.matrix
             if "shah_bmg" in wanted:
@@ -498,8 +496,7 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
                     train, config.library, record.ad).matrix
         if "ad_lwnl_bmg" in wanted:
             est_lw, record.ad_lwnl = bmg_mod.bmg_with_fallback(
-                train, config.library, config.kappa, config.grid, folds,
-                use_lwnl=True, fold_stats=fold_stats)
+                train, config.library, config.kappa, config.grid, folds, use_lwnl=True)
             fitted["ad_lwnl_bmg"] = est_lw.matrix
         for name, matrix in fitted.items():
             record.nll[name] = matrixcore.gaussian_nll_per_sample(matrix, r_test)
@@ -595,6 +592,7 @@ _SWEEP_KEYS = {
     "estimators": ("estimators",
                    lambda val: tuple(tok.strip() for tok in val.split(",") if tok.strip())),
 }
+_CONFIG_KEYS = {"m", "library", "n_list", "population_group", *_POPULATION_KEYS, *_SWEEP_KEYS}
 
 
 def _given(raw: dict[str, str], keys: dict) -> dict:
@@ -602,16 +600,19 @@ def _given(raw: dict[str, str], keys: dict) -> dict:
 
 
 def parse_sweep_config(path) -> SweepConfig:
+    """A sweep config of key=value lines; a line that is not key=value, an
+    unknown key and a repeated key each raise ValueError naming its line."""
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line {line!r} (expected key=value)")
-            key, val = line.split("=", 1)
-            raw[key.strip()] = val.strip()
+    for no, line in matrixcore.read_csv_lines(path):
+        key, sep, val = (part.strip() for part in line.partition("="))
+        if line.startswith("#"):
+            continue
+        if not sep:
+            raise ValueError(f"{path}:{no}: bad config line {line!r} (expected key=value)")
+        if key in raw or key not in _CONFIG_KEYS:
+            reason = "given twice" if key in raw else "unknown"
+            raise ValueError(f"{path}:{no}: config key {key!r} {reason}")
+        raw[key] = val
     try:
         group = parse_group_spec(raw["population_group"]) if "population_group" in raw else None
         population = PopulationSpec(m=int(raw["m"]), group=group,

@@ -15,7 +15,7 @@ from symcov.bmg import (
     tier2_select,
     write_report_csv,
 )
-from symcov.calibration import AlphaGrid, FoldScheme, FoldStats, cv_nll_alpha
+from symcov.calibration import AlphaGrid, FoldScheme, cv_nll_alpha
 from symcov.matrixcore import Dataset, SymmetricMatrix, sample_covariance
 
 
@@ -218,22 +218,6 @@ class TestFallback:
         shah = shah_at_selected(data, lib, report)
         np.testing.assert_array_equal(shah.matrix.values,
                                       sample_covariance(data).values)
-
-
-class TestFoldStatsGuard:
-    def test_stats_for_other_rows_or_folds_rejected(self):
-        rng = np.random.default_rng(71)
-        data = Dataset(rng.standard_normal((30, 4))).center()
-        other = Dataset(rng.standard_normal((30, 4))).center()
-        lib = small_library()
-        folds = FoldScheme.contiguous(30, 5)
-        stats = FoldStats(data, folds)
-        with pytest.raises(ValueError, match="fold statistics"):
-            bmg_with_fallback(other, lib, folds=folds, fold_stats=stats)
-        with pytest.raises(ValueError, match="fold statistics"):
-            bmg_with_fallback(data, lib, folds=FoldScheme.contiguous(30, 3), fold_stats=stats)
-        with pytest.raises(ValueError, match="fold statistics"):
-            tier2_select(other, list(lib.candidates), folds=folds, fold_stats=stats)
 
 
 class TestReportCsv:

@@ -7,8 +7,8 @@ from symcov import calibration, groups, matrixcore, shrinkage, synth
 from symcov.calibration import (
     AlphaGrid,
     DEFAULT_GRID,
+    DataStats,
     FoldScheme,
-    FoldStats,
     METHOD_CV_NLL,
     METHOD_MSE_PLUGIN,
     NOTE_DENOMINATOR_DEGENERATE,
@@ -338,34 +338,40 @@ class TestFoldStats:
         assert calls == ["s6"] * folds.k
 
     def test_haar_groups_of_one_dimension_share_a_target(self):
-        data = _rows(30, 6, 67)
-        stats = FoldStats(data, FoldScheme.contiguous(30))
+        stats, folds = DataStats.of(_rows(30, 6, 67)), FoldScheme.contiguous(30)
         other = groups.GroupAction("haar-b", 6, kind=groups.KIND_HAAR)
-        assert stats.targets(groups.haar_orthogonal(6)) is stats.targets(other)
+        assert stats.targets(folds, groups.haar_orthogonal(6)) is stats.targets(folds, other)
 
     def test_shared_stats_give_standalone_results_bitwise(self):
         data = _rows(60, 12, 68)
         cands = [groups.trivial(12), groups.wreath_shifts(3, 4), groups.haar_orthogonal(12)]
         folds = FoldScheme.contiguous(60)
-        stats = FoldStats(data, folds)
+        stats = DataStats.of(data)
         for use_lwnl in (False, True):
-            shared = cv_nll_alphas(data, cands, folds=folds, use_lwnl_sample_term=use_lwnl,
-                                   fold_stats=stats)
+            shared = cv_nll_alphas(stats, cands, folds=folds, use_lwnl_sample_term=use_lwnl)
             alone = cv_nll_alphas(data, cands, folds=folds, use_lwnl_sample_term=use_lwnl)
             for x, y in zip(shared, alone):
                 np.testing.assert_array_equal(x.fold_scores, y.fold_scores)
                 assert (x.alpha, x.per_alpha_scores) == (y.alpha, y.per_alpha_scores)
 
     def test_stats_for_other_rows_or_folds_rejected(self):
-        data, g = _rows(30, 6, 70), groups.cyclic(6)
-        folds = FoldScheme.contiguous(30, 5)
-        stats = FoldStats(data, folds)
-        with pytest.raises(ValueError, match="fold statistics"):
-            cv_nll_alphas(_rows(30, 6, 71), [g], folds=folds, fold_stats=stats)
-        with pytest.raises(ValueError, match="fold statistics"):
-            cv_nll_alphas(data, [g], folds=FoldScheme.contiguous(30, 3), fold_stats=stats)
+        # a DataStats is its own rows, so only a fold scheme can mismatch
+        stats, g = DataStats.of(_rows(30, 6, 70)), groups.cyclic(6)
         with pytest.raises(ValueError, match="fold scheme"):
-            FoldStats(data, FoldScheme.contiguous(31, 5))
+            cv_nll_alphas(stats, [g], folds=FoldScheme.contiguous(31, 5))
+        with pytest.raises(ValueError, match="fold scheme"):
+            stats.targets(FoldScheme.contiguous(29, 5), g)
+
+    def test_of_wraps_once_and_caches_per_scheme(self):
+        data = _rows(30, 6, 72)
+        stats = DataStats.of(data)
+        assert DataStats.of(stats) is stats and DataStats.of(data) is not stats
+        np.testing.assert_array_equal(stats.rows, data.rows)
+        assert stats.r_hat is stats.r_hat and stats.lwnl is stats.lwnl
+        np.testing.assert_array_equal(stats.r_hat.values, sample_covariance(data).values)
+        five, three = FoldScheme.contiguous(30, 5), FoldScheme.contiguous(30, 3)
+        assert stats.moments(five) is stats.moments(FoldScheme.contiguous(30, 5))
+        assert len(stats.moments(three)) == 3 and stats.moments(three) is not stats.moments(five)
 
 
 class TestOneStandardErrorRule:

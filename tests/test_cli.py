@@ -309,6 +309,13 @@ base_seed = 9
 """
 
 
+def sweep_cfg_with(line):
+    """SWEEP_CFG with ``line`` in place of the line setting the same key."""
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in SWEEP_CFG.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 class TestSweepAndDecoy:
     def test_sweep_row_count(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -321,7 +328,7 @@ class TestSweepAndDecoy:
     @pytest.mark.parametrize("key", ["folds", "grid_points"])
     def test_sweep_single_fold_or_grid_point_is_config_error(self, tmp_path, key):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_CFG + f"{key} = 1\n")
+        cfg.write_text(sweep_cfg_with(f"{key} = 1"))
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
 
     @pytest.mark.parametrize("line, key", [("kappa = 0.5", "kappa"), ("n_list = 16,0", "n_list"),
@@ -330,10 +337,25 @@ class TestSweepAndDecoy:
     def test_sweep_config_failing_every_trial_is_config_error(self, tmp_path, capsys,
                                                               line, key):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_CFG + line + "\n")
+        cfg.write_text(sweep_cfg_with(line))
         out = tmp_path / "o.csv"
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "decoy"])
+    @pytest.mark.parametrize("line, message", [
+        ("populaton = identity", ":14: config key 'populaton' unknown"),
+        ("trials = 3", ":14: config key 'trials' given twice"),
+    ])
+    def test_unknown_or_repeated_key_is_config_error_naming_it(self, tmp_path, capsys,
+                                                               command, line, message):
+        # SWEEP_CFG has 13 lines, its first blank, so the added line is line 14
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + line + "\n")
+        out = tmp_path / "o.csv"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}{message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_deterministic_under_threads(self, tmp_path):

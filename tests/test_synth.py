@@ -1,13 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from symcov import bmg as bmg_mod
-from symcov import calibration, groups, synth
+from symcov import calibration, groups, matrixcore, shrinkage, synth
 from symcov.bmg import CandidateLibrary, delta_residual, tier1_admit
 from symcov.groups import reynolds_project
-from symcov.matrixcore import SymmetricMatrix, sample_covariance
+from symcov.matrixcore import Dataset, SymmetricMatrix, sample_covariance
 from symcov.synth import (
     PopulationSpec,
     SweepConfig,
@@ -343,7 +344,7 @@ def _bmg_trial_config(library, n):
 
 
 class TestTrialFoldSharing:
-    """One sweep trial builds one calibration.FoldStats for both BMG
+    """One sweep trial hands one calibration.DataStats to both BMG
     selections."""
 
     @pytest.mark.parametrize("n", [50, 400])
@@ -360,9 +361,11 @@ class TestTrialFoldSharing:
         (record,) = run_trial_sweep(_bmg_trial_config(pathway_decoys, n))
         assert record.error is None
         assert [kw["use_lwnl"] for _, kw, _ in calls] == [False, True]
-        assert calls[0][1]["fold_stats"] is calls[1][1]["fold_stats"] is not None
+        train = calls[0][0][0]
+        assert isinstance(train, calibration.DataStats) and calls[1][0][0] is train
         for (args, kwargs, (est, report)), recorded in zip(calls, (record.ad, record.ad_lwnl)):
-            alone_est, alone = original(*args, use_lwnl=kwargs["use_lwnl"])
+            plain = Dataset(train.rows, train.centered)
+            alone_est, alone = original(plain, *args[1:], use_lwnl=kwargs["use_lwnl"])
             assert recorded == report == alone
             assert np.array_equal(est.matrix.values, alone_est.matrix.values)
 
@@ -380,6 +383,41 @@ class TestTrialFoldSharing:
         distinct = {groups.orbit_partition(g).sym_class_of.tobytes() for g in admitted}
         assert len(distinct) < len(admitted) == len(pathway_decoys.candidates)
         assert len(projections) == len(factorizations) == config.folds * len(distinct)
+
+
+def _record_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` under every symcov module attribute bound to it
+    and return the list its calls' arguments are appended to."""
+    original, calls = getattr(module, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("symcov.") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+class TestTrialStatistics:
+    """One sweep record forms the training R_hat once and its LWNL once."""
+
+    @pytest.mark.parametrize("n, k", [(40, 5), (2, 0)])   # N = 2 falls back: no folds
+    def test_each_statistic_formed_once_per_record(self, monkeypatch, n, k):
+        moments = _record_calls(monkeypatch, matrixcore, "second_moment")
+        lwnl_inputs = _record_calls(monkeypatch, shrinkage, "lwnl_from_covariance")
+        config = SweepConfig(
+            population=PopulationSpec(m=20, kind=synth.POP_BLOCK_CIRCULANT, block_size=5),
+            library=pathway_library(20, 5), n_list=(n,), n_test=30, trials=1)
+        (record,) = run_trial_sweep(config)
+        assert record.error is None and set(record.nll) == set(synth.ESTIMATOR_ORDER)
+        assert (record.ad.fallback_used, record.ad_lwnl.fallback_used) == (k == 0, k == 0)
+        # the training R_hat, the test covariance, and k training/held-out pairs
+        assert len(moments) == 2 * k + 2
+        # the training R_hat's, then one per fold sample term
+        assert len(lwnl_inputs) == k + 1
+        assert len({(r.values.tobytes(), n_obs) for r, n_obs in lwnl_inputs}) == k + 1
 
 
 class TestSweepConfigFile:
