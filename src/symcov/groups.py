@@ -44,7 +44,20 @@ def _as_perm(gen, m: int) -> Perm:
     arr = np.asarray(gen, dtype=int)
     if arr.shape != (m,) or not np.array_equal(np.sort(arr), np.arange(m)):
         raise GroupValidationError(f"generator {arr.tolist()} is not a permutation of 0..{m - 1}")
-    return tuple(int(v) for v in arr)
+    return tuple(arr.tolist())
+
+
+def _as_perms(gens, m: int) -> tuple[Perm, ...]:
+    """Every generator as a tuple of ints, checked in one stacked sort; when
+    the stack is not a set of permutations, the first bad generator raises
+    through ``_as_perm``."""
+    try:
+        arr = np.asarray(gens, dtype=int)
+    except (TypeError, ValueError):   # ragged, or not integers
+        arr = None
+    if arr is not None and arr.shape == (len(gens), m) and (np.sort(arr, axis=1) == np.arange(m)).all():
+        return tuple(map(tuple, arr.tolist()))
+    return tuple(_as_perm(gen, m) for gen in gens)
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,7 @@ class GroupAction:
             raise GroupValidationError(f"unknown group kind {self.kind!r}")
         if self.dim < 1:
             raise GroupValidationError("group dimension must be >= 1")
-        gens = tuple(_as_perm(g, self.dim) for g in self.generators)
+        gens = _as_perms(tuple(self.generators), self.dim)
         if self.kind == KIND_HAAR and gens:
             raise GroupValidationError(f"kind {self.kind} carries no generators")
         object.__setattr__(self, "generators", gens)
@@ -101,11 +114,24 @@ class OrbitPartition:
         self.sym_anchor.flags.writeable = False
 
 
-def _renumber_first_occurrence(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel components as 0..k-1 in order of first appearance (row-major)."""
-    _, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first_idx))
-    return order[inverse], len(first_idx)
+def _renumber_first_occurrence(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relabel components as 0..k-1 in order of first appearance (row-major),
+    without sorting the labels; also return each new label's first index."""
+    first = np.full(labels.max() + 1, labels.size)
+    np.minimum.at(first, labels, np.arange(labels.size))
+    anchor = np.sort(first[first < labels.size])
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[labels[anchor]] = np.arange(len(anchor))
+    return rank[labels], anchor
+
+
+def _distinct(values: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """np.unique(values) by one sort: several times faster than np.unique's
+    hashing on the heavily repeated join keys of orbit_partition."""
+    values = np.sort(values, kind=kind)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,6 +147,11 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return root
 
 
+# Label entries orbit_partition compares per chunk of its joins: 512 KB of
+# int64 per gathered array, which keeps the chunk's sort in cache.
+_JOIN_ENTRIES = 1 << 16
+
+
 @functools.lru_cache(maxsize=128)
 def orbit_partition(g: GroupAction) -> OrbitPartition:
     """Orbit classes of ordered pairs under the generated group.
@@ -132,6 +163,8 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
     k's orbit and the transversal element u_k maps r to k; one union-find
     joins the labels of (i, j) and (g(i), g(j)) for every generator g. Each
     join is made by a group element, so the classes are exactly the orbitals.
+    Classes are numbered in order of first appearance (row-major), so the
+    result does not depend on the transversal or on the order of the joins.
     """
     if g.kind == KIND_HAAR:
         raise GroupValidationError(f"orbit_partition undefined for kind {g.kind}")
@@ -144,30 +177,38 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
     reached = rep == points
     frontier = np.flatnonzero(reached)
     u_inv = np.tile(points, (m, 1))
+    via = np.full(m, -1)
     while frontier.size:
-        images, first = np.unique(gens[:, frontier], return_index=True)
-        new = ~reached[images]
-        gen_of, parent = np.divmod(first[new], frontier.size)
-        u_inv[images[new]] = u_inv[frontier[parent][:, None], inv_gens[gen_of]]
-        frontier = images[new]
+        images = gens[:, frontier].ravel()
+        fresh = np.flatnonzero(~reached[images])
+        via[images[fresh]] = fresh   # any one step reaching a point will do
+        new = np.flatnonzero(~reached & (via >= 0))
+        gen_of, parent = np.divmod(via[new], frontier.size)
+        u_inv[new] = u_inv[frontier[parent][:, None], inv_gens[gen_of]]
+        frontier = new
         reached[frontier] = True
     raw = rep[:, None] * m + u_inv
+    # Each generator g joins the labels of (s, y) and (g(s), g(y)) for every
+    # point s it moves, in the rows and then in the columns of the labels; a
+    # pair of fixed points keeps its label. The moved points of all
+    # generators are compared together, _JOIN_ENTRIES labels per chunk.
+    gen_of, point = np.nonzero(gens != points)
+    step = max(1, _JOIN_ENTRIES // m)
     joins = [np.empty(0, dtype=np.intp)]
-    for perm in gens:
-        s = np.flatnonzero(perm != points)   # a pair of fixed points keeps its label
-        for r in (raw, raw.T):               # the moved points' rows, then columns
-            moved, kept = r[np.ix_(perm[s], perm)], r[s]
+    for r in (raw, raw.T):
+        for lo in range(0, len(point), step):
+            k, s = gen_of[lo:lo + step], point[lo:lo + step]
+            kept, moved = r[s], r[gens[k, s][:, None], gens[k]]
             differ = moved != kept
-            joins.append(np.unique(kept[differ] * (m * m) + moved[differ]))
-    src, dst = np.divmod(np.concatenate(joins), m * m)
-    labels, n_classes = _renumber_first_occurrence(_components(m * m, src, dst)[raw.ravel()])
+            joins.append(_distinct(kept[differ] * (m * m) + moved[differ]))
+    # each chunk's keys are sorted, so a stable sort (timsort) merges the runs
+    src, dst = np.divmod(_distinct(np.concatenate(joins), kind="stable"), m * m)
+    labels, anchor = _renumber_first_occurrence(_components(m * m, src, dst)[raw.ravel()])
     class_of = labels.reshape(m, m)
     # Transposition is an involution on classes: merge each with its image.
-    sym_labels, d_g = _renumber_first_occurrence(np.minimum(class_of, class_of.T).ravel())
-    sym_class_of = sym_labels.reshape(m, m)
-    _, sym_anchor = np.unique(sym_labels, return_index=True)
-    return OrbitPartition(dim=m, class_of=class_of, n_classes=n_classes,
-                          sym_class_of=sym_class_of, d_g=d_g,
+    sym_labels, sym_anchor = _renumber_first_occurrence(np.minimum(class_of, class_of.T).ravel())
+    return OrbitPartition(dim=m, class_of=class_of, n_classes=len(anchor),
+                          sym_class_of=sym_labels.reshape(m, m), d_g=len(sym_anchor),
                           sym_anchor=sym_anchor)
 
 
@@ -260,18 +301,16 @@ def cyclic(m: int) -> GroupAction:
 
 
 def transposition(m: int, i: int = 0, j: int = 1) -> GroupAction:
-    perm = list(range(m))
+    perm = np.arange(m)
     perm[i], perm[j] = j, i
-    return GroupAction(name=f"z2-swap{i}{j}-{m}", dim=m, generators=(tuple(perm),))
+    return GroupAction(name=f"z2-swap{i}{j}-{m}", dim=m, generators=(perm,))
 
 
-def _grid_perm(height: int, width: int, fn) -> Perm:
-    perm = np.empty(height * width, dtype=int)
-    for r in range(height):
-        for c in range(width):
-            r2, c2 = fn(r, c)
-            perm[r * width + c] = r2 * width + c2
-    return tuple(int(v) for v in perm)
+def _grid_perm(height: int, width: int, fn) -> np.ndarray:
+    """The permutation sending cell (r, c) to fn(r, c), evaluated on the
+    row and column index arrays of every cell at once."""
+    r2, c2 = fn(*np.divmod(np.arange(height * width), width))
+    return r2 * width + c2
 
 
 def grid_cyclic(height: int, width: int, axis: str) -> GroupAction:
@@ -361,27 +400,27 @@ def cartesian_power_shifts(block_size: int, n_blocks: int,
                            name: str | None = None) -> GroupAction:
     """Z_K^B: one independent cyclic-shift generator per block."""
     slots = _block_slots(block_size, n_blocks, perm)
-    m = block_size * n_blocks
-    gens = []
-    for b in range(n_blocks):
-        p = np.arange(m)
-        p[slots[b]] = slots[b][(np.arange(block_size) + 1) % block_size]
-        gens.append(tuple(int(v) for v in p))
     return GroupAction(
         name=name or f"z{block_size}-pow{n_blocks}",
-        dim=m, generators=tuple(gens),
+        dim=slots.size, generators=_block_shift_gens(slots),
     )
 
 
-def _block_swap_gens(slots: np.ndarray) -> list[Perm]:
+def _block_shift_gens(slots: np.ndarray) -> np.ndarray:
+    """One generator per block, shifting that block's slots cyclically by one."""
+    n_blocks = len(slots)
+    gens = np.tile(np.arange(slots.size), (n_blocks, 1))
+    gens[np.arange(n_blocks)[:, None], slots] = np.roll(slots, -1, axis=1)
+    return gens
+
+
+def _block_swap_gens(slots: np.ndarray) -> np.ndarray:
+    """One generator per adjacent pair of blocks, exchanging them slot by slot."""
     n_blocks, _ = slots.shape
-    m = slots.size
-    gens = []
-    for b in range(n_blocks - 1):
-        p = np.arange(m)
-        p[slots[b]] = slots[b + 1]
-        p[slots[b + 1]] = slots[b]
-        gens.append(tuple(int(v) for v in p))
+    gens = np.tile(np.arange(slots.size), (n_blocks - 1, 1))
+    rows = np.arange(n_blocks - 1)[:, None]
+    gens[rows, slots[:-1]] = slots[1:]
+    gens[rows, slots[1:]] = slots[:-1]
     return gens
 
 
@@ -391,23 +430,22 @@ def wreath_shifts(block_size: int, n_blocks: int,
     """Z_K wr S_B: independent per-block shifts lifted by free permutation of
     the blocks (B shift generators plus B-1 block-adjacent transpositions)."""
     slots = _block_slots(block_size, n_blocks, perm)
-    base = cartesian_power_shifts(block_size, n_blocks, perm)
-    gens = base.generators + tuple(_block_swap_gens(slots))
     return GroupAction(
         name=name or f"z{block_size}-wr-s{n_blocks}",
-        dim=base.dim, generators=gens,
+        dim=slots.size, generators=np.concatenate((_block_shift_gens(slots),
+                                                   _block_swap_gens(slots))),
     )
 
 
 def wreath_rowshift_rowcycle(height: int, width: int) -> GroupAction:
     """Independent per-row column shifts lifted by the cyclic row rotation
     (Z_W wr Z_H on the row-major grid)."""
-    base = cartesian_power_shifts(width, height)
-    rowcycle = grid_cyclic(height, width, "row")
+    shifts = _block_shift_gens(_block_slots(width, height, None))
+    rowcycle = _grid_perm(height, width, lambda r, c: ((r + 1) % height, c))
     return GroupAction(
         name=f"z{width}-wr-z{height}-{height}x{width}",
         dim=height * width,
-        generators=base.generators + rowcycle.generators,
+        generators=np.vstack((shifts, rowcycle)),
     )
 
 
@@ -419,16 +457,13 @@ def block_symmetric(block_size: int, n_blocks: int,
     Generators are the within-block adjacent transpositions.
     """
     slots = _block_slots(block_size, n_blocks, perm)
-    m = block_size * n_blocks
-    gens = []
-    for b in range(n_blocks):
-        for s in range(block_size - 1):
-            p = np.arange(m)
-            p[slots[b, s]], p[slots[b, s + 1]] = slots[b, s + 1], slots[b, s]
-            gens.append(tuple(int(v) for v in p))
+    left, right = slots[:, :-1].ravel(), slots[:, 1:].ravel()   # block-major
+    gens = np.tile(np.arange(slots.size), (len(left), 1))
+    rows = np.arange(len(left))
+    gens[rows, left], gens[rows, right] = right, left
     return GroupAction(
         name=name or f"block-s{block_size}x{n_blocks}",
-        dim=m, generators=tuple(gens),
+        dim=slots.size, generators=gens,
     )
 
 
@@ -437,14 +472,11 @@ def tied_cyclic_blocks(block_size: int, n_blocks: int,
                        name: str | None = None) -> GroupAction:
     """Z_K shifting every block simultaneously by the same offset (order K)."""
     slots = _block_slots(block_size, n_blocks, perm)
-    m = block_size * n_blocks
-    p = np.arange(m)
-    rolled = np.roll(np.arange(block_size), -1)
-    for b in range(n_blocks):
-        p[slots[b]] = slots[b][rolled]
+    p = np.arange(slots.size)
+    p[slots] = np.roll(slots, -1, axis=1)
     return GroupAction(
         name=name or f"z{block_size}-tied{n_blocks}",
-        dim=m, generators=(tuple(int(v) for v in p),),
+        dim=slots.size, generators=(p,),
     )
 
 
@@ -588,12 +620,15 @@ def read_group_file(path) -> GroupAction:
         raise ValueError(f"{path}:{gens[0][0]}: kind {kind} carries no generators")
     if kind in _LEGACY_KINDS:
         return replace(_LEGACY_KINDS[kind](dim), name=name)
-    for no, gen in gens:
-        try:
-            _as_perm(gen, dim)
-        except GroupValidationError as exc:
-            raise ValueError(f"{path}:{no}: {exc}") from None
-    return GroupAction(name=name, dim=dim, generators=tuple(g for _, g in gens), kind=kind)
+    try:
+        return GroupAction(name=name, dim=dim, generators=tuple(g for _, g in gens), kind=kind)
+    except GroupValidationError:
+        for no, gen in gens:   # name the line of the first bad generator
+            try:
+                _as_perm(gen, dim)
+            except GroupValidationError as exc:
+                raise ValueError(f"{path}:{no}: {exc}") from None
+        raise
 
 
 def read_library_dir(path) -> list[GroupAction]:

@@ -100,12 +100,14 @@ def lw2004_auto(data: Dataset) -> EstimatorResult:
     """Linear shrinkage with intensity from the Frobenius-MSE plug-in taken
     at the Haar-orthogonal group, whose projection is the scaled identity.
 
-    A single centered observation is the zero row; it carries no anisotropy
-    information, so the degenerate-denominator branch of the plug-in applies
-    and alpha is pinned to 1.
+    Up to two centered rows hold at most one effective observation: one row
+    centers to zero, and two center to x and -x, for which the plug-in
+    returns alpha = 0 and the singular rank-1 sample covariance. Such input
+    carries no anisotropy information, so alpha is pinned to 1 and the
+    result is flagged ``singular_input``.
     """
     stats = DataStats.of(data)
-    if data.n_obs < 2:
+    if data.n_obs <= 2:
         res = lw2004(stats.r_hat, 1.0)
         return replace(res, flags=res.flags | {FLAG_SINGULAR_INPUT})
     return lw2004(stats.r_hat,

@@ -484,7 +484,7 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
             fitted["sample"] = train.r_hat
         if "lw2004" in wanted:
             fitted["lw2004"] = shrinkage.lw2004_auto(train).matrix
-        if "lwnl" in wanted:
+        if "lwnl" in wanted and n >= 2:   # undefined below 2 rows: left empty
             fitted["lwnl"] = shrinkage.lwnl(train).matrix
         if wanted & {"ad_bmg", "shah_bmg"}:
             est_ad, record.ad = bmg_mod.bmg_with_fallback(

@@ -1,7 +1,7 @@
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +60,28 @@ def small_groups():
 
 
 class TestValidation:
-    def test_non_permutation_generator_rejected(self):
-        with pytest.raises(GroupValidationError):
-            GroupAction(name="bad", dim=3, generators=((0, 0, 1),))
+    @pytest.mark.parametrize("gens, shown", [
+        (((0, 0, 1),), "[0, 0, 1]"),
+        (((1, 0),), "[1, 0]"),
+        (((1, 2, 0), (2, 0, 0), (0, 0, 0)), "[2, 0, 0]"),
+        ((np.array([1, 2, 0]), np.array([0, 1, 2, 3])), "[0, 1, 2, 3]"),
+    ], ids=["non-permutation", "wrong-length", "bad-after-valid", "ragged-arrays"])
+    def test_non_permutation_generator_rejected(self, gens, shown):
+        # the message names the first bad generator
+        with pytest.raises(GroupValidationError,
+                           match=re.escape(f"generator {shown} is not a permutation of 0..2")):
+            GroupAction(name="bad", dim=3, generators=gens)
+
+    def test_generator_containers_give_equal_actions(self):
+        perms = [[1, 2, 0, 3], [0, 1, 3, 2]]
+        forms = [perms, tuple(map(tuple, perms)), np.array(perms),
+                 [np.array(p, dtype=np.int32) for p in perms]]
+        actions = [GroupAction(name="g", dim=4, generators=f) for f in forms]
+        assert all(a == actions[0] and hash(a) == hash(actions[0]) for a in actions)
+        for a in actions:
+            assert a.generators == ((1, 2, 0, 3), (0, 1, 3, 2))
+            assert all(type(v) is int for gen in a.generators for v in gen)
+            assert all(type(gen) is tuple for gen in a.generators)
 
     def test_closed_form_kinds_carry_no_generators(self):
         with pytest.raises(GroupValidationError):
@@ -215,6 +234,31 @@ class TestOrbitPartition:
             np.testing.assert_array_equal(part.sym_anchor, sym_anchor, err_msg=g.name)
             assert (part.n_classes, part.d_g) == (n_classes, d_g), g.name
 
+    @pytest.mark.parametrize("spec", ["preset:pathway100+decoys", "preset:grid8"])
+    def test_chunked_joins_match_one_chunk(self, monkeypatch, spec):
+        # orbit_partition compares its joins in chunks of _JOIN_ENTRIES
+        # labels; one or three rows per chunk give the one-chunk result
+        cands = [g for g in synth.parse_library_spec(spec).candidates
+                 if g.kind == groups.KIND_GENERATOR]
+        m = cands[0].dim
+
+        def partitions(budget):
+            monkeypatch.setattr(groups, "_JOIN_ENTRIES", budget)
+            orbit_partition.cache_clear()
+            return [orbit_partition(g) for g in cands]
+
+        whole = partitions(1 << 40)
+        for rows in (1, 3):
+            for g, want, got in zip(cands, whole, partitions(rows * m)):
+                for field in fields(groups.OrbitPartition):
+                    a, b = getattr(want, field.name), getattr(got, field.name)
+                    if isinstance(a, np.ndarray):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                            (g.name, rows, field.name)
+                    else:
+                        assert type(a) is type(b) and a == b, (g.name, rows, field.name)
+        orbit_partition.cache_clear()
+
     def test_cli_import_leaves_scipy_sparse_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -317,6 +361,46 @@ class TestConstructors:
             == ["z5-flat", "z3-cols-2x3", "z2-2-cartesian"]
         with pytest.raises(GroupValidationError):
             groups.pairwise_z2_power(5)
+
+    @pytest.mark.parametrize("k, b", [(1, 3), (3, 1), (2, 3), (4, 5)])
+    def test_array_constructors_match_loop_reference(self, k, b):
+        # the constructors fill generator arrays in one pass; the per-block
+        # and per-cell loops below are the reference they must equal
+        m = k * b
+        perm = groups.random_partition_perm(m, k, 5)
+        slots = perm.reshape(b, k)
+
+        def with_cycles(cycles):
+            p = list(range(m))
+            for src, dst in cycles:
+                for i, j in zip(src, dst):
+                    p[i] = int(j)
+            return tuple(p)
+
+        shifts = [with_cycles([(slots[i], np.roll(slots[i], -1))]) for i in range(b)]
+        swaps = [with_cycles([(slots[i], slots[i + 1]), (slots[i + 1], slots[i])])
+                 for i in range(b - 1)]
+        transp = [with_cycles([(slots[i, [s, s + 1]], slots[i, [s + 1, s]])])
+                  for i in range(b) for s in range(k - 1)]
+        tied = with_cycles([(slots[i], np.roll(slots[i], -1)) for i in range(b)])
+        assert groups.cartesian_power_shifts(k, b, perm).generators == tuple(shifts)
+        assert groups.wreath_shifts(k, b, perm).generators == tuple(shifts + swaps)
+        assert groups.block_symmetric(k, b, perm).generators == tuple(transp)
+        assert groups.tied_cyclic_blocks(k, b, perm).generators == (tied,)
+
+        def cells(fn):
+            return tuple(fn(r, c)[0] * k + fn(r, c)[1] for r in range(b) for c in range(k))
+
+        rowcycle = cells(lambda r, c: ((r + 1) % b, c))
+        assert groups.grid_cyclic(b, k, "row").generators == (rowcycle,)
+        assert groups.grid_klein(b, k).generators == (
+            cells(lambda r, c: (r, k - 1 - c)), cells(lambda r, c: (b - 1 - r, c)))
+        assert groups.grid_dihedral(b, k, "row").generators == (
+            rowcycle, cells(lambda r, c: (b - 1 - r, c)))
+        assert groups.wreath_rowshift_rowcycle(b, k).generators[-1] == rowcycle
+        assert groups.grid_d4(k).generators == tuple(
+            tuple(f(r, c)[0] * k + f(r, c)[1] for r in range(k) for c in range(k))
+            for f in (lambda r, c: (c, k - 1 - r), lambda r, c: (c, r)))
 
     def test_direct_product_dim_mismatch(self):
         with pytest.raises(Exception):

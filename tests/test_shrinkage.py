@@ -14,6 +14,7 @@ from symcov.shrinkage import (
     FLAG_ALPHA_PINNED_1,
     FLAG_DEGENERATE_SPECTRUM,
     FLAG_RANK_AWARE_KDE,
+    FLAG_SINGULAR_INPUT,
     ad_blend,
     ad_lwnl_blend,
     lw2004,
@@ -73,6 +74,14 @@ class TestLw2004Auto:
     def test_single_observation_pins_alpha(self):
         res = lw2004_auto(Dataset(np.array([[1.0, 2.0]])).center())
         assert res.alpha == 1.0
+
+    def test_two_observations_pin_alpha(self):
+        # two centered rows are x and -x: one effective observation, for
+        # which the plug-in alone would return the singular rank-1 R_hat
+        res = lw2004_auto(Dataset(np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 2.0]])).center())
+        assert res.alpha == 1.0
+        assert FLAG_SINGULAR_INPUT in res.flags
+        assert np.all(np.linalg.eigvalsh(res.matrix.values) > 0)
 
     def test_near_identity_population_beats_sample(self):
         # isotropic Wishart M=20, N=10: shrinkage dominates in Frobenius MSE

@@ -322,6 +322,23 @@ class TestTrialSweep:
         assert rec.error is None
         assert all(math.isfinite(v) for v in rec.nll.values())
 
+    def test_one_and_two_rows_keep_the_record(self):
+        # N = 1: LWNL is undefined and left empty, every other estimator is
+        # scored; N = 2: LW2004 pins alpha = 1, so it and the BMG fallbacks
+        # built on it score a finite held-out NLL
+        config = tiny_sweep_config(n_list=(1, 2), trials=2)
+        for rec in run_trial_sweep(config):
+            row = dict(zip(synth.TRIAL_CSV_COLUMNS, trial_record_row(rec).split(",")))
+            assert row["error"] == ""
+            assert rec.ad.fallback_used and rec.ad_lwnl.fallback_used
+            if rec.cell_n == 1:
+                assert row["nll_lwnl"] == row["frob_lwnl"] == ""
+                assert set(rec.nll) == set(config.estimators) - {"lwnl"}
+            else:
+                assert set(rec.nll) == set(config.estimators)
+                for name in ("lw2004", "ad_bmg", "ad_lwnl_bmg"):
+                    assert math.isfinite(rec.nll[name]), name
+
     def test_csv_round_shape(self, tmp_path):
         config = tiny_sweep_config(trials=2)
         path = tmp_path / "sweep.csv"
