@@ -43,6 +43,10 @@ DEFAULT_FOLDS = 5
 # this fraction of the largest diagonal entry: far above PIVOT_RTOL**2, so the
 # rounding of either factorization (about M^2 eps) cannot flip the verdict.
 CURVE_GUARD = 1e-8
+# _gram_spectrum declines a Gram matrix whose smallest eigenvalue is at most
+# this fraction of its largest: far above eigh's rounding of about n eps
+# lambda_max, so a zero eigenvalue (dependent training rows) never passes.
+GRAM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -167,22 +171,25 @@ def _one_se_index(scores: np.ndarray) -> int:
     return best + 1 + int(promoted[-1]) if promoted.size else best
 
 
-def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float] | None:
-    """(L^-1, logdet T) with T = L L^T, or None when T is not positive definite."""
+def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
+    """(L^-1, logdet T, ||L^-1||_F^2) with T = L L^T, or None when T is not
+    positive definite."""
     ell, info = lapack.dpotrf(t.values, lower=1, clean=1)
     if info == 0:
         inv_ell, info = lapack.dtrtri(ell, lower=1)
-    return (inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell))))) if info == 0 else None
+    if info != 0:
+        return None
+    return inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell)))), float(np.sum(inv_ell**2))
 
 
 class DataStats(Dataset):
     """A dataset that computes on first use, and keeps, R_hat (``r_hat``),
     its ``lwnl_from_covariance`` result (``lwnl``), and per fold scheme the
-    fold ``moments`` and each distinct target's fold projections with their
-    ``_factor``, keyed by merged orbit partition, which fixes the projection
-    bitwise (Haar groups of one dimension share one). Estimators read
-    statistics through ``of``, which wraps a plain Dataset for one call only:
-    only a caller holding a DataStats keeps them."""
+    fold ``moments``, the ``fold_rows`` and each distinct target's fold
+    projections with their ``_factor``, keyed by merged orbit partition,
+    which fixes the projection bitwise (Haar groups of one dimension share
+    one). Estimators read statistics through ``of``, which wraps a plain
+    Dataset for one call only: only a caller holding a DataStats keeps them."""
 
     @classmethod
     def of(cls, data: Dataset) -> "DataStats":
@@ -212,6 +219,13 @@ class DataStats(Dataset):
             (second_moment(self.rows[~mask]), int((~mask).sum()), second_moment(self.rows[mask]))
             for mask in map(folds.fold_mask, range(folds.k))])
 
+    def fold_rows(self, folds: FoldScheme) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(training rows, test rows) per fold."""
+        if folds.n_obs != self.n_obs:
+            raise ValueError("fold scheme built for a different number of rows")
+        return self._cached((folds, "rows"), lambda: [
+            (self.rows[~mask], self.rows[mask]) for mask in map(folds.fold_mask, range(folds.k))])
+
     def targets(self, folds: FoldScheme,
                 g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
         """(T, _factor(T)) per fold, shared by every group of g's partition."""
@@ -220,17 +234,56 @@ class DataStats(Dataset):
             (t, _factor(t)) for t in (reynolds_project(g, r) for r, _, _ in self.moments(folds))))
 
 
+def _eigen_spectrum(residual: np.ndarray, inv_ell: np.ndarray, r_test: SymmetricMatrix,
+                    alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, d) from the M x M eigendecomposition L^-1 (S - T) L^-T = Q diag(mu) Q^T:
+    e = 1 + (1 - alpha) mu and d = diag(Q^T L^-1 R_test L^-T Q)."""
+    mu, q = np.linalg.eigh(inv_ell @ -residual @ inv_ell.T)
+    rot = q.T @ inv_ell
+    return 1.0 + np.outer(1.0 - alphas, mu), np.einsum("ij,ij->i", rot @ r_test.values, rot)
+
+
+def _gram_spectrum(x_train: np.ndarray, x_test: np.ndarray, inv_ell: np.ndarray,
+                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(e, d) of the raw training moment S = X_tr^T X_tr / n_tr with n_tr < M,
+    from the n_tr x n_tr Gram matrix, or None when it is numerically singular.
+
+    With Y = X_tr L^-T / sqrt(n_tr), Z = X_te L^-T and Y Y^T = P diag(lambda)
+    P^T, the directions Y^T p_i have e = alpha + (1 - alpha) lambda_i and
+    d = ||Z Y^T p_i||^2 / (n_te lambda_i); the other M - n_tr directions have
+    e = alpha and share d = ||Z||^2 / n_te - sum d_i, carried on one of them.
+    """
+    n_train, m = x_train.shape
+    y = x_train @ inv_ell.T / np.sqrt(n_train)
+    z = x_test @ inv_ell.T
+    lam, p = np.linalg.eigh(y @ y.T)
+    if lam[0] <= GRAM_RTOL * lam[-1]:
+        return None
+    w = (z @ y.T) @ p
+    d = np.zeros(m)
+    d[:n_train] = np.einsum("ij,ij->j", w, w) / (len(z) * lam)
+    d[n_train] = np.einsum("ij,ij->", z, z) / len(z) - d[:n_train].sum()
+    e = np.repeat(alphas[:, None], m, axis=1)
+    e[:, :n_train] += np.outer(1.0 - alphas, lam)
+    return e, d
+
+
 def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors: tuple | None,
-                 r_test: SymmetricMatrix, alphas: np.ndarray, at_zero: float) -> np.ndarray:
+                 r_test: SymmetricMatrix, alphas: np.ndarray, at_zero: float,
+                 fold_rows: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
-    from one factorization. With T = L L^T, L^-1 (S - T) L^-T = Q diag(mu) Q^T
-    and e = 1 + (1 - alpha) mu, the logdet is logdet T + sum log e and the
-    trace term sum d / e with d = diag(Q^T L^-1 R_test L^-T Q). Alphas not
-    certified to pass the pivot test of ``gaussian_nll_per_sample``
-    (lambda_min(blend) >= min e / ||L^-1||_F^2, and no squared pivot exceeds
-    the largest diagonal entry), and all alphas when T is not positive
-    definite, are scored on their explicit blends, so the +inf sentinel stays
-    in one place. ``at_zero`` is the group-free alpha = 0 score.
+    from one factorization. With T = L L^T, L^-1 blend(alpha) L^-T =
+    V diag(e(alpha)) V^T for one orthogonal V at every alpha, so the logdet
+    is logdet T + sum log e and the trace term sum d / e with
+    d = diag(V^T L^-1 R_test L^-T V). ``_gram_spectrum`` gives (e, d) when
+    ``fold_rows`` (the fold's training and test rows, passed only when S is
+    their raw training moment and has fewer rows than M) has a nonsingular
+    Gram matrix, ``_eigen_spectrum`` otherwise. Alphas not certified to pass
+    the pivot test of ``gaussian_nll_per_sample`` (lambda_min(blend) >=
+    min e / ||L^-1||_F^2, and no squared pivot exceeds the largest diagonal
+    entry), and all alphas when T is not positive definite, are scored on
+    their explicit blends, so the +inf sentinel stays in one place.
+    ``at_zero`` is the group-free alpha = 0 score.
     """
     s, t = sample_term.values, target.values
     # difference form: a zero residual (e.g. the trivial group) gives every
@@ -241,13 +294,11 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
         return scores
     certified = np.zeros(len(alphas), dtype=bool)
     if factors is not None:
-        inv_ell, logdet_t = factors
-        mu, q = np.linalg.eigh(inv_ell @ -residual @ inv_ell.T)
-        rot = q.T @ inv_ell
-        d = np.einsum("ij,ij->i", rot @ r_test.values, rot)
-        e = 1.0 + np.outer(1.0 - alphas, mu)
+        inv_ell, logdet_t, inv_norm_sq = factors
+        spectrum = None if fold_rows is None else _gram_spectrum(*fold_rows, inv_ell, alphas)
+        e, d = spectrum or _eigen_spectrum(residual, inv_ell, r_test, alphas)
         max_diag = max(np.diag(s).max(), np.diag(t).max())
-        certified = e.min(axis=1) >= CURVE_GUARD * max_diag * np.sum(rot**2)
+        certified = e.min(axis=1) >= CURVE_GUARD * max_diag * inv_norm_sq
         certified[0] = False   # the shared at_zero score stands
         good = e[certified]
         scores[certified] = 0.5 * (logdet_t + np.log(good).sum(axis=1) + (d / good).sum(axis=1))
@@ -271,7 +322,7 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
     covariance. Only the projection depends on the group, so the per-fold
     moments, sample term and alpha = 0 score are shared by every candidate,
     and candidates with one target share one curve; a ``DataStats`` passed
-    as ``data`` shares the moments and targets across calls.
+    as ``data`` shares the moments, fold rows and targets across calls.
     Scores average across folds per alpha. The returned alpha follows the
     paired one-standard-error rule toward the structured end (Hastie,
     Tibshirani & Friedman, ESL section 7.10): with ``best`` the first
@@ -297,15 +348,18 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
                        if use_lwnl_sample_term else r_train)
         # the alpha = 0 blend is the sample term alone, whatever the group
         at_zero = matrixcore.gaussian_nll_per_sample(sample_term, r_test)
-        fold_terms.append((sample_term, r_test, at_zero))
+        # a raw moment of fewer rows than M is scored from its Gram matrix
+        rows = (stats.fold_rows(folds)[fold]
+                if not use_lwnl_sample_term and n_train < data.dim else None)
+        fold_terms.append((sample_term, r_test, at_zero, rows))
     results = []
     curves: dict = {}   # fold scores per distinct target, keyed by its identity
     for g in candidates:
         targets = stats.targets(folds, g)
         if id(targets) not in curves:
             curves[id(targets)] = np.array([
-                _alpha_curve(sample_term, *target, r_test, alphas, at_zero)
-                for (sample_term, r_test, at_zero), target in zip(fold_terms, targets)])
+                _alpha_curve(sample_term, *target, r_test, alphas, at_zero, rows)
+                for (sample_term, r_test, at_zero, rows), target in zip(fold_terms, targets)])
         scores = curves[id(targets)]
         mean_scores = scores.mean(axis=0)
         chosen = _one_se_index(scores)

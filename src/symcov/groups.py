@@ -85,6 +85,20 @@ class GroupAction:
             raise GroupValidationError(f"kind {self.kind} carries no generators")
         object.__setattr__(self, "generators", gens)
 
+    def __hash__(self) -> int:
+        # hashed once per instance: the generators are hashed on every
+        # orbit_partition cache lookup otherwise
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.name, self.dim, self.generators, self.kind))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # string hashes are salted per process, so a pickle carries no hash
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def generator_arrays(self) -> list[np.ndarray]:
         return [np.array(g, dtype=int) for g in self.generators]
 
@@ -107,11 +121,13 @@ class OrbitPartition:
     sym_class_of: np.ndarray    # (M, M) ids after merging transposes
     d_g: int
     sym_anchor: np.ndarray      # flat index of each merged class's first entry
+    sym_counts: np.ndarray      # entry count of each merged class
 
     def __post_init__(self) -> None:
         self.class_of.flags.writeable = False
         self.sym_class_of.flags.writeable = False
         self.sym_anchor.flags.writeable = False
+        self.sym_counts.flags.writeable = False
 
 
 def _renumber_first_occurrence(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +225,7 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
     sym_labels, sym_anchor = _renumber_first_occurrence(np.minimum(class_of, class_of.T).ravel())
     return OrbitPartition(dim=m, class_of=class_of, n_classes=len(anchor),
                           sym_class_of=sym_labels.reshape(m, m), d_g=len(sym_anchor),
-                          sym_anchor=sym_anchor)
+                          sym_anchor=sym_anchor, sym_counts=np.bincount(sym_labels))
 
 
 def _anchored_mean(values: np.ndarray, anchor: float) -> float:
@@ -229,7 +245,7 @@ def reynolds_project(g: GroupAction, a: SymmetricMatrix) -> SymmetricMatrix:
     Haar-orthogonal average maps to (tr A / M) I. Trace is preserved, the
     PSD cone is preserved, and class means are anchored at one
     representative entry so that projecting twice is bitwise equal to
-    projecting once.
+    projecting once. A non-finite class mean raises ValueError.
     """
     if g.dim != a.dim:
         raise DimensionMismatchError(f"group dim {g.dim} != matrix dim {a.dim}")
@@ -242,9 +258,11 @@ def reynolds_project(g: GroupAction, a: SymmetricMatrix) -> SymmetricMatrix:
     flat_vals = a.values.ravel()
     anchors = flat_vals[part.sym_anchor]
     dev = flat_vals - anchors[flat_class]
-    counts = np.bincount(flat_class, minlength=part.d_g)
-    means = anchors + np.bincount(flat_class, weights=dev, minlength=part.d_g) / counts
-    return SymmetricMatrix(means[flat_class].reshape(m, m))
+    means = anchors + np.bincount(flat_class, weights=dev, minlength=part.d_g) / part.sym_counts
+    if not np.isfinite(means).all():
+        raise ValueError("matrix contains a non-finite value")
+    # sym_class_of is symmetric, so the result is exactly symmetric already
+    return SymmetricMatrix.of_symmetric(means[flat_class].reshape(m, m))
 
 
 def projected_outer_sq_norms(g: GroupAction, rows: np.ndarray) -> np.ndarray:
@@ -256,7 +274,7 @@ def projected_outer_sq_norms(g: GroupAction, rows: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", rows, rows) ** 2 / m
     part = orbit_partition(g)
     flat_class = part.sym_class_of.ravel()
-    inv_counts = 1.0 / np.bincount(flat_class)
+    inv_counts = 1.0 / part.sym_counts
     step = max(1, (1 << 20) // (m * m))   # about 8 MB of outer-product entries
     out = []
     for x in np.split(rows, range(step, len(rows), step)):

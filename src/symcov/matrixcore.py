@@ -49,6 +49,16 @@ class SymmetricMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "values", a)
 
+    @classmethod
+    def of_symmetric(cls, a: np.ndarray) -> "SymmetricMatrix":
+        """Wrap a square float array that its caller built exactly symmetric
+        and finite, without the constructor's (A + A.T)/2 copy and checks.
+        The array becomes read-only."""
+        a.flags.writeable = False
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", a)
+        return matrix
+
     @property
     def dim(self) -> int:
         return self.values.shape[0]

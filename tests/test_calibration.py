@@ -224,9 +224,9 @@ class TestCvNll:
         assert len(lines) == 1 + 5 * 5  # folds x grid
 
 
-def _explicit_fold_scores(data, g, grid=DEFAULT_GRID, use_lwnl=False):
+def _explicit_fold_scores(data, g, grid=DEFAULT_GRID, use_lwnl=False, folds=None):
     """Every (fold, alpha) score from its own explicit blend."""
-    folds = FoldScheme.contiguous(data.n_obs)
+    folds = folds or FoldScheme.contiguous(data.n_obs)
     scores = np.empty((folds.k, len(grid.points)))
     for fold in range(folds.k):
         mask = folds.fold_mask(fold)
@@ -313,6 +313,64 @@ class TestAlphaCurveOnLibrary:
             np.testing.assert_array_equal(np.isfinite(res.fold_scores), finite, err_msg=g.name)
             np.testing.assert_allclose(res.fold_scores[finite], want[finite],
                                        rtol=1e-12, atol=0, err_msg=g.name)
+
+
+def _record_eigh_shapes(monkeypatch):
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    return shapes
+
+
+class TestGramPath:
+    """A raw sample term of n_train < M rows scores its alpha curve from the
+    n_train x n_train Gram matrix of its fold rows, with no M x M eigh."""
+
+    @pytest.mark.parametrize("g", [
+        groups.cyclic(12), groups.block_symmetric(4, 3), groups.full_symmetric(12),
+        groups.haar_orthogonal(12),
+    ], ids=lambda g: g.name)
+    @pytest.mark.parametrize("n,k,n_train", [(3, 3, 2), (12, 2, 6), (12, 12, 11)],
+                             ids=["n_train=2", "n_train=M/2", "n_train=M-1"])
+    def test_fold_scores_match_explicit_blends(self, g, n, k, n_train, monkeypatch):
+        data, folds = DataStats.of(_rows(n, 12, 80 + n)), FoldScheme(n, k)
+        # a singular target scores every alpha on its explicit blend
+        factored = sum(factors is not None for _, factors in data.targets(folds, g))
+        shapes = _record_eigh_shapes(monkeypatch)
+        got = cv_nll_alpha(data, g, folds=folds).fold_scores
+        assert shapes == [(n_train, n_train)] * factored
+        want = _explicit_fold_scores(data, g, folds=folds)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+        assert finite.any()
+
+    def test_dependent_training_rows_take_the_m_by_m_path(self, monkeypatch):
+        rows = np.random.default_rng(90).standard_normal((15, 16))
+        rows[10] = rows[5]   # folds 0, 3 and 4 train on both copies
+        data, g = Dataset(rows).center(), groups.cyclic(16)
+        shapes = _record_eigh_shapes(monkeypatch)
+        got = cv_nll_alpha(data, g).fold_scores
+        assert sorted(shapes) == [(12, 12)] * 5 + [(16, 16)] * 3
+        want = _explicit_fold_scores(data, g)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+
+    def test_no_m_by_m_eigh_on_pathway_library_at_n_50(self, pathway_decoys, monkeypatch):
+        sigma = synth.make_population(synth.PopulationSpec(
+            m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
+        data = synth.sample_gaussian(sigma, 50, (71, 50))
+        shapes = _record_eigh_shapes(monkeypatch)
+        cv_nll_alphas(data, pathway_decoys.candidates)
+        assert shapes and set(shapes) == {(40, 40)}
+
+    def test_fold_rows_cached_per_scheme(self):
+        stats = DataStats.of(_rows(20, 6, 91))
+        folds = FoldScheme.contiguous(20, 4)
+        assert stats.fold_rows(folds) is stats.fold_rows(FoldScheme.contiguous(20, 4))
+        for (train, test), mask in zip(stats.fold_rows(folds), map(folds.fold_mask, range(4))):
+            np.testing.assert_array_equal(train, stats.rows[~mask])
+            np.testing.assert_array_equal(test, stats.rows[mask])
 
 
 def _alternating_6():

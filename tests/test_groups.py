@@ -1,3 +1,5 @@
+import os
+import pickle
 import re
 import subprocess
 import sys
@@ -138,6 +140,35 @@ def pair_union_find_partition(g):
     return class_of, len(ids), sym_class_of, len(sym_ids), np.array(anchors)
 
 
+class TestGroupActionHash:
+    def test_equal_groups_built_separately_share_hash_and_partition(self):
+        g, h = (decoy_random_subgroup_closure(100, 75, seed=7) for _ in range(2))
+        assert g is not h and g == h and hash(g) == hash(h)
+        assert orbit_partition(g) is orbit_partition(h)
+
+    def test_hash_stays_with_the_fields(self):
+        g = groups.cyclic(6)
+        assert hash(g) == hash(g) == hash((g.name, g.dim, g.generators, g.kind))
+        assert hash(replace(g, name="other")) != hash(g)
+
+    def test_pickle_round_trip_carries_no_hash(self):
+        g = groups.wreath_shifts(3, 4)
+        hash(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert "_hash" not in vars(back)
+        assert back == g and hash(back) == hash(g)
+
+    def test_pickle_from_another_process_rehashes(self):
+        # string hashes are salted per process: a hash pickled by a process
+        # with another seed would not match this process's equal group
+        script = ("import pickle, sys; from symcov import groups; g = groups.cyclic(6); "
+                  "hash(g); sys.stdout.buffer.write(pickle.dumps(g))")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                             env={**os.environ, "PYTHONHASHSEED": "12345"}).stdout
+        back, here = pickle.loads(out), groups.cyclic(6)
+        assert back == here and hash(back) == hash(here)
+
+
 class TestCappedOrder:
     @settings(max_examples=60, deadline=None)
     @given(generator_sets(), st.integers(1, 30))
@@ -267,7 +298,41 @@ class TestOrbitPartition:
         assert proc.returncode == 0, proc.stderr
 
 
+@pytest.fixture(scope="module")
+def pathway_decoys():
+    return synth.parse_library_spec("preset:pathway100+decoys")
+
+
+def _symmetrized_class_means(g, a):
+    """Each entry replaced by its merged class's anchored mean, with the
+    class counts recounted and the result passed through the symmetrizing
+    SymmetricMatrix constructor."""
+    part = orbit_partition(g)
+    flat_class = part.sym_class_of.ravel()
+    flat_vals = a.values.ravel()
+    anchors = flat_vals[part.sym_anchor]
+    dev = flat_vals - anchors[flat_class]
+    counts = np.bincount(flat_class, minlength=part.d_g)
+    means = anchors + np.bincount(flat_class, weights=dev, minlength=part.d_g) / counts
+    return SymmetricMatrix(means[flat_class].reshape(a.dim, a.dim))
+
+
 class TestReynoldsProject:
+    def test_bitwise_equal_to_symmetrized_class_means(self, pathway_decoys):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((150, 100))
+        for a in (rand_sym(rng, 100), SymmetricMatrix(x.T @ x / len(x))):
+            for g in pathway_decoys.candidates:
+                got = reynolds_project(g, a)
+                assert np.array_equal(got.values, _symmetrized_class_means(g, a).values), g.name
+                assert not got.values.flags.writeable
+
+    def test_non_finite_class_mean_rejected(self):
+        # the diagonal class sums two deviations of -1.78e308
+        a = SymmetricMatrix(np.diag([8.9e307, -8.9e307, -8.9e307]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            reynolds_project(groups.cyclic(3), a)
+
     def test_identity_is_invariant(self):
         for g in (groups.cyclic(5), groups.full_symmetric(5),
                   groups.haar_orthogonal(5), groups.trivial(5)):
