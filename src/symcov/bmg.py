@@ -160,32 +160,27 @@ def shah_at_selected(data: Dataset, lib: CandidateLibrary,
     return shrinkage.shah_projection(DataStats.of(data).r_hat, g)
 
 
+REPORT_COLUMNS = ("candidate", "admitted", "mean_cv_nll", "best_alpha", "selected",
+                  "margin", "delta")
+
+
 def write_report_csv(path, lib: CandidateLibrary, report: BMGReport) -> None:
-    """One row per candidate: candidate,admitted,mean_cv_nll,best_alpha,
-    selected,margin,delta."""
-    with open(path, "w") as fh:
-        fh.write("candidate,admitted,mean_cv_nll,best_alpha,selected,margin,delta\n")
-        for line in report_rows(lib, report):
-            fh.write(line + "\n")
+    """One row per candidate under ``REPORT_COLUMNS``."""
+    matrixcore.write_csv(path, [REPORT_COLUMNS, *report_fields(lib, report)])
+
+
+def report_fields(lib: CandidateLibrary, report: BMGReport,
+                  trial: int | None = None) -> list[tuple]:
+    """Per candidate, the ``REPORT_COLUMNS`` fields, led by ``trial`` if given."""
+    lead = () if trial is None else (trial,)
+    return [(*lead, g.name, g.name in report.tier1_admitted,
+             report.tier2_scores.get(g.name, float("nan")),
+             report.tier2_alphas.get(g.name, float("nan")),
+             g.name == report.selected, report.bmg_margin, report.delta)
+            for g in lib.candidates]
 
 
 def report_rows(lib: CandidateLibrary, report: BMGReport,
                 trial: int | None = None) -> list[str]:
-    rows = []
-    for g in lib.candidates:
-        admitted = g.name in report.tier1_admitted
-        score = report.tier2_scores.get(g.name, float("nan"))
-        alpha = report.tier2_alphas.get(g.name, float("nan"))
-        fields = [
-            g.name,
-            "1" if admitted else "0",
-            repr(float(score)),
-            repr(float(alpha)),
-            "1" if g.name == report.selected else "0",
-            repr(float(report.bmg_margin)),
-            repr(float(report.delta)),
-        ]
-        if trial is not None:
-            fields.insert(0, str(trial))
-        rows.append(",".join(fields))
-    return rows
+    """``report_fields`` as CSV lines."""
+    return [matrixcore.format_row(row) for row in report_fields(lib, report, trial)]

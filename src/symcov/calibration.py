@@ -382,11 +382,10 @@ def write_cv_trace_csv(path, result: CalibrationResult, grid: AlphaGrid) -> None
     """Per-fold, per-alpha held-out NLL trace: columns fold,alpha,nll."""
     if result.fold_scores is None:
         raise ValueError("calibration result carries no fold trace")
-    with open(path, "w") as fh:
-        fh.write("fold,alpha,nll\n")
-        for fold in range(result.fold_scores.shape[0]):
-            for alpha, score in zip(grid.points, result.fold_scores[fold]):
-                fh.write(f"{fold},{alpha!r},{score!r}\n")
+    matrixcore.write_csv(path, [("fold", "alpha", "nll")] + [
+        (fold, alpha, score)
+        for fold, scores in enumerate(result.fold_scores.tolist())
+        for alpha, score in zip(grid.points, scores)])
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,8 @@ def cmd_verify_lwnl(args) -> int:
                              f"--{field.replace('_', '-')}")
     spec = synth.PopulationSpec(m=args.m, kind=args.population, base_seed=args.seed, **shape)
     rows = synth.run_mp_verification(args.c, spec, args.trials, base_seed=args.seed)
-    with open(args.out, "w") as fh:
-        fh.write("estimator,prial,se,mean_err,mean_err_sample,trials\n")
-        for row in rows:
-            fh.write(f"{row['estimator']},{row['prial']!r},{row['se']!r},"
-                     f"{row['mean_err']!r},{row['mean_err_sample']!r},{row['trials']}\n")
+    columns = ("estimator", "prial", "se", "mean_err", "mean_err_sample", "trials")
+    matrixcore.write_csv(args.out, [columns] + [[row[c] for c in columns] for row in rows])
     for row in rows:
         print(f"{row['estimator']}: PRIAL {row['prial']:.2f}% +- {row['se']:.2f}")
     return EXIT_OK
@@ -172,27 +169,26 @@ def cmd_decoy(args) -> int:
     score_sums: dict[str, float] = {g.name: 0.0 for g in config.library.candidates}
     score_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
     records = synth.run_trial_sweep(dataclasses.replace(config, estimators=("ad_bmg",)))
-    with open(args.out, "w") as fh:
-        fh.write("trial,candidate,admitted,mean_cv_nll,best_alpha,selected,margin,delta\n")
-        for record in records:
-            if record.error:
-                raise ValueError(record.error)
-            report = record.ad
-            for line in bmg_mod.report_rows(config.library, report, record.trial):
-                fh.write(line + "\n")
-            if not report.fallback_used:
-                selected_counts[report.selected] += 1
-            for name, score in report.tier2_scores.items():
-                if np.isfinite(score):
-                    score_sums[name] += score
-                    score_counts[name] += 1
+    rows = [("trial", *bmg_mod.REPORT_COLUMNS)]
+    for record in records:
+        if record.error:
+            raise ValueError(record.error)
+        report = record.ad
+        rows += bmg_mod.report_fields(config.library, report, record.trial)
+        if not report.fallback_used:
+            selected_counts[report.selected] += 1
+        for name, score in report.tier2_scores.items():
+            if np.isfinite(score):
+                score_sums[name] += score
+                score_counts[name] += 1
+    matrixcore.write_csv(args.out, rows)
     if args.summary_out:
-        with open(args.summary_out, "w") as fh:
-            fh.write("candidate,mean_cv_nll,selected_count,trials\n")
-            for g in config.library.candidates:
-                mean = (score_sums[g.name] / score_counts[g.name]
-                        if score_counts[g.name] else float("inf"))
-                fh.write(f"{g.name},{mean!r},{selected_counts[g.name]},{config.trials}\n")
+        summary = [("candidate", "mean_cv_nll", "selected_count", "trials")]
+        for g in config.library.candidates:
+            count = score_counts[g.name]
+            mean = score_sums[g.name] / count if count else float("inf")
+            summary.append((g.name, mean, selected_counts[g.name], config.trials))
+        matrixcore.write_csv(args.summary_out, summary)
     total = sum(selected_counts.values())
     for name, count in sorted(selected_counts.items(), key=lambda kv: -kv[1]):
         if count:

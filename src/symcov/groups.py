@@ -597,12 +597,8 @@ _LEGACY_KINDS = {KIND_TRIVIAL: trivial, KIND_FULL_SYMMETRIC: full_symmetric}
 
 
 def write_group_file(path, g: GroupAction) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"name={g.name}\n")
-        fh.write(f"dim={g.dim}\n")
-        fh.write(f"kind={g.kind}\n")
-        for gen in g.generators:
-            fh.write(",".join(str(v) for v in gen) + "\n")
+    matrixcore.write_csv(path, [(f"name={g.name}",), (f"dim={g.dim}",), (f"kind={g.kind}",),
+                                *g.generators])
 
 
 def read_group_file(path) -> GroupAction:
@@ -610,16 +606,22 @@ def read_group_file(path) -> GroupAction:
     group file; other keys and ``#`` comments are ignored. The legacy kinds
     ``trivial`` and ``full_symmetric`` read as ``trivial(dim)`` and
     ``full_symmetric(dim)`` under the file's name. A malformed integer, an
-    unknown kind, a generator under a kind that carries none, or a generator
-    that is not a permutation raises ValueError naming the file and line."""
+    unknown kind, a repeated ``name=``, ``dim=`` or ``kind=``, a name with a
+    comma (it would split the CSV fields the name is written to), a
+    generator under a kind that carries none, or a generator that is not a
+    permutation raises ValueError naming the file and line."""
     fields: dict[str, tuple[int, str]] = {}
     gens: list[tuple[int, Perm]] = []
     for no, line in matrixcore.read_csv_lines(path):
         if line.startswith("#"):
             continue
         if "=" in line and not line.split("=", 1)[0].lstrip("-").isdigit():
-            key, val = line.split("=", 1)
-            fields[key.strip()] = (no, val.strip())
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in fields and key in ("name", "dim", "kind"):
+                raise ValueError(f"{path}:{no}: group field {key!r} given twice")
+            if key == "name" and "," in val:
+                raise ValueError(f"{path}:{no}: group name {val!r} contains a comma")
+            fields[key] = (no, val)
         else:
             try:
                 gens.append((no, tuple(int(tok) for tok in line.split(","))))

@@ -173,12 +173,37 @@ def frobenius_norm(a: SymmetricMatrix) -> float:
 # ---------------------------------------------------------------------------
 # CSV carriers.
 #
+# Every file symcov writes goes through format_field: one number format for
+# all of them.
 # Matrix CSV: first line M, then M lines of M comma-separated decimals.
 # Dataset CSV: first line N,M then N rows.
 # ---------------------------------------------------------------------------
 
-def _format_row(row: np.ndarray) -> str:
-    return ",".join(repr(float(v)) for v in row)
+def format_field(value) -> str:
+    """A value as CSV text: None is empty, a bool is 1 or 0, a float (numpy
+    scalars included) is its shortest round-trip decimal (``inf``, ``nan``),
+    anything else is ``str``."""
+    if type(value) is float:
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def format_row(fields) -> str:
+    """One CSV line, without its newline."""
+    return ",".join(map(format_field, fields))
+
+
+def write_csv(path, rows) -> None:
+    """Write each row, a sequence of fields, as one CSV line."""
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(format_row(row) + "\n")
 
 
 def read_csv_lines(path) -> list[tuple[int, str]]:
@@ -219,10 +244,7 @@ def parse_rows(path, lines: list[tuple[int, str]], width: int) -> np.ndarray:
 
 
 def write_matrix_csv(path, a: SymmetricMatrix) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{a.dim}\n")
-        for row in a.values:
-            fh.write(_format_row(row) + "\n")
+    write_csv(path, [(a.dim,), *a.values.tolist()])
 
 
 def read_matrix_csv(path) -> SymmetricMatrix:
@@ -240,10 +262,7 @@ def parse_matrix(path, lines: list[tuple[int, str]]) -> SymmetricMatrix:
 
 
 def write_dataset_csv(path, data: Dataset) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{data.n_obs},{data.dim}\n")
-        for row in data.rows:
-            fh.write(_format_row(row) + "\n")
+    write_csv(path, [(data.n_obs, data.dim), *data.rows.tolist()])
 
 
 def read_dataset_csv(path) -> Dataset:

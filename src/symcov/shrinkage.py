@@ -236,14 +236,8 @@ def ad_lwnl_blend(data: Dataset, g: GroupAction, alpha: float) -> EstimatorResul
 # ---------------------------------------------------------------------------
 
 def write_estimator_csv(path, result: EstimatorResult) -> None:
-    alpha = "" if result.alpha is None else repr(float(result.alpha))
-    group = result.group_name or ""
-    flags = ";".join(sorted(result.flags))
-    with open(path, "w") as fh:
-        fh.write(f"{result.estimator_name},{alpha},{group},{flags}\n")
-        fh.write(f"{result.matrix.dim}\n")
-        for row in result.matrix.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    meta = (result.estimator_name, result.alpha, result.group_name, ";".join(sorted(result.flags)))
+    matrixcore.write_csv(path, [meta, (result.matrix.dim,), *result.matrix.values.tolist()])
 
 
 def read_estimator_csv(path) -> EstimatorResult:

@@ -529,37 +529,24 @@ def run_trial_sweep(config: SweepConfig, threads: int = 1):
         yield from pool.map(lambda ct: _run_one_trial(config, sigma, root, *ct), tasks)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def trial_record_row(record: TrialRecord) -> str:
-    ad, adlw = record.ad, record.ad_lwnl
-    fields = [str(record.cell_n), str(record.trial), str(record.seed)]
-    fields += [_fmt(record.nll.get(e)) for e in ESTIMATOR_ORDER]
-    fields += [_fmt(record.frob.get(e)) for e in ESTIMATOR_ORDER]
-    for rep in (ad, adlw):
+    fields = [record.cell_n, record.trial, record.seed]
+    fields += [record.nll.get(e) for e in ESTIMATOR_ORDER]
+    fields += [record.frob.get(e) for e in ESTIMATOR_ORDER]
+    for rep in (record.ad, record.ad_lwnl):
         if rep is None:
-            fields += ["", "", "", "", ""]
+            fields += [None] * 5
         else:
-            fields += [rep.selected, _fmt(rep.alpha), _fmt(rep.bmg_margin),
-                       _fmt(rep.delta), _fmt(rep.fallback_used)]
-    fields.append(_fmt(record.choice_agree))
-    fields.append(record.error or "")
-    return ",".join(fields)
+            fields += [rep.selected, rep.alpha, rep.bmg_margin, rep.delta, rep.fallback_used]
+    fields += [record.choice_agree, record.error]
+    return matrixcore.format_row(fields)
 
 
 def write_trial_records_csv(path, records) -> None:
     """Streaming emission: flushed per record, so an interrupted run leaves
     a file truncated at a record boundary."""
     with open(path, "w") as fh:
-        fh.write(",".join(TRIAL_CSV_COLUMNS) + "\n")
+        fh.write(matrixcore.format_row(TRIAL_CSV_COLUMNS) + "\n")
         for record in records:
             fh.write(trial_record_row(record) + "\n")
             fh.flush()

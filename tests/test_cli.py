@@ -108,6 +108,23 @@ class TestProject:
                        "--group", str(gpath), "--out", str(tmp_path / "o.csv")) == 2
         assert f"{gpath}:{line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("name=z4\ndim=4\ndim=3\nkind=generator_based\n1,2,0\n", ":3: group field 'dim'"),
+        ("name=a\nname=b\ndim=3\nkind=trivial\n", ":2: group field 'name'"),
+        ("name=z3\ndim=3\nkind=generator_based\nkind=haar_orthogonal\n",
+         ":4: group field 'kind'"),
+        ("name=blocks,3\ndim=3\nkind=trivial\n", ":1: group name 'blocks,3' contains a comma"),
+    ], ids=["dim", "name", "kind", "comma-name"])
+    def test_repeated_field_or_comma_name_is_config_error_naming_line(
+            self, tmp_path, identity_csv, capsys, text, message):
+        gpath = tmp_path / "g.grp"
+        gpath.write_text(text)
+        out = tmp_path / "o.csv"
+        assert run_cli("project", "--matrix", str(identity_csv),
+                       "--group", str(gpath), "--out", str(out)) == 2
+        assert f"{gpath}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_every_estimator_writes_parseable_output(self, tmp_path, dataset_csv):
@@ -252,6 +269,17 @@ class TestBmg:
         report = tmp_path / "report.csv"
         assert run_cli("bmg", "--data", str(dataset_csv), "--library", str(libdir),
                        "--kappa", "1.0", "--report", str(report)) == 0
+
+    def test_comma_in_group_name_is_config_error(self, tmp_path, dataset_csv, capsys):
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        groups.write_group_file(lib / "a.grp", groups.cyclic(4))
+        (lib / "b.grp").write_text("name=blocks,20\ndim=4\nkind=trivial\n")
+        report = tmp_path / "report.csv"
+        assert run_cli("bmg", "--data", str(dataset_csv), "--library", str(lib),
+                       "--report", str(report)) == 2
+        assert f"{lib / 'b.grp'}:1:" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestVerifyLwnl:

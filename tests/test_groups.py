@@ -539,6 +539,13 @@ class TestGroupFiles:
             fh.write("order_description=9\norder_lower_bound=0\n")
         assert read_group_file(path) == g
 
+    def test_repeated_unknown_key_stays_ignored(self, tmp_path):
+        path = tmp_path / "z4.grp"
+        write_group_file(path, groups.cyclic(4))
+        with open(path, "a") as fh:
+            fh.write("order_lower_bound=4\norder_lower_bound=4\n")
+        assert read_group_file(path) == groups.cyclic(4)
+
     @pytest.mark.parametrize("kind,build", [("full_symmetric", groups.full_symmetric),
                                             ("trivial", groups.trivial)])
     def test_legacy_kinds_read_as_generator_groups(self, tmp_path, kind, build):
