@@ -43,10 +43,11 @@ DEFAULT_FOLDS = 5
 # this fraction of the largest diagonal entry: far above PIVOT_RTOL**2, so the
 # rounding of either factorization (about M^2 eps) cannot flip the verdict.
 CURVE_GUARD = 1e-8
-# _gram_spectrum declines a Gram matrix whose smallest eigenvalue is at most
-# this fraction of its largest: far above eigh's rounding of about n eps
-# lambda_max, so a zero eigenvalue (dependent training rows) never passes.
-GRAM_RTOL = 1e-10
+# _alpha_curve scores an M x M curve from a tridiagonal reduction and the
+# fold's test rows when there are fewer than this fraction of M of them, and
+# from an eigendecomposition otherwise: dptsv's cost grows with test rows times
+# alphas; at M = 100 with BLAS on one thread it passes eigh's at 25-40 rows.
+TRIDIAGONAL_ROW_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -243,46 +244,77 @@ def _eigen_spectrum(residual: np.ndarray, inv_ell: np.ndarray, r_test: Symmetric
     return 1.0 + np.outer(1.0 - alphas, mu), np.einsum("ij,ij->i", rot @ r_test.values, rot)
 
 
-def _gram_spectrum(x_train: np.ndarray, x_test: np.ndarray, inv_ell: np.ndarray,
-                   alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(e, d) of the raw training moment S = X_tr^T X_tr / n_tr with n_tr < M,
-    from the n_tr x n_tr Gram matrix, or None when it is numerically singular.
+def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       floor: float, k_min: float | None = None) -> tuple | None:
+    """For a symmetric K, columns W and blends a_j I + b_j K with b_j >= 0: the
+    mask of blends certified by a_j + b_j lambda_min(K) >= ``floor`` (with
+    lambda_min(K) from dstebz unless ``k_min`` gives a lower bound), and their
+    logdet(a_j I + b_j K) and tr(W^T (a_j I + b_j K)^-1 W). K = H Theta H^T
+    (dsytrd) turns every blend into the tridiagonal a_j I + b_j Theta; one
+    dptsv solves them all as the diagonal blocks of one system, its LDL^T
+    pivots giving the logdets. None when a pivot is not positive."""
+    c, diag, off, tau, _ = lapack.dsytrd(k, lower=1)
+    if k_min is None:
+        k_min = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, "E")[1][0]
+    keep = a + b * k_min >= floor
+    if not keep.any():
+        return keep, np.empty(0), np.empty(0)
+    a, b, n = a[keep], b[keep], len(k)
+    # H^T W: H fixes e_1 and reflects rows 2..n, as dormtr applies it
+    hw = np.vstack([w[:1], lapack.dormqr("L", "T", c[1:, :-1], tau, w[1:], w.shape[1])[0]])
+    sub = np.zeros((len(a), n))   # the last column, zero, separates the blocks
+    sub[:, :-1] = np.outer(b, off)
+    pivots, _, x, info = lapack.dptsv((a[:, None] + np.outer(b, diag)).ravel(),
+                                      sub.ravel()[:-1], np.tile(hw, (len(a), 1)))
+    if info != 0:
+        return None
+    return (keep, np.log(pivots).reshape(-1, n).sum(axis=1),
+            np.einsum("jir,ir->j", x.reshape(len(a), n, -1), hw))
 
-    With Y = X_tr L^-T / sqrt(n_tr), Z = X_te L^-T and Y Y^T = P diag(lambda)
-    P^T, the directions Y^T p_i have e = alpha + (1 - alpha) lambda_i and
-    d = ||Z Y^T p_i||^2 / (n_te lambda_i); the other M - n_tr directions have
-    e = alpha and share d = ||Z||^2 / n_te - sum d_i, carried on one of them.
+
+def _row_curve(residual: np.ndarray, inv_ell: np.ndarray, fold_rows: tuple,
+               alphas: np.ndarray, floor: float) -> tuple | None:
+    """``_tridiagonal_curve`` of the alphas after the first, as (mask, logdet
+    of L^-1 blend L^-T, trace term), with ``fold_rows`` = (X_tr, X_te).
+
+    M x M route (X_tr None): K = L^-1 (S - T) L^-T, W = L^-1 X_te^T / sqrt(n_te)
+    and blend = I + (1 - alpha) K. Gram route (S = X_tr^T X_tr / n_tr, n_tr <
+    M): with Y = X_tr L^-T / sqrt(n_tr) and Z = X_te L^-T, K = Y Y^T, W = Y Z^T
+    and a = alpha; the other M - n_tr directions add (M - n_tr) log alpha, K is
+    PSD so e_min = alpha, and 1/(lambda e) = (1/alpha)(1/lambda - (1 - alpha)/e)
+    makes the trace term (||Z||^2 - (1 - alpha) tr) / (alpha n_te).
     """
+    x_train, x_test = fold_rows
+    a, b = alphas[1:], 1.0 - alphas[1:]
+    if x_train is None:
+        return _tridiagonal_curve(inv_ell @ -residual @ inv_ell.T,
+                                  inv_ell @ x_test.T / np.sqrt(len(x_test)),
+                                  np.ones_like(a), b, floor)
     n_train, m = x_train.shape
     y = x_train @ inv_ell.T / np.sqrt(n_train)
     z = x_test @ inv_ell.T
-    lam, p = np.linalg.eigh(y @ y.T)
-    if lam[0] <= GRAM_RTOL * lam[-1]:
+    if (curve := _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)) is None:
         return None
-    w = (z @ y.T) @ p
-    d = np.zeros(m)
-    d[:n_train] = np.einsum("ij,ij->j", w, w) / (len(z) * lam)
-    d[n_train] = np.einsum("ij,ij->", z, z) / len(z) - d[:n_train].sum()
-    e = np.repeat(alphas[:, None], m, axis=1)
-    e[:, :n_train] += np.outer(1.0 - alphas, lam)
-    return e, d
+    keep, logdet, trace = curve
+    a = a[keep]
+    return (keep, logdet + (m - n_train) * np.log(a),
+            (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * len(z)))
 
 
 def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors: tuple | None,
                  r_test: SymmetricMatrix, alphas: np.ndarray, at_zero: float,
-                 fold_rows: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+                 fold_rows: tuple[np.ndarray | None, np.ndarray] | None) -> np.ndarray:
     """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
     from one factorization. With T = L L^T, L^-1 blend(alpha) L^-T =
     V diag(e(alpha)) V^T for one orthogonal V at every alpha, so the logdet
     is logdet T + sum log e and the trace term sum d / e with
-    d = diag(V^T L^-1 R_test L^-T V). ``_gram_spectrum`` gives (e, d) when
-    ``fold_rows`` (the fold's training and test rows, passed only when S is
-    their raw training moment and has fewer rows than M) has a nonsingular
-    Gram matrix, ``_eigen_spectrum`` otherwise. Alphas not certified to pass
-    the pivot test of ``gaussian_nll_per_sample`` (lambda_min(blend) >=
-    min e / ||L^-1||_F^2, and no squared pivot exceeds the largest diagonal
-    entry), and all alphas when T is not positive definite, are scored on
-    their explicit blends, so the +inf sentinel stays in one place.
+    d = diag(V^T L^-1 R_test L^-T V), from ``_row_curve`` when ``fold_rows``
+    (the fold's training rows or None, and its test rows) is given and from
+    ``_eigen_spectrum`` otherwise. Alphas not certified to pass the pivot test
+    of ``gaussian_nll_per_sample`` (lambda_min(blend) >= min e / ||L^-1||_F^2,
+    and no squared pivot exceeds the largest diagonal entry), and all alphas
+    when T is not positive definite or a tridiagonal pivot fails, are scored
+    on their explicit blends, so the +inf sentinel stays in one place.
     ``at_zero`` is the group-free alpha = 0 score.
     """
     s, t = sample_term.values, target.values
@@ -295,13 +327,17 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
     certified = np.zeros(len(alphas), dtype=bool)
     if factors is not None:
         inv_ell, logdet_t, inv_norm_sq = factors
-        spectrum = None if fold_rows is None else _gram_spectrum(*fold_rows, inv_ell, alphas)
-        e, d = spectrum or _eigen_spectrum(residual, inv_ell, r_test, alphas)
-        max_diag = max(np.diag(s).max(), np.diag(t).max())
-        certified = e.min(axis=1) >= CURVE_GUARD * max_diag * inv_norm_sq
-        certified[0] = False   # the shared at_zero score stands
-        good = e[certified]
-        scores[certified] = 0.5 * (logdet_t + np.log(good).sum(axis=1) + (d / good).sum(axis=1))
+        floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * inv_norm_sq
+        if fold_rows is None:
+            e, d = _eigen_spectrum(residual, inv_ell, r_test, alphas)
+            certified = e.min(axis=1) >= floor
+            certified[0] = False   # the shared at_zero score stands
+            good = e[certified]
+            scores[certified] = 0.5 * (logdet_t + np.log(good).sum(axis=1)
+                                       + (d / good).sum(axis=1))
+        elif (curve := _row_curve(residual, inv_ell, fold_rows, alphas, floor)) is not None:
+            certified[1:], logdet, trace = curve
+            scores[certified] = 0.5 * (logdet_t + logdet + trace)
     for j in np.flatnonzero(~certified[1:]) + 1:
         # S + alpha (T - S), not matrixcore.blend: sharing the curve's residual
         # keeps both paths equal to rounding, while the convex form moved LWNL
@@ -348,9 +384,13 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
                        if use_lwnl_sample_term else r_train)
         # the alpha = 0 blend is the sample term alone, whatever the group
         at_zero = matrixcore.gaussian_nll_per_sample(sample_term, r_test)
-        # a raw moment of fewer rows than M is scored from its Gram matrix
-        rows = (stats.fold_rows(folds)[fold]
-                if not use_lwnl_sample_term and n_train < data.dim else None)
+        # a raw moment of fewer rows than M is scored from its Gram matrix, and
+        # any other sample term of a fold with few test rows from those rows
+        gram = not use_lwnl_sample_term and n_train < data.dim
+        rows = None
+        if gram or data.n_obs - n_train < TRIDIAGONAL_ROW_FRACTION * data.dim:
+            x_train, x_test = stats.fold_rows(folds)[fold]
+            rows = (x_train if gram else None, x_test)
         fold_terms.append((sample_term, r_test, at_zero, rows))
     results = []
     curves: dict = {}   # fold scores per distinct target, keyed by its identity

@@ -259,7 +259,13 @@ class TestAlphaCurve:
         (_rows(40, 6, 60, zero_column=2), groups.trivial(6), True),
         (_rows(40, 8, 61), groups.block_symmetric(4, 2), True),
         (_rows(60, 12, 62), groups.wreath_shifts(3, 4), False),
-    ], ids=["n-below-m", "singular-target", "lwnl", "wreath"])
+        # three test rows per fold, fewer than M/4: the tridiagonal M x M route
+        (_rows(15, 16, 49), groups.cyclic(16), True),
+        # T = R_train is singular at N < M, the LWNL sample term is not: the
+        # explicit path scores alpha < 1 and keeps +inf at alpha = 1
+        (_rows(15, 16, 50), groups.trivial(16), True),
+    ], ids=["n-below-m", "singular-target", "lwnl", "wreath", "few-test-rows",
+            "few-test-rows-singular-target"])
     def test_fold_scores_match_explicit_blends(self, data, g, use_lwnl):
         got = cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl).fold_scores
         want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl)
@@ -299,7 +305,7 @@ class TestAlphaCurveOnLibrary:
     """Every pathway100+decoys candidate's fold scores agree with their
     explicit blends, across N < M and N > M and both sample terms."""
 
-    @pytest.mark.parametrize("n", [50, 400])
+    @pytest.mark.parametrize("n", [50, 100, 400])
     @pytest.mark.parametrize("use_lwnl", [False, True])
     def test_fold_scores_match_explicit_blends(self, pathway_decoys, n, use_lwnl):
         sigma = synth.make_population(synth.PopulationSpec(
@@ -321,9 +327,17 @@ def _record_eigh_shapes(monkeypatch):
     return shapes
 
 
+def _record_tridiagonal_shapes(monkeypatch):
+    shapes, kernel = [], calibration._tridiagonal_curve
+    monkeypatch.setattr(calibration, "_tridiagonal_curve",
+                        lambda k, *args, **kw: shapes.append(k.shape) or kernel(k, *args, **kw))
+    return shapes
+
+
 class TestGramPath:
-    """A raw sample term of n_train < M rows scores its alpha curve from the
-    n_train x n_train Gram matrix of its fold rows, with no M x M eigh."""
+    """A raw sample term of n_train < M rows scores its alpha curve from a
+    tridiagonal reduction of the n_train x n_train Gram matrix of its fold
+    rows, with no eigh."""
 
     @pytest.mark.parametrize("g", [
         groups.cyclic(12), groups.block_symmetric(4, 3), groups.full_symmetric(12),
@@ -333,24 +347,23 @@ class TestGramPath:
                              ids=["n_train=2", "n_train=M/2", "n_train=M-1"])
     def test_fold_scores_match_explicit_blends(self, g, n, k, n_train, monkeypatch):
         data, folds = DataStats.of(_rows(n, 12, 80 + n)), FoldScheme(n, k)
-        # a singular target scores every alpha on its explicit blend
-        factored = sum(factors is not None for _, factors in data.targets(folds, g))
         shapes = _record_eigh_shapes(monkeypatch)
         got = cv_nll_alpha(data, g, folds=folds).fold_scores
-        assert shapes == [(n_train, n_train)] * factored
+        assert shapes == []
         want = _explicit_fold_scores(data, g, folds=folds)
         finite = np.isfinite(want)
         np.testing.assert_array_equal(np.isfinite(got), finite)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
         assert finite.any()
 
-    def test_dependent_training_rows_take_the_m_by_m_path(self, monkeypatch):
+    def test_dependent_training_rows_stay_on_the_gram_route(self, monkeypatch):
         rows = np.random.default_rng(90).standard_normal((15, 16))
         rows[10] = rows[5]   # folds 0, 3 and 4 train on both copies
         data, g = Dataset(rows).center(), groups.cyclic(16)
         shapes = _record_eigh_shapes(monkeypatch)
+        kernel_shapes = _record_tridiagonal_shapes(monkeypatch)
         got = cv_nll_alpha(data, g).fold_scores
-        assert sorted(shapes) == [(12, 12)] * 5 + [(16, 16)] * 3
+        assert shapes == [] and kernel_shapes == [(12, 12)] * 5
         want = _explicit_fold_scores(data, g)
         finite = np.isfinite(want)
         np.testing.assert_array_equal(np.isfinite(got), finite)
@@ -361,8 +374,9 @@ class TestGramPath:
             m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
         data = synth.sample_gaussian(sigma, 50, (71, 50))
         shapes = _record_eigh_shapes(monkeypatch)
+        kernel_shapes = _record_tridiagonal_shapes(monkeypatch)
         cv_nll_alphas(data, pathway_decoys.candidates)
-        assert shapes and set(shapes) == {(40, 40)}
+        assert shapes == [] and kernel_shapes and set(kernel_shapes) == {(40, 40)}
 
     def test_fold_rows_cached_per_scheme(self):
         stats = DataStats.of(_rows(20, 6, 91))
@@ -371,6 +385,80 @@ class TestGramPath:
         for (train, test), mask in zip(stats.fold_rows(folds), map(folds.fold_mask, range(4))):
             np.testing.assert_array_equal(train, stats.rows[~mask])
             np.testing.assert_array_equal(test, stats.rows[mask])
+
+
+class TestTridiagonalRoute:
+    """Folds with fewer than M/4 test rows score any M x M curve from a
+    tridiagonal reduction; the others keep the eigendecomposition."""
+
+    @pytest.mark.parametrize("n,use_lwnl", [(100, True), (100, False), (400, False)])
+    def test_eigen_spectrum_only_from_m_over_4_test_rows(self, pathway_decoys, n, use_lwnl,
+                                                         monkeypatch):
+        sigma = synth.make_population(synth.PopulationSpec(
+            m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
+        data = DataStats.of(synth.sample_gaussian(sigma, n, (71, n)))
+        folds = FoldScheme.contiguous(n)
+        calls, spectrum = [], calibration._eigen_spectrum
+        monkeypatch.setattr(calibration, "_eigen_spectrum",
+                            lambda *args: calls.append(1) or spectrum(*args))
+        cv_nll_alphas(data, pathway_decoys.candidates, use_lwnl_sample_term=use_lwnl)
+        if n // folds.k < calibration.TRIDIAGONAL_ROW_FRACTION * 100:
+            assert calls == []
+            return
+        distinct = {id(t): t for t in (data.targets(folds, g) for g in pathway_decoys.candidates)}
+        # one per (fold, distinct target) with a factor and a nonzero residual
+        want = sum(factors is not None and not np.array_equal(t.values, r_train.values)
+                   for targets in distinct.values()
+                   for (t, factors), (r_train, _, _) in zip(targets, data.moments(folds)))
+        assert want > folds.k and len(calls) == want
+
+    @pytest.mark.parametrize("use_lwnl", [False, True])
+    def test_two_training_rows(self, use_lwnl):
+        # one test row of M = 8: Gram route for the raw term, M x M for LWNL
+        data, folds, g = _rows(3, 8, 51), FoldScheme(3, 3), groups.cyclic(8)
+        got = cv_nll_alpha(data, g, folds=folds, use_lwnl_sample_term=use_lwnl).fold_scores
+        want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl, folds=folds)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+        assert finite.any()
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_kernel_matches_dense_algebra(self, m):
+        rng = np.random.default_rng(52 + m)
+        k = rng.standard_normal((m, m))
+        k += k.T
+        k -= (np.linalg.eigvalsh(k)[-1] + 1.0) * np.eye(m)   # spectrum at most -1
+        lam_min = np.linalg.eigvalsh(k)[0]
+        w = rng.standard_normal((m, 3))
+        a, b = np.full(4, -1.5 * lam_min), np.array([0.0, 0.5, 1.0, 2.0])
+        keep, logdet, trace = calibration._tridiagonal_curve(k, w, a, b, floor=1e-3)
+        np.testing.assert_array_equal(keep, [True, True, True, False])
+        for j, ld, tr in zip(np.flatnonzero(keep), logdet, trace):
+            blend = a[j] * np.eye(m) + b[j] * k
+            np.testing.assert_allclose(ld, np.linalg.slogdet(blend)[1], rtol=1e-12)
+            np.testing.assert_allclose(tr, np.trace(w.T @ np.linalg.solve(blend, w)),
+                                       rtol=1e-12)
+
+    def test_failed_tridiagonal_solve_falls_back_to_explicit_blends(self, monkeypatch):
+        data, g = _rows(15, 16, 53), groups.cyclic(16)
+        calls = []
+        def counting(sigma, r_test):
+            calls.append(1)
+            return gaussian_nll_per_sample(sigma, r_test)
+        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
+        for use_lwnl in (False, True):
+            cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl)
+        assert len(calls) == 2 * calibration.DEFAULT_FOLDS   # the alpha = 0 scores alone
+        monkeypatch.setattr(calibration.lapack, "dptsv", lambda d, e, b: (d, e, b, 1))
+        for use_lwnl in (False, True):
+            calls.clear()
+            got = cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl).fold_scores
+            assert len(calls) == got.size
+            want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl)
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(np.isfinite(got), finite)
+            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
 
 
 def _alternating_6():
