@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in {
     "shrinkage": ("EstimatorResult", "ad_blend", "ad_lwnl_blend", "lw2004", "lw2004_auto",
                   "lwnl", "shah_projection"),
     "calibration": ("AlphaGrid", "CalibrationResult", "FoldScheme", "cv_nll_alpha",
-                    "mse_plugin_alpha", "predict_alpha_nll_asymptotic", "predict_n_star"),
+                    "mse_plugin_alpha"),
     "bmg": ("BMGReport", "CandidateLibrary", "bmg_with_fallback", "delta_residual",
             "tier1_admit", "tier2_select"),
     "synth": ("PopulationSpec", "SweepConfig", "TrialRecord", "build_decoy_library",

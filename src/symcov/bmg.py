@@ -15,7 +15,7 @@ import numpy as np
 
 from . import calibration, matrixcore, shrinkage
 from .calibration import AlphaGrid, DataStats, FoldScheme, DEFAULT_GRID
-from .groups import GroupAction, capped_order, reynolds_project, trivial
+from .groups import GroupAction, capped_order, haar_orthogonal, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
 DEFAULT_KAPPA = 2.0
@@ -155,8 +155,9 @@ def shah_at_selected(data: Dataset, lib: CandidateLibrary,
                      report: BMGReport) -> shrinkage.EstimatorResult:
     """Projection-only comparator composed at the BMG-selected group; under
     fallback there is no selected group and the sample covariance projects
-    through the trivial action (i.e. is returned unchanged)."""
-    g = trivial(data.dim) if report.fallback_used else lib.by_name(report.selected)
+    through the Haar-orthogonal group of the fallback's LW2004 blend, giving
+    the scaled identity (tr R_hat / M) I."""
+    g = haar_orthogonal(data.dim) if report.fallback_used else lib.by_name(report.selected)
     return shrinkage.shah_projection(DataStats.of(data).r_hat, g)
 
 
@@ -178,9 +179,3 @@ def report_fields(lib: CandidateLibrary, report: BMGReport,
              report.tier2_alphas.get(g.name, float("nan")),
              g.name == report.selected, report.bmg_margin, report.delta)
             for g in lib.candidates]
-
-
-def report_rows(lib: CandidateLibrary, report: BMGReport,
-                trial: int | None = None) -> list[str]:
-    """``report_fields`` as CSV lines."""
-    return [matrixcore.format_row(row) for row in report_fields(lib, report, trial)]

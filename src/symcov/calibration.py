@@ -1,7 +1,5 @@
-"""Shrinkage-intensity selection: the closed-form Frobenius-MSE plug-in,
-the K-fold held-out-NLL grid calibration (one-standard-error rule), and the
-leading-order asymptotic predictions for the NLL optimum and its
-transition sample size.
+"""Shrinkage-intensity selection: the closed-form Frobenius-MSE plug-in and
+the K-fold held-out-NLL grid calibration (one-standard-error rule).
 
 Per-fold and per-alpha evaluations are independent; reductions are ordered,
 so a parallel caller gets identical results to a serial one.
@@ -29,11 +27,6 @@ METHOD_MSE_PLUGIN = "mse_plugin"
 METHOD_CV_NLL = "cv_nll"
 
 NOTE_DENOMINATOR_DEGENERATE = "denominator_degenerate"
-NOTE_MATCHED_LIMIT = "matched_limit"
-
-# Ridge scale for the documented R_hat plug-in mode of the asymptotic
-# predictions; see predict_alpha_nll_asymptotic.
-PLUGIN_RIDGE_SCALE = 1e-8
 
 # Held-out calibration defaults, shared by the CLI and the sweep config.
 DEFAULT_GRID_POINTS = 13
@@ -186,11 +179,11 @@ def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
 class DataStats(Dataset):
     """A dataset that computes on first use, and keeps, R_hat (``r_hat``),
     its ``lwnl_from_covariance`` result (``lwnl``), and per fold scheme the
-    fold ``moments``, the ``fold_rows`` and each distinct target's fold
-    projections with their ``_factor``, keyed by merged orbit partition,
-    which fixes the projection bitwise (Haar groups of one dimension share
-    one). Estimators read statistics through ``of``, which wraps a plain
-    Dataset for one call only: only a caller holding a DataStats keeps them."""
+    fold ``splits`` and each distinct target's fold projections with their
+    ``_factor``, keyed by merged orbit partition, which fixes the projection
+    bitwise (Haar groups of one dimension share one). Estimators read
+    statistics through ``of``, which wraps a plain Dataset for one call only:
+    only a caller holding a DataStats keeps them."""
 
     @classmethod
     def of(cls, data: Dataset) -> "DataStats":
@@ -212,27 +205,26 @@ class DataStats(Dataset):
         return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat,
                                                                            self.n_obs))
 
-    def moments(self, folds: FoldScheme) -> list[tuple[SymmetricMatrix, int, SymmetricMatrix]]:
-        """(R_train, training row count, R_test) per fold."""
+    def splits(self, folds: FoldScheme) -> list[tuple[np.ndarray, np.ndarray,
+                                                      SymmetricMatrix, SymmetricMatrix]]:
+        """(X_train, X_test, R_train, R_test) per fold: the one place the
+        rows are split."""
         if folds.n_obs != self.n_obs:
             raise ValueError("fold scheme built for a different number of rows")
-        return self._cached(folds, lambda: [
-            (second_moment(self.rows[~mask]), int((~mask).sum()), second_moment(self.rows[mask]))
-            for mask in map(folds.fold_mask, range(folds.k))])
 
-    def fold_rows(self, folds: FoldScheme) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(training rows, test rows) per fold."""
-        if folds.n_obs != self.n_obs:
-            raise ValueError("fold scheme built for a different number of rows")
-        return self._cached((folds, "rows"), lambda: [
-            (self.rows[~mask], self.rows[mask]) for mask in map(folds.fold_mask, range(folds.k))])
+        def split(mask):
+            x_train, x_test = self.rows[~mask], self.rows[mask]
+            return x_train, x_test, second_moment(x_train), second_moment(x_test)
+
+        return self._cached(folds, lambda: [split(folds.fold_mask(f)) for f in range(folds.k)])
 
     def targets(self, folds: FoldScheme,
                 g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
         """(T, _factor(T)) per fold, shared by every group of g's partition."""
         key = g.dim if g.kind == KIND_HAAR else orbit_partition(g).sym_class_of.tobytes()
         return self._cached((folds, key), lambda: tuple(
-            (t, _factor(t)) for t in (reynolds_project(g, r) for r, _, _ in self.moments(folds))))
+            (t, _factor(t)) for t in (reynolds_project(g, r_train)
+                                      for _, _, r_train, _ in self.splits(folds))))
 
 
 def _eigen_spectrum(residual: np.ndarray, inv_ell: np.ndarray, r_test: SymmetricMatrix,
@@ -358,7 +350,7 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
     covariance. Only the projection depends on the group, so the per-fold
     moments, sample term and alpha = 0 score are shared by every candidate,
     and candidates with one target share one curve; a ``DataStats`` passed
-    as ``data`` shares the moments, fold rows and targets across calls.
+    as ``data`` shares the fold splits and targets across calls.
     Scores average across folds per alpha. The returned alpha follows the
     paired one-standard-error rule toward the structured end (Hastie,
     Tibshirani & Friedman, ESL section 7.10): with ``best`` the first
@@ -377,7 +369,8 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
         folds = FoldScheme.contiguous(data.n_obs)
     alphas = np.asarray(grid.points)
     fold_terms = []
-    for fold, (r_train, n_train, r_test) in enumerate(stats.moments(folds)):
+    for fold, (x_train, x_test, r_train, r_test) in enumerate(stats.splits(folds)):
+        n_train = len(x_train)
         if n_train < 2:
             raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
         sample_term = (shrinkage.lwnl_from_covariance(r_train, n_train).matrix
@@ -388,8 +381,7 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
         # any other sample term of a fold with few test rows from those rows
         gram = not use_lwnl_sample_term and n_train < data.dim
         rows = None
-        if gram or data.n_obs - n_train < TRIDIAGONAL_ROW_FRACTION * data.dim:
-            x_train, x_test = stats.fold_rows(folds)[fold]
+        if gram or len(x_test) < TRIDIAGONAL_ROW_FRACTION * data.dim:
             rows = (x_train if gram else None, x_test)
         fold_terms.append((sample_term, r_test, at_zero, rows))
     results = []
@@ -426,78 +418,3 @@ def write_cv_trace_csv(path, result: CalibrationResult, grid: AlphaGrid) -> None
         (fold, alpha, score)
         for fold, scores in enumerate(result.fold_scores.tolist())
         for alpha, score in zip(grid.points, scores)])
-
-
-# ---------------------------------------------------------------------------
-# Leading-order asymptotics.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NllAsymptote:
-    alpha: float
-    matched_limit: bool = False
-
-    @property
-    def note(self) -> str | None:
-        return NOTE_MATCHED_LIMIT if self.matched_limit else None
-
-
-def _inverse_spd(sigma: SymmetricMatrix, ridge_scale: float | None) -> np.ndarray:
-    if ridge_scale is not None:
-        sigma = SymmetricMatrix(
-            sigma.values + np.eye(sigma.dim) * (ridge_scale * sigma.trace() / sigma.dim))
-    factors = _factor(sigma)
-    if factors is None:
-        raise ValueError("asymptotic predictions require a positive-definite matrix")
-    return factors[0].T @ factors[0]
-
-
-def curvature_constant(sigma: SymmetricMatrix, g: GroupAction,
-                       ridge_scale: float | None = None) -> float:
-    """c(Sigma, G) = M(M+1) - 2 d_G - 2(M+1) tr(Sigma^-1 B_G), the leading-
-    order numerator of the expected-NLL optimum; strictly positive for any
-    non-trivially acting group."""
-    return _q_b_and_curvature(sigma, g, ridge_scale)[1]
-
-
-def _q_b_and_curvature(sigma: SymmetricMatrix, g: GroupAction,
-                       ridge_scale: float | None) -> tuple[float, float]:
-    """Q_B = tr((Sigma^-1 B_G)^2) and c(Sigma, G) from one inversion of Sigma."""
-    m = sigma.dim
-    sigma_inv = _inverse_spd(sigma, ridge_scale)
-    sb = sigma_inv @ (sigma.values - reynolds_project(g, sigma).values)
-    d_g = 1 if g.kind == KIND_HAAR else orbit_partition(g).d_g
-    return (float(np.trace(sb @ sb)),
-            float(m * (m + 1) - 2 * d_g - 2 * (m + 1) * np.trace(sb)))
-
-
-def predict_alpha_nll_asymptotic(sigma: SymmetricMatrix, g: GroupAction, n: int,
-                                 ridge_scale: float | None = None) -> NllAsymptote:
-    """Leading-order expected-NLL-optimal intensity, clipped into [0, 1];
-    the matched limit (Q_B ~ 0) reports alpha = 1.
-
-    The saturating form c / (N Q_B + c) is used: it agrees with the
-    leading-order ratio c / (N Q_B) as N grows, stays inside (0, 1) at
-    every N, and crosses 1/2 exactly at the transition size N* = c / Q_B.
-
-    Theory-side: ``sigma`` is the population covariance. Substituting the
-    sample covariance is supported via ``ridge_scale`` (the documented value
-    is PLUGIN_RIDGE_SCALE), but the finite-sample bias of the inverted
-    sample covariance makes that plug-in unreliable when M/N is near one or
-    the spectrum is very spread; the held-out calibration avoids inverting
-    anything and is the robust choice there.
-    """
-    q_b, c_const = _q_b_and_curvature(sigma, g, ridge_scale)
-    if q_b <= 1e-14 * sigma.dim:
-        return NllAsymptote(alpha=1.0, matched_limit=True)
-    return NllAsymptote(alpha=min(1.0, max(0.0, c_const / (n * q_b + c_const))))
-
-
-def predict_n_star(sigma: SymmetricMatrix, g: GroupAction,
-                   ridge_scale: float | None = None) -> float:
-    """Transition sample size c(Sigma, G) / Q_B at which the asymptotic
-    NLL-optimal intensity crosses 1/2; undefined at the matched limit."""
-    q_b, c_const = _q_b_and_curvature(sigma, g, ridge_scale)
-    if q_b <= 1e-14 * sigma.dim:
-        raise ValueError("transition scale undefined at the matched limit (Q_B = 0)")
-    return c_const / q_b

@@ -308,11 +308,6 @@ def haar_orthogonal(m: int) -> GroupAction:
     return GroupAction(name=f"haar-o{m}", dim=m, kind=KIND_HAAR)
 
 
-def symmetric_generators(m: int) -> GroupAction:
-    """full_symmetric(m) under the name the enumeration tests use."""
-    return replace(full_symmetric(m), name=f"s{m}-gen")
-
-
 def cyclic(m: int) -> GroupAction:
     """Flat cyclic shift i -> i+1 (mod m) on all m indices."""
     return tied_cyclic_blocks(m, 1, name=f"z{m}-flat")

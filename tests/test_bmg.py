@@ -9,14 +9,20 @@ from symcov.bmg import (
     CandidateLibrary,
     bmg_with_fallback,
     delta_residual,
-    report_rows,
+    report_fields,
     shah_at_selected,
     tier1_admit,
     tier2_select,
     write_report_csv,
 )
 from symcov.calibration import AlphaGrid, FoldScheme, cv_nll_alpha
-from symcov.matrixcore import Dataset, SymmetricMatrix, sample_covariance
+from symcov.matrixcore import (
+    Dataset,
+    SymmetricMatrix,
+    format_row,
+    gaussian_nll_per_sample,
+    sample_covariance,
+)
 
 
 def small_library(m=4):
@@ -211,13 +217,32 @@ class TestFallback:
             est, report = bmg_with_fallback(data, lib)
             assert est.matrix.dim == 6
 
-    def test_shah_at_selected_under_fallback_is_sample(self):
+    def test_shah_at_selected_under_fallback_is_haar_projection(self):
+        # under fallback the comparator projects through the Haar group of the
+        # LW2004 blend; one centered row still gives the zero matrix
         data = Dataset(np.ones((1, 50))).center()
         lib = CandidateLibrary((groups.trivial(50),))
         est, report = bmg_with_fallback(data, lib, kappa=2.0)
         shah = shah_at_selected(data, lib, report)
-        np.testing.assert_array_equal(shah.matrix.values,
-                                      sample_covariance(data).values)
+        assert shah.group_name == "haar-o50"
+        np.testing.assert_array_equal(shah.matrix.values, np.zeros((50, 50)))
+
+    def test_shah_at_selected_under_fallback_at_two_rows_is_lw2004(self):
+        # two rows center to x and -x: the sample covariance is singular, but
+        # its Haar projection is LW2004 pinned to alpha = 1, with finite NLL
+        rng = np.random.default_rng(69)
+        data = Dataset(rng.standard_normal((2, 20))).center()
+        test = Dataset(rng.standard_normal((40, 20))).center()
+        lib = CandidateLibrary((groups.trivial(20), groups.cyclic(20)))
+        est, report = bmg_with_fallback(data, lib)
+        assert report.fallback_used and est.alpha == 1.0
+        shah = shah_at_selected(data, lib, report).matrix
+        np.testing.assert_array_equal(shah.values, shrinkage.lw2004_auto(data).matrix.values)
+        r_test = sample_covariance(test)
+        nll = gaussian_nll_per_sample(shah, r_test)
+        assert math.isfinite(nll)
+        assert nll == gaussian_nll_per_sample(est.matrix, r_test)
+        assert math.isinf(gaussian_nll_per_sample(sample_covariance(data), r_test))
 
 
 class TestReportCsv:
@@ -239,5 +264,5 @@ class TestReportCsv:
         data = Dataset(rng.standard_normal((24, 4))).center()
         lib = small_library()
         _, report = bmg_with_fallback(data, lib, kappa=1.0)
-        rows = report_rows(lib, report, trial=7)
+        rows = [format_row(row) for row in report_fields(lib, report, trial=7)]
         assert all(row.startswith("7,") for row in rows)

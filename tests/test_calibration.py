@@ -15,10 +15,7 @@ from symcov.calibration import (
     _one_se_index,
     cv_nll_alpha,
     cv_nll_alphas,
-    curvature_constant,
     mse_plugin_alpha,
-    predict_alpha_nll_asymptotic,
-    predict_n_star,
     write_cv_trace_csv,
 )
 from symcov.groups import brute_force_project, reynolds_project
@@ -381,8 +378,8 @@ class TestGramPath:
     def test_fold_rows_cached_per_scheme(self):
         stats = DataStats.of(_rows(20, 6, 91))
         folds = FoldScheme.contiguous(20, 4)
-        assert stats.fold_rows(folds) is stats.fold_rows(FoldScheme.contiguous(20, 4))
-        for (train, test), mask in zip(stats.fold_rows(folds), map(folds.fold_mask, range(4))):
+        assert stats.splits(folds) is stats.splits(FoldScheme.contiguous(20, 4))
+        for (train, test, _, _), mask in zip(stats.splits(folds), map(folds.fold_mask, range(4))):
             np.testing.assert_array_equal(train, stats.rows[~mask])
             np.testing.assert_array_equal(test, stats.rows[mask])
 
@@ -409,7 +406,7 @@ class TestTridiagonalRoute:
         # one per (fold, distinct target) with a factor and a nonzero residual
         want = sum(factors is not None and not np.array_equal(t.values, r_train.values)
                    for targets in distinct.values()
-                   for (t, factors), (r_train, _, _) in zip(targets, data.moments(folds)))
+                   for (t, factors), (_, _, r_train, _) in zip(targets, data.splits(folds)))
         assert want > folds.k and len(calls) == want
 
     @pytest.mark.parametrize("use_lwnl", [False, True])
@@ -516,8 +513,8 @@ class TestFoldStats:
         assert stats.r_hat is stats.r_hat and stats.lwnl is stats.lwnl
         np.testing.assert_array_equal(stats.r_hat.values, sample_covariance(data).values)
         five, three = FoldScheme.contiguous(30, 5), FoldScheme.contiguous(30, 3)
-        assert stats.moments(five) is stats.moments(FoldScheme.contiguous(30, 5))
-        assert len(stats.moments(three)) == 3 and stats.moments(three) is not stats.moments(five)
+        assert stats.splits(five) is stats.splits(FoldScheme.contiguous(30, 5))
+        assert len(stats.splits(three)) == 3 and stats.splits(three) is not stats.splits(five)
 
 
 class TestOneStandardErrorRule:
@@ -578,104 +575,3 @@ class TestMseConsistencyTrend:
                 errs.append(abs(mse_plugin_alpha(data, g).alpha - alpha_star))
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
-
-
-class TestAsymptotics:
-    def test_matched_limit_note(self):
-        g = groups.full_symmetric(4)
-        sigma = SymmetricMatrix(np.eye(4))
-        res = predict_alpha_nll_asymptotic(sigma, g, 100)
-        assert res.matched_limit and res.alpha == 1.0
-        with pytest.raises(ValueError):
-            predict_n_star(sigma, g)
-
-    def test_one_inversion_per_prediction(self, monkeypatch):
-        calls = []
-        inverse = calibration._inverse_spd
-        monkeypatch.setattr(calibration, "_inverse_spd",
-                            lambda *args: calls.append(1) or inverse(*args))
-        g = groups.cyclic(6)
-        a = np.random.default_rng(50).standard_normal((6, 6))
-        sigma = SymmetricMatrix(a @ a.T / 6 + 0.2 * np.eye(6))
-        predict_alpha_nll_asymptotic(sigma, g, 100)
-        assert len(calls) == 1
-        predict_n_star(sigma, g)
-        assert len(calls) == 2
-
-    def test_curvature_constant_positive(self):
-        rng = np.random.default_rng(51)
-        cases = [groups.transposition(6), groups.cyclic(6),
-                 groups.full_symmetric(6), groups.block_symmetric(3, 2),
-                 groups.wreath_shifts(3, 2)]
-        for i in range(50):
-            g = cases[i % len(cases)]
-            a = rng.standard_normal((6, 6))
-            sigma = SymmetricMatrix(a @ a.T / 6 + 0.2 * np.eye(6))
-            c = curvature_constant(sigma, g)
-            m = 6
-            from symcov.groups import orbit_partition
-            d_g = orbit_partition(g).d_g
-            assert c >= m * (m + 1) - 2 * d_g > 0
-
-    def test_prediction_halves_when_n_doubles_in_small_alpha_regime(self):
-        rng = np.random.default_rng(52)
-        g = groups.cyclic(6)
-        a = rng.standard_normal((6, 6))
-        sigma = SymmetricMatrix(a @ a.T / 6 + 0.2 * np.eye(6))
-        n = 10**7  # deep small-alpha regime
-        a1 = predict_alpha_nll_asymptotic(sigma, g, n).alpha
-        a2 = predict_alpha_nll_asymptotic(sigma, g, 2 * n).alpha
-        assert a2 == pytest.approx(a1 / 2, rel=1e-3)
-
-    def test_n_star_defining_identity(self):
-        rng = np.random.default_rng(53)
-        g = groups.grid_klein(2, 3)
-        a = rng.standard_normal((6, 6))
-        sigma = SymmetricMatrix(a @ a.T / 6 + 0.2 * np.eye(6))
-        n_star = predict_n_star(sigma, g)
-        assert predict_alpha_nll_asymptotic(sigma, g, n_star).alpha == pytest.approx(0.5, abs=1e-10)
-
-    def test_n_star_quadruples_when_bias_halves(self):
-        # scale the off-commutant part of Sigma by 1/2 at small base residual
-        rng = np.random.default_rng(54)
-        g = groups.block_symmetric(3, 2)
-        a = rng.standard_normal((6, 6))
-        base = SymmetricMatrix(a @ a.T / 6 + 1.0 * np.eye(6))
-        proj = reynolds_project(g, base).values
-        b0 = base.values - proj
-        b0 *= 0.1 / np.linalg.norm(b0, "fro")  # small residual
-        n1 = predict_n_star(SymmetricMatrix(proj + b0), g)
-        n2 = predict_n_star(SymmetricMatrix(proj + 0.5 * b0), g)
-        assert n2 == pytest.approx(4 * n1, rel=0.1)
-
-    def test_mismatched_toy_matches_trace_loops(self):
-        # M=4, Z2 swap: independent loop evaluation of c(Sigma, G) and Q_B
-        g = groups.transposition(4, 0, 1)
-        sigma = SymmetricMatrix(np.array([
-            [2.0, 0.3, 0.1, 0.0],
-            [0.3, 1.5, 0.2, 0.1],
-            [0.1, 0.2, 1.8, 0.4],
-            [0.0, 0.1, 0.4, 2.2]]))
-        b = sigma.values - brute_force_project(g, sigma).values
-        inv = np.linalg.inv(sigma.values)
-        q_b = 0.0
-        sb = inv @ b @ inv @ b
-        for i in range(4):
-            q_b += sb[i, i]
-        from symcov.groups import orbit_partition
-        d_g = orbit_partition(g).d_g
-        tr_ib = float(np.trace(inv @ b))
-        c = 4 * 5 - 2 * d_g - 2 * 5 * tr_ib
-        assert predict_n_star(sigma, g) == pytest.approx(c / q_b, rel=1e-10)
-
-    def test_singular_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            predict_alpha_nll_asymptotic(
-                SymmetricMatrix(np.diag([1.0, 0.0])), groups.transposition(2), 10)
-
-    def test_ridge_plugin_mode_accepts_rank_deficient(self):
-        rng = np.random.default_rng(55)
-        rows = rng.standard_normal((4, 8))
-        r_hat = SymmetricMatrix(rows.T @ rows / 4)  # rank deficient
-        res = predict_alpha_nll_asymptotic(r_hat, groups.cyclic(8), 100, ridge_scale=1e-8)
-        assert 0.0 <= res.alpha <= 1.0

@@ -1,3 +1,4 @@
+import importlib
 import subprocess
 import sys
 
@@ -458,6 +459,16 @@ class TestCliContract:
              "import sys, symcov; sys.exit('numpy' in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_every_export_resolves(self):
+        # each public name and each module of the lazy export table loads
+        # through the package attribute it is reached by
+        import symcov
+        for name in symcov.__all__:
+            module = importlib.import_module(f"symcov.{symcov._EXPORTS[name]}")
+            assert getattr(symcov, name) is getattr(module, name)
+        for module in set(symcov._EXPORTS.values()):
+            assert getattr(symcov, module) is importlib.import_module(f"symcov.{module}")
 
     def test_console_entry_point(self, tmp_path):
         # the installed script wires to the same main

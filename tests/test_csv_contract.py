@@ -123,8 +123,8 @@ class TestWriterBytes:
             "candidate,admitted,mean_cv_nll,best_alpha,selected,margin,delta\n"
             f"z3-flat,1,0.1,{THIRD},1,inf,1e-300\n"
             "trivial-3,0,nan,nan,0,inf,1e-300\n")
-        rows = bmg_mod.report_rows(lib, report, trial=4)
-        assert rows[1] == "4,trivial-3,0,nan,nan,0,inf,1e-300"
+        rows = bmg_mod.report_fields(lib, report, trial=4)
+        assert matrixcore.format_row(rows[1]) == "4,trivial-3,0,nan,nan,0,inf,1e-300"
 
     def test_trial_records(self, tmp_path):
         _, report = self._report()

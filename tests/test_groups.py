@@ -51,7 +51,7 @@ def small_groups():
         groups.grid_d4(2),
         groups.grid_klein(2, 4),
         groups.grid_dihedral(1, 8, "col"),
-        groups.symmetric_generators(4),
+        groups.full_symmetric(4),
         groups.block_symmetric(2, 3),
         groups.cartesian_power_shifts(2, 3),
         groups.wreath_shifts(2, 2),
