@@ -227,13 +227,19 @@ class DataStats(Dataset):
                                       for _, _, r_train, _ in self.splits(folds))))
 
 
-def _eigen_spectrum(residual: np.ndarray, inv_ell: np.ndarray, r_test: SymmetricMatrix,
-                    alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e, d) from the M x M eigendecomposition L^-1 (S - T) L^-T = Q diag(mu) Q^T:
-    e = 1 + (1 - alpha) mu and d = diag(Q^T L^-1 R_test L^-T Q)."""
-    mu, q = np.linalg.eigh(inv_ell @ -residual @ inv_ell.T)
+def _eigen_curve(k: np.ndarray, inv_ell: np.ndarray, r_test: SymmetricMatrix, a: np.ndarray,
+                 b: np.ndarray, floor: float) -> tuple:
+    """``_tridiagonal_curve``'s (mask, logdet, trace term) for W W^T =
+    L^-1 R_test L^-T, from K = Q diag(mu) Q^T: each blend a_j I + b_j K has
+    eigenvalues e = a_j + b_j mu, is certified when min e >= ``floor``, and
+    has trace term sum d / e with d = diag(Q^T L^-1 R_test L^-T Q)."""
+    mu, q = np.linalg.eigh(k)
+    e = a[:, None] + np.outer(b, mu)
+    keep = e.min(axis=1) >= floor
     rot = q.T @ inv_ell
-    return 1.0 + np.outer(1.0 - alphas, mu), np.einsum("ij,ij->i", rot @ r_test.values, rot)
+    d = np.einsum("ij,ij->i", rot @ r_test.values, rot)
+    good = e[keep]
+    return keep, np.log(good).sum(axis=1), (d / good).sum(axis=1)
 
 
 def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -264,52 +270,32 @@ def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarra
             np.einsum("jir,ir->j", x.reshape(len(a), n, -1), hw))
 
 
-def _row_curve(residual: np.ndarray, inv_ell: np.ndarray, fold_rows: tuple,
-               alphas: np.ndarray, floor: float) -> tuple | None:
-    """``_tridiagonal_curve`` of the alphas after the first, as (mask, logdet
-    of L^-1 blend L^-T, trace term), with ``fold_rows`` = (X_tr, X_te).
-
-    M x M route (X_tr None): K = L^-1 (S - T) L^-T, W = L^-1 X_te^T / sqrt(n_te)
-    and blend = I + (1 - alpha) K. Gram route (S = X_tr^T X_tr / n_tr, n_tr <
-    M): with Y = X_tr L^-T / sqrt(n_tr) and Z = X_te L^-T, K = Y Y^T, W = Y Z^T
-    and a = alpha; the other M - n_tr directions add (M - n_tr) log alpha, K is
-    PSD so e_min = alpha, and 1/(lambda e) = (1/alpha)(1/lambda - (1 - alpha)/e)
-    makes the trace term (||Z||^2 - (1 - alpha) tr) / (alpha n_te).
-    """
-    x_train, x_test = fold_rows
-    a, b = alphas[1:], 1.0 - alphas[1:]
-    if x_train is None:
-        return _tridiagonal_curve(inv_ell @ -residual @ inv_ell.T,
-                                  inv_ell @ x_test.T / np.sqrt(len(x_test)),
-                                  np.ones_like(a), b, floor)
-    n_train, m = x_train.shape
-    y = x_train @ inv_ell.T / np.sqrt(n_train)
-    z = x_test @ inv_ell.T
-    if (curve := _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)) is None:
-        return None
-    keep, logdet, trace = curve
-    a = a[keep]
-    return (keep, logdet + (m - n_train) * np.log(a),
-            (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * len(z)))
-
-
 def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors: tuple | None,
-                 r_test: SymmetricMatrix, alphas: np.ndarray, at_zero: float,
-                 fold_rows: tuple[np.ndarray | None, np.ndarray] | None) -> np.ndarray:
+                 split: tuple, alphas: np.ndarray, at_zero: float) -> np.ndarray:
     """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
-    from one factorization. With T = L L^T, L^-1 blend(alpha) L^-T =
-    V diag(e(alpha)) V^T for one orthogonal V at every alpha, so the logdet
-    is logdet T + sum log e and the trace term sum d / e with
-    d = diag(V^T L^-1 R_test L^-T V), from ``_row_curve`` when ``fold_rows``
-    (the fold's training rows or None, and its test rows) is given and from
-    ``_eigen_spectrum`` otherwise. Alphas not certified to pass the pivot test
-    of ``gaussian_nll_per_sample`` (lambda_min(blend) >= min e / ||L^-1||_F^2,
-    and no squared pivot exceeds the largest diagonal entry), and all alphas
-    when T is not positive definite or a tridiagonal pivot fails, are scored
-    on their explicit blends, so the +inf sentinel stays in one place.
-    ``at_zero`` is the group-free alpha = 0 score.
+    on one fold ``split`` (X_train, X_test, R_train, R_test), from one
+    factorization. With T = L L^T, L^-1 blend(alpha) L^-T = a I + b K for one
+    symmetric K, so the logdet is logdet T + logdet(a I + b K) and the trace
+    term is tr((a I + b K)^-1 L^-1 R_test L^-T). One branch picks the route:
+    - Gram, when S is R_train itself and n_train < M: K = Y Y^T with
+      Y = X_train L^-T / sqrt(n_train), a = alpha, b = 1 - alpha; K is PSD,
+      so lambda_min(K) >= 0. The other M - n_train directions add
+      (M - n_train) log alpha, and with
+      Z = X_test L^-T and W = Y Z^T the trace term is
+      (||Z||^2 - b tr(W^T (a I + b K)^-1 W)) / (alpha n_test).
+    - Otherwise K = L^-1 (S - T) L^-T, a = 1, b = 1 - alpha, scored by
+      ``_tridiagonal_curve`` with W = L^-1 X_test^T / sqrt(n_test) when the
+      fold has fewer than TRIDIAGONAL_ROW_FRACTION M test rows, and by
+      ``_eigen_curve`` otherwise.
+    Alphas not certified to pass the pivot test of ``gaussian_nll_per_sample``
+    (lambda_min(blend) >= lambda_min(a I + b K) / ||L^-1||_F^2, and no squared
+    pivot exceeds the largest diagonal entry), and all alphas when T is not
+    positive definite or a tridiagonal pivot fails, are scored on their
+    explicit blends, so the +inf sentinel stays in one place. ``at_zero`` is
+    the group-free alpha = 0 score.
     """
     s, t = sample_term.values, target.values
+    x_train, x_test, r_train, r_test = split
     # difference form: a zero residual (e.g. the trivial group) gives every
     # alpha the sample term's score bitwise, so structural ties stay exact
     residual = t - s
@@ -320,14 +306,24 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
     if factors is not None:
         inv_ell, logdet_t, inv_norm_sq = factors
         floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * inv_norm_sq
-        if fold_rows is None:
-            e, d = _eigen_spectrum(residual, inv_ell, r_test, alphas)
-            certified = e.min(axis=1) >= floor
-            certified[0] = False   # the shared at_zero score stands
-            good = e[certified]
-            scores[certified] = 0.5 * (logdet_t + np.log(good).sum(axis=1)
-                                       + (d / good).sum(axis=1))
-        elif (curve := _row_curve(residual, inv_ell, fold_rows, alphas, floor)) is not None:
+        (n_train, m), n_test = x_train.shape, len(x_test)
+        a, b = alphas[1:], 1.0 - alphas[1:]
+        if sample_term is r_train and n_train < m:
+            y = x_train @ inv_ell.T / np.sqrt(n_train)
+            z = x_test @ inv_ell.T
+            curve = _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)
+            if curve is not None:
+                keep, logdet, trace = curve
+                a = a[keep]
+                curve = (keep, logdet + (m - n_train) * np.log(a),
+                         (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * n_test))
+        else:
+            k, ones = inv_ell @ -residual @ inv_ell.T, np.ones_like(b)
+            if n_test < TRIDIAGONAL_ROW_FRACTION * m:
+                curve = _tridiagonal_curve(k, inv_ell @ x_test.T / np.sqrt(n_test), ones, b, floor)
+            else:
+                curve = _eigen_curve(k, inv_ell, r_test, ones, b, floor)
+        if curve is not None:
             certified[1:], logdet, trace = curve
             scores[certified] = 0.5 * (logdet_t + logdet + trace)
     for j in np.flatnonzero(~certified[1:]) + 1:
@@ -368,30 +364,24 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
     if folds is None:
         folds = FoldScheme.contiguous(data.n_obs)
     alphas = np.asarray(grid.points)
+    splits = stats.splits(folds)
     fold_terms = []
-    for fold, (x_train, x_test, r_train, r_test) in enumerate(stats.splits(folds)):
+    for fold, (x_train, _, r_train, r_test) in enumerate(splits):
         n_train = len(x_train)
         if n_train < 2:
             raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
         sample_term = (shrinkage.lwnl_from_covariance(r_train, n_train).matrix
                        if use_lwnl_sample_term else r_train)
         # the alpha = 0 blend is the sample term alone, whatever the group
-        at_zero = matrixcore.gaussian_nll_per_sample(sample_term, r_test)
-        # a raw moment of fewer rows than M is scored from its Gram matrix, and
-        # any other sample term of a fold with few test rows from those rows
-        gram = not use_lwnl_sample_term and n_train < data.dim
-        rows = None
-        if gram or len(x_test) < TRIDIAGONAL_ROW_FRACTION * data.dim:
-            rows = (x_train if gram else None, x_test)
-        fold_terms.append((sample_term, r_test, at_zero, rows))
+        fold_terms.append((sample_term, matrixcore.gaussian_nll_per_sample(sample_term, r_test)))
     results = []
     curves: dict = {}   # fold scores per distinct target, keyed by its identity
     for g in candidates:
         targets = stats.targets(folds, g)
         if id(targets) not in curves:
             curves[id(targets)] = np.array([
-                _alpha_curve(sample_term, *target, r_test, alphas, at_zero, rows)
-                for (sample_term, r_test, at_zero, rows), target in zip(fold_terms, targets)])
+                _alpha_curve(sample_term, *target, split, alphas, at_zero)
+                for (sample_term, at_zero), split, target in zip(fold_terms, splits, targets)])
         scores = curves[id(targets)]
         mean_scores = scores.mean(axis=0)
         chosen = _one_se_index(scores)

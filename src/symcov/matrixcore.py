@@ -213,8 +213,9 @@ def read_csv_lines(path) -> list[tuple[int, str]]:
 
 
 def parse_header(path, line: tuple[int, str], width: int) -> list[int]:
-    """The ``width`` comma-separated integers of a header line. A malformed
-    token or a wrong count raises ValueError naming the file and line."""
+    """The ``width`` comma-separated positive integers (counts and
+    dimensions) of a header line. A malformed token, a value below 1 or a
+    wrong count raises ValueError naming the file and line."""
     no, text = line
     try:
         values = [int(tok) for tok in text.split(",")]
@@ -222,6 +223,8 @@ def parse_header(path, line: tuple[int, str], width: int) -> list[int]:
         raise ValueError(f"{path}:{no}: {exc}") from None
     if len(values) != width:
         raise ValueError(f"{path}:{no}: expected {width} header values, found {len(values)}")
+    if min(values) < 1:
+        raise ValueError(f"{path}:{no}: expected positive integers, found {text!r}")
     return values
 
 
@@ -266,11 +269,17 @@ def write_dataset_csv(path, data: Dataset) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """A centered dataset: the header line N,M, then N rows."""
+    """A centered dataset: the header line N,M, then N column-centered rows.
+    Rows that are not centered raise ValueError naming the header line."""
     lines = read_csv_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     n, m = parse_header(path, lines[0], 2)
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    return Dataset(parse_rows(path, lines[1:], m), centered=True)
+    rows = parse_rows(path, lines[1:], m)
+    try:
+        return Dataset(rows, centered=True)
+    except CenteringError:
+        raise ValueError(f"{path}:{lines[0][0]}: column means are not zero; "
+                         "dataset CSVs must be column-centered") from None

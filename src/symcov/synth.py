@@ -582,14 +582,12 @@ _SWEEP_KEYS = {
 _CONFIG_KEYS = {"m", "library", "n_list", "population_group", *_POPULATION_KEYS, *_SWEEP_KEYS}
 
 
-def _given(raw: dict[str, str], keys: dict) -> dict:
-    return {field: parse(raw[key]) for key, (field, parse) in keys.items() if key in raw}
-
-
 def parse_sweep_config(path) -> SweepConfig:
     """A sweep config of key=value lines; a line that is not key=value, an
-    unknown key and a repeated key each raise ValueError naming its line."""
-    raw: dict[str, str] = {}
+    unknown key, a repeated key and a value that does not parse each raise
+    ValueError naming its line. ``#`` starts a comment only at the start of
+    a line."""
+    raw: dict[str, tuple[int, str]] = {}
     for no, line in matrixcore.read_csv_lines(path):
         key, sep, val = (part.strip() for part in line.partition("="))
         if line.startswith("#"):
@@ -599,16 +597,26 @@ def parse_sweep_config(path) -> SweepConfig:
         if key in raw or key not in _CONFIG_KEYS:
             reason = "given twice" if key in raw else "unknown"
             raise ValueError(f"{path}:{no}: config key {key!r} {reason}")
-        raw[key] = val
+        raw[key] = (no, val)
+
+    def parsed(key, parse):
+        no, val = raw[key]
+        try:
+            return parse(val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: config key {key!r}: {exc}") from None
+
+    def given(keys: dict) -> dict:
+        return {field: parsed(key, parse) for key, (field, parse) in keys.items() if key in raw}
+
     try:
-        group = parse_group_spec(raw["population_group"]) if "population_group" in raw else None
-        population = PopulationSpec(m=int(raw["m"]), group=group,
-                                    **_given(raw, _POPULATION_KEYS))
+        group = parsed("population_group", parse_group_spec) if "population_group" in raw else None
+        population = PopulationSpec(m=parsed("m", int), group=group, **given(_POPULATION_KEYS))
         return SweepConfig(
             population=population,
-            library=parse_library_spec(raw["library"]),
-            n_list=tuple(int(tok) for tok in raw["n_list"].split(",")),
-            **_given(raw, _SWEEP_KEYS),
+            library=parsed("library", parse_library_spec),
+            n_list=parsed("n_list", lambda val: tuple(int(tok) for tok in val.split(","))),
+            **given(_SWEEP_KEYS),
         )
     except KeyError as exc:
         raise ValueError(f"sweep config missing required key {exc}") from exc

@@ -331,6 +331,13 @@ def _record_tridiagonal_shapes(monkeypatch):
     return shapes
 
 
+def _record_eigen_calls(monkeypatch):
+    calls, kernel = [], calibration._eigen_curve
+    monkeypatch.setattr(calibration, "_eigen_curve",
+                        lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
 class TestGramPath:
     """A raw sample term of n_train < M rows scores its alpha curve from a
     tridiagonal reduction of the n_train x n_train Gram matrix of its fold
@@ -395,9 +402,7 @@ class TestTridiagonalRoute:
             m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
         data = DataStats.of(synth.sample_gaussian(sigma, n, (71, n)))
         folds = FoldScheme.contiguous(n)
-        calls, spectrum = [], calibration._eigen_spectrum
-        monkeypatch.setattr(calibration, "_eigen_spectrum",
-                            lambda *args: calls.append(1) or spectrum(*args))
+        calls = _record_eigen_calls(monkeypatch)
         cv_nll_alphas(data, pathway_decoys.candidates, use_lwnl_sample_term=use_lwnl)
         if n // folds.k < calibration.TRIDIAGONAL_ROW_FRACTION * 100:
             assert calls == []
@@ -429,13 +434,32 @@ class TestTridiagonalRoute:
         lam_min = np.linalg.eigvalsh(k)[0]
         w = rng.standard_normal((m, 3))
         a, b = np.full(4, -1.5 * lam_min), np.array([0.0, 0.5, 1.0, 2.0])
-        keep, logdet, trace = calibration._tridiagonal_curve(k, w, a, b, floor=1e-3)
-        np.testing.assert_array_equal(keep, [True, True, True, False])
-        for j, ld, tr in zip(np.flatnonzero(keep), logdet, trace):
-            blend = a[j] * np.eye(m) + b[j] * k
-            np.testing.assert_allclose(ld, np.linalg.slogdet(blend)[1], rtol=1e-12)
-            np.testing.assert_allclose(tr, np.trace(w.T @ np.linalg.solve(blend, w)),
-                                       rtol=1e-12)
+        # the eigen kernel reads W W^T as the whitened test moment, with L^-1 = I
+        for keep, logdet, trace in (
+                calibration._tridiagonal_curve(k, w, a, b, floor=1e-3),
+                calibration._eigen_curve(k, np.eye(m), SymmetricMatrix(w @ w.T), a, b, 1e-3)):
+            np.testing.assert_array_equal(keep, [True, True, True, False])
+            for j, ld, tr in zip(np.flatnonzero(keep), logdet, trace):
+                blend = a[j] * np.eye(m) + b[j] * k
+                np.testing.assert_allclose(ld, np.linalg.slogdet(blend)[1], rtol=1e-12)
+                np.testing.assert_allclose(tr, np.trace(w.T @ np.linalg.solve(blend, w)),
+                                           rtol=1e-12)
+
+    @pytest.mark.parametrize("g", [
+        groups.cyclic(16), groups.block_symmetric(4, 4), groups.haar_orthogonal(16),
+    ], ids=lambda g: g.name)
+    @pytest.mark.parametrize("n,k", [(12, 2), (16, 2)])
+    def test_lwnl_below_m_training_rows_take_the_eigen_kernel(self, g, n, k, monkeypatch):
+        # at least M/4 test rows and n_train < M, which five folds cannot give
+        data, folds = _rows(n, 16, 54 + n), FoldScheme(n, k)
+        calls = _record_eigen_calls(monkeypatch)
+        got = cv_nll_alpha(data, g, folds=folds, use_lwnl_sample_term=True).fold_scores
+        assert len(calls) == k
+        want = _explicit_fold_scores(data, g, use_lwnl=True, folds=folds)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+        assert finite.any()
 
     def test_failed_tridiagonal_solve_falls_back_to_explicit_blends(self, monkeypatch):
         data, g = _rows(15, 16, 53), groups.cyclic(16)

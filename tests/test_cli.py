@@ -92,6 +92,14 @@ class TestProject:
                        "--out", str(tmp_path / "out.csv")) == 2
         assert f"{src}:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["0\n", "-1\n1.0\n"], ids=["zero", "negative"])
+    def test_nonpositive_dimension_is_config_error_naming_line(self, tmp_path, capsys, text):
+        src = tmp_path / "dim.csv"
+        src.write_text(text)
+        assert run_cli("project", "--matrix", str(src), "--group", "trivial:1",
+                       "--out", str(tmp_path / "out.csv")) == 2
+        assert f"{src}:1: expected positive integers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text,line", [
         ("name=z3\ndim=3\nkind=generator_based\n1,x,0\n", 4),
         ("name=z3\ndim=x\nkind=generator_based\n1,2,0\n", 2),
@@ -99,8 +107,10 @@ class TestProject:
         ("name=z3\ndim=3\nkind=generator\n1,2,0\n", 3),
         ("name=s3\ndim=3\nkind=full_symmetric\n1,2,0\n", 4),
         ("name=h3\ndim=3\nkind=haar_orthogonal\n1,2,0\n", 4),
+        ("name=z3\ndim=0\nkind=generator_based\n", 2),
+        ("name=z3\ndim=-2\nkind=trivial\n", 2),
     ], ids=["generator", "dim", "not-a-permutation", "unknown-kind",
-            "legacy-kind-generator", "haar-generator"])
+            "legacy-kind-generator", "haar-generator", "dim-zero", "dim-negative"])
     def test_bad_group_file_integer_is_config_error_naming_line(self, tmp_path, identity_csv,
                                                                  capsys, text, line):
         gpath = tmp_path / "g.grp"
@@ -262,6 +272,18 @@ class TestBmg:
                        "--report", str(tmp_path / "report.csv")) == 2
         assert f"{data_path}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("0,5\n", ":1: expected positive integers"),
+        ("2,0\n\n", ":1: expected positive integers"),
+        ("\n2,2\n1.0,2.0\n3.0,-2.0\n", ":2: column means are not zero"),
+    ], ids=["no-rows", "no-columns", "uncentered"])
+    def test_bad_dataset_is_config_error_naming_line(self, tmp_path, capsys, text, message):
+        data_path = tmp_path / "bad.csv"
+        data_path.write_text(text)
+        assert run_cli("bmg", "--data", str(data_path), "--library", "trivial:2;s:2",
+                       "--report", str(tmp_path / "report.csv")) == 2
+        assert f"{data_path}{message}" in capsys.readouterr().err
+
     def test_library_directory(self, tmp_path, dataset_csv):
         libdir = tmp_path / "lib"
         libdir.mkdir()
@@ -385,6 +407,19 @@ class TestSweepAndDecoy:
         out = tmp_path / "o.csv"
         assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
         assert f"{cfg}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "decoy"])
+    @pytest.mark.parametrize("line", ["n_list = 50,abc", "trials = two", "m = 100 # hundred"])
+    def test_unparsable_value_is_config_error_naming_key_and_line(self, tmp_path, capsys,
+                                                                  command, line):
+        # sweep_cfg_with moves the key's line to the end, line 13
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(sweep_cfg_with(line))
+        key = line.split("=")[0].strip()
+        out = tmp_path / "o.csv"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}:13: config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_deterministic_under_threads(self, tmp_path):
