@@ -38,10 +38,7 @@ class CandidateLibrary:
         object.__setattr__(self, "candidates", cands)
 
     def by_name(self, name: str) -> GroupAction:
-        for g in self.candidates:
-            if g.name == name:
-                return g
-        raise KeyError(name)
+        return {g.name: g for g in self.candidates}[name]
 
 
 @dataclass(frozen=True)

@@ -91,12 +91,10 @@ class FoldScheme:
             return None
         return cls.contiguous(n_obs, min(k, n_obs))
 
-    def fold_mask(self, fold: int) -> np.ndarray:
+    def fold_slice(self, fold: int) -> slice:
         size, extra = divmod(self.n_obs, self.k)
         start = fold * size + min(fold, extra)
-        mask = np.zeros(self.n_obs, dtype=bool)
-        mask[start:start + size + (fold < extra)] = True
-        return mask
+        return slice(start, start + size + (fold < extra))
 
 
 @dataclass(frozen=True)
@@ -119,14 +117,13 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
     sample covariance exactly the denominator vanishes and alpha = 1 is
     returned with a degenerate note (every alpha gives the same blend).
     """
-    if not data.centered:
-        raise matrixcore.CenteringError("mse_plugin_alpha requires centered data")
+    data = DataStats.of(data)
     if data.n_obs < 2:
         raise ValueError("mse_plugin_alpha requires at least 2 observations")
     if g.dim != data.dim:
         raise DimensionMismatchError(f"group dim {g.dim} != data dim {data.dim}")
     n = data.n_obs
-    r_hat = DataStats.of(data).r_hat
+    r_hat = data.r_hat
     r_proj = reynolds_project(g, r_hat)
     perp_rhat = r_hat.values - r_proj.values
     denom = float(np.sum(perp_rhat**2))
@@ -177,13 +174,18 @@ def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
 
 
 class DataStats(Dataset):
-    """A dataset that computes on first use, and keeps, R_hat (``r_hat``),
-    its ``lwnl_from_covariance`` result (``lwnl``), and per fold scheme the
-    fold ``splits`` and each distinct target's fold projections with their
-    ``_factor``, keyed by merged orbit partition, which fixes the projection
-    bitwise (Haar groups of one dimension share one). Estimators read
-    statistics through ``of``, which wraps a plain Dataset for one call only:
-    only a caller holding a DataStats keeps them."""
+    """A centered dataset that computes on first use, and keeps, R_hat
+    (``r_hat``), its ``lwnl_from_covariance`` result (``lwnl``), and per fold
+    scheme the fold ``splits`` and each distinct target's fold projections
+    with their ``_factor``, keyed by merged orbit partition, which fixes the
+    projection bitwise (Haar groups of one dimension share one). Estimators
+    read statistics through ``of``, which wraps a plain Dataset for one call
+    only: only a caller holding a DataStats keeps them."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.centered:
+            raise matrixcore.CenteringError("statistics require centered data")
 
     @classmethod
     def of(cls, data: Dataset) -> "DataStats":
@@ -205,18 +207,21 @@ class DataStats(Dataset):
         return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat,
                                                                            self.n_obs))
 
-    def splits(self, folds: FoldScheme) -> list[tuple[np.ndarray, np.ndarray,
+    def splits(self, folds: FoldScheme) -> list[tuple[np.ndarray | None, np.ndarray,
                                                       SymmetricMatrix, SymmetricMatrix]]:
         """(X_train, X_test, R_train, R_test) per fold: the one place the
-        rows are split."""
+        rows are split. X_test is a view of the rows; X_train, which only the
+        Gram route reads, is None unless it has fewer rows than M."""
         if folds.n_obs != self.n_obs:
             raise ValueError("fold scheme built for a different number of rows")
 
-        def split(mask):
-            x_train, x_test = self.rows[~mask], self.rows[mask]
-            return x_train, x_test, second_moment(x_train), second_moment(x_test)
+        def split(fold):
+            test = folds.fold_slice(fold)
+            x_train, x_test = np.delete(self.rows, test, axis=0), self.rows[test]
+            return (x_train if len(x_train) < self.dim else None, x_test,
+                    second_moment(x_train), second_moment(x_test))
 
-        return self._cached(folds, lambda: [split(folds.fold_mask(f)) for f in range(folds.k)])
+        return self._cached(folds, lambda: [split(f) for f in range(folds.k)])
 
     def targets(self, folds: FoldScheme,
                 g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
@@ -277,11 +282,11 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
     factorization. With T = L L^T, L^-1 blend(alpha) L^-T = a I + b K for one
     symmetric K, so the logdet is logdet T + logdet(a I + b K) and the trace
     term is tr((a I + b K)^-1 L^-1 R_test L^-T). One branch picks the route:
-    - Gram, when S is R_train itself and n_train < M: K = Y Y^T with
-      Y = X_train L^-T / sqrt(n_train), a = alpha, b = 1 - alpha; K is PSD,
-      so lambda_min(K) >= 0. The other M - n_train directions add
-      (M - n_train) log alpha, and with
-      Z = X_test L^-T and W = Y Z^T the trace term is
+    - Gram, when S is R_train itself and the split kept X_train (n_train < M):
+      K = Y Y^T with Y = X_train L^-T / sqrt(n_train), a = alpha,
+      b = 1 - alpha; K is PSD, so lambda_min(K) >= 0. The other M - n_train
+      directions add (M - n_train) log alpha, and with Z = X_test L^-T and
+      W = Y Z^T the trace term is
       (||Z||^2 - b tr(W^T (a I + b K)^-1 W)) / (alpha n_test).
     - Otherwise K = L^-1 (S - T) L^-T, a = 1, b = 1 - alpha, scored by
       ``_tridiagonal_curve`` with W = L^-1 X_test^T / sqrt(n_test) when the
@@ -306,9 +311,10 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
     if factors is not None:
         inv_ell, logdet_t, inv_norm_sq = factors
         floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * inv_norm_sq
-        (n_train, m), n_test = x_train.shape, len(x_test)
+        n_test, m = x_test.shape
         a, b = alphas[1:], 1.0 - alphas[1:]
-        if sample_term is r_train and n_train < m:
+        if sample_term is r_train and x_train is not None:
+            n_train = len(x_train)
             y = x_train @ inv_ell.T / np.sqrt(n_train)
             z = x_test @ inv_ell.T
             curve = _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)
@@ -366,8 +372,8 @@ def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
     alphas = np.asarray(grid.points)
     splits = stats.splits(folds)
     fold_terms = []
-    for fold, (x_train, _, r_train, r_test) in enumerate(splits):
-        n_train = len(x_train)
+    for fold, (_, x_test, r_train, r_test) in enumerate(splits):
+        n_train = stats.n_obs - len(x_test)
         if n_train < 2:
             raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
         sample_term = (shrinkage.lwnl_from_covariance(r_train, n_train).matrix

@@ -21,6 +21,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import dataclasses
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +43,6 @@ def _load_group(spec: str) -> groups.GroupAction:
     return groups.parse_group_spec(spec)
 
 
-def _load_library(spec: str) -> bmg_mod.CandidateLibrary:
-    if os.path.isdir(spec):
-        return synth.parse_library_spec(f"dir:{spec}")
-    return synth.parse_library_spec(spec)
-
-
 def cmd_project(args) -> int:
     matrix = matrixcore.read_matrix_csv(args.matrix)
     group = _load_group(args.group)
@@ -54,48 +50,56 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
+class _Estimator(NamedTuple):
+    name: str                 # its EstimatorResult.estimator_name
+    fit: Callable             # fit(data, group, alpha) -> EstimatorResult
+    lwnl_term: bool = False   # --auto-alpha cv blends the LWNL sample term
+    own_plugin: bool = False  # fit(data, group, None) is its own MSE plug-in
+
+
+# --estimator -> its estimator. shrinkage's ALPHA_REQUIRED and GROUP_REQUIRED
+# say whether it takes --alpha/--auto-alpha and --group; without --group the
+# target is the Haar-orthogonal group. An estimator with its own plug-in uses
+# it for --auto-alpha mse and when no alpha is given.
+_ESTIMATORS = {
+    "sample": _Estimator(shrinkage.EST_SAMPLE, lambda d, g, a: shrinkage.sample_estimator(d)),
+    "lw2004": _Estimator(shrinkage.EST_LW2004, lambda d, g, a: shrinkage.lw2004_auto(d)
+                         if a is None else shrinkage.lw2004(d.r_hat, a), own_plugin=True),
+    "lwnl": _Estimator(shrinkage.EST_LWNL, lambda d, g, a: shrinkage.lwnl(d)),
+    "shah": _Estimator(shrinkage.EST_SHAH, lambda d, g, a: shrinkage.shah_projection(d.r_hat, g)),
+    "ad": _Estimator(shrinkage.EST_AD, lambda d, g, a: shrinkage.ad_blend(d.r_hat, g, a)),
+    "ad-lwnl": _Estimator(shrinkage.EST_ADLWNL, shrinkage.ad_lwnl_blend, lwnl_term=True),
+}
+
+
+def _calibrate(args, data, group, method: str, use_lwnl: bool) -> calibration.CalibrationResult:
+    """The intensity toward ``group`` by the MSE plug-in (method ``mse``) or
+    held-out calibration (``cv``), for ``estimate`` and ``calibrate``."""
+    if method == "mse":
+        return calibration.mse_plugin_alpha(data, group)
+    return calibration.cv_nll_alpha(data, group, AlphaGrid.uniform(args.grid_points),
+                                    FoldScheme.contiguous(data.n_obs, args.folds),
+                                    use_lwnl_sample_term=use_lwnl)
+
+
 def cmd_estimate(args) -> int:
-    name = args.estimator
-    alpha_given, takes_alpha = args.alpha is not None, name in ("lw2004", "ad", "ad-lwnl")
-    for flag, ignored in (("--alpha", alpha_given and not takes_alpha),
-                          ("--auto-alpha", args.auto_alpha and (alpha_given or not takes_alpha)),
-                          ("--group", args.group and name in ("sample", "lwnl", "lw2004"))):
+    est, alpha, method = _ESTIMATORS[args.estimator], args.alpha, args.auto_alpha
+    takes_alpha = est.name in shrinkage.ALPHA_REQUIRED
+    takes_group = est.name in shrinkage.GROUP_REQUIRED
+    for flag, ignored in (("--alpha", alpha is not None and not takes_alpha),
+                          ("--auto-alpha", method and (alpha is not None or not takes_alpha)),
+                          ("--group", args.group and not takes_group)):
         if ignored:
-            raise ValueError(f"estimator {name} would ignore {flag}")
+            raise ValueError(f"estimator {args.estimator} would ignore {flag}")
     data = DataStats.of(matrixcore.read_dataset_csv(args.data))
-    group = _load_group(args.group) if args.group else None
-    if name in ("shah", "ad", "ad-lwnl") and group is None:
-        raise ValueError(f"estimator {name} requires --group")
-    alpha = args.alpha
-    if args.auto_alpha:
-        target = group if name != "lw2004" else groups.haar_orthogonal(data.dim)
-        if args.auto_alpha == "mse":
-            alpha = calibration.mse_plugin_alpha(data, target).alpha
-        else:
-            alpha = calibration.cv_nll_alpha(
-                data, target, AlphaGrid.uniform(args.grid_points),
-                FoldScheme.contiguous(data.n_obs, args.folds),
-                use_lwnl_sample_term=(name == "ad-lwnl")).alpha
-    if name == "sample":
-        result = shrinkage.sample_estimator(data)
-    elif name == "lw2004":
-        result = shrinkage.lw2004(data.r_hat, alpha) if alpha is not None \
-            else shrinkage.lw2004_auto(data)
-    elif name == "lwnl":
-        result = shrinkage.lwnl(data)
-    elif name == "shah":
-        result = shrinkage.shah_projection(data.r_hat, group)
-    elif name == "ad":
-        if alpha is None:
-            raise ValueError("estimator ad requires --alpha or --auto-alpha")
-        result = shrinkage.ad_blend(data.r_hat, group, alpha)
-    elif name == "ad-lwnl":
-        if alpha is None:
-            raise ValueError("estimator ad-lwnl requires --alpha or --auto-alpha")
-        result = shrinkage.ad_lwnl_blend(data, group, alpha)
-    else:
-        raise ValueError(f"unknown estimator {name}")
-    shrinkage.write_estimator_csv(args.out, result)
+    if takes_group and not args.group:
+        raise ValueError(f"estimator {args.estimator} requires --group")
+    group = _load_group(args.group) if args.group else groups.haar_orthogonal(data.dim)
+    if method == "cv" or (method and not est.own_plugin):
+        alpha = _calibrate(args, data, group, method, est.lwnl_term).alpha
+    if takes_alpha and alpha is None and not est.own_plugin:
+        raise ValueError(f"estimator {args.estimator} requires --alpha or --auto-alpha")
+    shrinkage.write_estimator_csv(args.out, est.fit(data, group, alpha))
     return EXIT_OK
 
 
@@ -104,16 +108,9 @@ def cmd_calibrate(args) -> int:
         if given and args.method == "mse":
             raise ValueError(f"--method mse would ignore {flag}")
     data = matrixcore.read_dataset_csv(args.data)
-    group = _load_group(args.group)
-    if args.method == "mse":
-        result = calibration.mse_plugin_alpha(data, group)
-    else:
-        grid = AlphaGrid.uniform(args.grid_points)
-        folds = FoldScheme.contiguous(data.n_obs, args.folds)
-        result = calibration.cv_nll_alpha(data, group, grid, folds,
-                                          use_lwnl_sample_term=args.use_lwnl)
-        if args.trace:
-            calibration.write_cv_trace_csv(args.trace, result, grid)
+    result = _calibrate(args, data, _load_group(args.group), args.method, args.use_lwnl)
+    if args.trace:
+        calibration.write_cv_trace_csv(args.trace, result, AlphaGrid.uniform(args.grid_points))
     print(f"alpha={result.alpha!r} method={result.method}"
           + (f" note={result.note}" if result.note else ""))
     return EXIT_OK
@@ -121,7 +118,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_bmg(args) -> int:
     data = matrixcore.read_dataset_csv(args.data)
-    library = _load_library(args.library)
+    library = synth.parse_library_spec(f"dir:{args.library}" if os.path.isdir(args.library)
+                                       else args.library)
     grid = AlphaGrid.uniform(args.grid_points)
     folds = FoldScheme.feasible_contiguous(data.n_obs, args.folds)
     est, report = bmg_mod.bmg_with_fallback(data, library, args.kappa, grid,
@@ -144,12 +142,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_lwnl(args) -> int:
     # each shape flag defaults to None, so PopulationSpec states its default,
-    # and is read by one population only
-    reader = {"two_block_ratio": synth.POP_TWO_BLOCK, "two_block_split": synth.POP_TWO_BLOCK,
-              "geometric_decay": synth.POP_GEOMETRIC}
-    shape = {field: getattr(args, field) for field in reader if getattr(args, field) is not None}
+    # and synth.POPULATIONS says which kinds read it
+    shape = {field: value for fields, _ in synth.POPULATIONS.values() for field in fields
+             if (value := getattr(args, field, None)) is not None}
+    reads, _ = synth.POPULATIONS[args.population]
     for field in shape:
-        if reader[field] != args.population:
+        if field not in reads:
             raise ValueError(f"population {args.population} would ignore "
                              f"--{field.replace('_', '-')}")
     spec = synth.PopulationSpec(m=args.m, kind=args.population, base_seed=args.seed, **shape)
@@ -166,8 +164,7 @@ def cmd_decoy(args) -> int:
     if len(config.n_list) != 1:
         raise ValueError("decoy runs use a single training-size cell")
     selected_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
-    score_sums: dict[str, float] = {g.name: 0.0 for g in config.library.candidates}
-    score_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
+    finite_scores: dict[str, list] = {g.name: [] for g in config.library.candidates}
     records = synth.run_trial_sweep(dataclasses.replace(config, estimators=("ad_bmg",)))
     rows = [("trial", *bmg_mod.REPORT_COLUMNS)]
     for record in records:
@@ -179,14 +176,13 @@ def cmd_decoy(args) -> int:
             selected_counts[report.selected] += 1
         for name, score in report.tier2_scores.items():
             if np.isfinite(score):
-                score_sums[name] += score
-                score_counts[name] += 1
+                finite_scores[name].append(score)
     matrixcore.write_csv(args.out, rows)
     if args.summary_out:
         summary = [("candidate", "mean_cv_nll", "selected_count", "trials")]
         for g in config.library.candidates:
-            count = score_counts[g.name]
-            mean = score_sums[g.name] / count if count else float("inf")
+            scores = finite_scores[g.name]
+            mean = sum(scores) / len(scores) if scores else float("inf")
             summary.append((g.name, mean, selected_counts[g.name], config.trials))
         matrixcore.write_csv(args.summary_out, summary)
     total = sum(selected_counts.values())
@@ -210,36 +206,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output matrix CSV")
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("estimate", help="fit one estimator on a dataset CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--estimator", required=True,
-                   choices=["sample", "lw2004", "lwnl", "shah", "ad", "ad-lwnl"])
+    # the dataset and the held-out calibration's settings
+    calibrated = argparse.ArgumentParser(add_help=False)
+    calibrated.add_argument("--data", required=True, help="dataset CSV")
+    calibrated.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    calibrated.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
+
+    p = sub.add_parser("estimate", parents=[calibrated],
+                       help="fit one estimator on a dataset CSV")
+    p.add_argument("--estimator", required=True, choices=list(_ESTIMATORS))
     p.add_argument("--group", help="group file or constructor string")
     p.add_argument("--alpha", type=float)
     p.add_argument("--auto-alpha", choices=["mse", "cv"])
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("calibrate", help="select the shrinkage intensity")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("calibrate", parents=[calibrated], help="select the shrinkage intensity")
     p.add_argument("--group", required=True)
     p.add_argument("--method", required=True, choices=["mse", "cv"])
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--use-lwnl", action="store_true",
                    help="nonlinearly shrink the sample term inside the CV blend")
     p.add_argument("--trace", help="write the per-fold CV trace CSV here")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("bmg", help="two-tier best-matched-group selection")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("bmg", parents=[calibrated], help="two-tier best-matched-group selection")
     p.add_argument("--library", required=True,
                    help="directory of group files, preset:<name>, or ;-list of constructors")
     p.add_argument("--kappa", type=float, default=bmg_mod.DEFAULT_KAPPA)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--use-lwnl", action="store_true")
     p.add_argument("--report", required=True, help="per-candidate report CSV")
     p.add_argument("--estimator-out", help="write the winning estimator CSV here")
@@ -254,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-lwnl", help="Marchenko-Pastur PRIAL verification")
     p.add_argument("--c", type=float, required=True, help="concentration ratio M/N")
     p.add_argument("--m", type=int, default=64)
-    p.add_argument("--population", default=synth.POP_IDENTITY,
-                   choices=[synth.POP_IDENTITY, synth.POP_TWO_BLOCK,
-                            synth.POP_GEOMETRIC, synth.POP_RANDOM_SPD])
+    p.add_argument("--population", default=synth.POP_IDENTITY, choices=[  # no group flag
+        kind for kind, (reads, _) in synth.POPULATIONS.items() if "group" not in reads])
     p.add_argument("--two-block-ratio", type=float)
     p.add_argument("--two-block-split", type=float)
     p.add_argument("--geometric-decay", type=float)

@@ -75,8 +75,9 @@ class SymmetricMatrix:
 class Dataset:
     """N x M observation matrix with a mean-centering flag.
 
-    Every value must be finite. When ``centered`` is set, every column mean
-    must vanish to within 1e-10 times the column standard deviation; the
+    Every value must be finite. When ``centered`` is set and there are at
+    least two rows, every column mean must vanish to within 1e-10 times the
+    column standard deviation, so a column with no spread must be zero; the
     constructor checks both.
     """
 
@@ -91,16 +92,11 @@ class Dataset:
             raise DimensionMismatchError("dataset needs at least one row and one column")
         if not np.isfinite(r).all():
             raise ValueError("dataset contains a non-finite value")
-        if self.centered and r.shape[0] >= 2:
-            # A single row carries no empirical centering evidence, and a
-            # zero-spread column has no scale to compare against; in both
-            # cases the flag records the caller's mean-zero modelling
-            # assumption rather than an empirically checkable fact.
-            mean = r.mean(axis=0)
-            std = r.std(axis=0)
-            bad = (std > 0) & (np.abs(mean) > 1e-10 * std)
-            if np.any(bad):
-                raise CenteringError("centered flag set but column means are not zero")
+        # A single row carries no empirical centering evidence: there the flag
+        # records the caller's mean-zero modelling assumption.
+        if self.centered and r.shape[0] >= 2 and np.any(np.abs(r.mean(axis=0))
+                                                        > 1e-10 * r.std(axis=0)):
+            raise CenteringError("centered flag set but column means are not zero")
         r = r.copy()
         r.flags.writeable = False
         object.__setattr__(self, "rows", r)
@@ -114,8 +110,11 @@ class Dataset:
         return self.rows.shape[1]
 
     def center(self) -> "Dataset":
-        """Return a column-mean-centered copy with the centered flag set."""
-        return Dataset(self.rows - self.rows.mean(axis=0), centered=True)
+        """Return a column-mean-centered copy with the centered flag set; a
+        column with no spread centers to exactly zero."""
+        rows = self.rows - self.rows.mean(axis=0)
+        rows[:, (self.rows == self.rows[0]).all(axis=0)] = 0.0
+        return Dataset(rows, centered=True)
 
 
 def second_moment(rows: np.ndarray) -> SymmetricMatrix:

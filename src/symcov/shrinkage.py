@@ -30,8 +30,9 @@ FLAG_ALPHA_PINNED_0 = "alpha_pinned_0"
 FLAG_ALPHA_PINNED_1 = "alpha_pinned_1"
 FLAG_DEGENERATE_SPECTRUM = "degenerate_spectrum"
 
-_ALPHA_REQUIRED = (EST_LW2004, EST_AD, EST_ADLWNL)
-_GROUP_REQUIRED = (EST_SHAH, EST_AD, EST_ADLWNL)
+# The estimators that take a blend intensity, and those that take a group.
+ALPHA_REQUIRED = frozenset({EST_LW2004, EST_AD, EST_ADLWNL})
+GROUP_REQUIRED = frozenset({EST_SHAH, EST_AD, EST_ADLWNL})
 
 # Sample eigenvalues below this fraction of the largest are treated as
 # numerically zero and excluded from the nonlinear-shrinkage KDE.
@@ -55,11 +56,11 @@ class EstimatorResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flags", frozenset(self.flags))
-        if self.estimator_name in _ALPHA_REQUIRED and self.alpha is None:
+        if self.estimator_name in ALPHA_REQUIRED and self.alpha is None:
             raise ValueError(f"{self.estimator_name} requires alpha")
         if self.estimator_name in (EST_SAMPLE, EST_LWNL) and self.alpha is not None:
             raise ValueError(f"{self.estimator_name} carries no alpha")
-        if self.estimator_name in _GROUP_REQUIRED and self.group_name is None:
+        if self.estimator_name in GROUP_REQUIRED and self.group_name is None:
             raise ValueError(f"{self.estimator_name} requires a group name")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")

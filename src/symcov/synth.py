@@ -34,9 +34,6 @@ POP_TWO_BLOCK = "two_block"
 POP_GEOMETRIC = "geometric"
 POP_BLOCK_CIRCULANT = "block_circulant"
 
-_POP_KINDS = (POP_RANDOM_SPD, POP_GROUP_INVARIANT, POP_DELTA_CONTROLLED,
-              POP_IDENTITY, POP_TWO_BLOCK, POP_GEOMETRIC, POP_BLOCK_CIRCULANT)
-
 ESTIMATOR_ORDER = ("sample", "lw2004", "lwnl", "shah_bmg", "ad_bmg", "ad_lwnl_bmg")
 
 # Fixed decoy-partition seeds: three same-scale partitions, three wrong
@@ -62,13 +59,21 @@ def _rng(*key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(material)))
 
 
+class _FieldError(ValueError):
+    """A failed check of the ``fields`` named, most specific first."""
+
+    def __init__(self, fields: tuple[str, ...], message: str) -> None:
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Recipe for a ground-truth covariance.
 
-    kind selects the construction; group is required for the invariant and
-    residual-controlled kinds; the remaining fields parameterize the
-    diagonal families.
+    kind selects the construction; ``POPULATIONS`` says which of the other
+    fields beside m it reads, and a field it reads may not be None (group
+    and target_delta have no default).
     """
 
     m: int
@@ -84,14 +89,15 @@ class PopulationSpec:
     cross_block: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.kind not in _POP_KINDS:
-            raise ValueError(f"unknown population kind {self.kind!r}")
-        if self.kind in (POP_GROUP_INVARIANT, POP_DELTA_CONTROLLED) and self.group is None:
-            raise ValueError(f"population kind {self.kind} needs a group")
-        if self.kind == POP_DELTA_CONTROLLED and self.target_delta is None:
-            raise ValueError("delta_controlled population needs target_delta")
+        if self.kind not in POPULATIONS:
+            raise _FieldError(("kind",), f"unknown population kind {self.kind!r}")
+        reads, _ = POPULATIONS[self.kind]
+        for field in reads:
+            if getattr(self, field) is None:
+                raise _FieldError((field, "kind"), f"population kind {self.kind} needs {field}")
         if self.kind == POP_BLOCK_CIRCULANT and self.m % self.block_size:
-            raise ValueError("block_circulant population needs block_size to divide m")
+            raise _FieldError(("block_size", "m"),
+                              "block_circulant population needs block_size to divide m")
 
 
 def _ridge(values: np.ndarray) -> np.ndarray:
@@ -99,22 +105,24 @@ def _ridge(values: np.ndarray) -> np.ndarray:
     return values + np.eye(m) * (POPULATION_RIDGE * np.trace(values) / m)
 
 
-def _random_spd(m: int, seed_key) -> np.ndarray:
-    a = _rng(*seed_key).standard_normal((m, m))
-    return _ridge(a @ a.T / m)
+def _random_spd(spec: PopulationSpec) -> SymmetricMatrix:
+    a = _rng(spec.base_seed, "pop", spec.m).standard_normal((spec.m, spec.m))
+    return SymmetricMatrix(_ridge(a @ a.T / spec.m))
 
 
-def _random_orthogonal(m: int, seed_key) -> np.ndarray:
-    q, r = np.linalg.qr(_rng(*seed_key).standard_normal((m, m)))
-    return q * np.sign(np.diag(r))
+def _rotated(spec: PopulationSpec, eigs: np.ndarray) -> SymmetricMatrix:
+    """Q diag(eigs) Q^T for a seeded Haar-random orthogonal Q."""
+    q, r = np.linalg.qr(_rng(spec.base_seed, "rot", spec.m).standard_normal((spec.m, spec.m)))
+    q = q * np.sign(np.diag(r))
+    return SymmetricMatrix((q * eigs) @ q.T)
 
 
-def _delta_controlled(spec: PopulationSpec) -> np.ndarray:
+def _delta_controlled(spec: PopulationSpec) -> SymmetricMatrix:
     """The point Sigma(t) = (1-t) P_G(S) + t S of the blend path whose residual
     delta(t) = t q / sqrt(p^2 + t^2 q^2) hits the target, with p = ||P_G(S)||
     and q = ||S - P_G(S)||: P_G(S) is Frobenius-orthogonal to S - P_G(S), so t
     has a closed form. When G fixes S (q = 0) only delta = 0 is reachable, at t = 0."""
-    s = SymmetricMatrix(_random_spd(spec.m, (spec.base_seed, "pop", spec.m)))
+    s = _random_spd(spec)
     proj = reynolds_project(spec.group, s)
     p = matrixcore.frobenius_norm(proj)
     q = float(np.linalg.norm(s.values - proj.values, "fro"))
@@ -125,40 +133,19 @@ def _delta_controlled(spec: PopulationSpec) -> np.ndarray:
             f"target delta {target} unreachable; attainable range is [0, {attainable:.6f}] "
             f"for this draw")
     t = 0.0 if q == 0.0 else min(1.0, target * p / (q * math.sqrt(1.0 - target * target)))
-    return _ridge(matrixcore.blend(proj, s, t).values)
+    return SymmetricMatrix(_ridge(matrixcore.blend(proj, s, t).values))
 
 
 def make_population(spec: PopulationSpec) -> SymmetricMatrix:
-    """Realize the specification as an SPD covariance.
+    """Realize the specification as an SPD covariance, by its kind's builder
+    in ``POPULATIONS``.
 
     The random constructions carry a ridge of 1e-6 * (tr/m) to guarantee
     strict positive definiteness; the closed-form diagonal families are SPD
     by construction and are returned exactly (identity means the identity).
     """
-    m = spec.m
-    if spec.kind == POP_RANDOM_SPD:
-        return SymmetricMatrix(_random_spd(m, (spec.base_seed, "pop", m)))
-    if spec.kind == POP_GROUP_INVARIANT:
-        base = _random_spd(m, (spec.base_seed, "pop", m))
-        return SymmetricMatrix(_ridge(reynolds_project(spec.group, SymmetricMatrix(base)).values))
-    if spec.kind == POP_DELTA_CONTROLLED:
-        return SymmetricMatrix(_delta_controlled(spec))
-    if spec.kind == POP_IDENTITY:
-        return SymmetricMatrix.identity(m)
-    if spec.kind == POP_TWO_BLOCK:
-        n_big = max(1, math.ceil(spec.two_block_split * m))
-        eigs = np.ones(m)
-        eigs[:n_big] = spec.two_block_ratio
-        q = _random_orthogonal(m, (spec.base_seed, "rot", m))
-        return SymmetricMatrix((q * eigs) @ q.T)
-    if spec.kind == POP_GEOMETRIC:
-        eigs = spec.geometric_decay ** np.arange(m)
-        q = _random_orthogonal(m, (spec.base_seed, "rot", m))
-        return SymmetricMatrix((q * eigs) @ q.T)
-    if spec.kind == POP_BLOCK_CIRCULANT:
-        return block_circulant_population(m, spec.block_size, spec.circulant_rho,
-                                          spec.cross_block)
-    raise AssertionError(spec.kind)
+    _, build = POPULATIONS[spec.kind]
+    return build(spec)
 
 
 def block_circulant_population(m: int, block_size: int, rho: float,
@@ -180,6 +167,24 @@ def block_circulant_population(m: int, block_size: int, rho: float,
         raise ValueError(f"block-circulant parameters (rho={rho}, cross={cross}) "
                          f"are not positive definite (min eig {w[0]:.3e})")
     return sigma
+
+
+# Population kind -> (the PopulationSpec fields beside m that it reads, its builder).
+POPULATIONS = {
+    POP_RANDOM_SPD: (("base_seed",), _random_spd),
+    POP_GROUP_INVARIANT: (("base_seed", "group"), lambda s: SymmetricMatrix(
+        _ridge(reynolds_project(s.group, _random_spd(s)).values))),
+    POP_DELTA_CONTROLLED: (("base_seed", "group", "target_delta"), _delta_controlled),
+    POP_IDENTITY: ((), lambda s: SymmetricMatrix.identity(s.m)),
+    POP_TWO_BLOCK: (("base_seed", "two_block_ratio", "two_block_split"), lambda s: _rotated(
+        s, np.where(np.arange(s.m) < max(1, math.ceil(s.two_block_split * s.m)),
+                    s.two_block_ratio, 1.0))),
+    POP_GEOMETRIC: (("base_seed", "geometric_decay"),
+                    lambda s: _rotated(s, s.geometric_decay ** np.arange(s.m))),
+    POP_BLOCK_CIRCULANT: (("block_size", "circulant_rho", "cross_block"), lambda s:
+                          block_circulant_population(s.m, s.block_size, s.circulant_rho,
+                                                     s.cross_block)),
+}
 
 
 def _symmetric_root(sigma: SymmetricMatrix) -> tuple[np.ndarray, float]:
@@ -375,17 +380,12 @@ def run_mp_verification(c: float, spec: PopulationSpec, trials: int,
     sigma = make_population(spec)
     root = _symmetric_root(sigma)
     n = round(spec.m / c)
-    err = {"sample": np.empty(trials), "lw2004": np.empty(trials),
-           "lwnl": np.empty(trials)}
+    err = {name: np.empty(trials) for name in ("sample", "lw2004", "lwnl")}
     for t in range(trials):
         data = DataStats.of(_draw_gaussian(*root, n, (base_seed, "mp", t)))
-        fits = {
-            "sample": data.r_hat.values,
-            "lw2004": shrinkage.lw2004_auto(data).matrix.values,
-            "lwnl": shrinkage.lwnl(data).matrix.values,
-        }
-        for name, values in fits.items():
-            err[name][t] = np.sum((values - sigma.values) ** 2)
+        for name, fit in (("sample", data.r_hat), ("lw2004", shrinkage.lw2004_auto(data).matrix),
+                          ("lwnl", shrinkage.lwnl(data).matrix)):
+            err[name][t] = np.sum((fit.values - sigma.values) ** 2)
     rows = []
     base = err["sample"]
     for name in ("lw2004", "lwnl"):
@@ -425,20 +425,19 @@ class SweepConfig:
     def __post_init__(self) -> None:
         unknown = set(self.estimators) - set(ESTIMATOR_ORDER)
         if unknown:
-            raise ValueError(f"unknown estimator toggles {sorted(unknown)}")
-        if not self.n_list:
-            raise ValueError("sweep needs at least one training-size cell")
+            raise _FieldError(("estimators",), f"unknown estimator toggles {sorted(unknown)}")
         # settings under which every trial would fail
         for key, ok, need in (("grid_points", self.grid_points >= 2, ">= 2"),
                               ("folds", self.folds >= 2, ">= 2"),
-                              ("n_list", min(self.n_list) >= 1, "entries >= 1"),
+                              ("n_list", min(self.n_list, default=0) >= 1, "entries >= 1"),
                               ("n_test", self.n_test >= 1, ">= 1"),
                               ("kappa", 1.0 <= self.kappa < math.inf, "finite and >= 1")):
             if not ok:
-                raise ValueError(f"sweep needs {key} {need}, got {getattr(self, key)}")
+                raise _FieldError((key,), f"sweep needs {key} {need}, got {getattr(self, key)}")
         wrong = [g.name for g in self.library.candidates if g.dim != self.population.m]
         if wrong:
-            raise ValueError(f"library groups {wrong} do not act on m = {self.population.m}")
+            raise _FieldError(("library",),
+                              f"library groups {wrong} do not act on m = {self.population.m}")
 
     @property
     def grid(self) -> AlphaGrid:
@@ -556,37 +555,33 @@ def write_trial_records_csv(path, records) -> None:
 # Sweep configuration files: key=value lines, # comments.
 # ---------------------------------------------------------------------------
 
-# Optional config keys: key -> (field name, parser). An absent key leaves
+# Config keys: key -> (field name, parser). An absent optional key leaves
 # the field at its PopulationSpec / SweepConfig default.
 _POPULATION_KEYS = {
+    "m": ("m", int),
     "population": ("kind", str),
     "population_seed": ("base_seed", int),
-    "target_delta": ("target_delta", float),
-    "two_block_ratio": ("two_block_ratio", float),
-    "two_block_split": ("two_block_split", float),
-    "geometric_decay": ("geometric_decay", float),
+    "population_group": ("group", parse_group_spec),
     "block_size": ("block_size", int),
-    "circulant_rho": ("circulant_rho", float),
-    "cross_block": ("cross_block", float),
+    **{key: (key, float) for key in ("target_delta", "two_block_ratio", "two_block_split",
+                                     "geometric_decay", "circulant_rho", "cross_block")},
 }
 _SWEEP_KEYS = {
-    "n_test": ("n_test", int),
+    "library": ("library", parse_library_spec),
+    "n_list": ("n_list", lambda val: tuple(int(tok) for tok in val.split(","))),
     "kappa": ("kappa", float),
-    "grid_points": ("grid_points", int),
-    "folds": ("folds", int),
-    "trials": ("trials", int),
-    "base_seed": ("base_seed", int),
     "estimators": ("estimators",
                    lambda val: tuple(tok.strip() for tok in val.split(",") if tok.strip())),
+    **{key: (key, int) for key in ("n_test", "grid_points", "folds", "trials", "base_seed")},
 }
-_CONFIG_KEYS = {"m", "library", "n_list", "population_group", *_POPULATION_KEYS, *_SWEEP_KEYS}
 
 
 def parse_sweep_config(path) -> SweepConfig:
     """A sweep config of key=value lines; a line that is not key=value, an
-    unknown key, a repeated key and a value that does not parse each raise
-    ValueError naming its line. ``#`` starts a comment only at the start of
-    a line."""
+    unknown key, a repeated key, a value that does not parse or fails a
+    ``PopulationSpec`` or ``SweepConfig`` check, and a population key that
+    the chosen kind does not read each raise ValueError naming its line.
+    ``#`` starts a comment only at the start of a line."""
     raw: dict[str, tuple[int, str]] = {}
     for no, line in matrixcore.read_csv_lines(path):
         key, sep, val = (part.strip() for part in line.partition("="))
@@ -594,10 +589,13 @@ def parse_sweep_config(path) -> SweepConfig:
             continue
         if not sep:
             raise ValueError(f"{path}:{no}: bad config line {line!r} (expected key=value)")
-        if key in raw or key not in _CONFIG_KEYS:
+        if key in raw or key not in _POPULATION_KEYS | _SWEEP_KEYS:
             reason = "given twice" if key in raw else "unknown"
             raise ValueError(f"{path}:{no}: config key {key!r} {reason}")
         raw[key] = (no, val)
+    for key in ("m", "library", "n_list"):
+        if key not in raw:
+            raise ValueError(f"sweep config missing required key {key!r}")
 
     def parsed(key, parse):
         no, val = raw[key]
@@ -606,17 +604,22 @@ def parse_sweep_config(path) -> SweepConfig:
         except ValueError as exc:
             raise ValueError(f"{path}:{no}: config key {key!r}: {exc}") from None
 
-    def given(keys: dict) -> dict:
-        return {field: parsed(key, parse) for key, (field, parse) in keys.items() if key in raw}
+    def build(cls, keys: dict, **fields):
+        """cls from the given keys and ``fields``; a failed check names a key's line."""
+        try:
+            return cls(**fields, **{field: parsed(key, parse)
+                                    for key, (field, parse) in keys.items() if key in raw})
+        except _FieldError as exc:
+            key_of = {field: key for key, (field, _) in keys.items()}
+            for key in map(key_of.get, exc.fields):
+                if key in raw:
+                    raise ValueError(f"{path}:{raw[key][0]}: config key {key!r}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
 
-    try:
-        group = parsed("population_group", parse_group_spec) if "population_group" in raw else None
-        population = PopulationSpec(m=parsed("m", int), group=group, **given(_POPULATION_KEYS))
-        return SweepConfig(
-            population=population,
-            library=parsed("library", parse_library_spec),
-            n_list=parsed("n_list", lambda val: tuple(int(tok) for tok in val.split(","))),
-            **given(_SWEEP_KEYS),
-        )
-    except KeyError as exc:
-        raise ValueError(f"sweep config missing required key {exc}") from exc
+    population = build(PopulationSpec, _POPULATION_KEYS)
+    reads, _ = POPULATIONS[population.kind]
+    for key, (field, _) in _POPULATION_KEYS.items():
+        if key in raw and field not in ("m", "kind", *reads):
+            raise ValueError(f"{path}:{raw[key][0]}: population {population.kind} "
+                             f"would ignore config key {key!r}")
+    return build(SweepConfig, _SWEEP_KEYS, population=population)

@@ -53,12 +53,11 @@ class TestAlphaGrid:
 class TestFoldScheme:
     def test_contiguous_sizes_differ_by_at_most_one(self):
         f = FoldScheme.contiguous(23, 5)
-        counts = [f.fold_mask(k).sum() for k in range(5)]
-        assert counts == [5, 5, 5, 4, 4]
-        # contiguity: each fold is one run of indices
-        for k in range(5):
-            idx = np.flatnonzero(f.fold_mask(k))
-            assert np.all(np.diff(idx) == 1)
+        slices = [f.fold_slice(k) for k in range(5)]
+        assert [s.stop - s.start for s in slices] == [5, 5, 5, 4, 4]
+        # the folds tile the rows in order
+        assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+        assert slices[-1].stop == 23
 
     def test_too_many_folds_rejected(self):
         with pytest.raises(ValueError):
@@ -226,12 +225,13 @@ def _explicit_fold_scores(data, g, grid=DEFAULT_GRID, use_lwnl=False, folds=None
     folds = folds or FoldScheme.contiguous(data.n_obs)
     scores = np.empty((folds.k, len(grid.points)))
     for fold in range(folds.k):
-        mask = folds.fold_mask(fold)
-        r_train = second_moment(data.rows[~mask])
-        sample_term = (shrinkage.lwnl_from_covariance(r_train, int((~mask).sum())).matrix
+        test = folds.fold_slice(fold)
+        x_train = np.delete(data.rows, test, axis=0)
+        r_train = second_moment(x_train)
+        sample_term = (shrinkage.lwnl_from_covariance(r_train, len(x_train)).matrix
                        if use_lwnl else r_train)
         residual = reynolds_project(g, r_train).values - sample_term.values
-        r_test = second_moment(data.rows[mask])
+        r_test = second_moment(data.rows[test])
         for j, alpha in enumerate(grid.points):
             blend = SymmetricMatrix(sample_term.values + alpha * residual)
             scores[fold, j] = gaussian_nll_per_sample(blend, r_test)
@@ -383,12 +383,20 @@ class TestGramPath:
         assert shapes == [] and kernel_shapes and set(kernel_shapes) == {(40, 40)}
 
     def test_fold_rows_cached_per_scheme(self):
-        stats = DataStats.of(_rows(20, 6, 91))
+        # 15 training rows of M = 16: kept for the Gram route
+        stats = DataStats.of(_rows(20, 16, 91))
         folds = FoldScheme.contiguous(20, 4)
         assert stats.splits(folds) is stats.splits(FoldScheme.contiguous(20, 4))
-        for (train, test, _, _), mask in zip(stats.splits(folds), map(folds.fold_mask, range(4))):
-            np.testing.assert_array_equal(train, stats.rows[~mask])
-            np.testing.assert_array_equal(test, stats.rows[mask])
+        for fold, (train, test, _, _) in enumerate(stats.splits(folds)):
+            np.testing.assert_array_equal(train, np.delete(stats.rows, folds.fold_slice(fold), 0))
+            np.testing.assert_array_equal(test, stats.rows[folds.fold_slice(fold)])
+
+    @pytest.mark.parametrize("n,m", [(20, 16), (20, 15), (40, 6)])
+    def test_fold_keeps_test_row_views_and_training_rows_only_below_m(self, n, m):
+        stats = DataStats.of(_rows(n, m, 92))
+        for train, test, _, _ in stats.splits(FoldScheme.contiguous(n, 4)):
+            assert np.shares_memory(test, stats.rows)
+            assert (train is None) == (n - len(test) >= m)
 
 
 class TestTridiagonalRoute:
@@ -528,6 +536,16 @@ class TestFoldStats:
             cv_nll_alphas(stats, [g], folds=FoldScheme.contiguous(31, 5))
         with pytest.raises(ValueError, match="fold scheme"):
             stats.targets(FoldScheme.contiguous(29, 5), g)
+
+    def test_uncentered_data_rejected_before_any_statistic(self):
+        # the plug-in always raised; held-out calibration scored the shifted
+        # rows without complaint and returned alpha = 1
+        rows = _rows(30, 6, 73).rows + 5.0
+        with pytest.raises(matrixcore.CenteringError):
+            DataStats(rows)
+        for calibrate in (cv_nll_alpha, mse_plugin_alpha):
+            with pytest.raises(matrixcore.CenteringError):
+                calibrate(Dataset(rows), groups.cyclic(6))
 
     def test_of_wraps_once_and_caches_per_scheme(self):
         data = _rows(30, 6, 72)

@@ -189,6 +189,17 @@ class TestEstimate:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lw2004_mse_auto_alpha_is_its_own_plug_in(self, tmp_path, n):
+        # at N <= 2 LW2004's plug-in pins alpha = 1 and flags singular_input
+        data = tmp_path / "data.csv"
+        write_dataset_csv(data, Dataset(np.random.default_rng(82).standard_normal((n, 4))).center())
+        outs = [tmp_path / "default.csv", tmp_path / "mse.csv"]
+        for out, extra in zip(outs, ([], ["--auto-alpha", "mse"])):
+            assert run_cli("estimate", "--data", str(data), "--estimator", "lw2004",
+                           "--out", str(out), *extra) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_mse_auto_alpha_builds_no_grid(self, tmp_path, dataset_csv):
         assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", "ad",
                        "--group", "block:2x2", "--auto-alpha", "mse", "--grid-points", "1",
@@ -276,7 +287,8 @@ class TestBmg:
         ("0,5\n", ":1: expected positive integers"),
         ("2,0\n\n", ":1: expected positive integers"),
         ("\n2,2\n1.0,2.0\n3.0,-2.0\n", ":2: column means are not zero"),
-    ], ids=["no-rows", "no-columns", "uncentered"])
+        ("2,2\n1.0,2.0\n1.0,-2.0\n", ":1: column means are not zero"),
+    ], ids=["no-rows", "no-columns", "uncentered", "constant-nonzero-column"])
     def test_bad_dataset_is_config_error_naming_line(self, tmp_path, capsys, text, message):
         data_path = tmp_path / "bad.csv"
         data_path.write_text(text)
@@ -384,20 +396,31 @@ class TestSweepAndDecoy:
 
     @pytest.mark.parametrize("line, key", [("kappa = 0.5", "kappa"), ("n_list = 16,0", "n_list"),
                                            ("n_test = 0", "n_test"),
-                                           ("library = preset:grid8", "library")])
+                                           ("library = preset:grid8", "library"),
+                                           ("population = bogus", "population"),
+                                           ("population = group_invariant", "population"),
+                                           ("block_size = 4", "block_size")])
     def test_sweep_config_failing_every_trial_is_config_error(self, tmp_path, capsys,
                                                               line, key):
+        # the failing key's line is the config's last
+        text = sweep_cfg_with(line)
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(sweep_cfg_with(line))
+        cfg.write_text(text)
         out = tmp_path / "o.csv"
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
-        assert key in capsys.readouterr().err
+        assert f"{cfg}:{len(text.splitlines())}: config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "decoy"])
     @pytest.mark.parametrize("line, message", [
         ("populaton = identity", ":14: config key 'populaton' unknown"),
         ("trials = 3", ":14: config key 'trials' given twice"),
+        ("geometric_decay = 0.5",
+         ":14: population block_circulant would ignore config key 'geometric_decay'"),
+        ("target_delta = 0.1",
+         ":14: population block_circulant would ignore config key 'target_delta'"),
+        ("population_seed = 3",
+         ":14: population block_circulant would ignore config key 'population_seed'"),
     ])
     def test_unknown_or_repeated_key_is_config_error_naming_it(self, tmp_path, capsys,
                                                                command, line, message):

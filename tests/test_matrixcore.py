@@ -64,6 +64,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(np.array([[1.0, bad], [0.0, 1.0]]))
 
+    def test_zero_spread_column_must_be_zero(self):
+        Dataset(np.array([[0.0, 1.0], [0.0, -1.0]]), centered=True)
+        with pytest.raises(CenteringError):
+            Dataset(np.array([[1.0, 2.0], [1.0, -2.0]]), centered=True)
+        # 0.1 thrice has a rounded mean, yet centers to exactly zero
+        d = Dataset(np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]])).center()
+        assert np.array_equal(d.rows[:, 0], np.zeros(3))
+
     def test_single_row_centers_to_zero(self):
         d = Dataset(np.array([[3.0, -1.0, 2.0]])).center()
         assert np.array_equal(d.rows, np.zeros((1, 3)))
@@ -77,9 +85,13 @@ class TestSampleCovariance:
                                       [[1.0, 2.0], [2.0, 4.0]])
 
     def test_repeated_observation_matches_single(self):
+        # repeated rows have zero-spread nonzero columns, which are not
+        # centered; their raw second moment is still the single outer product
         x = np.array([1.0, 2.0])
         one = sample_covariance(Dataset(x[None, :], centered=True))
-        many = sample_covariance(Dataset(np.tile(x, (7, 1)), centered=True))
+        with pytest.raises(CenteringError):
+            Dataset(np.tile(x, (7, 1)), centered=True)
+        many = second_moment(np.tile(x, (7, 1)))
         np.testing.assert_allclose(many.values, one.values, atol=1e-14)
 
     def test_matches_entrywise_double_loop(self):
