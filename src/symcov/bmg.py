@@ -51,7 +51,6 @@ class BMGReport:
     bmg_margin: float
     delta: float
     fallback_used: bool
-    tied: bool = False
 
 
 def tier1_admit(lib: CandidateLibrary, n: int, m: int,
@@ -80,22 +79,23 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
                  grid: AlphaGrid = DEFAULT_GRID,
                  folds: FoldScheme | None = None,
                  use_lwnl_sample_term: bool = False) -> BMGReport:
-    """Cross-validated held-out NLL per candidate, every candidate scored
-    from one shared fold pass (``calibration.cv_nll_alphas``); the arg-min
-    candidate is selected (ties break to library order) with its
-    one-standard-error alpha, which the caller applies to the
-    full-training-data covariance. A candidate's tier-2 score is its mean CV
-    NLL at that alpha."""
+    """Cross-validated held-out NLL per candidate: one
+    ``calibration.cv_nll_alpha`` call per admitted candidate on one
+    ``DataStats``, which shares the fold statistics and, between groups of
+    one orbit partition, the fold scores. The arg-min candidate is selected
+    (ties break to library order) with its one-standard-error alpha, which
+    the caller applies to the full-training-data covariance. A candidate's
+    tier-2 score is its mean CV NLL at that alpha."""
     if not admitted:
         raise ValueError("tier2_select needs a non-empty admitted list; use the fallback path")
     stats = DataStats.of(data)
-    results = calibration.cv_nll_alphas(stats, admitted, grid, folds, use_lwnl_sample_term)
+    results = [calibration.cv_nll_alpha(stats, g, grid, folds, use_lwnl_sample_term)
+               for g in admitted]
     scores = {g.name: res.per_alpha_scores[res.alpha] for g, res in zip(admitted, results)}
     alphas = {g.name: res.alpha for g, res in zip(admitted, results)}
     ordered = [scores[g.name] for g in admitted]
     best_idx = int(np.argmin(ordered))   # first minimum = library order tie-break
     best = admitted[best_idx]
-    tied = ordered.count(ordered[best_idx]) > 1
     # a lone candidate, or a second +inf behind a +inf best, has margin 0
     second = min((s for i, s in enumerate(ordered) if i != best_idx), default=ordered[best_idx])
     margin = 0.0 if second == ordered[best_idx] else float(second - ordered[best_idx])
@@ -108,7 +108,6 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
         bmg_margin=margin,
         delta=delta_residual(best, stats.r_hat),
         fallback_used=False,
-        tied=tied,
     )
 
 

@@ -7,7 +7,6 @@ so a parallel caller gets identical results to a serial one.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,9 +175,9 @@ def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
 class DataStats(Dataset):
     """A centered dataset that computes on first use, and keeps, R_hat
     (``r_hat``), its ``lwnl_from_covariance`` result (``lwnl``), and per fold
-    scheme the fold ``splits`` and each distinct target's fold projections
-    with their ``_factor``, keyed by merged orbit partition, which fixes the
-    projection bitwise (Haar groups of one dimension share one). Estimators
+    scheme the fold ``splits``, each distinct target's fold projections with
+    their ``_factor`` (``targets``) and its ``fold_scores``: the one cache of
+    held-out statistics, shared by every group and call on it. Estimators
     read statistics through ``of``, which wraps a plain Dataset for one call
     only: only a caller holding a DataStats keeps them."""
 
@@ -226,10 +225,42 @@ class DataStats(Dataset):
     def targets(self, folds: FoldScheme,
                 g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
         """(T, _factor(T)) per fold, shared by every group of g's partition."""
-        key = g.dim if g.kind == KIND_HAAR else orbit_partition(g).sym_class_of.tobytes()
-        return self._cached((folds, key), lambda: tuple(
+        return self._cached((folds, _partition_key(g)), lambda: tuple(
             (t, _factor(t)) for t in (reynolds_project(g, r_train)
                                       for _, _, r_train, _ in self.splits(folds))))
+
+    def fold_scores(self, folds: FoldScheme, g: GroupAction, grid: AlphaGrid,
+                    use_lwnl: bool) -> np.ndarray:
+        """Read-only (k, n_alpha) held-out NLL of g's blend at every grid alpha
+        on every fold, shared by every group of g's partition. Each fold's
+        sample term (R_train, or its LWNL when ``use_lwnl``) and its alpha = 0
+        score, which no group changes, are kept once per scheme and kind."""
+        from . import shrinkage
+
+        def term(fold, split):
+            _, x_test, r_train, r_test = split
+            n_train = self.n_obs - len(x_test)
+            if n_train < 2:
+                raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
+            s = shrinkage.lwnl_from_covariance(r_train, n_train).matrix if use_lwnl else r_train
+            return s, matrixcore.gaussian_nll_per_sample(s, r_test)
+
+        def score():
+            splits, alphas = self.splits(folds), np.asarray(grid.points)
+            terms = self._cached((folds, "lwnl" if use_lwnl else "sample"),
+                                 lambda: [term(f, split) for f, split in enumerate(splits)])
+            scores = np.array([_alpha_curve(s, *target, split, alphas, at_zero)
+                               for (s, at_zero), split, target
+                               in zip(terms, splits, self.targets(folds, g))])
+            scores.flags.writeable = False
+            return scores
+
+        return self._cached((folds, _partition_key(g), grid, use_lwnl), score)
+
+
+def _partition_key(g: GroupAction):
+    """Equal for groups whose projections agree bitwise (Haar: one per dimension)."""
+    return g.dim if g.kind == KIND_HAAR else orbit_partition(g).sym_class_of.tobytes()
 
 
 def _eigen_curve(k: np.ndarray, inv_ell: np.ndarray, r_test: SymmetricMatrix, a: np.ndarray,
@@ -341,69 +372,34 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
     return scores
 
 
-def cv_nll_alphas(data: Dataset, candidates: Sequence[GroupAction],
-                  grid: AlphaGrid = DEFAULT_GRID, folds: FoldScheme | None = None,
-                  use_lwnl_sample_term: bool = False) -> list[CalibrationResult]:
-    """K-fold held-out-NLL calibration of the blend intensity on the grid,
-    one result per group of ``candidates``.
-
-    Per fold: the training-complement covariance is blended with its own
-    projection at each grid alpha and scored against the fold's sample
-    covariance. Only the projection depends on the group, so the per-fold
-    moments, sample term and alpha = 0 score are shared by every candidate,
-    and candidates with one target share one curve; a ``DataStats`` passed
-    as ``data`` shares the fold splits and targets across calls.
-    Scores average across folds per alpha. The returned alpha follows the
-    paired one-standard-error rule toward the structured end (Hastie,
-    Tibshirani & Friedman, ESL section 7.10): with ``best`` the first
-    (smallest-alpha) minimizer of the mean score, it is the largest alpha
-    whose per-fold score differences from ``best`` have a mean below their
-    own standard error, or alpha_best when no larger alpha qualifies.
-    The inequality is strict, so exact ties (the trivial group) keep the
-    smallest alpha. Non-finite scores participate and simply lose, and a
-    grid point with any non-finite fold score is never promoted, so
-    rank-deficient blends at small alpha degrade gracefully.
-    """
-    from . import shrinkage
-
-    stats = DataStats.of(data)
-    if folds is None:
-        folds = FoldScheme.contiguous(data.n_obs)
-    alphas = np.asarray(grid.points)
-    splits = stats.splits(folds)
-    fold_terms = []
-    for fold, (_, x_test, r_train, r_test) in enumerate(splits):
-        n_train = stats.n_obs - len(x_test)
-        if n_train < 2:
-            raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
-        sample_term = (shrinkage.lwnl_from_covariance(r_train, n_train).matrix
-                       if use_lwnl_sample_term else r_train)
-        # the alpha = 0 blend is the sample term alone, whatever the group
-        fold_terms.append((sample_term, matrixcore.gaussian_nll_per_sample(sample_term, r_test)))
-    results = []
-    curves: dict = {}   # fold scores per distinct target, keyed by its identity
-    for g in candidates:
-        targets = stats.targets(folds, g)
-        if id(targets) not in curves:
-            curves[id(targets)] = np.array([
-                _alpha_curve(sample_term, *target, split, alphas, at_zero)
-                for (sample_term, at_zero), split, target in zip(fold_terms, splits, targets)])
-        scores = curves[id(targets)]
-        mean_scores = scores.mean(axis=0)
-        chosen = _one_se_index(scores)
-        results.append(CalibrationResult(
-            alpha=float(alphas[chosen]), method=METHOD_CV_NLL,
-            per_alpha_scores={float(a): float(s) for a, s in zip(alphas, mean_scores)},
-            fold_scores=scores,
-        ))
-    return results
-
-
 def cv_nll_alpha(data: Dataset, g: GroupAction, grid: AlphaGrid = DEFAULT_GRID,
                  folds: FoldScheme | None = None,
                  use_lwnl_sample_term: bool = False) -> CalibrationResult:
-    """``cv_nll_alphas`` for a single group."""
-    return cv_nll_alphas(data, (g,), grid, folds, use_lwnl_sample_term)[0]
+    """K-fold held-out-NLL calibration of the blend intensity toward ``g`` on
+    the grid, contiguous folds unless ``folds`` is given. Per fold, the
+    training-complement sample term is blended with its own projection at
+    each grid alpha and scored against the fold's sample covariance, by
+    ``DataStats.fold_scores``: a ``DataStats`` passed as ``data`` shares the
+    scores with every group and call on it. Scores average across folds per
+    alpha. The returned alpha follows the paired one-standard-error rule
+    toward the structured end (Hastie, Tibshirani & Friedman, ESL section
+    7.10): with ``best`` the first (smallest-alpha) minimizer of the mean
+    score, it is the largest alpha whose per-fold score differences from
+    ``best`` have a mean below their own standard error, or alpha_best when
+    no larger alpha qualifies. The inequality is strict, so exact ties (the
+    trivial group) keep the smallest alpha. Non-finite scores participate
+    and simply lose, and a grid point with any non-finite fold score is never
+    promoted, so rank-deficient blends at small alpha degrade gracefully.
+    """
+    stats = DataStats.of(data)
+    if folds is None:
+        folds = FoldScheme.contiguous(stats.n_obs)
+    scores = stats.fold_scores(folds, g, grid, use_lwnl_sample_term)
+    return CalibrationResult(
+        alpha=grid.points[_one_se_index(scores)], method=METHOD_CV_NLL,
+        per_alpha_scores={a: float(s) for a, s in zip(grid.points, scores.mean(axis=0))},
+        fold_scores=scores,
+    )
 
 
 def write_cv_trace_csv(path, result: CalibrationResult, grid: AlphaGrid) -> None:

@@ -129,9 +129,9 @@ def _delta_controlled(spec: PopulationSpec) -> SymmetricMatrix:
     attainable = q / matrixcore.frobenius_norm(s)
     target = float(spec.target_delta)
     if not 0.0 <= target <= attainable + 1e-12:
-        raise ValueError(
-            f"target delta {target} unreachable; attainable range is [0, {attainable:.6f}] "
-            f"for this draw")
+        raise _FieldError(("target_delta",),
+                          f"target delta {target} unreachable; attainable range is "
+                          f"[0, {attainable:.6f}] for this draw")
     t = 0.0 if q == 0.0 else min(1.0, target * p / (q * math.sqrt(1.0 - target * target)))
     return SymmetricMatrix(_ridge(matrixcore.blend(proj, s, t).values))
 
@@ -164,8 +164,8 @@ def block_circulant_population(m: int, block_size: int, rho: float,
     sigma = SymmetricMatrix(out)
     w = np.linalg.eigvalsh(sigma.values)
     if w[0] <= 1e-8 * w[-1]:
-        raise ValueError(f"block-circulant parameters (rho={rho}, cross={cross}) "
-                         f"are not positive definite (min eig {w[0]:.3e})")
+        raise _FieldError(("cross_block", "circulant_rho"), f"block-circulant (rho={rho}, "
+                          f"cross={cross}) is not positive definite (min eig {w[0]:.3e})")
     return sigma
 
 
@@ -578,10 +578,10 @@ _SWEEP_KEYS = {
 
 def parse_sweep_config(path) -> SweepConfig:
     """A sweep config of key=value lines; a line that is not key=value, an
-    unknown key, a repeated key, a value that does not parse or fails a
-    ``PopulationSpec`` or ``SweepConfig`` check, and a population key that
-    the chosen kind does not read each raise ValueError naming its line.
-    ``#`` starts a comment only at the start of a line."""
+    unknown key, a repeated key, a value that does not parse, fails a check
+    or leaves the population unbuildable, and a population key that the
+    chosen kind does not read each raise ValueError naming its line. ``#``
+    starts a comment only at the start of a line."""
     raw: dict[str, tuple[int, str]] = {}
     for no, line in matrixcore.read_csv_lines(path):
         key, sep, val = (part.strip() for part in line.partition("="))
@@ -604,11 +604,10 @@ def parse_sweep_config(path) -> SweepConfig:
         except ValueError as exc:
             raise ValueError(f"{path}:{no}: config key {key!r}: {exc}") from None
 
-    def build(cls, keys: dict, **fields):
-        """cls from the given keys and ``fields``; a failed check names a key's line."""
+    def checked(make, keys: dict):
+        """make(); a failed check names the line of the first of its fields given by a key."""
         try:
-            return cls(**fields, **{field: parsed(key, parse)
-                                    for key, (field, parse) in keys.items() if key in raw})
+            return make()
         except _FieldError as exc:
             key_of = {field: key for key, (field, _) in keys.items()}
             for key in map(key_of.get, exc.fields):
@@ -616,10 +615,15 @@ def parse_sweep_config(path) -> SweepConfig:
                     raise ValueError(f"{path}:{raw[key][0]}: config key {key!r}: {exc}") from None
             raise ValueError(f"{path}: {exc}") from None
 
-    population = build(PopulationSpec, _POPULATION_KEYS)
+    def given(keys: dict) -> dict:
+        return {field: parsed(key, parse) for key, (field, parse) in keys.items() if key in raw}
+
+    population = checked(lambda: PopulationSpec(**given(_POPULATION_KEYS)), _POPULATION_KEYS)
     reads, _ = POPULATIONS[population.kind]
     for key, (field, _) in _POPULATION_KEYS.items():
         if key in raw and field not in ("m", "kind", *reads):
             raise ValueError(f"{path}:{raw[key][0]}: population {population.kind} "
                              f"would ignore config key {key!r}")
-    return build(SweepConfig, _SWEEP_KEYS, population=population)
+    # a population that cannot be built fails here, before any output file opens
+    checked(lambda: make_population(population), _POPULATION_KEYS)
+    return checked(lambda: SweepConfig(population=population, **given(_SWEEP_KEYS)), _SWEEP_KEYS)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcov import groups, shrinkage, synth
+from symcov import calibration, groups, shrinkage, synth
 from symcov.bmg import (
     BMGReport,
     CandidateLibrary,
@@ -154,7 +154,6 @@ class TestTier2:
         assert report.tier2_alphas[cands[0].name] == 0.0
         assert report.tier2_alphas[cands[1].name] == 0.0
         assert report.bmg_margin == 0.0
-        assert report.tied
 
     def test_determinism_including_tie_break(self):
         rng = np.random.default_rng(64)
@@ -174,6 +173,20 @@ class TestTier2:
             res = cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl)
             assert report.tier2_alphas[g.name] == res.alpha
             assert report.tier2_scores[g.name] == res.per_alpha_scores[res.alpha]
+
+    def test_one_cv_nll_alpha_call_per_admitted_candidate(self, monkeypatch):
+        data = Dataset(np.random.default_rng(71).standard_normal((30, 6))).center()
+        cands = list(small_library(6).candidates)
+        called, original = [], calibration.cv_nll_alpha
+
+        def counting(stats, g, *args):
+            called.append((stats, g.name))
+            return original(stats, g, *args)
+
+        monkeypatch.setattr(calibration, "cv_nll_alpha", counting)
+        tier2_select(data, cands)
+        assert [name for _, name in called] == [g.name for g in cands]
+        assert len({id(stats) for stats, _ in called}) == 1
 
     def test_lwnl_sample_term_computed_once_per_fold(self, monkeypatch):
         rng = np.random.default_rng(70)

@@ -14,7 +14,6 @@ from symcov.calibration import (
     NOTE_DENOMINATOR_DEGENERATE,
     _one_se_index,
     cv_nll_alpha,
-    cv_nll_alphas,
     mse_plugin_alpha,
     write_cv_trace_csv,
 )
@@ -246,7 +245,7 @@ def _rows(n, m, seed, zero_column=None):
 
 
 class TestAlphaCurve:
-    """cv_nll_alphas scores each candidate's whole alpha curve per fold from
+    """cv_nll_alpha scores each candidate's whole alpha curve per fold from
     one factorization; every fold score must match its explicit blend."""
 
     @pytest.mark.parametrize("data,g,use_lwnl", [
@@ -276,8 +275,8 @@ class TestAlphaCurve:
         assert (scores == scores[:, :1]).all()
 
     def test_alpha_zero_column_shared_across_groups(self):
-        data = _rows(30, 6, 64)
-        a, b = cv_nll_alphas(data, [groups.cyclic(6), groups.haar_orthogonal(6)])
+        stats = DataStats.of(_rows(30, 6, 64))
+        a, b = (cv_nll_alpha(stats, g) for g in [groups.cyclic(6), groups.haar_orthogonal(6)])
         np.testing.assert_array_equal(a.fold_scores[:, 0], b.fold_scores[:, 0])
         assert not np.array_equal(a.fold_scores[:, 1:], b.fold_scores[:, 1:])
 
@@ -288,8 +287,9 @@ class TestAlphaCurve:
             return gaussian_nll_per_sample(sigma, r_test)
         monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
         folds = FoldScheme.contiguous(200, 5)
-        cv_nll_alphas(_rows(200, 6, 65), [groups.cyclic(6), groups.block_symmetric(3, 2)],
-                      folds=folds)
+        stats = DataStats.of(_rows(200, 6, 65))
+        for g in [groups.cyclic(6), groups.block_symmetric(3, 2)]:
+            cv_nll_alpha(stats, g, folds=folds)
         assert len(calls) == folds.k
 
 
@@ -308,8 +308,9 @@ class TestAlphaCurveOnLibrary:
         sigma = synth.make_population(synth.PopulationSpec(
             m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
         data = synth.sample_gaussian(sigma, n, (71, n))
-        results = cv_nll_alphas(data, pathway_decoys.candidates,
-                                use_lwnl_sample_term=use_lwnl)
+        stats = DataStats.of(data)
+        results = [cv_nll_alpha(stats, g, use_lwnl_sample_term=use_lwnl)
+                   for g in pathway_decoys.candidates]
         for g, res in zip(pathway_decoys.candidates, results):
             want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl)
             finite = np.isfinite(want)
@@ -379,7 +380,9 @@ class TestGramPath:
         data = synth.sample_gaussian(sigma, 50, (71, 50))
         shapes = _record_eigh_shapes(monkeypatch)
         kernel_shapes = _record_tridiagonal_shapes(monkeypatch)
-        cv_nll_alphas(data, pathway_decoys.candidates)
+        stats = DataStats.of(data)
+        for g in pathway_decoys.candidates:
+            cv_nll_alpha(stats, g)
         assert shapes == [] and kernel_shapes and set(kernel_shapes) == {(40, 40)}
 
     def test_fold_rows_cached_per_scheme(self):
@@ -411,7 +414,8 @@ class TestTridiagonalRoute:
         data = DataStats.of(synth.sample_gaussian(sigma, n, (71, n)))
         folds = FoldScheme.contiguous(n)
         calls = _record_eigen_calls(monkeypatch)
-        cv_nll_alphas(data, pathway_decoys.candidates, use_lwnl_sample_term=use_lwnl)
+        for g in pathway_decoys.candidates:
+            cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl)
         if n // folds.k < calibration.TRIDIAGONAL_ROW_FRACTION * 100:
             assert calls == []
             return
@@ -507,10 +511,33 @@ class TestFoldStats:
             return reynolds_project(g, a)
         monkeypatch.setattr(calibration, "reynolds_project", counting)
         folds = FoldScheme.contiguous(40, 5)
-        a, b = cv_nll_alphas(_rows(40, 6, 66), [s6, a6], folds=folds)
+        stats = DataStats.of(_rows(40, 6, 66))
+        a, b = (cv_nll_alpha(stats, g, folds=folds) for g in [s6, a6])
         np.testing.assert_array_equal(a.fold_scores, b.fold_scores)
         assert a.alpha == b.alpha
         assert calls == ["s6"] * folds.k
+
+    def test_fold_scores_read_only_and_shared_per_partition(self):
+        stats, folds = DataStats.of(_rows(40, 6, 74)), FoldScheme.contiguous(40, 5)
+        s6, a6 = groups.full_symmetric(6), _alternating_6()
+        first = cv_nll_alpha(stats, s6, folds=folds).fold_scores
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+        for g in (s6, a6, s6):
+            assert cv_nll_alpha(stats, g, folds=folds).fold_scores is first
+        assert cv_nll_alpha(stats, s6, folds=folds,
+                            use_lwnl_sample_term=True).fold_scores is not first
+
+    def test_lwnl_fold_terms_computed_once_across_candidates_and_calls(self, monkeypatch):
+        stats, folds = DataStats.of(_rows(30, 6, 75)), FoldScheme.contiguous(30, 5)
+        calls, original = [], shrinkage.lwnl_from_covariance
+        monkeypatch.setattr(shrinkage, "lwnl_from_covariance",
+                            lambda r, n: calls.append(n) or original(r, n))
+        for grid in (DEFAULT_GRID, AlphaGrid.uniform(5)):
+            for g in (groups.cyclic(6), groups.block_symmetric(3, 2), groups.trivial(6)):
+                cv_nll_alpha(stats, g, grid, folds, use_lwnl_sample_term=True)
+        assert len(calls) == folds.k
 
     def test_haar_groups_of_one_dimension_share_a_target(self):
         stats, folds = DataStats.of(_rows(30, 6, 67)), FoldScheme.contiguous(30)
@@ -523,8 +550,10 @@ class TestFoldStats:
         folds = FoldScheme.contiguous(60)
         stats = DataStats.of(data)
         for use_lwnl in (False, True):
-            shared = cv_nll_alphas(stats, cands, folds=folds, use_lwnl_sample_term=use_lwnl)
-            alone = cv_nll_alphas(data, cands, folds=folds, use_lwnl_sample_term=use_lwnl)
+            shared = [cv_nll_alpha(stats, g, folds=folds, use_lwnl_sample_term=use_lwnl)
+                      for g in cands]
+            alone = [cv_nll_alpha(data, g, folds=folds, use_lwnl_sample_term=use_lwnl)
+                     for g in cands]
             for x, y in zip(shared, alone):
                 np.testing.assert_array_equal(x.fold_scores, y.fold_scores)
                 assert (x.alpha, x.per_alpha_scores) == (y.alpha, y.per_alpha_scores)
@@ -533,7 +562,7 @@ class TestFoldStats:
         # a DataStats is its own rows, so only a fold scheme can mismatch
         stats, g = DataStats.of(_rows(30, 6, 70)), groups.cyclic(6)
         with pytest.raises(ValueError, match="fold scheme"):
-            cv_nll_alphas(stats, [g], folds=FoldScheme.contiguous(31, 5))
+            cv_nll_alpha(stats, g, folds=FoldScheme.contiguous(31, 5))
         with pytest.raises(ValueError, match="fold scheme"):
             stats.targets(FoldScheme.contiguous(29, 5), g)
 

@@ -379,6 +379,13 @@ def sweep_cfg_with(line):
     return "\n".join(kept + [line]) + "\n"
 
 
+def population_cfg_with(*lines):
+    """SWEEP_CFG with ``lines`` last in place of its population lines."""
+    population = ("population", "block_size", "circulant_rho", "cross_block")
+    kept = [ln for ln in SWEEP_CFG.splitlines() if ln.split("=")[0].strip() not in population]
+    return "\n".join(kept + list(lines)) + "\n"
+
+
 class TestSweepAndDecoy:
     def test_sweep_row_count(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -409,6 +416,30 @@ class TestSweepAndDecoy:
         out = tmp_path / "o.csv"
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
         assert f"{cfg}:{len(text.splitlines())}: config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "decoy"])
+    @pytest.mark.parametrize("text, key", [
+        (sweep_cfg_with("cross_block = 1.5"), "cross_block"),
+        (population_cfg_with("population = delta_controlled", "population_group = cyclic:6",
+                             "target_delta = 0.99"), "target_delta"),
+    ], ids=["not-positive-definite", "unreachable-delta"])
+    def test_unbuildable_population_is_config_error_naming_key(self, tmp_path, capsys,
+                                                               command, text, key):
+        # the failing key's line is the config's last
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}:{len(text.splitlines())}: config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decoy_with_several_cells_is_config_error_naming_n_list(self, tmp_path, capsys):
+        cfg = tmp_path / "decoy.cfg"
+        cfg.write_text(SWEEP_CFG)
+        out = tmp_path / "o.csv"
+        assert run_cli("decoy", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}: config key 'n_list'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "decoy"])
