@@ -19,8 +19,7 @@ _EXPORTS = {name: module for module, names in {
     "groups": ("GroupAction", "OrbitPartition", "orbit_partition", "reynolds_project"),
     "shrinkage": ("EstimatorResult", "ad_blend", "ad_lwnl_blend", "lw2004", "lw2004_auto",
                   "lwnl", "shah_projection"),
-    "calibration": ("AlphaGrid", "CalibrationResult", "FoldScheme", "cv_nll_alpha",
-                    "mse_plugin_alpha"),
+    "calibration": ("CalibrationResult", "cv_nll_alpha", "mse_plugin_alpha"),
     "bmg": ("BMGReport", "CandidateLibrary", "bmg_with_fallback", "delta_residual",
             "tier1_admit", "tier2_select"),
     "synth": ("PopulationSpec", "SweepConfig", "TrialRecord", "build_decoy_library",

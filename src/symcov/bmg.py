@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calibration, matrixcore, shrinkage
-from .calibration import AlphaGrid, DataStats, FoldScheme, DEFAULT_GRID
+from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, DataStats
 from .groups import GroupAction, capped_order, haar_orthogonal, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
@@ -76,8 +76,7 @@ def delta_residual(g: GroupAction, r_hat: SymmetricMatrix) -> float:
 
 
 def tier2_select(data: Dataset, admitted: list[GroupAction],
-                 grid: AlphaGrid = DEFAULT_GRID,
-                 folds: FoldScheme | None = None,
+                 grid_points: int = DEFAULT_GRID_POINTS, folds: int = DEFAULT_FOLDS,
                  use_lwnl_sample_term: bool = False) -> BMGReport:
     """Cross-validated held-out NLL per candidate: one
     ``calibration.cv_nll_alpha`` call per admitted candidate on one
@@ -89,7 +88,7 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
     if not admitted:
         raise ValueError("tier2_select needs a non-empty admitted list; use the fallback path")
     stats = DataStats.of(data)
-    results = [calibration.cv_nll_alpha(stats, g, grid, folds, use_lwnl_sample_term)
+    results = [calibration.cv_nll_alpha(stats, g, grid_points, folds, use_lwnl_sample_term)
                for g in admitted]
     scores = {g.name: res.per_alpha_scores[res.alpha] for g, res in zip(admitted, results)}
     alphas = {g.name: res.alpha for g, res in zip(admitted, results)}
@@ -113,23 +112,28 @@ def tier2_select(data: Dataset, admitted: list[GroupAction],
 
 def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
                       kappa: float = DEFAULT_KAPPA,
-                      grid: AlphaGrid = DEFAULT_GRID,
-                      folds: FoldScheme | None = None,
+                      grid_points: int = DEFAULT_GRID_POINTS, folds: int = DEFAULT_FOLDS,
                       use_lwnl: bool = False):
     """Full selection pipeline; total on valid centered data.
 
-    An empty Tier 1 shortlist falls back to auto-calibrated linear
+    Held-out calibration splits the rows into min(folds, N) contiguous
+    folds. An empty Tier 1 shortlist falls back to auto-calibrated linear
     shrinkage of the unstructured sample covariance, flagged but reported
-    as success; so does a dataset too small to carry any valid fold scheme
-    (fewer than 3 rows). Otherwise returns the blend estimator (structural,
-    or with the nonlinearly shrunken sample term when ``use_lwnl``) at the
-    selected group and refit intensity.
+    as success; so does a dataset whose largest fold would leave fewer than
+    2 training rows (N <= 2, and N = 3 with 2 folds). ``grid_points`` or
+    ``folds`` below 2 and ``kappa`` outside [1, inf) are errors whatever N
+    is. Otherwise returns the blend estimator (structural, or with the
+    nonlinearly shrunken sample term when ``use_lwnl``) at the selected
+    group and refit intensity.
     """
-    stats = DataStats.of(data)
-    if folds is None:
-        folds = FoldScheme.feasible_contiguous(data.n_obs)
-    admitted_names = [] if folds is None else tier1_admit(lib, data.n_obs, data.dim, kappa)
-    if not admitted_names:
+    # the settings are checked before the fallback path can skip Tier 2
+    calibration.alpha_grid(grid_points)
+    if folds < 2:
+        raise ValueError(f"cannot split {data.n_obs} rows into {folds} folds")
+    stats, n, k = DataStats.of(data), data.n_obs, min(folds, data.n_obs)
+    admitted_names = tier1_admit(lib, n, data.dim, kappa)   # and kappa here
+    # the largest fold holds ceil(n / k) rows; its training complement needs 2
+    if not admitted_names or n - -(-n // k) < 2:
         est = shrinkage.lw2004_auto(stats)
         report = BMGReport(
             selected="", alpha=est.alpha, tier1_admitted=(),
@@ -138,7 +142,7 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
         )
         return est, report
     admitted = [lib.by_name(name) for name in admitted_names]
-    report = tier2_select(stats, admitted, grid, folds, use_lwnl)
+    report = tier2_select(stats, admitted, grid_points, k, use_lwnl)
     selected = lib.by_name(report.selected)
     if use_lwnl:
         est = shrinkage.ad_lwnl_blend(stats, selected, report.alpha)

@@ -42,58 +42,21 @@ CURVE_GUARD = 1e-8
 TRIDIAGONAL_ROW_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
-class AlphaGrid:
-    """Sorted grid over [0, 1] with both endpoints always present."""
-
-    points: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
-        if len(pts) < 2 or pts[0] != 0.0 or pts[-1] != 1.0:
-            raise ValueError("alpha grid must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("alpha grid must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform(cls, n_points: int = DEFAULT_GRID_POINTS) -> "AlphaGrid":
-        if n_points < 2:
-            raise ValueError(f"a uniform alpha grid needs at least 2 points, got {n_points}")
-        return cls(tuple(i / (n_points - 1) for i in range(n_points)))
+def alpha_grid(n_points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
+    """The uniform grid of ``n_points`` alphas from 0 to 1."""
+    if n_points < 2:
+        raise ValueError(f"a uniform alpha grid needs at least 2 points, got {n_points}")
+    return tuple(i / (n_points - 1) for i in range(n_points))
 
 
-DEFAULT_GRID = AlphaGrid.uniform()
-
-
-@dataclass(frozen=True)
-class FoldScheme:
-    """Partition of n_obs row indices into k contiguous blocks, in row
-    order, with sizes differing by at most one (the larger blocks first)."""
-
-    n_obs: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.k <= self.n_obs:
-            raise ValueError(f"cannot split {self.n_obs} rows into {self.k} folds")
-
-    @classmethod
-    def contiguous(cls, n_obs: int, k: int = DEFAULT_FOLDS) -> "FoldScheme":
-        return cls(n_obs, k)
-
-    @classmethod
-    def feasible_contiguous(cls, n_obs: int, k: int = DEFAULT_FOLDS) -> "FoldScheme | None":
-        """Contiguous folds with k clamped to the row count, or None when no
-        scheme leaves every training complement at least 2 rows (n_obs < 3)."""
-        if n_obs < 3:
-            return None
-        return cls.contiguous(n_obs, min(k, n_obs))
-
-    def fold_slice(self, fold: int) -> slice:
-        size, extra = divmod(self.n_obs, self.k)
-        start = fold * size + min(fold, extra)
-        return slice(start, start + size + (fold < extra))
+def fold_slices(n_obs: int, k: int) -> list[slice]:
+    """The k contiguous blocks of n_obs rows, in row order, with sizes
+    differing by at most one (the larger blocks first)."""
+    if not 2 <= k <= n_obs:
+        raise ValueError(f"cannot split {n_obs} rows into {k} folds")
+    size, extra = divmod(n_obs, k)
+    starts = [fold * size + min(fold, extra) for fold in range(k + 1)]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 @dataclass(frozen=True)
@@ -175,7 +138,7 @@ def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
 class DataStats(Dataset):
     """A centered dataset that computes on first use, and keeps, R_hat
     (``r_hat``), its ``lwnl_from_covariance`` result (``lwnl``), and per fold
-    scheme the fold ``splits``, each distinct target's fold projections with
+    count the fold ``splits``, each distinct target's fold projections with
     their ``_factor`` (``targets``) and its ``fold_scores``: the one cache of
     held-out statistics, shared by every group and call on it. Estimators
     read statistics through ``of``, which wraps a plain Dataset for one call
@@ -206,35 +169,33 @@ class DataStats(Dataset):
         return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat,
                                                                            self.n_obs))
 
-    def splits(self, folds: FoldScheme) -> list[tuple[np.ndarray | None, np.ndarray,
-                                                      SymmetricMatrix, SymmetricMatrix]]:
-        """(X_train, X_test, R_train, R_test) per fold: the one place the
-        rows are split. X_test is a view of the rows; X_train, which only the
-        Gram route reads, is None unless it has fewer rows than M."""
-        if folds.n_obs != self.n_obs:
-            raise ValueError("fold scheme built for a different number of rows")
+    def splits(self, folds: int) -> list[tuple[np.ndarray | None, np.ndarray,
+                                                SymmetricMatrix, SymmetricMatrix]]:
+        """(X_train, X_test, R_train, R_test) per fold of ``fold_slices``: the
+        one place the rows are split. X_test is a view of the rows; X_train,
+        which only the Gram route reads, is None unless it has fewer rows than M."""
 
-        def split(fold):
-            test = folds.fold_slice(fold)
+        def split(test):
             x_train, x_test = np.delete(self.rows, test, axis=0), self.rows[test]
             return (x_train if len(x_train) < self.dim else None, x_test,
                     second_moment(x_train), second_moment(x_test))
 
-        return self._cached(folds, lambda: [split(f) for f in range(folds.k)])
+        return self._cached(("splits", folds),
+                            lambda: [split(test) for test in fold_slices(self.n_obs, folds)])
 
-    def targets(self, folds: FoldScheme,
+    def targets(self, folds: int,
                 g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
         """(T, _factor(T)) per fold, shared by every group of g's partition."""
-        return self._cached((folds, _partition_key(g)), lambda: tuple(
+        return self._cached(("targets", folds, _partition_key(g)), lambda: tuple(
             (t, _factor(t)) for t in (reynolds_project(g, r_train)
                                       for _, _, r_train, _ in self.splits(folds))))
 
-    def fold_scores(self, folds: FoldScheme, g: GroupAction, grid: AlphaGrid,
+    def fold_scores(self, folds: int, g: GroupAction, grid_points: int,
                     use_lwnl: bool) -> np.ndarray:
         """Read-only (k, n_alpha) held-out NLL of g's blend at every grid alpha
         on every fold, shared by every group of g's partition. Each fold's
         sample term (R_train, or its LWNL when ``use_lwnl``) and its alpha = 0
-        score, which no group changes, are kept once per scheme and kind."""
+        score, which no group changes, are kept once per fold count and kind."""
         from . import shrinkage
 
         def term(fold, split):
@@ -246,8 +207,8 @@ class DataStats(Dataset):
             return s, matrixcore.gaussian_nll_per_sample(s, r_test)
 
         def score():
-            splits, alphas = self.splits(folds), np.asarray(grid.points)
-            terms = self._cached((folds, "lwnl" if use_lwnl else "sample"),
+            splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
+            terms = self._cached(("terms", folds, use_lwnl),
                                  lambda: [term(f, split) for f, split in enumerate(splits)])
             scores = np.array([_alpha_curve(s, *target, split, alphas, at_zero)
                                for (s, at_zero), split, target
@@ -255,7 +216,8 @@ class DataStats(Dataset):
             scores.flags.writeable = False
             return scores
 
-        return self._cached((folds, _partition_key(g), grid, use_lwnl), score)
+        return self._cached(("fold_scores", folds, _partition_key(g), grid_points, use_lwnl),
+                            score)
 
 
 def _partition_key(g: GroupAction):
@@ -372,41 +334,44 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
     return scores
 
 
-def cv_nll_alpha(data: Dataset, g: GroupAction, grid: AlphaGrid = DEFAULT_GRID,
-                 folds: FoldScheme | None = None,
+def cv_nll_alpha(data: Dataset, g: GroupAction, grid_points: int = DEFAULT_GRID_POINTS,
+                 folds: int = DEFAULT_FOLDS,
                  use_lwnl_sample_term: bool = False) -> CalibrationResult:
     """K-fold held-out-NLL calibration of the blend intensity toward ``g`` on
-    the grid, contiguous folds unless ``folds`` is given. Per fold, the
-    training-complement sample term is blended with its own projection at
-    each grid alpha and scored against the fold's sample covariance, by
-    ``DataStats.fold_scores``: a ``DataStats`` passed as ``data`` shares the
-    scores with every group and call on it. Scores average across folds per
-    alpha. The returned alpha follows the paired one-standard-error rule
-    toward the structured end (Hastie, Tibshirani & Friedman, ESL section
-    7.10): with ``best`` the first (smallest-alpha) minimizer of the mean
-    score, it is the largest alpha whose per-fold score differences from
-    ``best`` have a mean below their own standard error, or alpha_best when
-    no larger alpha qualifies. The inequality is strict, so exact ties (the
-    trivial group) keep the smallest alpha. Non-finite scores participate
-    and simply lose, and a grid point with any non-finite fold score is never
-    promoted, so rank-deficient blends at small alpha degrade gracefully.
+    the uniform ``alpha_grid(grid_points)``, over the ``folds`` contiguous
+    blocks of ``fold_slices``. Per fold, the training-complement sample term
+    is blended with its own projection at each grid alpha and scored against
+    the fold's sample covariance, by ``DataStats.fold_scores``: a
+    ``DataStats`` passed as ``data`` shares the scores with every group and
+    call on it. Scores average across folds per alpha. The returned alpha
+    follows the paired one-standard-error rule toward the structured end
+    (Hastie, Tibshirani & Friedman, ESL section 7.10): with ``best`` the
+    first (smallest-alpha) minimizer of the mean score, it is the largest
+    alpha whose per-fold score differences from ``best`` have a mean below
+    their own standard error, or alpha_best when no larger alpha qualifies.
+    The inequality is strict, so exact ties (the trivial group) keep the
+    smallest alpha. Non-finite scores participate and simply lose, and a
+    grid point with any non-finite fold score is never promoted, so
+    rank-deficient blends at small alpha degrade gracefully. Unlike
+    ``bmg.bmg_with_fallback``, it never clamps ``folds``: a fold count
+    above N, or a fold leaving fewer than 2 training rows, is an error.
     """
-    stats = DataStats.of(data)
-    if folds is None:
-        folds = FoldScheme.contiguous(stats.n_obs)
-    scores = stats.fold_scores(folds, g, grid, use_lwnl_sample_term)
+    stats, alphas = DataStats.of(data), alpha_grid(grid_points)
+    scores = stats.fold_scores(folds, g, grid_points, use_lwnl_sample_term)
     return CalibrationResult(
-        alpha=grid.points[_one_se_index(scores)], method=METHOD_CV_NLL,
-        per_alpha_scores={a: float(s) for a, s in zip(grid.points, scores.mean(axis=0))},
+        alpha=alphas[_one_se_index(scores)], method=METHOD_CV_NLL,
+        per_alpha_scores={a: float(s) for a, s in zip(alphas, scores.mean(axis=0))},
         fold_scores=scores,
     )
 
 
-def write_cv_trace_csv(path, result: CalibrationResult, grid: AlphaGrid) -> None:
-    """Per-fold, per-alpha held-out NLL trace: columns fold,alpha,nll."""
+def write_cv_trace_csv(path, result: CalibrationResult) -> None:
+    """Per-fold, per-alpha held-out NLL trace: columns fold,alpha,nll, with
+    the alphas of the uniform grid the result was scored on."""
     if result.fold_scores is None:
         raise ValueError("calibration result carries no fold trace")
+    alphas = alpha_grid(result.fold_scores.shape[1])
     matrixcore.write_csv(path, [("fold", "alpha", "nll")] + [
         (fold, alpha, score)
         for fold, scores in enumerate(result.fold_scores.tolist())
-        for alpha, score in zip(grid.points, scores)])
+        for alpha, score in zip(alphas, scores)])

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bmg as bmg_mod
 from . import calibration, groups, matrixcore, shrinkage, synth
-from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, DataStats, FoldScheme
+from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, DataStats
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,8 +77,7 @@ def _calibrate(args, data, group, method: str, use_lwnl: bool) -> calibration.Ca
     held-out calibration (``cv``), for ``estimate`` and ``calibrate``."""
     if method == "mse":
         return calibration.mse_plugin_alpha(data, group)
-    return calibration.cv_nll_alpha(data, group, AlphaGrid.uniform(args.grid_points),
-                                    FoldScheme.contiguous(data.n_obs, args.folds),
+    return calibration.cv_nll_alpha(data, group, args.grid_points, args.folds,
                                     use_lwnl_sample_term=use_lwnl)
 
 
@@ -110,7 +109,7 @@ def cmd_calibrate(args) -> int:
     data = matrixcore.read_dataset_csv(args.data)
     result = _calibrate(args, data, _load_group(args.group), args.method, args.use_lwnl)
     if args.trace:
-        calibration.write_cv_trace_csv(args.trace, result, AlphaGrid.uniform(args.grid_points))
+        calibration.write_cv_trace_csv(args.trace, result)
     print(f"alpha={result.alpha!r} method={result.method}"
           + (f" note={result.note}" if result.note else ""))
     return EXIT_OK
@@ -120,10 +119,8 @@ def cmd_bmg(args) -> int:
     data = matrixcore.read_dataset_csv(args.data)
     library = synth.parse_library_spec(f"dir:{args.library}" if os.path.isdir(args.library)
                                        else args.library)
-    grid = AlphaGrid.uniform(args.grid_points)
-    folds = FoldScheme.feasible_contiguous(data.n_obs, args.folds)
-    est, report = bmg_mod.bmg_with_fallback(data, library, args.kappa, grid,
-                                            folds, use_lwnl=args.use_lwnl)
+    est, report = bmg_mod.bmg_with_fallback(data, library, args.kappa, args.grid_points,
+                                            args.folds, use_lwnl=args.use_lwnl)
     bmg_mod.write_report_csv(args.report, library, report)
     if args.estimator_out:
         shrinkage.write_estimator_csv(args.estimator_out, est)

@@ -20,7 +20,7 @@ import numpy as np
 from . import bmg as bmg_mod
 from . import groups, matrixcore, shrinkage
 from .bmg import BMGReport, CandidateLibrary
-from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, AlphaGrid, DataStats, FoldScheme
+from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, DataStats
 from .groups import GroupAction, parse_group_spec, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
@@ -95,6 +95,9 @@ class PopulationSpec:
         for field in reads:
             if getattr(self, field) is None:
                 raise _FieldError((field, "kind"), f"population kind {self.kind} needs {field}")
+        if "group" in reads and self.group.dim != self.m:
+            raise _FieldError(("group", "m"), f"population group {self.group.name} acts "
+                              f"on {self.group.dim} points, not m = {self.m}")
         if self.kind == POP_BLOCK_CIRCULANT and self.m % self.block_size:
             raise _FieldError(("block_size", "m"),
                               "block_circulant population needs block_size to divide m")
@@ -439,10 +442,6 @@ class SweepConfig:
             raise _FieldError(("library",),
                               f"library groups {wrong} do not act on m = {self.population.m}")
 
-    @property
-    def grid(self) -> AlphaGrid:
-        return AlphaGrid.uniform(self.grid_points)
-
 
 @dataclass
 class TrialRecord:
@@ -476,8 +475,8 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
         train = DataStats.of(_draw_gaussian(*root, n, (config.base_seed, cell_idx, trial, 0)))
         test = _draw_gaussian(*root, config.n_test, (config.base_seed, cell_idx, trial, 1))
         r_test = matrixcore.sample_covariance(test)
-        folds = FoldScheme.feasible_contiguous(n, config.folds)
         wanted = set(config.estimators)
+        selection = (config.library, config.kappa, config.grid_points, config.folds)
         fitted: dict[str, SymmetricMatrix] = {}
         if "sample" in wanted:
             fitted["sample"] = train.r_hat
@@ -486,16 +485,14 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
         if "lwnl" in wanted and n >= 2:   # undefined below 2 rows: left empty
             fitted["lwnl"] = shrinkage.lwnl(train).matrix
         if wanted & {"ad_bmg", "shah_bmg"}:
-            est_ad, record.ad = bmg_mod.bmg_with_fallback(
-                train, config.library, config.kappa, config.grid, folds, use_lwnl=False)
+            est_ad, record.ad = bmg_mod.bmg_with_fallback(train, *selection, use_lwnl=False)
             if "ad_bmg" in wanted:
                 fitted["ad_bmg"] = est_ad.matrix
             if "shah_bmg" in wanted:
                 fitted["shah_bmg"] = bmg_mod.shah_at_selected(
                     train, config.library, record.ad).matrix
         if "ad_lwnl_bmg" in wanted:
-            est_lw, record.ad_lwnl = bmg_mod.bmg_with_fallback(
-                train, config.library, config.kappa, config.grid, folds, use_lwnl=True)
+            est_lw, record.ad_lwnl = bmg_mod.bmg_with_fallback(train, *selection, use_lwnl=True)
             fitted["ad_lwnl_bmg"] = est_lw.matrix
         for name, matrix in fitted.items():
             record.nll[name] = matrixcore.gaussian_nll_per_sample(matrix, r_test)

@@ -15,7 +15,7 @@ import scipy.stats
 from symcov import bmg as bmg_mod
 from symcov import groups, matrixcore, shrinkage, synth
 from symcov.bmg import CandidateLibrary, delta_residual, tier1_admit
-from symcov.calibration import AlphaGrid, FoldScheme, cv_nll_alpha
+from symcov.calibration import alpha_grid, cv_nll_alpha
 from symcov.groups import (
     brute_force_project,
     orbit_partition,
@@ -177,7 +177,7 @@ def test_c04_risk_decomposition_oracle():
 def test_c05_alpha_star_oracle():
     """Grid-restricted empirical Frobenius-MSE minimizer lands within one
     grid spacing of V_perp / (V_perp + D) on 20 configurations."""
-    grid = np.asarray(AlphaGrid.uniform(13).points)
+    grid = np.asarray(alpha_grid(13))
     group_cycle = [groups.grid_translation2d(4, 4), groups.grid_d4(4),
                    groups.block_symmetric(4, 4), groups.wreath_shifts(4, 4)]
     n_cycle = [32, 64, 128, 256, 512]
@@ -280,15 +280,13 @@ def test_c08_wreath_recovery():
     wreath_name = "z20-wr-s5"
     sigma = _matched_block_population()
     assert delta_residual(lib.by_name(wreath_name), sigma) <= 1e-10
-    grid = AlphaGrid.uniform(13)
     wins = 0
     nll_ad, nll_lw = [], []
     for t in range(50):
         train = synth.sample_gaussian(sigma, 50, (9, "tr", t))
         test = synth.sample_gaussian(sigma, 200, (9, "te", t))
         r_test = sample_covariance(test)
-        est, rep = bmg_mod.bmg_with_fallback(train, lib, 2.0, grid,
-                                             FoldScheme.contiguous(50, 5))
+        est, rep = bmg_mod.bmg_with_fallback(train, lib, 2.0, 13, 5)
         wins += (rep.selected == wreath_name)
         nll_ad.append(gaussian_nll_per_sample(est.matrix, r_test))
         nll_lw.append(gaussian_nll_per_sample(
@@ -311,13 +309,11 @@ def test_c09_decoy_stress():
     admitted = set(tier1_admit(lib, n=50, m=100, kappa=2.0))
     assert decoy_names <= admitted, "every decoy must pass the prefilter"
     sigma = _matched_block_population()
-    grid = AlphaGrid.uniform(13)
     decoy_hits = 0
     selections = {}
     for t in range(50):
         train = synth.sample_gaussian(sigma, 50, (9, "tr", t))
-        _, rep = bmg_mod.bmg_with_fallback(train, lib, 2.0, grid,
-                                           FoldScheme.contiguous(50, 5))
+        _, rep = bmg_mod.bmg_with_fallback(train, lib, 2.0, 13, 5)
         selections[rep.selected] = selections.get(rep.selected, 0) + 1
         decoy_hits += (rep.selected in decoy_names)
     _report("criterion 9 (decoy stress test)", decoy_hits == 0,
@@ -334,7 +330,6 @@ def test_c10_region_three_collapse():
         m=m, kind=synth.POP_GEOMETRIC, base_seed=4, geometric_decay=0.7))
     lib = CandidateLibrary((groups.trivial(m), groups.grid_translation2d(4, 4),
                             groups.grid_d4(4), groups.full_symmetric(m)))
-    grid = AlphaGrid.uniform(13)
     trivial_wins = 0
     exact = 0
     lw_worse = 0
@@ -342,8 +337,7 @@ def test_c10_region_three_collapse():
         train = synth.sample_gaussian(sigma, n, (3, "r3", t))
         test = synth.sample_gaussian(sigma, 200, (3, "r3t", t))
         r_test = sample_covariance(test)
-        est, rep = bmg_mod.bmg_with_fallback(train, lib, 2.0, grid,
-                                             FoldScheme.contiguous(n, 5))
+        est, rep = bmg_mod.bmg_with_fallback(train, lib, 2.0, 13, 5)
         r_hat = sample_covariance(train)
         if rep.selected == "trivial-16":
             trivial_wins += 1

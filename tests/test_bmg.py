@@ -15,7 +15,7 @@ from symcov.bmg import (
     tier2_select,
     write_report_csv,
 )
-from symcov.calibration import AlphaGrid, FoldScheme, cv_nll_alpha
+from symcov.calibration import cv_nll_alpha
 from symcov.matrixcore import (
     Dataset,
     SymmetricMatrix,
@@ -200,9 +200,9 @@ class TestTier2:
             return original(r_hat, n_obs)
 
         monkeypatch.setattr(shrinkage, "lwnl_from_covariance", counting)
-        folds = FoldScheme.contiguous(data.n_obs, 5)
+        folds = 5
         tier2_select(data, cands, folds=folds, use_lwnl_sample_term=True)
-        assert len(calls) == folds.k
+        assert len(calls) == folds
 
     def test_empty_admitted_rejected(self):
         rng = np.random.default_rng(65)
@@ -229,6 +229,29 @@ class TestFallback:
             lib = CandidateLibrary((groups.trivial(6), groups.full_symmetric(6)))
             est, report = bmg_with_fallback(data, lib)
             assert est.matrix.dim == 6
+
+    def test_falls_back_exactly_when_no_fold_of_min_k_n_leaves_two_training_rows(self):
+        # S_4 passes the prefilter at every N, so only the folds decide
+        lib = CandidateLibrary((groups.full_symmetric(4),))
+        rng = np.random.default_rng(70)
+        for n in range(1, 13):
+            data = Dataset(rng.standard_normal((n, 4))).center()
+            for k in range(2, 7):
+                used = min(k, n)
+                infeasible = used < 2 or any(
+                    n - (fold.stop - fold.start) < 2 for fold in calibration.fold_slices(n, used))
+                _, report = bmg_with_fallback(data, lib, folds=k)
+                assert report.fallback_used == infeasible, (n, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize("setting,value", [("folds", 1), ("grid_points", 1),
+                                               ("kappa", 0.5)])
+    def test_bad_setting_rejected_at_any_n(self, n, setting, value):
+        # the fallback path at N <= 2 checks them as Tier 2 does
+        data = Dataset(np.random.default_rng(71).standard_normal((n, 4))).center()
+        lib = CandidateLibrary((groups.full_symmetric(4),))
+        with pytest.raises(ValueError, match="cannot split|at least 2 points|kappa"):
+            bmg_with_fallback(data, lib, **{setting: value})
 
     def test_shah_at_selected_under_fallback_is_haar_projection(self):
         # under fallback the comparator projects through the Haar group of the

@@ -5,15 +5,16 @@ import pytest
 
 from symcov import calibration, groups, matrixcore, shrinkage, synth
 from symcov.calibration import (
-    AlphaGrid,
-    DEFAULT_GRID,
+    DEFAULT_FOLDS,
+    DEFAULT_GRID_POINTS,
     DataStats,
-    FoldScheme,
     METHOD_CV_NLL,
     METHOD_MSE_PLUGIN,
     NOTE_DENOMINATOR_DEGENERATE,
     _one_se_index,
+    alpha_grid,
     cv_nll_alpha,
+    fold_slices,
     mse_plugin_alpha,
     write_cv_trace_csv,
 )
@@ -27,40 +28,29 @@ from symcov.matrixcore import (
 )
 
 
-class TestAlphaGrid:
+class TestUniformGrid:
     def test_default_thirteen_points(self):
-        grid = AlphaGrid.uniform(13)
-        assert len(grid.points) == 13
-        assert grid.points[0] == 0.0 and grid.points[-1] == 1.0
-        assert grid.points[1] == pytest.approx(1 / 12)
-
-    def test_endpoints_mandatory(self):
-        with pytest.raises(ValueError):
-            AlphaGrid((0.0, 0.5))
-        with pytest.raises(ValueError):
-            AlphaGrid((0.1, 0.5, 1.0))
-
-    def test_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            AlphaGrid((0.0, 0.5, 0.5, 1.0))
+        grid = alpha_grid(13)
+        assert len(grid) == 13
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+        assert grid[1] == pytest.approx(1 / 12)
 
     def test_uniform_needs_two_points(self):
         with pytest.raises(ValueError, match="at least 2 points"):
-            AlphaGrid.uniform(1)
+            alpha_grid(1)
 
 
-class TestFoldScheme:
+class TestFoldSlices:
     def test_contiguous_sizes_differ_by_at_most_one(self):
-        f = FoldScheme.contiguous(23, 5)
-        slices = [f.fold_slice(k) for k in range(5)]
+        slices = fold_slices(23, 5)
         assert [s.stop - s.start for s in slices] == [5, 5, 5, 4, 4]
         # the folds tile the rows in order
         assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
         assert slices[-1].stop == 23
 
     def test_too_many_folds_rejected(self):
-        with pytest.raises(ValueError):
-            FoldScheme.contiguous(3, 5)
+        with pytest.raises(ValueError, match="cannot split 3 rows into 5 folds"):
+            fold_slices(3, 5)
 
 
 class TestMsePlugin:
@@ -205,33 +195,32 @@ class TestCvNll:
         rng = np.random.default_rng(49)
         data = Dataset(rng.standard_normal((3, 3))).center()
         with pytest.raises(ValueError):
-            cv_nll_alpha(data, groups.trivial(3), folds=FoldScheme.contiguous(3, 2))
+            cv_nll_alpha(data, groups.trivial(3), folds=2)
 
     def test_trace_csv(self, tmp_path):
         rng = np.random.default_rng(50)
         data = Dataset(rng.standard_normal((20, 3))).center()
-        grid = AlphaGrid.uniform(5)
-        res = cv_nll_alpha(data, groups.cyclic(3), grid)
+        res = cv_nll_alpha(data, groups.cyclic(3), 5)
         path = tmp_path / "trace.csv"
-        write_cv_trace_csv(path, res, grid)
+        write_cv_trace_csv(path, res)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "fold,alpha,nll"
         assert len(lines) == 1 + 5 * 5  # folds x grid
 
 
-def _explicit_fold_scores(data, g, grid=DEFAULT_GRID, use_lwnl=False, folds=None):
+def _explicit_fold_scores(data, g, grid_points=DEFAULT_GRID_POINTS, use_lwnl=False,
+                          folds=DEFAULT_FOLDS):
     """Every (fold, alpha) score from its own explicit blend."""
-    folds = folds or FoldScheme.contiguous(data.n_obs)
-    scores = np.empty((folds.k, len(grid.points)))
-    for fold in range(folds.k):
-        test = folds.fold_slice(fold)
+    grid = alpha_grid(grid_points)
+    scores = np.empty((folds, len(grid)))
+    for fold, test in enumerate(fold_slices(data.n_obs, folds)):
         x_train = np.delete(data.rows, test, axis=0)
         r_train = second_moment(x_train)
         sample_term = (shrinkage.lwnl_from_covariance(r_train, len(x_train)).matrix
                        if use_lwnl else r_train)
         residual = reynolds_project(g, r_train).values - sample_term.values
         r_test = second_moment(data.rows[test])
-        for j, alpha in enumerate(grid.points):
+        for j, alpha in enumerate(grid):
             blend = SymmetricMatrix(sample_term.values + alpha * residual)
             scores[fold, j] = gaussian_nll_per_sample(blend, r_test)
     return scores
@@ -286,11 +275,11 @@ class TestAlphaCurve:
             calls.append(1)
             return gaussian_nll_per_sample(sigma, r_test)
         monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
-        folds = FoldScheme.contiguous(200, 5)
+        folds = 5
         stats = DataStats.of(_rows(200, 6, 65))
         for g in [groups.cyclic(6), groups.block_symmetric(3, 2)]:
             cv_nll_alpha(stats, g, folds=folds)
-        assert len(calls) == folds.k
+        assert len(calls) == folds
 
 
 @pytest.fixture(scope="module")
@@ -351,7 +340,7 @@ class TestGramPath:
     @pytest.mark.parametrize("n,k,n_train", [(3, 3, 2), (12, 2, 6), (12, 12, 11)],
                              ids=["n_train=2", "n_train=M/2", "n_train=M-1"])
     def test_fold_scores_match_explicit_blends(self, g, n, k, n_train, monkeypatch):
-        data, folds = DataStats.of(_rows(n, 12, 80 + n)), FoldScheme(n, k)
+        data, folds = DataStats.of(_rows(n, 12, 80 + n)), k
         shapes = _record_eigh_shapes(monkeypatch)
         got = cv_nll_alpha(data, g, folds=folds).fold_scores
         assert shapes == []
@@ -388,16 +377,15 @@ class TestGramPath:
     def test_fold_rows_cached_per_scheme(self):
         # 15 training rows of M = 16: kept for the Gram route
         stats = DataStats.of(_rows(20, 16, 91))
-        folds = FoldScheme.contiguous(20, 4)
-        assert stats.splits(folds) is stats.splits(FoldScheme.contiguous(20, 4))
-        for fold, (train, test, _, _) in enumerate(stats.splits(folds)):
-            np.testing.assert_array_equal(train, np.delete(stats.rows, folds.fold_slice(fold), 0))
-            np.testing.assert_array_equal(test, stats.rows[folds.fold_slice(fold)])
+        assert stats.splits(4) is stats.splits(4)
+        for block, (train, test, _, _) in zip(fold_slices(20, 4), stats.splits(4)):
+            np.testing.assert_array_equal(train, np.delete(stats.rows, block, 0))
+            np.testing.assert_array_equal(test, stats.rows[block])
 
     @pytest.mark.parametrize("n,m", [(20, 16), (20, 15), (40, 6)])
     def test_fold_keeps_test_row_views_and_training_rows_only_below_m(self, n, m):
         stats = DataStats.of(_rows(n, m, 92))
-        for train, test, _, _ in stats.splits(FoldScheme.contiguous(n, 4)):
+        for train, test, _, _ in stats.splits(4):
             assert np.shares_memory(test, stats.rows)
             assert (train is None) == (n - len(test) >= m)
 
@@ -412,11 +400,11 @@ class TestTridiagonalRoute:
         sigma = synth.make_population(synth.PopulationSpec(
             m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
         data = DataStats.of(synth.sample_gaussian(sigma, n, (71, n)))
-        folds = FoldScheme.contiguous(n)
+        folds = DEFAULT_FOLDS
         calls = _record_eigen_calls(monkeypatch)
         for g in pathway_decoys.candidates:
             cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl)
-        if n // folds.k < calibration.TRIDIAGONAL_ROW_FRACTION * 100:
+        if n // folds < calibration.TRIDIAGONAL_ROW_FRACTION * 100:
             assert calls == []
             return
         distinct = {id(t): t for t in (data.targets(folds, g) for g in pathway_decoys.candidates)}
@@ -424,12 +412,12 @@ class TestTridiagonalRoute:
         want = sum(factors is not None and not np.array_equal(t.values, r_train.values)
                    for targets in distinct.values()
                    for (t, factors), (_, _, r_train, _) in zip(targets, data.splits(folds)))
-        assert want > folds.k and len(calls) == want
+        assert want > folds and len(calls) == want
 
     @pytest.mark.parametrize("use_lwnl", [False, True])
     def test_two_training_rows(self, use_lwnl):
         # one test row of M = 8: Gram route for the raw term, M x M for LWNL
-        data, folds, g = _rows(3, 8, 51), FoldScheme(3, 3), groups.cyclic(8)
+        data, folds, g = _rows(3, 8, 51), 3, groups.cyclic(8)
         got = cv_nll_alpha(data, g, folds=folds, use_lwnl_sample_term=use_lwnl).fold_scores
         want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl, folds=folds)
         finite = np.isfinite(want)
@@ -463,7 +451,7 @@ class TestTridiagonalRoute:
     @pytest.mark.parametrize("n,k", [(12, 2), (16, 2)])
     def test_lwnl_below_m_training_rows_take_the_eigen_kernel(self, g, n, k, monkeypatch):
         # at least M/4 test rows and n_train < M, which five folds cannot give
-        data, folds = _rows(n, 16, 54 + n), FoldScheme(n, k)
+        data, folds = _rows(n, 16, 54 + n), k
         calls = _record_eigen_calls(monkeypatch)
         got = cv_nll_alpha(data, g, folds=folds, use_lwnl_sample_term=True).fold_scores
         assert len(calls) == k
@@ -510,15 +498,15 @@ class TestFoldStats:
             calls.append(g.name)
             return reynolds_project(g, a)
         monkeypatch.setattr(calibration, "reynolds_project", counting)
-        folds = FoldScheme.contiguous(40, 5)
+        folds = 5
         stats = DataStats.of(_rows(40, 6, 66))
         a, b = (cv_nll_alpha(stats, g, folds=folds) for g in [s6, a6])
         np.testing.assert_array_equal(a.fold_scores, b.fold_scores)
         assert a.alpha == b.alpha
-        assert calls == ["s6"] * folds.k
+        assert calls == ["s6"] * folds
 
     def test_fold_scores_read_only_and_shared_per_partition(self):
-        stats, folds = DataStats.of(_rows(40, 6, 74)), FoldScheme.contiguous(40, 5)
+        stats, folds = DataStats.of(_rows(40, 6, 74)), 5
         s6, a6 = groups.full_symmetric(6), _alternating_6()
         first = cv_nll_alpha(stats, s6, folds=folds).fold_scores
         assert not first.flags.writeable
@@ -530,24 +518,24 @@ class TestFoldStats:
                             use_lwnl_sample_term=True).fold_scores is not first
 
     def test_lwnl_fold_terms_computed_once_across_candidates_and_calls(self, monkeypatch):
-        stats, folds = DataStats.of(_rows(30, 6, 75)), FoldScheme.contiguous(30, 5)
+        stats, folds = DataStats.of(_rows(30, 6, 75)), 5
         calls, original = [], shrinkage.lwnl_from_covariance
         monkeypatch.setattr(shrinkage, "lwnl_from_covariance",
                             lambda r, n: calls.append(n) or original(r, n))
-        for grid in (DEFAULT_GRID, AlphaGrid.uniform(5)):
+        for grid_points in (DEFAULT_GRID_POINTS, 5):
             for g in (groups.cyclic(6), groups.block_symmetric(3, 2), groups.trivial(6)):
-                cv_nll_alpha(stats, g, grid, folds, use_lwnl_sample_term=True)
-        assert len(calls) == folds.k
+                cv_nll_alpha(stats, g, grid_points, folds, use_lwnl_sample_term=True)
+        assert len(calls) == folds
 
     def test_haar_groups_of_one_dimension_share_a_target(self):
-        stats, folds = DataStats.of(_rows(30, 6, 67)), FoldScheme.contiguous(30)
+        stats, folds = DataStats.of(_rows(30, 6, 67)), DEFAULT_FOLDS
         other = groups.GroupAction("haar-b", 6, kind=groups.KIND_HAAR)
         assert stats.targets(folds, groups.haar_orthogonal(6)) is stats.targets(folds, other)
 
     def test_shared_stats_give_standalone_results_bitwise(self):
         data = _rows(60, 12, 68)
         cands = [groups.trivial(12), groups.wreath_shifts(3, 4), groups.haar_orthogonal(12)]
-        folds = FoldScheme.contiguous(60)
+        folds = DEFAULT_FOLDS
         stats = DataStats.of(data)
         for use_lwnl in (False, True):
             shared = [cv_nll_alpha(stats, g, folds=folds, use_lwnl_sample_term=use_lwnl)
@@ -557,14 +545,6 @@ class TestFoldStats:
             for x, y in zip(shared, alone):
                 np.testing.assert_array_equal(x.fold_scores, y.fold_scores)
                 assert (x.alpha, x.per_alpha_scores) == (y.alpha, y.per_alpha_scores)
-
-    def test_stats_for_other_rows_or_folds_rejected(self):
-        # a DataStats is its own rows, so only a fold scheme can mismatch
-        stats, g = DataStats.of(_rows(30, 6, 70)), groups.cyclic(6)
-        with pytest.raises(ValueError, match="fold scheme"):
-            cv_nll_alpha(stats, g, folds=FoldScheme.contiguous(31, 5))
-        with pytest.raises(ValueError, match="fold scheme"):
-            stats.targets(FoldScheme.contiguous(29, 5), g)
 
     def test_uncentered_data_rejected_before_any_statistic(self):
         # the plug-in always raised; held-out calibration scored the shifted
@@ -583,9 +563,8 @@ class TestFoldStats:
         np.testing.assert_array_equal(stats.rows, data.rows)
         assert stats.r_hat is stats.r_hat and stats.lwnl is stats.lwnl
         np.testing.assert_array_equal(stats.r_hat.values, sample_covariance(data).values)
-        five, three = FoldScheme.contiguous(30, 5), FoldScheme.contiguous(30, 3)
-        assert stats.splits(five) is stats.splits(FoldScheme.contiguous(30, 5))
-        assert len(stats.splits(three)) == 3 and stats.splits(three) is not stats.splits(five)
+        assert stats.splits(5) is stats.splits(5)
+        assert len(stats.splits(3)) == 3 and stats.splits(3) is not stats.splits(5)
 
 
 class TestOneStandardErrorRule:

@@ -268,6 +268,24 @@ class TestBmg:
         assert run_cli("bmg", "--data", str(dataset_csv), "--library", "trivial:4;s:4",
                        "--grid-points", "1", "--report", str(tmp_path / "r.csv")) == 2
 
+    def test_two_folds_on_three_rows_fall_back(self, tmp_path, capsys):
+        # the larger of the two folds would leave one training row
+        data_path = tmp_path / "three.csv"
+        write_dataset_csv(data_path, Dataset(np.random.default_rng(82).standard_normal(
+            (3, 4))).center())
+        assert run_cli("bmg", "--data", str(data_path), "--library", "trivial:4;s:4",
+                       "--folds", "2", "--report", str(tmp_path / "r.csv")) == 0
+        assert capsys.readouterr().out.startswith("fallback ")
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_one_fold_is_config_error_at_any_n(self, tmp_path, capsys, n):
+        data_path = tmp_path / "data.csv"
+        write_dataset_csv(data_path, Dataset(np.random.default_rng(83).standard_normal(
+            (n, 4))).center())
+        assert run_cli("bmg", "--data", str(data_path), "--library", "trivial:4;s:4",
+                       "--folds", "1", "--report", str(tmp_path / "r.csv")) == 2
+        assert f"cannot split {n} rows into 1 folds" in capsys.readouterr().err
+
     def test_one_token_header_is_config_error_naming_line(self, tmp_path, capsys):
         data_path = tmp_path / "hdr.csv"
         data_path.write_text("5\n1.0,2.0\n")
@@ -395,6 +413,16 @@ class TestSweepAndDecoy:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # cells x trials
 
+    def test_sweep_two_folds_on_three_rows_fall_back(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(sweep_cfg_with("folds = 2").replace("n_list = 16,24", "n_list = 3"))
+        out = tmp_path / "records.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 0
+        header, *lines = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(lines) == 2
+        for row in (dict(zip(header, line)) for line in lines):
+            assert row["error"] == "" and row["ad_fallback"] == row["adlwnl_fallback"] == "1"
+
     @pytest.mark.parametrize("key", ["folds", "grid_points"])
     def test_sweep_single_fold_or_grid_point_is_config_error(self, tmp_path, key):
         cfg = tmp_path / "sweep.cfg"
@@ -423,7 +451,9 @@ class TestSweepAndDecoy:
         (sweep_cfg_with("cross_block = 1.5"), "cross_block"),
         (population_cfg_with("population = delta_controlled", "population_group = cyclic:6",
                              "target_delta = 0.99"), "target_delta"),
-    ], ids=["not-positive-definite", "unreachable-delta"])
+        (population_cfg_with("population = group_invariant", "population_group = cyclic:5"),
+         "population_group"),
+    ], ids=["not-positive-definite", "unreachable-delta", "group-of-wrong-size"])
     def test_unbuildable_population_is_config_error_naming_key(self, tmp_path, capsys,
                                                                command, text, key):
         # the failing key's line is the config's last

@@ -9,7 +9,7 @@ import pytest
 from symcov import bmg as bmg_mod
 from symcov import groups, matrixcore, shrinkage, synth
 from symcov.bmg import BMGReport, CandidateLibrary
-from symcov.calibration import AlphaGrid, CalibrationResult, write_cv_trace_csv
+from symcov.calibration import CalibrationResult, write_cv_trace_csv
 from symcov.cli import main
 from symcov.matrixcore import Dataset, SymmetricMatrix
 
@@ -101,7 +101,7 @@ class TestWriterBytes:
         result = CalibrationResult(alpha=1.0, method="cv_nll",
                                    fold_scores=np.array([[np.inf, 0.1], [np.nan, 1 / 3]]))
         path = tmp_path / "trace.csv"
-        write_cv_trace_csv(path, result, AlphaGrid((0.0, 1.0)))
+        write_cv_trace_csv(path, result)
         assert path.read_text() == ("fold,alpha,nll\n0,0.0,inf\n0,1.0,0.1\n"
                                     f"1,0.0,nan\n1,1.0,{THIRD}\n")
 
