@@ -67,12 +67,17 @@ def tier1_admit(lib: CandidateLibrary, n: int, m: int,
 
 
 def delta_residual(g: GroupAction, r_hat: SymmetricMatrix) -> float:
-    """Dimensionless commutativity residual ||R - P_G(R)||_F / ||R||_F."""
-    norm = matrixcore.frobenius_norm(r_hat)
-    if norm == 0.0:
-        raise ValueError("delta residual undefined for the zero matrix")
-    proj = reynolds_project(g, r_hat)
-    return float(np.linalg.norm(r_hat.values - proj.values, "fro") / norm)
+    """Dimensionless commutativity residual ||R - P_G(R)||_F / ||R||_F; NaN
+    for the zero matrix, where it is undefined. Both norms are taken of R
+    scaled by a power of two to a largest entry in [1/2, 1): the scaling is
+    exact, so the squares neither underflow nor overflow at any scale of R
+    and the result at ordinary scales is unchanged bitwise."""
+    peak = np.abs(r_hat.values).max()
+    if peak == 0.0:
+        return float("nan")
+    r = SymmetricMatrix.of_symmetric(np.ldexp(r_hat.values, -np.frexp(peak)[1]))
+    proj = reynolds_project(g, r)
+    return float(np.linalg.norm(r.values - proj.values, "fro") / np.linalg.norm(r.values, "fro"))
 
 
 def tier2_select(data: Dataset, admitted: list[GroupAction],
@@ -124,7 +129,8 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
     ``folds`` below 2 and ``kappa`` outside [1, inf) are errors whatever N
     is. Otherwise returns the blend estimator (structural, or with the
     nonlinearly shrunken sample term when ``use_lwnl``) at the selected
-    group and refit intensity.
+    group and refit intensity. The report's ``delta`` is NaN under the
+    fallback and when R_hat is the zero matrix.
     """
     # the settings are checked before the fallback path can skip Tier 2
     calibration.alpha_grid(grid_points)

@@ -78,6 +78,13 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
     V_perp + D. The ratio is clipped into [0, 1]. When the group fixes the
     sample covariance exactly the denominator vanishes and alpha = 1 is
     returned with a degenerate note (every alpha gives the same blend).
+
+    Both sums are of fourth powers of the rows. They are taken of the rows
+    scaled by a power of two to a largest entry in [1/2, 1), and of R_hat
+    scaled to match, and the two variances are scaled back: the scaling is
+    exact, so alpha is the same at any scale of the rows (the variances
+    themselves can still underflow or overflow) and unchanged bitwise at
+    ordinary scales.
     """
     data = DataStats.of(data)
     if data.n_obs < 2:
@@ -85,23 +92,30 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
     if g.dim != data.dim:
         raise DimensionMismatchError(f"group dim {g.dim} != data dim {data.dim}")
     n = data.n_obs
-    r_hat = data.r_hat
-    r_proj = reynolds_project(g, r_hat)
-    perp_rhat = r_hat.values - r_proj.values
+    shift = int(np.frexp(np.abs(data.rows).max())[1])
+    rows = np.ldexp(data.rows, -shift)
+    r_hat = np.ldexp(data.r_hat.values, -2 * shift)
+
+    def unscaled(v: float) -> float:
+        with np.errstate(over="ignore"):   # a variance alone may overflow
+            return float(np.ldexp(v, 4 * shift))
+
+    r_proj = reynolds_project(g, SymmetricMatrix.of_symmetric(r_hat))
+    perp_rhat = r_hat - r_proj.values
     denom = float(np.sum(perp_rhat**2))
-    scale = float(np.sum(r_hat.values**2))
+    scale = float(np.sum(r_hat**2))
     if denom <= 1e-14 * scale:
         return CalibrationResult(alpha=1.0, method=METHOD_MSE_PLUGIN,
-                                 v_perp_hat=0.0, v_plus_d_hat=denom,
+                                 v_perp_hat=0.0, v_plus_d_hat=unscaled(denom),
                                  note=NOTE_DENOMINATOR_DEGENERATE)
     # sum_k ||Pperp(x_k x_k^T) - Pperp(R_hat)||^2
     #   = sum_k (||x_k||^4 - ||P(x_k x_k^T)||^2) - N ||Pperp(R_hat)||^2
-    sq = np.einsum("ij,ij->i", data.rows, data.rows)
-    total = float(np.sum(sq**2 - projected_outer_sq_norms(g, data.rows))) - n * denom
+    sq = np.einsum("ij,ij->i", rows, rows)
+    total = float(np.sum(sq**2 - projected_outer_sq_norms(g, rows))) - n * denom
     v_perp = total / (n * n)
     alpha = min(1.0, max(0.0, v_perp / denom))
     return CalibrationResult(alpha=alpha, method=METHOD_MSE_PLUGIN,
-                             v_perp_hat=v_perp, v_plus_d_hat=denom)
+                             v_perp_hat=unscaled(v_perp), v_plus_d_hat=unscaled(denom))
 
 
 def _one_se_index(scores: np.ndarray) -> int:

@@ -72,12 +72,19 @@ _ESTIMATORS = {
 }
 
 
+def _held_out_settings(args) -> tuple[int, int]:
+    """--grid-points and --folds, with DEFAULT_GRID_POINTS and DEFAULT_FOLDS
+    for the one not given."""
+    return (DEFAULT_GRID_POINTS if args.grid_points is None else args.grid_points,
+            DEFAULT_FOLDS if args.folds is None else args.folds)
+
+
 def _calibrate(args, data, group, method: str, use_lwnl: bool) -> calibration.CalibrationResult:
     """The intensity toward ``group`` by the MSE plug-in (method ``mse``) or
     held-out calibration (``cv``), for ``estimate`` and ``calibrate``."""
     if method == "mse":
         return calibration.mse_plugin_alpha(data, group)
-    return calibration.cv_nll_alpha(data, group, args.grid_points, args.folds,
+    return calibration.cv_nll_alpha(data, group, *_held_out_settings(args),
                                     use_lwnl_sample_term=use_lwnl)
 
 
@@ -87,7 +94,9 @@ def cmd_estimate(args) -> int:
     takes_group = est.name in shrinkage.GROUP_REQUIRED
     for flag, ignored in (("--alpha", alpha is not None and not takes_alpha),
                           ("--auto-alpha", method and (alpha is not None or not takes_alpha)),
-                          ("--group", args.group and not takes_group)):
+                          ("--group", args.group and not takes_group),
+                          ("--grid-points", args.grid_points is not None and method != "cv"),
+                          ("--folds", args.folds is not None and method != "cv")):
         if ignored:
             raise ValueError(f"estimator {args.estimator} would ignore {flag}")
     data = DataStats.of(matrixcore.read_dataset_csv(args.data))
@@ -103,7 +112,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    for flag, given in (("--use-lwnl", args.use_lwnl), ("--trace", args.trace)):
+    for flag, given in (("--use-lwnl", args.use_lwnl), ("--trace", args.trace),
+                        ("--grid-points", args.grid_points is not None),
+                        ("--folds", args.folds is not None)):
         if given and args.method == "mse":
             raise ValueError(f"--method mse would ignore {flag}")
     data = matrixcore.read_dataset_csv(args.data)
@@ -119,8 +130,9 @@ def cmd_bmg(args) -> int:
     data = matrixcore.read_dataset_csv(args.data)
     library = synth.parse_library_spec(f"dir:{args.library}" if os.path.isdir(args.library)
                                        else args.library)
-    est, report = bmg_mod.bmg_with_fallback(data, library, args.kappa, args.grid_points,
-                                            args.folds, use_lwnl=args.use_lwnl)
+    est, report = bmg_mod.bmg_with_fallback(data, library, args.kappa,
+                                            *_held_out_settings(args),
+                                            use_lwnl=args.use_lwnl)
     bmg_mod.write_report_csv(args.report, library, report)
     if args.estimator_out:
         shrinkage.write_estimator_csv(args.estimator_out, est)
@@ -206,8 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     # the dataset and the held-out calibration's settings
     calibrated = argparse.ArgumentParser(add_help=False)
     calibrated.add_argument("--data", required=True, help="dataset CSV")
-    calibrated.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    calibrated.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
+    calibrated.add_argument("--grid-points", type=int,
+                            help=f"held-out calibration's alpha grid size (default "
+                                 f"{DEFAULT_GRID_POINTS})")
+    calibrated.add_argument("--folds", type=int,
+                            help=f"held-out calibration's fold count (default {DEFAULT_FOLDS})")
 
     p = sub.add_parser("estimate", parents=[calibrated],
                        help="fit one estimator on a dataset CSV")

@@ -99,9 +99,6 @@ class GroupAction:
         # string hashes are salted per process, so a pickle carries no hash
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
-    def generator_arrays(self) -> list[np.ndarray]:
-        return [np.array(g, dtype=int) for g in self.generators]
-
 
 @dataclass(frozen=True)
 class OrbitPartition:
@@ -290,6 +287,23 @@ def projected_outer_sq_norms(g: GroupAction, rows: np.ndarray) -> np.ndarray:
 # Grid layouts are row-major throughout: index(row, col) = row * width + col.
 # ---------------------------------------------------------------------------
 
+def _image(m: int, layout: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """The permutation of 0..m-1 sending each index of ``layout`` to the index
+    at the same place in ``moved`` (an array operation on the layout) and
+    fixing every other index."""
+    perm = np.arange(m)
+    perm[layout] = moved
+    return perm
+
+
+def _symmetric_gens(m: int, layout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S_n on the n places along the first axis of ``layout``: the n-cycle
+    and the swap of its first two places (the identity when n = 1)."""
+    swap = layout.copy()
+    swap[:2] = layout[1::-1]
+    return _image(m, layout, np.roll(layout, -1, axis=0)), _image(m, layout, swap)
+
+
 def trivial(m: int) -> GroupAction:
     """The trivial group: no generators, so every ordered pair is its own orbit."""
     return GroupAction(name=f"trivial-{m}", dim=m)
@@ -298,10 +312,7 @@ def trivial(m: int) -> GroupAction:
 def full_symmetric(m: int) -> GroupAction:
     """S_m from the m-cycle i -> i+1 (mod m) and the transposition (0 1);
     its projection is compound symmetry (d_G = 2 for m >= 2)."""
-    cycle = np.roll(np.arange(m), -1)
-    swap = np.arange(m)
-    swap[:2] = swap[1::-1]      # the identity when m = 1
-    return GroupAction(name=f"s{m}", dim=m, generators=(cycle, swap))
+    return GroupAction(name=f"s{m}", dim=m, generators=_symmetric_gens(m, np.arange(m)))
 
 
 def haar_orthogonal(m: int) -> GroupAction:
@@ -314,28 +325,16 @@ def cyclic(m: int) -> GroupAction:
 
 
 def transposition(m: int, i: int = 0, j: int = 1) -> GroupAction:
-    perm = np.arange(m)
-    perm[i], perm[j] = j, i
-    return GroupAction(name=f"z2-swap{i}{j}-{m}", dim=m, generators=(perm,))
-
-
-def _grid_perm(height: int, width: int, fn) -> np.ndarray:
-    """The permutation sending cell (r, c) to fn(r, c), evaluated on the
-    row and column index arrays of every cell at once."""
-    r2, c2 = fn(*np.divmod(np.arange(height * width), width))
-    return r2 * width + c2
+    return GroupAction(name=f"z2-swap{i}{j}-{m}", dim=m, generators=(_image(m, [i, j], [j, i]),))
 
 
 def grid_cyclic(height: int, width: int, axis: str) -> GroupAction:
     """Z_H or Z_W acting by uniform translation along one grid axis."""
-    if axis == "col":
-        # each row is a contiguous block of width indices, all shifted together
-        return tied_cyclic_blocks(width, height, name=f"z{width}-cols-{height}x{width}")
-    if axis != "row":
+    if axis not in ("row", "col"):
         raise GroupValidationError(f"axis must be 'row' or 'col', got {axis!r}")
-    gen = _grid_perm(height, width, lambda r, c: ((r + 1) % height, c))
-    return GroupAction(name=f"z{height}-rows-{height}x{width}", dim=height * width,
-                       generators=(gen,))
+    grid, along = np.arange(height * width).reshape(height, width), int(axis == "col")
+    return GroupAction(name=f"z{grid.shape[along]}-{axis}s-{height}x{width}", dim=grid.size,
+                       generators=(_image(grid.size, grid, np.roll(grid, -1, along)),))
 
 
 def grid_translation2d(height: int, width: int) -> GroupAction:
@@ -347,38 +346,32 @@ def grid_translation2d(height: int, width: int) -> GroupAction:
 
 def grid_dihedral(height: int, width: int, axis: str = "col") -> GroupAction:
     """Dihedral group on one axis: the axis cyclic shift plus its reflection."""
-    if axis == "col":
-        shift = _grid_perm(height, width, lambda r, c: (r, (c + 1) % width))
-        flip = _grid_perm(height, width, lambda r, c: (r, width - 1 - c))
-        name = f"d{width}-cols-{height}x{width}"
-    elif axis == "row":
-        shift = _grid_perm(height, width, lambda r, c: ((r + 1) % height, c))
-        flip = _grid_perm(height, width, lambda r, c: (height - 1 - r, c))
-        name = f"d{height}-rows-{height}x{width}"
-    else:
-        raise GroupValidationError(f"axis must be 'row' or 'col', got {axis!r}")
-    return GroupAction(name=name, dim=height * width, generators=(shift, flip))
+    shift = grid_cyclic(height, width, axis)   # checks the axis
+    grid, along = np.arange(height * width).reshape(height, width), int(axis == "col")
+    flip = _image(grid.size, grid, np.flip(grid, along))
+    return GroupAction(name=f"d{grid.shape[along]}-{axis}s-{height}x{width}", dim=grid.size,
+                       generators=shift.generators + (flip,))
 
 
 def grid_klein(height: int, width: int) -> GroupAction:
     """Klein four-group: horizontal flip, vertical flip (and their product)."""
-    hflip = _grid_perm(height, width, lambda r, c: (r, width - 1 - c))
-    vflip = _grid_perm(height, width, lambda r, c: (height - 1 - r, c))
-    return GroupAction(name=f"klein-{height}x{width}", dim=height * width,
-                       generators=(hflip, vflip))
+    grid = np.arange(height * width).reshape(height, width)
+    return GroupAction(name=f"klein-{height}x{width}", dim=grid.size,
+                       generators=[_image(grid.size, grid, np.flip(grid, ax)) for ax in (1, 0)])
 
 
 def grid_rot4(n: int) -> GroupAction:
     """Z_4 generated by the 90-degree rotation of a square n x n patch."""
-    rot = _grid_perm(n, n, lambda r, c: (c, n - 1 - r))
-    return GroupAction(name=f"rot4-{n}x{n}", dim=n * n, generators=(rot,))
+    grid = np.arange(n * n).reshape(n, n)
+    return GroupAction(name=f"rot4-{n}x{n}", dim=n * n,
+                       generators=(_image(n * n, grid, np.rot90(grid)),))
 
 
 def grid_d4(n: int) -> GroupAction:
     """Full dihedral symmetry of the square patch: rotation plus transpose."""
-    rot = _grid_perm(n, n, lambda r, c: (c, n - 1 - r))
-    mirror = _grid_perm(n, n, lambda r, c: (c, r))
-    return GroupAction(name=f"d4-{n}x{n}", dim=n * n, generators=(rot, mirror))
+    grid = np.arange(n * n).reshape(n, n)
+    return GroupAction(name=f"d4-{n}x{n}", dim=n * n, generators=(
+        *grid_rot4(n).generators, _image(n * n, grid, grid.T)))
 
 
 def direct_product(g1: GroupAction, g2: GroupAction,
@@ -414,52 +407,29 @@ def cartesian_power_shifts(block_size: int, n_blocks: int,
     """Z_K^B: one independent cyclic-shift generator per block."""
     slots = _block_slots(block_size, n_blocks, perm)
     return GroupAction(
-        name=name or f"z{block_size}-pow{n_blocks}",
-        dim=slots.size, generators=_block_shift_gens(slots),
+        name=name or f"z{block_size}-pow{n_blocks}", dim=slots.size,
+        generators=[_image(slots.size, block, np.roll(block, -1)) for block in slots],
     )
-
-
-def _block_shift_gens(slots: np.ndarray) -> np.ndarray:
-    """One generator per block, shifting that block's slots cyclically by one."""
-    n_blocks = len(slots)
-    gens = np.tile(np.arange(slots.size), (n_blocks, 1))
-    gens[np.arange(n_blocks)[:, None], slots] = np.roll(slots, -1, axis=1)
-    return gens
-
-
-def _block_swap_gens(slots: np.ndarray) -> np.ndarray:
-    """One generator per adjacent pair of blocks, exchanging them slot by slot."""
-    n_blocks, _ = slots.shape
-    gens = np.tile(np.arange(slots.size), (n_blocks - 1, 1))
-    rows = np.arange(n_blocks - 1)[:, None]
-    gens[rows, slots[:-1]] = slots[1:]
-    gens[rows, slots[1:]] = slots[:-1]
-    return gens
 
 
 def wreath_shifts(block_size: int, n_blocks: int,
                   perm: np.ndarray | None = None,
                   name: str | None = None) -> GroupAction:
     """Z_K wr S_B: independent per-block shifts lifted by free permutation of
-    the blocks (B shift generators plus B-1 block-adjacent transpositions)."""
+    the blocks (B shift generators, then the B-cycle of the blocks and the
+    swap of the first two)."""
     slots = _block_slots(block_size, n_blocks, perm)
-    return GroupAction(
-        name=name or f"z{block_size}-wr-s{n_blocks}",
-        dim=slots.size, generators=np.concatenate((_block_shift_gens(slots),
-                                                   _block_swap_gens(slots))),
-    )
+    shifts = cartesian_power_shifts(block_size, n_blocks, perm)
+    return GroupAction(name=name or f"z{block_size}-wr-s{n_blocks}", dim=slots.size,
+                       generators=shifts.generators + _symmetric_gens(slots.size, slots))
 
 
 def wreath_rowshift_rowcycle(height: int, width: int) -> GroupAction:
     """Independent per-row column shifts lifted by the cyclic row rotation
     (Z_W wr Z_H on the row-major grid)."""
-    shifts = _block_shift_gens(_block_slots(width, height, None))
-    rowcycle = _grid_perm(height, width, lambda r, c: ((r + 1) % height, c))
-    return GroupAction(
-        name=f"z{width}-wr-z{height}-{height}x{width}",
-        dim=height * width,
-        generators=np.vstack((shifts, rowcycle)),
-    )
+    return direct_product(cartesian_power_shifts(width, height),
+                          grid_cyclic(height, width, "row"),
+                          name=f"z{width}-wr-z{height}-{height}x{width}")
 
 
 def block_symmetric(block_size: int, n_blocks: int,
@@ -467,16 +437,12 @@ def block_symmetric(block_size: int, n_blocks: int,
                     name: str | None = None) -> GroupAction:
     """S_K^B: full exchangeability within each block, none across blocks.
 
-    Generators are the within-block adjacent transpositions.
+    Each block contributes its K-cycle and the swap of its first two slots.
     """
     slots = _block_slots(block_size, n_blocks, perm)
-    left, right = slots[:, :-1].ravel(), slots[:, 1:].ravel()   # block-major
-    gens = np.tile(np.arange(slots.size), (len(left), 1))
-    rows = np.arange(len(left))
-    gens[rows, left], gens[rows, right] = right, left
     return GroupAction(
-        name=name or f"block-s{block_size}x{n_blocks}",
-        dim=slots.size, generators=gens,
+        name=name or f"block-s{block_size}x{n_blocks}", dim=slots.size,
+        generators=[gen for block in slots for gen in _symmetric_gens(slots.size, block)],
     )
 
 
@@ -485,11 +451,9 @@ def tied_cyclic_blocks(block_size: int, n_blocks: int,
                        name: str | None = None) -> GroupAction:
     """Z_K shifting every block simultaneously by the same offset (order K)."""
     slots = _block_slots(block_size, n_blocks, perm)
-    p = np.arange(slots.size)
-    p[slots] = np.roll(slots, -1, axis=1)
     return GroupAction(
-        name=name or f"z{block_size}-tied{n_blocks}",
-        dim=slots.size, generators=(p,),
+        name=name or f"z{block_size}-tied{n_blocks}", dim=slots.size,
+        generators=(_image(slots.size, slots, np.roll(slots, -1, axis=1)),),
     )
 
 
@@ -573,7 +537,7 @@ def brute_force_project(g: GroupAction, a: SymmetricMatrix,
     Independent oracle for reynolds_project on small groups; raises when the
     order exceeds the cap.
     """
-    elements = enumerate_group(g.generator_arrays(), g.dim, cap=cap)
+    elements = enumerate_group(g.generators, g.dim, cap=cap)
     if elements is None:
         raise GroupValidationError(f"group {g.name} exceeds enumeration cap {cap}")
     acc = np.zeros((g.dim, g.dim))

@@ -67,7 +67,7 @@ def test_c01_projection_algebra_suite():
             # idempotence, 1e-12 entrywise
             assert np.max(np.abs(reynolds_project(g, pa).values - pa.values)) <= 1e-12
             # invariance under every generator, 1e-12 entrywise
-            for perm in g.generator_arrays():
+            for perm in g.generators:
                 p = permutation_matrix(perm)
                 assert np.max(np.abs(p @ pa.values @ p.T - pa.values)) <= 1e-12
             # orthogonality of residual against the image, 1e-10 |A||B|
@@ -138,7 +138,7 @@ def test_c03_brute_force_orbit_oracle():
         groups.grid_translation2d(2, 4),
     ]
     for g in small:
-        elements = groups.enumerate_group(g.generator_arrays(), g.dim, cap=48)
+        elements = groups.enumerate_group(g.generators, g.dim, cap=48)
         assert elements is not None, f"{g.name} exceeds |G| <= 48"
         for _ in range(20):
             a = _rand_sym(rng, g.dim)

@@ -116,9 +116,19 @@ class TestDeltaResidual:
         got = delta_residual(groups.full_symmetric(2), r)
         assert got == pytest.approx(math.sqrt(2.0 / 10.0), rel=1e-12)
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            delta_residual(groups.trivial(2), SymmetricMatrix(np.zeros((2, 2))))
+    def test_zero_matrix_is_nan(self):
+        # undefined, like the fallback's delta
+        assert math.isnan(delta_residual(groups.trivial(2), SymmetricMatrix(np.zeros((2, 2)))))
+
+    @pytest.mark.parametrize("c", [2.0**-600, 1e-200, 1e200])
+    def test_scale_free_where_squares_leave_the_float_range(self, c):
+        rng = np.random.default_rng(67)
+        a = rng.standard_normal((5, 5))
+        r = a @ a.T
+        want = delta_residual(groups.cyclic(5), SymmetricMatrix(r))
+        got = delta_residual(groups.cyclic(5), SymmetricMatrix(r * c))
+        # a power of two scales exactly, so delta is bitwise the same
+        assert got == want if c == 2.0**-600 else got == pytest.approx(want, rel=1e-12)
 
 
 class TestTier2:
@@ -229,6 +239,30 @@ class TestFallback:
             lib = CandidateLibrary((groups.trivial(6), groups.full_symmetric(6)))
             est, report = bmg_with_fallback(data, lib)
             assert est.matrix.dim == 6
+
+    @pytest.mark.parametrize("use_lwnl", [False, True])
+    def test_total_on_all_zero_data(self, use_lwnl):
+        # a valid centered dataset whose R_hat is the zero matrix
+        data = Dataset(np.zeros((10, 6)), centered=True)
+        lib = synth.parse_library_spec("trivial:6;s:6;cyclic:6")
+        est, report = bmg_with_fallback(data, lib, use_lwnl=use_lwnl)
+        assert not report.fallback_used and math.isnan(report.delta)
+        np.testing.assert_array_equal(est.matrix.values, np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("c", [2.0**-300, 1e-100, 1e100])
+    def test_delta_and_fallback_alpha_scale_free(self, c):
+        # the squares of R_hat's entries, and the fourth powers of the rows,
+        # leave the float range at these scales
+        sigma = synth.block_circulant_population(100, 20, 0.5, 0.1)
+        data = synth.sample_gaussian(sigma, 50, (3,))
+        scaled = Dataset(data.rows * c, centered=True)
+        lib = synth.parse_library_spec("preset:pathway100+decoys")
+        (_, want), (_, got) = (bmg_with_fallback(d, lib) for d in (data, scaled))
+        assert (got.selected, got.alpha) == (want.selected, want.alpha)
+        assert got.delta == pytest.approx(want.delta, rel=1e-12)
+        nothing = CandidateLibrary((groups.trivial(100),))   # falls back to LW2004
+        (_, want), (_, got) = (bmg_with_fallback(d, nothing) for d in (data, scaled))
+        assert got.fallback_used and got.alpha == pytest.approx(want.alpha, rel=1e-12)
 
     def test_falls_back_exactly_when_no_fold_of_min_k_n_leaves_two_training_rows(self):
         # S_4 passes the prefilter at every N, so only the folds decide

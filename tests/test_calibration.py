@@ -89,6 +89,18 @@ class TestMsePlugin:
         assert res.alpha == 1.0
         assert res.note == NOTE_DENOMINATOR_DEGENERATE
 
+    @pytest.mark.parametrize("c", [2.0**-300, 1e-100, 1e100])
+    def test_alpha_scale_free_where_fourth_powers_leave_the_float_range(self, c):
+        rng = np.random.default_rng(45)
+        data = Dataset(rng.standard_normal((12, 6))).center()
+        scaled = Dataset(data.rows * c, centered=True)
+        for g in (groups.haar_orthogonal(6), groups.cyclic(6), groups.block_symmetric(3, 2)):
+            want, got = mse_plugin_alpha(data, g), mse_plugin_alpha(scaled, g)
+            assert got.note is None and want.note is None
+            # a power of two scales exactly, so alpha is bitwise the same
+            assert got.alpha == want.alpha if c == 2.0**-300 else \
+                got.alpha == pytest.approx(want.alpha, rel=1e-12)
+
     def test_matched_population_alpha_grows_with_n(self):
         g = groups.wreath_shifts(4, 2)
         sigma = synth.make_population(

@@ -200,10 +200,13 @@ class TestEstimate:
                            "--out", str(out), *extra) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_mse_auto_alpha_builds_no_grid(self, tmp_path, dataset_csv):
+    def test_mse_auto_alpha_builds_no_grid(self, tmp_path, dataset_csv, capsys):
+        # the grid flag is refused as unread before any grid is built
         assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", "ad",
                        "--group", "block:2x2", "--auto-alpha", "mse", "--grid-points", "1",
-                       "--out", str(tmp_path / "o.csv")) == 0
+                       "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert "would ignore --grid-points" in err and "at least 2 points" not in err
 
     def test_short_estimator_metadata_names_line(self, tmp_path):
         # no subcommand reads estimator CSVs; the reader is checked directly
@@ -241,6 +244,28 @@ class TestCalibrate:
         assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--estimator", "lwnl", "--folds", "1"], "estimator lwnl would ignore --folds"),
+    (["estimate", "--estimator", "sample", "--folds", "3"],
+     "estimator sample would ignore --folds"),
+    (["estimate", "--estimator", "ad", "--group", "cyclic:4", "--alpha", "0.3",
+      "--grid-points", "4"], "estimator ad would ignore --grid-points"),
+    (["estimate", "--estimator", "lw2004", "--auto-alpha", "mse", "--folds", "3"],
+     "estimator lw2004 would ignore --folds"),
+    (["calibrate", "--group", "cyclic:4", "--method", "mse", "--folds", "9"],
+     "--method mse would ignore --folds"),
+    (["calibrate", "--group", "cyclic:4", "--method", "mse", "--grid-points", "5"],
+     "--method mse would ignore --grid-points"),
+])
+def test_held_out_flag_without_held_out_calibration_is_config_error(
+        tmp_path, dataset_csv, capsys, argv, message):
+    out = tmp_path / "o.csv"
+    tail = ["--out", str(out)] if argv[0] == "estimate" else []
+    assert run_cli(*argv, "--data", str(dataset_csv), *tail) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBmg:
     def test_report_and_estimator_outputs(self, tmp_path, dataset_csv):
         report = tmp_path / "report.csv"
@@ -263,6 +288,13 @@ class TestBmg:
         assert code == 0
         body = report.read_text()
         assert "candidate," in body
+
+    def test_all_zero_dataset_selects_with_nan_delta(self, tmp_path, capsys):
+        data_path = tmp_path / "zero.csv"
+        write_dataset_csv(data_path, Dataset(np.zeros((10, 6)), centered=True))
+        assert run_cli("bmg", "--data", str(data_path), "--library", "trivial:6;s:6;cyclic:6",
+                       "--report", str(tmp_path / "r.csv")) == 0
+        assert capsys.readouterr().out.rstrip().endswith("delta=nan")
 
     def test_one_grid_point_is_config_error(self, tmp_path, dataset_csv):
         assert run_cli("bmg", "--data", str(dataset_csv), "--library", "trivial:4;s:4",

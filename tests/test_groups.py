@@ -200,7 +200,7 @@ class TestOrbitPartition:
     def test_class_invariance_under_generators(self):
         for g in small_groups():
             part = orbit_partition(g)
-            for perm in g.generator_arrays():
+            for perm in g.generators:
                 np.testing.assert_array_equal(
                     part.class_of, part.class_of[np.ix_(perm, perm)])
 
@@ -222,7 +222,7 @@ class TestOrbitPartition:
         # matrices, computed from the explicitly enumerated group.
         for g in small_groups():
             m = g.dim
-            elements = enumerate_group(g.generator_arrays(), m, cap=100)
+            elements = enumerate_group(g.generators, m, cap=100)
             assert elements is not None and len(elements) <= 48
             mats = [permutation_matrix(p) for p in elements]
             basis_images = []
@@ -405,7 +405,7 @@ class TestReynoldsProject:
                 continue
             a = rand_sym(rng, g.dim)
             pa = reynolds_project(g, a).values
-            for perm in g.generator_arrays():
+            for perm in g.generators:
                 p = permutation_matrix(perm)
                 np.testing.assert_allclose(p @ pa @ p.T, pa, atol=1e-12)
 
@@ -414,7 +414,7 @@ class TestConstructors:
     def test_wreath_generator_counts_and_order(self):
         g = groups.wreath_shifts(5, 11)
         assert g.dim == 55
-        assert len(g.generators) == 11 + 10  # shifts plus adjacent block swaps
+        assert len(g.generators) == 11 + 2  # shifts plus the block cycle and one block swap
         assert capped_order(g, 1000) == 1000   # |G| = 5^11 * 11!
 
     def test_shift_constructor_generators(self):
@@ -427,31 +427,56 @@ class TestConstructors:
         with pytest.raises(GroupValidationError):
             groups.pairwise_z2_power(5)
 
-    @pytest.mark.parametrize("k, b", [(1, 3), (3, 1), (2, 3), (4, 5)])
-    def test_array_constructors_match_loop_reference(self, k, b):
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("k, b", [(1, 3), (3, 1), (2, 3), (4, 5), (20, 5)])
+    def test_array_constructors_match_loop_reference(self, k, b, seed):
         # the constructors fill generator arrays in one pass; the per-block
-        # and per-cell loops below are the reference they must equal
+        # and per-cell loops below are the reference they must equal. The
+        # symmetric factors are generated by a cycle and one swap; the
+        # adjacent transpositions and adjacent block swaps they replace
+        # generate the same groups (every orbit-partition field and the
+        # capped order agree).
         m = k * b
-        perm = groups.random_partition_perm(m, k, 5)
-        slots = perm.reshape(b, k)
+        perm = None if seed is None else groups.random_partition_perm(m, k, seed)
+        slots = np.arange(m).reshape(b, k) if perm is None else perm.reshape(b, k)
+        tail = "" if seed is None else f":{seed}"
 
         def with_cycles(cycles):
             p = list(range(m))
             for src, dst in cycles:
-                for i, j in zip(src, dst):
+                for i, j in zip(np.ravel(src), np.ravel(dst)):
                     p[i] = int(j)
             return tuple(p)
+
+        def assert_same_group(got, ref):
+            want = orbit_partition(ref)
+            for field in fields(want):
+                np.testing.assert_array_equal(getattr(orbit_partition(got), field.name),
+                                              getattr(want, field.name), strict=True)
+            caps = (1, 2, 5, 30, 200)
+            assert [capped_order(got, c) for c in caps] == [capped_order(ref, c) for c in caps]
 
         shifts = [with_cycles([(slots[i], np.roll(slots[i], -1))]) for i in range(b)]
         swaps = [with_cycles([(slots[i], slots[i + 1]), (slots[i + 1], slots[i])])
                  for i in range(b - 1)]
         transp = [with_cycles([(slots[i, [s, s + 1]], slots[i, [s + 1, s]])])
                   for i in range(b) for s in range(k - 1)]
+        cycle_swap = [gen for i in range(b)
+                      for gen in (shifts[i], with_cycles([(slots[i, :2], slots[i, 1::-1])]))]
+        block_cycle_swap = [with_cycles([(slots[i], slots[(i + 1) % b]) for i in range(b)]),
+                            with_cycles([(slots[:2], slots[1::-1])])]
         tied = with_cycles([(slots[i], np.roll(slots[i], -1)) for i in range(b)])
         assert groups.cartesian_power_shifts(k, b, perm).generators == tuple(shifts)
-        assert groups.wreath_shifts(k, b, perm).generators == tuple(shifts + swaps)
-        assert groups.block_symmetric(k, b, perm).generators == tuple(transp)
         assert groups.tied_cyclic_blocks(k, b, perm).generators == (tied,)
+        block_specs = [f"block:{k}x{b}{tail}"] + ([] if seed is None else
+                                                 [f"random-block:{k}x{b}:{seed}"])
+        for spec in block_specs:
+            g = parse_group_spec(spec)
+            assert g.generators == tuple(cycle_swap), spec
+            assert_same_group(g, GroupAction(name="adjacent", dim=m, generators=transp))
+        wreath = parse_group_spec(f"wreath:{k}x{b}{tail}")
+        assert wreath.generators == tuple(shifts + block_cycle_swap)
+        assert_same_group(wreath, GroupAction(name="adjacent", dim=m, generators=shifts + swaps))
 
         def cells(fn):
             return tuple(fn(r, c)[0] * k + fn(r, c)[1] for r in range(b) for c in range(k))
@@ -490,7 +515,7 @@ class TestDecoys:
         # classes, and 2 cross-block classes that merge to 1 under transpose,
         # giving d_g = 5; checked against explicit enumeration.
         g = decoy_random_partition_blocks(4, 2, seed=3)
-        elements = enumerate_group(g.generator_arrays(), 4, cap=100)
+        elements = enumerate_group(g.generators, 4, cap=100)
         assert len(elements) == 4
         part = orbit_partition(g)
         assert part.n_classes == 6
@@ -515,7 +540,7 @@ class TestDecoys:
         assert capped_order(g, 1000) == 1000
         # a tame draw is counted exactly
         h = decoy_random_subgroup_closure(6, 1, seed=0)
-        assert capped_order(h, 1000) == len(enumerate_group(h.generator_arrays(), 6)) == 5
+        assert capped_order(h, 1000) == len(enumerate_group(h.generators, 6)) == 5
 
     def test_subgroup_closure_zero_generators_is_trivial(self):
         g = decoy_random_subgroup_closure(10, 0, seed=5)

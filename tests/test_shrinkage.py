@@ -83,6 +83,18 @@ class TestLw2004Auto:
         assert FLAG_SINGULAR_INPUT in res.flags
         assert np.all(np.linalg.eigvalsh(res.matrix.values) > 0)
 
+    @pytest.mark.parametrize("c", [2.0**-300, 1e-100, 1e100])
+    def test_alpha_scale_free(self, c):
+        # the plug-in's fourth powers of the rows leave the float range here
+        rng = np.random.default_rng(22)
+        data = gaussian_dataset(rng, 30, 8, sigma=np.diag(np.linspace(1.0, 4.0, 8)))
+        want = lw2004_auto(data)
+        got = lw2004_auto(Dataset(data.rows * c, centered=True))
+        assert 0.0 < want.alpha < 1.0
+        assert got.alpha == pytest.approx(want.alpha, rel=1e-12)
+        np.testing.assert_allclose(got.matrix.values / c**2, want.matrix.values, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want.matrix.values).max())
+
     def test_near_identity_population_beats_sample(self):
         # isotropic Wishart M=20, N=10: shrinkage dominates in Frobenius MSE
         rng = np.random.default_rng(20)
