@@ -8,9 +8,10 @@ so a parallel caller gets identical results to a serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import matrixcore
 from .matrixcore import Dataset, DimensionMismatchError, SymmetricMatrix, second_moment
@@ -152,9 +153,10 @@ def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
 class DataStats(Dataset):
     """A centered dataset that computes on first use, and keeps, R_hat
     (``r_hat``), its ``lwnl_from_covariance`` result (``lwnl``), and per fold
-    count the fold ``splits``, each distinct target's fold projections with
-    their ``_factor`` (``targets``) and its ``fold_scores``: the one cache of
-    held-out statistics, shared by every group and call on it. Estimators
+    count the fold ``splits``, each distinct target's fold projections
+    (``targets``), their ``_factor`` on the folds whose curves T whitens, and
+    its ``fold_scores``: the one cache of held-out statistics, shared by
+    every group and call on it. Estimators
     read statistics through ``of``, which wraps a plain Dataset for one call
     only: only a caller holding a DataStats keeps them."""
 
@@ -197,19 +199,18 @@ class DataStats(Dataset):
         return self._cached(("splits", folds),
                             lambda: [split(test) for test in fold_slices(self.n_obs, folds)])
 
-    def targets(self, folds: int,
-                g: GroupAction) -> tuple[tuple[SymmetricMatrix, tuple | None], ...]:
-        """(T, _factor(T)) per fold, shared by every group of g's partition."""
+    def targets(self, folds: int, g: GroupAction) -> tuple[SymmetricMatrix, ...]:
+        """T = P_G(R_train) per fold, shared by every group of g's partition."""
         return self._cached(("targets", folds, _partition_key(g)), lambda: tuple(
-            (t, _factor(t)) for t in (reynolds_project(g, r_train)
-                                      for _, _, r_train, _ in self.splits(folds))))
+            reynolds_project(g, r_train) for _, _, r_train, _ in self.splits(folds)))
 
     def fold_scores(self, folds: int, g: GroupAction, grid_points: int,
                     use_lwnl: bool) -> np.ndarray:
         """Read-only (k, n_alpha) held-out NLL of g's blend at every grid alpha
         on every fold, shared by every group of g's partition. Each fold's
-        sample term (R_train, or its LWNL when ``use_lwnl``) and its alpha = 0
-        score, which no group changes, are kept once per fold count and kind."""
+        sample term S (R_train, or its LWNL when ``use_lwnl``), its alpha = 0
+        score and its ``_sample_whitening``, none of which a group changes,
+        are kept once per fold count and kind."""
         from . import shrinkage
 
         def term(fold, split):
@@ -218,20 +219,26 @@ class DataStats(Dataset):
             if n_train < 2:
                 raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
             s = shrinkage.lwnl_from_covariance(r_train, n_train).matrix if use_lwnl else r_train
-            return s, matrixcore.gaussian_nll_per_sample(s, r_test)
+            return (s, matrixcore.gaussian_nll_per_sample(s, r_test),
+                    _sample_whitening(s, n_train, x_test, r_test))
 
         def score():
             splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
             terms = self._cached(("terms", folds, use_lwnl),
                                  lambda: [term(f, split) for f, split in enumerate(splits)])
-            scores = np.array([_alpha_curve(s, *target, split, alphas, at_zero)
-                               for (s, at_zero), split, target
-                               in zip(terms, splits, self.targets(folds, g))])
+            targets = self.targets(folds, g)
+            # T's factor on each fold S does not whiten, shared by both kinds
+            t_factors = [None if whitening is not None else
+                         self._cached(("target_factor", folds, key, fold), partial(_factor, t))
+                         for fold, ((_, _, whitening), t) in enumerate(zip(terms, targets))]
+            scores = np.array([_alpha_curve(*fold_term, t, t_factor, split, alphas)
+                               for fold_term, t, t_factor, split
+                               in zip(terms, targets, t_factors, splits)])
             scores.flags.writeable = False
             return scores
 
-        return self._cached(("fold_scores", folds, _partition_key(g), grid_points, use_lwnl),
-                            score)
+        key = _partition_key(g)
+        return self._cached(("fold_scores", folds, key, grid_points, use_lwnl), score)
 
 
 def _partition_key(g: GroupAction):
@@ -239,17 +246,57 @@ def _partition_key(g: GroupAction):
     return g.dim if g.kind == KIND_HAAR else orbit_partition(g).sym_class_of.tobytes()
 
 
-def _eigen_curve(k: np.ndarray, inv_ell: np.ndarray, r_test: SymmetricMatrix, a: np.ndarray,
-                 b: np.ndarray, floor: float) -> tuple:
-    """``_tridiagonal_curve``'s (mask, logdet, trace term) for W W^T =
-    L^-1 R_test L^-T, from K = Q diag(mu) Q^T: each blend a_j I + b_j K has
+def _whiten(inv_ell: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """X L^-T for the lower-triangular L^-1, by one dtrmm: half a GEMM's work."""
+    return blas.dtrmm(1.0, inv_ell, x, side=1, lower=1, trans_a=1)
+
+
+def _congruent(inv_ell: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """L^-1 A L^-T for a symmetric A."""
+    return _whiten(inv_ell, _whiten(inv_ell, a).T)
+
+
+def _sample_whitening(s: SymmetricMatrix, n_train: int, x_test: np.ndarray,
+                      r_test: SymmetricMatrix) -> tuple | None:
+    """(``_factor(S)``, ``_whitened_test`` by it) when the sample term S can
+    whiten every target's curve on its fold, else None: the fold has
+    n_train >= M rows and S is positive definite with kappa = max diag S
+    ||L^-1||_F^2 and kappa^2 CURVE_GUARD <= 1. Whitened by S, the alpha = 1
+    end L^-1 T L^-T can have eigenvalues down to about 1/kappa, which eigh
+    resolves to about eps kappa^2 relative; the bound keeps that within the
+    eps / CURVE_GUARD the guard allows. Near n_train = M the raw moment fails
+    it: whitening by it moved fold scores up to 6e-11 from their explicit
+    blends, against 3e-15 whitened by T."""
+    if n_train < s.dim:
+        return None
+    factors = _factor(s)
+    if factors is None or CURVE_GUARD * (np.diag(s.values).max() * factors[2]) ** 2 > 1.0:
+        return None
+    return factors, _whitened_test(factors[0], x_test, r_test)
+
+
+def _whitened_test(inv_ell: np.ndarray, x_test: np.ndarray,
+                   r_test: SymmetricMatrix) -> tuple:
+    """The curve kernel for one fold and its test statistic whitened by a
+    factor with inverse L^-1: ``_tridiagonal_curve`` with W = L^-1 X_test^T /
+    sqrt(n_test) when the fold has fewer than TRIDIAGONAL_ROW_FRACTION M test
+    rows, ``_eigen_curve`` with C = L^-1 R_test L^-T otherwise."""
+    n_test, m = x_test.shape
+    if n_test < TRIDIAGONAL_ROW_FRACTION * m:
+        return _tridiagonal_curve, _whiten(inv_ell, x_test).T / np.sqrt(n_test)
+    return _eigen_curve, _congruent(inv_ell, r_test.values)
+
+
+def _eigen_curve(k: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 floor: float) -> tuple:
+    """``_tridiagonal_curve``'s (mask, logdet, trace term) for a whitened test
+    moment C (W W^T), from K = Q diag(mu) Q^T: each blend a_j I + b_j K has
     eigenvalues e = a_j + b_j mu, is certified when min e >= ``floor``, and
-    has trace term sum d / e with d = diag(Q^T L^-1 R_test L^-T Q)."""
+    has trace term sum d / e with d = diag(Q^T C Q)."""
     mu, q = np.linalg.eigh(k)
     e = a[:, None] + np.outer(b, mu)
     keep = e.min(axis=1) >= floor
-    rot = q.T @ inv_ell
-    d = np.einsum("ij,ij->i", rot @ r_test.values, rot)
+    d = np.einsum("ij,ij->j", q, c @ q)
     good = e[keep]
     return keep, np.log(good).sum(axis=1), (d / good).sum(axis=1)
 
@@ -282,29 +329,35 @@ def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarra
             np.einsum("jir,ir->j", x.reshape(len(a), n, -1), hw))
 
 
-def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors: tuple | None,
-                 split: tuple, alphas: np.ndarray, at_zero: float) -> np.ndarray:
+def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tuple | None,
+                 target: SymmetricMatrix, target_factor: tuple | None, split: tuple,
+                 alphas: np.ndarray) -> np.ndarray:
     """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
     on one fold ``split`` (X_train, X_test, R_train, R_test), from one
-    factorization. With T = L L^T, L^-1 blend(alpha) L^-T = a I + b K for one
-    symmetric K, so the logdet is logdet T + logdet(a I + b K) and the trace
-    term is tr((a I + b K)^-1 L^-1 R_test L^-T). One branch picks the route:
-    - Gram, when S is R_train itself and the split kept X_train (n_train < M):
-      K = Y Y^T with Y = X_train L^-T / sqrt(n_train), a = alpha,
-      b = 1 - alpha; K is PSD, so lambda_min(K) >= 0. The other M - n_train
-      directions add (M - n_train) log alpha, and with Z = X_test L^-T and
-      W = Y Z^T the trace term is
-      (||Z||^2 - b tr(W^T (a I + b K)^-1 W)) / (alpha n_test).
-    - Otherwise K = L^-1 (S - T) L^-T, a = 1, b = 1 - alpha, scored by
-      ``_tridiagonal_curve`` with W = L^-1 X_test^T / sqrt(n_test) when the
-      fold has fewer than TRIDIAGONAL_ROW_FRACTION M test rows, and by
-      ``_eigen_curve`` otherwise.
-    Alphas not certified to pass the pivot test of ``gaussian_nll_per_sample``
-    (lambda_min(blend) >= lambda_min(a I + b K) / ||L^-1||_F^2, and no squared
-    pivot exceeds the largest diagonal entry), and all alphas when T is not
-    positive definite or a tridiagonal pivot fails, are scored on their
-    explicit blends, so the +inf sentinel stays in one place. ``at_zero`` is
-    the group-free alpha = 0 score.
+    factorization L L^T of S or of T: L^-1 blend(alpha) L^-T = a I + b K for
+    one symmetric K, so the logdet is logdet(L L^T) + logdet(a I + b K) and
+    the trace term is tr((a I + b K)^-1 L^-1 R_test L^-T). One branch picks
+    the whitening and the route:
+    - By S, when the fold's ``s_whitening`` (``_sample_whitening``, once
+      per fold) holds S's ``_factor`` and the test statistic whitened by it:
+      K = L^-1 (T - S) L^-T, a = 1, b = alpha.
+    - Otherwise by T, with ``target_factor`` its ``_factor``:
+      - Gram, when S is R_train itself and the split kept X_train
+        (n_train < M): K = Y Y^T with Y = X_train L^-T / sqrt(n_train),
+        a = alpha, b = 1 - alpha; K is PSD, so lambda_min(K) >= 0. The other
+        M - n_train directions add (M - n_train) log alpha, and with
+        Z = X_test L^-T and W = Y Z^T the trace term is
+        (||Z||^2 - b tr(W^T (a I + b K)^-1 W)) / (alpha n_test).
+      - Otherwise K = L^-1 (S - T) L^-T, a = 1, b = 1 - alpha, with the test
+        statistic whitened by T (``_whitened_test``).
+    The whitened test statistic picks the kernel: ``_tridiagonal_curve`` for
+    fewer than TRIDIAGONAL_ROW_FRACTION M test rows, ``_eigen_curve``
+    otherwise. Alphas not certified to pass the pivot test of
+    ``gaussian_nll_per_sample`` (lambda_min(blend) >= lambda_min(a I + b K) /
+    ||L^-1||_F^2, and no squared pivot exceeds the largest diagonal entry),
+    and all alphas when neither S nor T is factored or a tridiagonal pivot
+    fails, are scored on their explicit blends, so the +inf sentinel stays
+    in one place. ``at_zero`` is the group-free alpha = 0 score.
     """
     s, t = sample_term.values, target.values
     x_train, x_test, r_train, r_test = split
@@ -315,15 +368,20 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
     if not residual.any():
         return scores
     certified = np.zeros(len(alphas), dtype=bool)
+    a, b = alphas[1:], 1.0 - alphas[1:]
+    factors = s_whitening[0] if s_whitening is not None else target_factor
+    curve = None
     if factors is not None:
-        inv_ell, logdet_t, inv_norm_sq = factors
+        inv_ell, logdet_l, inv_norm_sq = factors
         floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * inv_norm_sq
-        n_test, m = x_test.shape
-        a, b = alphas[1:], 1.0 - alphas[1:]
-        if sample_term is r_train and x_train is not None:
-            n_train = len(x_train)
-            y = x_train @ inv_ell.T / np.sqrt(n_train)
-            z = x_test @ inv_ell.T
+        ones = np.ones_like(a)
+        if s_whitening is not None:
+            kernel, test = s_whitening[1]
+            curve = kernel(_congruent(inv_ell, residual), test, ones, a, floor)
+        elif sample_term is r_train and x_train is not None:
+            (n_test, m), n_train = x_test.shape, len(x_train)
+            y = _whiten(inv_ell, x_train) / np.sqrt(n_train)
+            z = _whiten(inv_ell, x_test)
             curve = _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)
             if curve is not None:
                 keep, logdet, trace = curve
@@ -331,14 +389,11 @@ def _alpha_curve(sample_term: SymmetricMatrix, target: SymmetricMatrix, factors:
                 curve = (keep, logdet + (m - n_train) * np.log(a),
                          (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * n_test))
         else:
-            k, ones = inv_ell @ -residual @ inv_ell.T, np.ones_like(b)
-            if n_test < TRIDIAGONAL_ROW_FRACTION * m:
-                curve = _tridiagonal_curve(k, inv_ell @ x_test.T / np.sqrt(n_test), ones, b, floor)
-            else:
-                curve = _eigen_curve(k, inv_ell, r_test, ones, b, floor)
-        if curve is not None:
-            certified[1:], logdet, trace = curve
-            scores[certified] = 0.5 * (logdet_t + logdet + trace)
+            kernel, test = _whitened_test(inv_ell, x_test, r_test)
+            curve = kernel(_congruent(inv_ell, -residual), test, ones, b, floor)
+    if curve is not None:
+        certified[1:], logdet, trace = curve
+        scores[certified] = 0.5 * (logdet_l + logdet + trace)
     for j in np.flatnonzero(~certified[1:]) + 1:
         # S + alpha (T - S), not matrixcore.blend: sharing the curve's residual
         # keeps both paths equal to rounding, while the convex form moved LWNL

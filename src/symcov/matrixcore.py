@@ -166,7 +166,15 @@ def blend(a: SymmetricMatrix, b: SymmetricMatrix, alpha: float) -> SymmetricMatr
 
 
 def frobenius_norm(a: SymmetricMatrix) -> float:
-    return float(np.linalg.norm(a.values, "fro"))
+    """||a||_F, taken of the entries scaled by a power of two to a largest
+    entry in [1/2, 1) and scaled back: the scaling is exact, so the squares
+    neither overflow nor underflow at any scale of ``a`` and the result at
+    ordinary scales is unchanged bitwise."""
+    peak = np.abs(a.values).max()
+    if peak == 0.0:
+        return 0.0
+    shift = int(np.frexp(peak)[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a.values, -shift), "fro"), shift))
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def _delta_controlled(spec: PopulationSpec) -> SymmetricMatrix:
     s = _random_spd(spec)
     proj = reynolds_project(spec.group, s)
     p = matrixcore.frobenius_norm(proj)
-    q = float(np.linalg.norm(s.values - proj.values, "fro"))
+    q = matrixcore.frobenius_norm(SymmetricMatrix.of_symmetric(s.values - proj.values))
     attainable = q / matrixcore.frobenius_norm(s)
     target = float(spec.target_delta)
     if not 0.0 <= target <= attainable + 1e-12:

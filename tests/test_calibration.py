@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcov import calibration, groups, matrixcore, shrinkage, synth
+from symcov import bmg, calibration, groups, matrixcore, shrinkage, synth
 from symcov.calibration import (
     DEFAULT_FOLDS,
     DEFAULT_GRID_POINTS,
@@ -299,16 +299,25 @@ def pathway_decoys():
     return synth.parse_library_spec("preset:pathway100+decoys")
 
 
+def _pathway_rows(n):
+    sigma = synth.make_population(synth.PopulationSpec(
+        m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
+    return synth.sample_gaussian(sigma, n, (71, n))
+
+
 class TestAlphaCurveOnLibrary:
     """Every pathway100+decoys candidate's fold scores agree with their
     explicit blends, across N < M and N > M and both sample terms."""
 
-    @pytest.mark.parametrize("n", [50, 100, 400])
-    @pytest.mark.parametrize("use_lwnl", [False, True])
+    @pytest.mark.parametrize("use_lwnl,n", [
+        (use_lwnl, n) for use_lwnl in (False, True) for n in (50, 100, 125, 150, 400, 2000)
+        if (use_lwnl, n) != (True, 125)] + [pytest.param(True, 125, marks=pytest.mark.xfail(
+            strict=True, reason="at n_train = M the LWNL term and the trivial target are "
+                                "near-singular: fold 0 of trivial-100 scores up to 5e6 "
+                                "nats, and curve and explicit blend alike are 3e-10 from "
+                                "a 60-digit evaluation"))])
     def test_fold_scores_match_explicit_blends(self, pathway_decoys, n, use_lwnl):
-        sigma = synth.make_population(synth.PopulationSpec(
-            m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
-        data = synth.sample_gaussian(sigma, n, (71, n))
+        data = _pathway_rows(n)
         stats = DataStats.of(data)
         results = [cv_nll_alpha(stats, g, use_lwnl_sample_term=use_lwnl)
                    for g in pathway_decoys.candidates]
@@ -318,6 +327,53 @@ class TestAlphaCurveOnLibrary:
             np.testing.assert_array_equal(np.isfinite(res.fold_scores), finite, err_msg=g.name)
             np.testing.assert_allclose(res.fold_scores[finite], want[finite],
                                        rtol=1e-12, atol=0, err_msg=g.name)
+
+
+def _record_factorizations(monkeypatch):
+    calls, factor = [], calibration.lapack.dpotrf
+    monkeypatch.setattr(calibration.lapack, "dpotrf",
+                        lambda a, **kw: calls.append(1) or factor(a, **kw))
+    return calls
+
+
+class TestWhitening:
+    """A fold with n_train >= M rows and a well-conditioned sample term S
+    whitens every target's curve by S's one factor; every other fold
+    factors each distinct target with a nonzero residual once."""
+
+    @pytest.mark.parametrize("n", [400, 2000])
+    def test_one_factor_per_fold_and_sample_term(self, pathway_decoys, n, monkeypatch):
+        stats, folds = DataStats.of(_pathway_rows(n)), DEFAULT_FOLDS
+        calls = _record_factorizations(monkeypatch)
+        for kinds, use_lwnl in enumerate((False, True), start=1):
+            for g in pathway_decoys.candidates:
+                cv_nll_alpha(stats, g, use_lwnl_sample_term=use_lwnl)
+            assert len(calls) == folds * kinds
+
+    def test_targets_factored_once_per_fold_on_target_whitened_folds(self, pathway_decoys,
+                                                                     monkeypatch):
+        # n_train = 40 < M: the Gram route for R_train, T-whitening for its LWNL
+        stats, folds = DataStats.of(_pathway_rows(50)), DEFAULT_FOLDS
+        calls = _record_factorizations(monkeypatch)
+        distinct = {id(stats.targets(folds, g)) for g in pathway_decoys.candidates}
+        for use_lwnl in (False, True):
+            for g in pathway_decoys.candidates:
+                cv_nll_alpha(stats, g, use_lwnl_sample_term=use_lwnl)
+            # the LWNL term reuses every factor the raw term made
+            assert len(calls) == folds * len(distinct)
+
+    @pytest.mark.parametrize("n", [125, 126, 130])
+    @pytest.mark.parametrize("use_lwnl", [False, True])
+    def test_no_explicit_blends_near_full_rank(self, pathway_decoys, n, use_lwnl,
+                                               monkeypatch):
+        # n_train = M .. 1.04 M: S is whitened only when well-conditioned
+        calls = []
+        def counting(sigma, r_test):
+            calls.append(1)
+            return gaussian_nll_per_sample(sigma, r_test)
+        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
+        bmg.bmg_with_fallback(_pathway_rows(n), pathway_decoys, use_lwnl=use_lwnl)
+        assert len(calls) == DEFAULT_FOLDS
 
 
 def _record_eigh_shapes(monkeypatch):
@@ -376,9 +432,7 @@ class TestGramPath:
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
 
     def test_no_m_by_m_eigh_on_pathway_library_at_n_50(self, pathway_decoys, monkeypatch):
-        sigma = synth.make_population(synth.PopulationSpec(
-            m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
-        data = synth.sample_gaussian(sigma, 50, (71, 50))
+        data = _pathway_rows(50)
         shapes = _record_eigh_shapes(monkeypatch)
         kernel_shapes = _record_tridiagonal_shapes(monkeypatch)
         stats = DataStats.of(data)
@@ -409,9 +463,7 @@ class TestTridiagonalRoute:
     @pytest.mark.parametrize("n,use_lwnl", [(100, True), (100, False), (400, False)])
     def test_eigen_spectrum_only_from_m_over_4_test_rows(self, pathway_decoys, n, use_lwnl,
                                                          monkeypatch):
-        sigma = synth.make_population(synth.PopulationSpec(
-            m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
-        data = DataStats.of(synth.sample_gaussian(sigma, n, (71, n)))
+        data = DataStats.of(_pathway_rows(n))
         folds = DEFAULT_FOLDS
         calls = _record_eigen_calls(monkeypatch)
         for g in pathway_decoys.candidates:
@@ -420,10 +472,10 @@ class TestTridiagonalRoute:
             assert calls == []
             return
         distinct = {id(t): t for t in (data.targets(folds, g) for g in pathway_decoys.candidates)}
-        # one per (fold, distinct target) with a factor and a nonzero residual
-        want = sum(factors is not None and not np.array_equal(t.values, r_train.values)
+        # one per (fold, distinct target) with a nonzero residual
+        want = sum(not np.array_equal(t.values, r_train.values)
                    for targets in distinct.values()
-                   for (t, factors), (_, _, r_train, _) in zip(targets, data.splits(folds)))
+                   for t, (_, _, r_train, _) in zip(targets, data.splits(folds)))
         assert want > folds and len(calls) == want
 
     @pytest.mark.parametrize("use_lwnl", [False, True])
@@ -446,10 +498,10 @@ class TestTridiagonalRoute:
         lam_min = np.linalg.eigvalsh(k)[0]
         w = rng.standard_normal((m, 3))
         a, b = np.full(4, -1.5 * lam_min), np.array([0.0, 0.5, 1.0, 2.0])
-        # the eigen kernel reads W W^T as the whitened test moment, with L^-1 = I
+        # the eigen kernel reads W W^T as the whitened test moment
         for keep, logdet, trace in (
                 calibration._tridiagonal_curve(k, w, a, b, floor=1e-3),
-                calibration._eigen_curve(k, np.eye(m), SymmetricMatrix(w @ w.T), a, b, 1e-3)):
+                calibration._eigen_curve(k, w @ w.T, a, b, 1e-3)):
             np.testing.assert_array_equal(keep, [True, True, True, False])
             for j, ld, tr in zip(np.flatnonzero(keep), logdet, trace):
                 blend = a[j] * np.eye(m) + b[j] * k

@@ -162,6 +162,20 @@ class TestFrobenius:
         want = sum(a.values[i, j] ** 2 for i in range(4) for j in range(4))
         assert frobenius_norm(a) == pytest.approx(math.sqrt(want))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**-1070])
+    def test_squares_neither_overflow_nor_underflow(self, scale):
+        # the plain sum of squares gives inf (with an overflow warning) or 0
+        assert frobenius_norm(SymmetricMatrix(scale * np.eye(4))) == 2.0 * scale
+
+    def test_zero_matrix(self):
+        assert frobenius_norm(SymmetricMatrix(np.zeros((3, 3)))) == 0.0
+
+    def test_bitwise_unchanged_at_ordinary_scales(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-8, 1.0, 3.0, 1e8):
+            a = SymmetricMatrix(scale * rand_sym(rng, 6).values)
+            assert frobenius_norm(a) == np.linalg.norm(a.values, "fro")
+
 
 class TestCsv:
     def test_matrix_round_trip(self, tmp_path):

@@ -399,7 +399,9 @@ class TestTrialFoldSharing:
         admitted = [pathway_decoys.by_name(name) for name in record.ad.tier1_admitted]
         distinct = {groups.orbit_partition(g).sym_class_of.tobytes() for g in admitted}
         assert len(distinct) < len(admitted) == len(pathway_decoys.candidates)
-        assert len(projections) == len(factorizations) == config.folds * len(distinct)
+        assert len(projections) == config.folds * len(distinct)
+        # every fold has n_train >= M rows: one factor of each sample term whitens it
+        assert len(factorizations) == config.folds * 2
 
 
 def _record_calls(monkeypatch, module, name):
