@@ -68,16 +68,14 @@ def tier1_admit(lib: CandidateLibrary, n: int, m: int,
 
 def delta_residual(g: GroupAction, r_hat: SymmetricMatrix) -> float:
     """Dimensionless commutativity residual ||R - P_G(R)||_F / ||R||_F; NaN
-    for the zero matrix, where it is undefined. Both norms are taken of R
-    scaled by a power of two to a largest entry in [1/2, 1): the scaling is
-    exact, so the squares neither underflow nor overflow at any scale of R
-    and the result at ordinary scales is unchanged bitwise."""
-    peak = np.abs(r_hat.values).max()
-    if peak == 0.0:
+    for the zero matrix, where it is undefined. Both norms are
+    ``matrixcore.frobenius_norm``, which neither underflows nor overflows at
+    any scale of R."""
+    norm = matrixcore.frobenius_norm(r_hat)
+    if norm == 0.0:
         return float("nan")
-    r = SymmetricMatrix.of_symmetric(np.ldexp(r_hat.values, -np.frexp(peak)[1]))
-    proj = reynolds_project(g, r)
-    return float(np.linalg.norm(r.values - proj.values, "fro") / np.linalg.norm(r.values, "fro"))
+    resid = r_hat.values - reynolds_project(g, r_hat).values
+    return matrixcore.frobenius_norm(SymmetricMatrix.of_symmetric(resid)) / norm
 
 
 def tier2_select(data: Dataset, admitted: list[GroupAction],

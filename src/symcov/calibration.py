@@ -39,7 +39,8 @@ CURVE_GUARD = 1e-8
 # _alpha_curve scores an M x M curve from a tridiagonal reduction and the
 # fold's test rows when there are fewer than this fraction of M of them, and
 # from an eigendecomposition otherwise: dptsv's cost grows with test rows times
-# alphas; at M = 100 with BLAS on one thread it passes eigh's at 25-40 rows.
+# alphas. With BLAS on one thread and 12 alphas, a tridiagonal curve passes an
+# _eigen_curve's time at 40-48 test rows at M = 100 and at 64-128 at M = 400.
 TRIDIAGONAL_ROW_FRACTION = 0.25
 
 

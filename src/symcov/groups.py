@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import os
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,24 +41,32 @@ class GroupValidationError(ValueError):
 Perm = tuple[int, ...]
 
 
-def _as_perm(gen, m: int) -> Perm:
-    arr = np.asarray(gen, dtype=int)
-    if arr.shape != (m,) or not np.array_equal(np.sort(arr), np.arange(m)):
-        raise GroupValidationError(f"generator {arr.tolist()} is not a permutation of 0..{m - 1}")
-    return tuple(arr.tolist())
+def _rng(*key) -> np.random.Generator:
+    """Counter-based generator keyed by a mixed int/str tuple; string tags
+    hash through crc32 so every stream is reproducible across runs."""
+    material = tuple(zlib.crc32(k.encode()) if isinstance(k, str) else int(k)
+                     for k in key)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(material)))
 
 
-def _as_perms(gens, m: int) -> tuple[Perm, ...]:
+def _as_perms(gens: tuple, m: int) -> tuple[Perm, ...]:
     """Every generator as a tuple of ints, checked in one stacked sort; when
     the stack is not a set of permutations, the first bad generator raises
-    through ``_as_perm``."""
+    with its position as the error's ``index``."""
     try:
         arr = np.asarray(gens, dtype=int)
     except (TypeError, ValueError):   # ragged, or not integers
         arr = None
     if arr is not None and arr.shape == (len(gens), m) and (np.sort(arr, axis=1) == np.arange(m)).all():
         return tuple(map(tuple, arr.tolist()))
-    return tuple(_as_perm(gen, m) for gen in gens)
+    for index, gen in enumerate(gens):
+        arr = np.asarray(gen, dtype=int)
+        if arr.shape != (m,) or not np.array_equal(np.sort(arr), np.arange(m)):
+            exc = GroupValidationError(
+                f"generator {arr.tolist()} is not a permutation of 0..{m - 1}")
+            exc.index = index
+            raise exc
+    return ()   # no generators: any that pass one by one also pass stacked
 
 
 @dataclass(frozen=True)
@@ -481,8 +490,6 @@ def decoy_random_partition_blocks(m: int, block_size: int, seed: int) -> GroupAc
 def enumerate_group(generators: list[np.ndarray], dim: int,
                     cap: int = 10**6) -> list[np.ndarray] | None:
     """BFS closure of the generated group; None when the order exceeds cap."""
-    if not generators:
-        return [np.arange(dim)]
     seen = {tuple(range(dim))}
     frontier = [tuple(range(dim))]
     gens = [tuple(g) for g in generators]
@@ -517,7 +524,7 @@ def decoy_random_subgroup_closure(m: int, n_generators: int, seed: int) -> Group
     admission threshold with ``capped_order``."""
     if n_generators == 0:
         return trivial(m)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((m, n_generators, seed))))
+    rng = _rng(m, n_generators, seed)
     return GroupAction(name=f"random-s{m}-subgroup-seed{seed}", dim=m,
                        generators=tuple(rng.permutation(m) for _ in range(n_generators)))
 
@@ -601,13 +608,8 @@ def read_group_file(path) -> GroupAction:
         return replace(_LEGACY_KINDS[kind](dim), name=name)
     try:
         return GroupAction(name=name, dim=dim, generators=tuple(g for _, g in gens), kind=kind)
-    except GroupValidationError:
-        for no, gen in gens:   # name the line of the first bad generator
-            try:
-                _as_perm(gen, dim)
-            except GroupValidationError as exc:
-                raise ValueError(f"{path}:{no}: {exc}") from None
-        raise
+    except GroupValidationError as exc:   # the fields are checked: a generator failed
+        raise ValueError(f"{path}:{gens[exc.index][0]}: {exc}") from None
 
 
 def read_library_dir(path) -> list[GroupAction]:
@@ -622,8 +624,7 @@ def read_library_dir(path) -> list[GroupAction]:
 
 def random_partition_perm(m: int, block_size: int, seed: int) -> np.ndarray:
     """Seeded uniformly random assignment of the m indices to block slots."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((m, block_size, seed))))
-    return rng.permutation(m)
+    return _rng(m, block_size, seed).permutation(m)
 
 
 def _parse_kxb(token: str) -> tuple[int, int]:

@@ -11,7 +11,6 @@ the output is identical under any parallel schedule.
 from __future__ import annotations
 
 import math
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from . import bmg as bmg_mod
 from . import groups, matrixcore, shrinkage
 from .bmg import BMGReport, CandidateLibrary
 from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, DataStats
-from .groups import GroupAction, parse_group_spec, reynolds_project
+from .groups import GroupAction, _rng, parse_group_spec, reynolds_project
 from .matrixcore import Dataset, SymmetricMatrix
 
 POPULATION_RIDGE = 1e-6
@@ -49,14 +48,6 @@ DECOY_SEEDS = {
     "wreath_pairs": 32,
     "subgroup": 42,
 }
-
-
-def _rng(*key) -> np.random.Generator:
-    """Counter-based generator keyed by a mixed int/str tuple; string tags
-    hash through crc32 so every stream is reproducible across runs."""
-    material = tuple(zlib.crc32(k.encode()) if isinstance(k, str) else int(k)
-                     for k in key)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(material)))
 
 
 class _FieldError(ValueError):
@@ -496,7 +487,8 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
             fitted["ad_lwnl_bmg"] = est_lw.matrix
         for name, matrix in fitted.items():
             record.nll[name] = matrixcore.gaussian_nll_per_sample(matrix, r_test)
-            record.frob[name] = float(np.linalg.norm(matrix.values - sigma.values, "fro"))
+            record.frob[name] = matrixcore.frobenius_norm(
+                SymmetricMatrix.of_symmetric(matrix.values - sigma.values))
         if record.ad is not None and record.ad_lwnl is not None:
             record.choice_agree = (not record.ad.fallback_used
                                    and not record.ad_lwnl.fallback_used

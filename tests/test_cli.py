@@ -119,6 +119,14 @@ class TestProject:
                        "--group", str(gpath), "--out", str(tmp_path / "o.csv")) == 2
         assert f"{gpath}:{line}:" in capsys.readouterr().err
 
+    def test_bad_later_generator_names_its_line(self, tmp_path, identity_csv, capsys):
+        gpath = tmp_path / "g.grp"
+        gpath.write_text("name=z3\ndim=3\nkind=generator_based\n1,2,0\n# swap\n2,2,0\n0,2,1\n")
+        assert run_cli("project", "--matrix", str(identity_csv),
+                       "--group", str(gpath), "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"{gpath}:6: generator [2, 2, 0] is not a permutation of 0..2" in err
+
     @pytest.mark.parametrize("text,message", [
         ("name=z4\ndim=4\ndim=3\nkind=generator_based\n1,2,0\n", ":3: group field 'dim'"),
         ("name=a\nname=b\ndim=3\nkind=trivial\n", ":2: group field 'name'"),

@@ -551,6 +551,16 @@ class TestDecoys:
         b = decoy_random_subgroup_closure(50, 3, seed=9)
         assert a.generators == b.generators
 
+    def test_seeded_streams_are_unchanged(self):
+        # fixed values: a change to a stream's key or construction would move
+        # every seeded decoy and every sweep
+        perm = groups.random_partition_perm(100, 20, 1)
+        assert perm[:8].tolist() == [52, 12, 29, 85, 5, 4, 72, 67]
+        first = decoy_random_subgroup_closure(100, 5, seed=42).generators[0]
+        assert first[:8] == (70, 96, 4, 27, 13, 74, 9, 44)
+        assert groups._rng(1, "pop", 4).standard_normal(3).tolist() == [
+            -1.0231839071532354, 0.4499314568788782, 0.9400518041432813]
+
 
 class TestGroupFiles:
     def test_round_trip(self, tmp_path):
