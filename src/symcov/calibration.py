@@ -184,7 +184,14 @@ class DataStats(Dataset):
     def lwnl(self):
         from . import shrinkage
         return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat,
-                                                                           self.n_obs))
+                                                                           self.sample_rank()))
+
+    def sample_rank(self, held_out: int = 0) -> int:
+        """The rank of the rows a sample term is formed from, LWNL's sample
+        size n: N - 1 for R_hat, whose rows are centered on their own mean,
+        and N - ``held_out`` for a fold's training complement, whose rows are
+        centered on the mean of all N rows rather than on their own."""
+        return self.n_obs - held_out if held_out else self.n_obs - 1
 
     def splits(self, folds: int) -> list[tuple[np.ndarray | None, np.ndarray,
                                                 SymmetricMatrix, SymmetricMatrix]]:
@@ -219,9 +226,12 @@ class DataStats(Dataset):
             n_train = self.n_obs - len(x_test)
             if n_train < 2:
                 raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
-            s = shrinkage.lwnl_from_covariance(r_train, n_train).matrix if use_lwnl else r_train
-            return (s, matrixcore.gaussian_nll_per_sample(s, r_test),
-                    _sample_whitening(s, n_train, x_test, r_test))
+            s = (shrinkage.lwnl_from_covariance(r_train, self.sample_rank(len(x_test))).matrix
+                 if use_lwnl else r_train)
+            # R_train of fewer than M rows is singular by rank: no factor to try
+            whitening = (None if s is r_train and n_train < self.dim
+                         else _sample_whitening(s, x_test, r_test))
+            return s, matrixcore.gaussian_nll_per_sample(s, r_test), whitening
 
         def score():
             splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
@@ -257,19 +267,19 @@ def _congruent(inv_ell: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _whiten(inv_ell, _whiten(inv_ell, a).T)
 
 
-def _sample_whitening(s: SymmetricMatrix, n_train: int, x_test: np.ndarray,
+def _sample_whitening(s: SymmetricMatrix, x_test: np.ndarray,
                       r_test: SymmetricMatrix) -> tuple | None:
     """(``_factor(S)``, ``_whitened_test`` by it) when the sample term S can
-    whiten every target's curve on its fold, else None: the fold has
-    n_train >= M rows and S is positive definite with kappa = max diag S
-    ||L^-1||_F^2 and kappa^2 CURVE_GUARD <= 1. Whitened by S, the alpha = 1
-    end L^-1 T L^-T can have eigenvalues down to about 1/kappa, which eigh
-    resolves to about eps kappa^2 relative; the bound keeps that within the
-    eps / CURVE_GUARD the guard allows. Near n_train = M the raw moment fails
-    it: whitening by it moved fold scores up to 6e-11 from their explicit
-    blends, against 3e-15 whitened by T."""
-    if n_train < s.dim:
-        return None
+    whiten every target's curve on its fold, else None: S is positive
+    definite with kappa = max diag S ||L^-1||_F^2 and kappa^2 CURVE_GUARD <= 1.
+    Whitened by S, the alpha = 1 end L^-1 T L^-T can have eigenvalues down to
+    about 1/kappa, which eigh resolves to about eps kappa^2 relative; the
+    bound keeps that within the eps / CURVE_GUARD the guard allows. Near
+    n_train = M the raw moment fails it: whitening by it moved fold scores up
+    to 6e-11 from their explicit blends, against 3e-15 whitened by T. The
+    LWNL term passes it below M training rows too, its M - n_train null
+    eigenvalues being of the order of the kept ones, and fails it at
+    n_train = M, where the sample spectrum reaches down near zero."""
     factors = _factor(s)
     if factors is None or CURVE_GUARD * (np.diag(s.values).max() * factors[2]) ** 2 > 1.0:
         return None

@@ -120,6 +120,9 @@ def lw2004_auto(data: Dataset) -> EstimatorResult:
 # ---------------------------------------------------------------------------
 
 _SQRT5 = np.sqrt(5.0)
+# epanechnikov_kde sums the kernel's Hilbert transform from _FAR_TERMS terms
+# of its series beyond |u| = _FAR_W sqrt(5), where they reach rounding
+_FAR_W, _FAR_TERMS = 4.0, 16
 
 
 def epanechnikov_kde(eigs: np.ndarray, n_obs: int,
@@ -133,6 +136,15 @@ def epanechnikov_kde(eigs: np.ndarray, n_obs: int,
     with no stray pi on the Hf term. The kernel is supported on
     |u| <= sqrt(5); at the support edge the logarithmic factor vanishes
     against its zero prefactor and only the linear term survives.
+
+    With w = u / sqrt(5), the kernel's transform is
+    -0.3 u - (3 / (2 sqrt(5))) (1 - w^2) artanh(min(|w|, 1/|w|) sign w). Far
+    outside the support its two terms are of size |u| and cancel to about
+    1/u, so beyond |w| = _FAR_W it is summed from its series
+    -(3 / sqrt(5)) sum_k w^-(2k-1) / (4k^2 - 1) instead: the closed form
+    lost all digits at |u| = 1e6, the width ratio of the smallest kept
+    eigenvalue's kernel to a distant one when a sample spectrum reaches
+    down near zero (N near M).
     """
     eigs = np.asarray(eigs, dtype=float)
     query = np.asarray(query, dtype=float)
@@ -140,12 +152,16 @@ def epanechnikov_kde(eigs: np.ndarray, n_obs: int,
     u = (query[:, None] - eigs[None, :]) / bw[None, :]
     inside = np.maximum(1.0 - u**2 / 5.0, 0.0)
     f = (3.0 / (4.0 * _SQRT5)) * np.mean(inside / bw[None, :], axis=1)
+    w = u / _SQRT5
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.log(np.abs((_SQRT5 - u) / (_SQRT5 + u)))
-        core = (-3.0 / 10.0) * u \
-            + (3.0 / (4.0 * _SQRT5)) * (1.0 - u**2 / 5.0) * log_term
-    at_edge = np.isclose(np.abs(u), _SQRT5)
-    core = np.where(at_edge, (-3.0 / 10.0) * u, core)
+        core = (-3.0 / 10.0) * u - (3.0 / (2.0 * _SQRT5)) * (1.0 - w**2) \
+            * np.arctanh(np.where(np.abs(w) < 1.0, w, 1.0 / w))
+    core = np.where(np.isclose(np.abs(u), _SQRT5), (-3.0 / 10.0) * u, core)
+    far = np.abs(w) > _FAR_W
+    inv_sq, series = 1.0 / w[far] ** 2, 0.0
+    for k in range(_FAR_TERMS, 0, -1):
+        series = series * inv_sq + 1.0 / (4 * k * k - 1)
+    core[far] = (-3.0 / _SQRT5) * series / w[far]
     hf = np.mean(core / bw[None, :], axis=1)
     return f, hf
 
@@ -157,17 +173,27 @@ def _shrink_eigenvalues(lam: np.ndarray, f: np.ndarray, hf: np.ndarray,
 
 
 def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
-    """Nonlinear eigenvalue shrinkage of a precomputed covariance.
+    """Nonlinear eigenvalue shrinkage (Ledoit & Wolf 2020, Ann. Statist.
+    48(5):3043-3065) of a precomputed covariance whose centered rows have
+    rank ``n_obs``, the formulas' sample size n (``DataStats.sample_rank``).
 
-    Sample eigenvalues below RANK_RTOL * lambda_max are excluded from the
-    KDE support and all map to one shared shrunken value, obtained by
-    applying the shrinkage formula at the exclusion threshold itself, which
-    keeps the eigenvalue map continuous at the cut. An exactly degenerate
-    retained spectrum (k * I input) is returned unchanged, since the
-    closed-form transform is not the identity there.
+    With M <= n, the p <= n map at c = M/n. Sample eigenvalues below
+    RANK_RTOL * lambda_max are excluded from the KDE support and all map to
+    one shared shrunken value, obtained by applying the map at the
+    exclusion threshold itself, which keeps it continuous at the cut. An
+    exactly degenerate retained spectrum (k * I input) is returned
+    unchanged, since the closed-form transform is not the identity there.
+
+    With M > n, the p > n branch: the top n eigenvalues (those above the
+    threshold) form the KDE support and map by the p <= n map at c = 1,
+    lambda / (pi^2 lambda^2 (f^2 + Hf^2)) in the paper's convention, and the
+    M - n others share 1 / (pi (M - n)/n Hf(0)); with the pi of
+    ``epanechnikov_kde`` absorbed in Hf, that is n / ((M - n) Hf(0)), about
+    n / (M - n) times the kept eigenvalues' harmonic mean.
     """
-    if n_obs < 2:
-        raise ValueError("nonlinear shrinkage requires at least 2 observations")
+    if n_obs < 1:
+        raise ValueError("nonlinear shrinkage requires at least 2 observations "
+                         f"(centered rows of rank >= 1), got rank {n_obs}")
     m = r_hat.dim
     lam, u = np.linalg.eigh(r_hat.values)
     lam_max = lam[-1]
@@ -176,28 +202,31 @@ def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
                                flags={FLAG_DEGENERATE_SPECTRUM, FLAG_SINGULAR_INPUT})
     threshold = RANK_RTOL * lam_max
     keep = lam >= threshold
+    keep[:max(m - n_obs, 0)] = False   # at M > n, the M - n smallest are the null ones
     lam_kept = lam[keep]
     flags: set[str] = set()
     if not keep.all():
         flags.add(FLAG_RANK_AWARE_KDE)
         flags.add(FLAG_SINGULAR_INPUT)
-    c = m / n_obs
 
-    if lam_kept.max() - lam_kept.min() <= 1e-12 * lam_max:
-        # Degenerate retained spectrum: check the k*I fixed point and fall
-        # back to the input when the transform moves it.
-        f0, hf0 = epanechnikov_kde(lam_kept[:1], n_obs, lam_kept[:1])
-        moved = _shrink_eigenvalues(lam_kept[:1], f0, hf0, c)[0]
-        if abs(moved - lam_kept[0]) > 1e-8 * lam_kept[0]:
-            return EstimatorResult(EST_LWNL, r_hat,
-                                   flags=flags | {FLAG_DEGENERATE_SPECTRUM})
-
-    query = np.concatenate([lam_kept, [threshold]])
-    f, hf = epanechnikov_kde(lam_kept, n_obs, query)
-    shrunk = _shrink_eigenvalues(query, f, hf, c)
-    out_eigs = np.empty(m)
-    out_eigs[keep] = shrunk[:-1]
-    out_eigs[~keep] = shrunk[-1]
+    if m > n_obs:
+        c = 1.0
+        f, hf = epanechnikov_kde(lam_kept, n_obs, np.append(lam_kept, 0.0))
+        null = n_obs / ((m - n_obs) * hf[-1])
+    else:
+        c = m / n_obs
+        if lam_kept.max() - lam_kept.min() <= 1e-12 * lam_max:
+            # Degenerate retained spectrum: check the k*I fixed point and
+            # fall back to the input when the transform moves it.
+            f0, hf0 = epanechnikov_kde(lam_kept[:1], n_obs, lam_kept[:1])
+            moved = _shrink_eigenvalues(lam_kept[:1], f0, hf0, c)[0]
+            if abs(moved - lam_kept[0]) > 1e-8 * lam_kept[0]:
+                return EstimatorResult(EST_LWNL, r_hat,
+                                       flags=flags | {FLAG_DEGENERATE_SPECTRUM})
+        f, hf = epanechnikov_kde(lam_kept, n_obs, np.append(lam_kept, threshold))
+        null = _shrink_eigenvalues(threshold, f[-1], hf[-1], c)
+    out_eigs = np.full(m, null)
+    out_eigs[keep] = _shrink_eigenvalues(lam_kept, f[:-1], hf[:-1], c)
     matrix = SymmetricMatrix((u * out_eigs) @ u.T)
     return EstimatorResult(EST_LWNL, matrix, flags=flags)
 

@@ -365,15 +365,18 @@ def run_mp_verification(c: float, spec: PopulationSpec, trials: int,
 
     PRIAL(E) = 1 - E||E - Sigma||_F^2 / E||R - Sigma||_F^2, expectations by
     Monte Carlo over paired draws; standard errors by the delta method for
-    the ratio of means.
+    the ratio of means. At c >= 1 the N = round(M / c) centered rows have
+    rank N - 1 < M: R is singular and LWNL takes its p > n branch.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError("concentration ratio must lie in (0, 1)")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"concentration ratio must be positive and finite, got {c}")
+    n = round(spec.m / c)
+    if n < 2:
+        raise ValueError(f"concentration ratio {c} leaves {n} rows at m = {spec.m}, below 2")
     if trials < 10:
         raise ValueError("MP verification needs at least 10 trials")
     sigma = make_population(spec)
     root = _symmetric_root(sigma)
-    n = round(spec.m / c)
     err = {name: np.empty(trials) for name in ("sample", "lw2004", "lwnl")}
     for t in range(trials):
         data = DataStats.of(_draw_gaussian(*root, n, (base_seed, "mp", t)))

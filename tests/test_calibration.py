@@ -312,10 +312,10 @@ class TestAlphaCurveOnLibrary:
     @pytest.mark.parametrize("use_lwnl,n", [
         (use_lwnl, n) for use_lwnl in (False, True) for n in (50, 100, 125, 150, 400, 2000)
         if (use_lwnl, n) != (True, 125)] + [pytest.param(True, 125, marks=pytest.mark.xfail(
-            strict=True, reason="at n_train = M the LWNL term and the trivial target are "
-                                "near-singular: fold 0 of trivial-100 scores up to 5e6 "
-                                "nats, and curve and explicit blend alike are 3e-10 from "
-                                "a 60-digit evaluation"))])
+            strict=True, reason="at n_train = M the trivial target is near-singular: "
+                                "fold 0 of trivial-100 scores 5.2e6 nats at alpha = 1, "
+                                "where curve and explicit blend differ by 5.1e-10 "
+                                "relative (6.3e-10 before LWNL's p > n branch)"))])
     def test_fold_scores_match_explicit_blends(self, pathway_decoys, n, use_lwnl):
         data = _pathway_rows(n)
         stats = DataStats.of(data)
@@ -337,9 +337,10 @@ def _record_factorizations(monkeypatch):
 
 
 class TestWhitening:
-    """A fold with n_train >= M rows and a well-conditioned sample term S
-    whitens every target's curve by S's one factor; every other fold
-    factors each distinct target with a nonzero residual once."""
+    """A fold whose sample term S is well conditioned (LWNL at any n_train,
+    R_train from n_train >= M rows) whitens every target's curve by S's one
+    factor; every other fold factors each distinct target with a nonzero
+    residual once."""
 
     @pytest.mark.parametrize("n", [400, 2000])
     def test_one_factor_per_fold_and_sample_term(self, pathway_decoys, n, monkeypatch):
@@ -350,17 +351,33 @@ class TestWhitening:
                 cv_nll_alpha(stats, g, use_lwnl_sample_term=use_lwnl)
             assert len(calls) == folds * kinds
 
+    @pytest.mark.parametrize("n", [50, 100])
     def test_targets_factored_once_per_fold_on_target_whitened_folds(self, pathway_decoys,
-                                                                     monkeypatch):
-        # n_train = 40 < M: the Gram route for R_train, T-whitening for its LWNL
-        stats, folds = DataStats.of(_pathway_rows(50)), DEFAULT_FOLDS
+                                                                     n, monkeypatch):
+        # n_train < M: the Gram route factors each target for R_train, while
+        # its LWNL term, positive definite, whitens every curve by its factor
+        stats, folds = DataStats.of(_pathway_rows(n)), DEFAULT_FOLDS
         calls = _record_factorizations(monkeypatch)
         distinct = {id(stats.targets(folds, g)) for g in pathway_decoys.candidates}
-        for use_lwnl in (False, True):
-            for g in pathway_decoys.candidates:
-                cv_nll_alpha(stats, g, use_lwnl_sample_term=use_lwnl)
-            # the LWNL term reuses every factor the raw term made
-            assert len(calls) == folds * len(distinct)
+        for g in pathway_decoys.candidates:
+            cv_nll_alpha(stats, g)
+        assert len(calls) == folds * len(distinct)
+        for g in pathway_decoys.candidates:
+            cv_nll_alpha(stats, g, use_lwnl_sample_term=True)
+        assert len(calls) == folds * len(distinct) + folds
+
+    def test_lwnl_selection_below_m_scores_explicitly_only_singular_ends(self,
+                                                                         pathway_decoys,
+                                                                         monkeypatch):
+        # n_train = 40: every fold whitens by its LWNL term; beside the five
+        # alpha = 0 scores, only alpha = 1 of a singular target is explicit
+        calls = []
+        def counting(sigma, r_test):
+            calls.append(1)
+            return gaussian_nll_per_sample(sigma, r_test)
+        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
+        bmg.bmg_with_fallback(_pathway_rows(50), pathway_decoys, use_lwnl=True)
+        assert len(calls) <= 2 * DEFAULT_FOLDS
 
     @pytest.mark.parametrize("n", [125, 126, 130])
     @pytest.mark.parametrize("use_lwnl", [False, True])

@@ -376,9 +376,10 @@ class TestBmg:
 
 
 class TestVerifyLwnl:
-    def test_summary_row_written(self, tmp_path):
+    @pytest.mark.parametrize("c", ["0.5", "2"])
+    def test_summary_row_written(self, tmp_path, c):
         out = tmp_path / "prial.csv"
-        code = run_cli("verify-lwnl", "--c", "0.5", "--m", "16", "--trials", "10",
+        code = run_cli("verify-lwnl", "--c", c, "--m", "16", "--trials", "10",
                        "--seed", "3", "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().splitlines()

@@ -22,9 +22,8 @@ properties = settings(max_examples=25, deadline=None, derandomize=True)
 # (m, n, seed) for the random cases. Every training fold keeps at least 2m
 # rows of a population with eigenvalues in [1, 4], so every blend is well
 # conditioned. With fewer rows, gaussian_nll_per_sample scores singular
-# blends from rounding-level eigenvalues, and LWNL's closed-form Hilbert
-# transform cancels catastrophically on wide sample spectra: neither kind of
-# score agrees to 1e-12 under these transformations.
+# blends from rounding-level eigenvalues, and such scores do not agree to
+# 1e-12 under these transformations.
 cases = st.integers(2, 6).flatmap(lambda m: st.tuples(
     st.just(m), st.integers(3 * m + 2, 8 * m), st.integers(0, 2**32 - 1)))
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcov import groups
+from symcov import groups, synth
 from symcov.matrixcore import Dataset, SymmetricMatrix, sample_covariance, second_moment
 from symcov.shrinkage import (
     EST_ADLWNL,
@@ -16,6 +16,7 @@ from symcov.shrinkage import (
     FLAG_RANK_AWARE_KDE,
     FLAG_SINGULAR_INPUT,
     ad_blend,
+    epanechnikov_kde,
     ad_lwnl_blend,
     lw2004,
     lw2004_auto,
@@ -132,7 +133,7 @@ class TestLwnl:
         data = gaussian_dataset(rng, 8, 16)  # N < M: zero eigenvalues
         res = lwnl(data)
         assert FLAG_RANK_AWARE_KDE in res.flags
-        # excluded eigenvalues map to one shared (near-zero) value
+        # the M - n null eigenvalues map to one shared positive value
         w = np.linalg.eigvalsh(res.matrix.values)
         assert w.min() >= -1e-12
 
@@ -158,12 +159,113 @@ class TestLwnl:
         comm = out @ r_hat.values - r_hat.values @ out
         assert np.linalg.norm(comm, "fro") <= 1e-6 * np.linalg.norm(r_hat.values, "fro") ** 2
 
+    def test_relabelling_commutes_on_wide_spectra(self):
+        # column scales from e^-6 to e^3: kernels of the smallest eigenvalues
+        # are up to about 1e6 times narrower than their distance to the rest
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(m + 2, 8 * m))
+            data = Dataset(rng.standard_normal((n, m)) * np.exp(rng.uniform(-6, 3, m))).center()
+            p = rng.permutation(m)
+            want = lwnl(data).matrix.values[np.ix_(p, p)]
+            got = lwnl(Dataset(data.rows[:, p], centered=True)).matrix.values
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_psd_outputs(self):
         rng = np.random.default_rng(26)
         for n, m in ((40, 8), (8, 12), (100, 20)):
             res = lwnl(gaussian_dataset(rng, n, m))
             w = np.linalg.eigvalsh(res.matrix.values)
             assert w.min() >= -1e-10 * max(w.max(), 1e-30)
+
+
+def _lw2020_reference(r, n):
+    """Ledoit & Wolf (2020)'s published analytical-shrinkage recipe for a
+    covariance of rank-n rows, transcribed with its own 1/pi Hilbert
+    convention, its p <= n / p > n split and its closed-form H f(0)."""
+    p = r.shape[0]
+    lam, u = np.linalg.eigh(r)
+    lam = lam[max(0, p - n):]
+    h = n ** (-1.0 / 3.0)
+    big_l = np.tile(lam[:, None], (1, len(lam)))
+    big_h = h * big_l.T
+    x = (big_l - big_l.T) / big_h
+    ftilde = 3 / 4 / np.sqrt(5) * np.mean(np.maximum(1 - x**2 / 5, 0) / big_h, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hftemp = (-3 / 10 / np.pi) * x + (3 / 4 / np.sqrt(5) / np.pi) * (1 - x**2 / 5) \
+            * np.log(np.abs((np.sqrt(5) - x) / (np.sqrt(5) + x)))
+    hftilde = np.mean(hftemp / big_h, axis=1)
+    if p <= n:
+        c = p / n
+        d = lam / ((np.pi * c * lam * ftilde) ** 2 + (1 - c - np.pi * c * lam * hftilde) ** 2)
+    else:
+        hf0 = (1 / np.pi) * (3 / 10 / h**2 + 3 / 4 / np.sqrt(5) / h * (1 - 1 / 5 / h**2)
+                             * np.log((1 + np.sqrt(5) * h) / (1 - np.sqrt(5) * h))) \
+            * np.mean(1 / lam)
+        d0 = 1 / (np.pi * (p - n) / n * hf0)
+        d = np.concatenate([np.full(p - n, d0),
+                            lam / (np.pi**2 * lam**2 * (ftilde**2 + hftilde**2))])
+    return (u * d) @ u.T
+
+
+def _block_circulant_draws(n, trials):
+    sigma = synth.make_population(synth.PopulationSpec(
+        m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
+    return sigma, [synth.sample_gaussian(sigma, n, (900, n, t)) for t in range(trials)]
+
+
+class TestLwnlAboveTheSampleRank:
+    """M >= n, the rank of the centered rows (N <= M + 1): the p > n branch."""
+
+    @pytest.mark.parametrize("m,n_rows", [(40, 25), (40, 13), (20, 61), (30, 121)])
+    def test_matches_the_published_recipe(self, m, n_rows):
+        # eigenvalues in [1, 4] and M / n away from 1, so that the sample
+        # spectrum stays away from 0: the recipe's closed-form transform keeps
+        # its digits there; it needs n >= 12 for its logarithm at 0
+        rng = np.random.default_rng(m + n_rows)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        data = gaussian_dataset(rng, n_rows, m, (q * rng.uniform(1.0, 4.0, m)) @ q.T)
+        r = sample_covariance(data)
+        got = lwnl(data).matrix.values
+        np.testing.assert_allclose(got, _lw2020_reference(r.values, n_rows - 1),
+                                   rtol=0, atol=1e-12 * np.abs(got).max())
+
+    def test_null_eigenvalues_share_one_value_near_the_kept_ones(self):
+        rng = np.random.default_rng(31)
+        data = gaussian_dataset(rng, 11, 30)
+        w = np.linalg.eigvalsh(lwnl(data).matrix.values)
+        null = w[:20]   # the 30 - 10 null eigenvalues are below every kept one here
+        np.testing.assert_allclose(null, null[0], rtol=1e-12)
+        assert 0.1 * w[20:].min() < null[0] < w[20:].min()
+
+    def test_hilbert_transform_far_outside_a_kernel(self):
+        # one kernel of width h = 0.1 at 1: far away its transform is that of
+        # a point mass, -1/d - h^2/d^3 up to terms in 1/d^5
+        for d in (1e3, -1e3, 1e6, -1e6):
+            _, hf = epanechnikov_kde(np.array([1.0]), 1000, np.array([1.0 + d]))
+            np.testing.assert_allclose(hf[0], -1.0 / d - 0.01 / d**3, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [50, 100, 101])
+    def test_frobenius_error_no_worse_than_lw2004(self, n):
+        sigma, draws = _block_circulant_draws(n, 5)
+        err = {name: np.median([np.linalg.norm(fit(d).matrix.values - sigma.values)
+                                for d in draws])
+               for name, fit in (("lwnl", lwnl), ("lw2004", lw2004_auto))}
+        assert err["lwnl"] <= err["lw2004"]
+
+    @pytest.mark.parametrize("n", [50] + [pytest.param(n, marks=pytest.mark.xfail(
+        strict=True, reason="at c = M / n near 1 the sample spectrum reaches down to "
+                            "about 1e-6, where the kernel estimate maps each eigenvalue "
+                            "to about 400 times itself: the smallest LWNL eigenvalue is "
+                            "2.1e-3 at N = 100 and 2.1e-4 at N = 101")) for n in (100, 101)])
+    def test_spectrum_within_ten_times_the_truth(self, n):
+        # the truth spans 0.333 .. 11.0
+        sigma, draws = _block_circulant_draws(n, 5)
+        truth = np.linalg.eigvalsh(sigma.values)
+        for data in draws:
+            w = np.linalg.eigvalsh(lwnl(data).matrix.values)
+            assert truth[0] / 10 <= w[0] and w[-1] <= 10 * truth[-1]
 
 
 class TestStructuralEstimators:

@@ -187,10 +187,24 @@ class TestMpVerification:
         assert len(roots) == 1
 
     def test_bad_concentration_rejected(self):
+        spec = PopulationSpec(m=8, kind=synth.POP_IDENTITY)
+        # c = 8 leaves one row at m = 8
+        for c in (0.0, -0.5, math.inf, math.nan, 8.0):
+            with pytest.raises(ValueError):
+                run_mp_verification(c, spec, 10)
         with pytest.raises(ValueError):
-            run_mp_verification(1.5, PopulationSpec(m=8, kind=synth.POP_IDENTITY), 10)
-        with pytest.raises(ValueError):
-            run_mp_verification(0.5, PopulationSpec(m=8, kind=synth.POP_IDENTITY), 5)
+            run_mp_verification(0.5, spec, 5)
+
+    @pytest.mark.parametrize("c", [1.5, 2.0])
+    @pytest.mark.parametrize("spec", [
+        PopulationSpec(m=64, kind=synth.POP_IDENTITY, base_seed=3),
+        PopulationSpec(m=64, kind=synth.POP_TWO_BLOCK, base_seed=3, two_block_ratio=10.0,
+                       two_block_split=0.2),
+    ], ids=lambda spec: spec.kind)
+    def test_lwnl_beats_the_singular_sample_covariance_above_c_one(self, spec, c):
+        # N = M / c rows: the p > n branch of LWNL
+        rows = {r["estimator"]: r for r in run_mp_verification(c, spec, trials=20, base_seed=7)}
+        assert rows["lwnl"]["prial"] > 3.0 * rows["lwnl"]["se"]
 
 
 class TestDecoyLibrary:
