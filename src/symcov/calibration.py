@@ -8,7 +8,6 @@ so a parallel caller gets identical results to a serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -155,11 +154,10 @@ class DataStats(Dataset):
     """A centered dataset that computes on first use, and keeps, R_hat
     (``r_hat``), its ``lwnl_from_covariance`` result (``lwnl``), and per fold
     count the fold ``splits``, each distinct target's fold projections
-    (``targets``), their ``_factor`` on the folds whose curves T whitens, and
-    its ``fold_scores``: the one cache of held-out statistics, shared by
-    every group and call on it. Estimators
-    read statistics through ``of``, which wraps a plain Dataset for one call
-    only: only a caller holding a DataStats keeps them."""
+    (``targets``) and its ``fold_scores``: the one cache of held-out
+    statistics, shared by every group and call on it. Estimators read
+    statistics through ``of``, which wraps a plain Dataset for one call only:
+    only a caller holding a DataStats keeps them."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -237,19 +235,13 @@ class DataStats(Dataset):
             splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
             terms = self._cached(("terms", folds, use_lwnl),
                                  lambda: [term(f, split) for f, split in enumerate(splits)])
-            targets = self.targets(folds, g)
-            # T's factor on each fold S does not whiten, shared by both kinds
-            t_factors = [None if whitening is not None else
-                         self._cached(("target_factor", folds, key, fold), partial(_factor, t))
-                         for fold, ((_, _, whitening), t) in enumerate(zip(terms, targets))]
-            scores = np.array([_alpha_curve(*fold_term, t, t_factor, split, alphas)
-                               for fold_term, t, t_factor, split
-                               in zip(terms, targets, t_factors, splits)])
+            scores = np.array([_alpha_curve(*fold_term, t, split, alphas) for fold_term, t, split
+                               in zip(terms, self.targets(folds, g), splits)])
             scores.flags.writeable = False
             return scores
 
-        key = _partition_key(g)
-        return self._cached(("fold_scores", folds, key, grid_points, use_lwnl), score)
+        return self._cached(("fold_scores", folds, _partition_key(g), grid_points, use_lwnl),
+                            score)
 
 
 def _partition_key(g: GroupAction):
@@ -341,8 +333,7 @@ def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarra
 
 
 def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tuple | None,
-                 target: SymmetricMatrix, target_factor: tuple | None, split: tuple,
-                 alphas: np.ndarray) -> np.ndarray:
+                 target: SymmetricMatrix, split: tuple, alphas: np.ndarray) -> np.ndarray:
     """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
     on one fold ``split`` (X_train, X_test, R_train, R_test), from one
     factorization L L^T of S or of T: L^-1 blend(alpha) L^-T = a I + b K for
@@ -352,7 +343,7 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
     - By S, when the fold's ``s_whitening`` (``_sample_whitening``, once
       per fold) holds S's ``_factor`` and the test statistic whitened by it:
       K = L^-1 (T - S) L^-T, a = 1, b = alpha.
-    - Otherwise by T, with ``target_factor`` its ``_factor``:
+    - Otherwise by T, factored here (``_factor``) once its residual is nonzero:
       - Gram, when S is R_train itself and the split kept X_train
         (n_train < M): K = Y Y^T with Y = X_train L^-T / sqrt(n_train),
         a = alpha, b = 1 - alpha; K is PSD, so lambda_min(K) >= 0. The other
@@ -380,7 +371,7 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
         return scores
     certified = np.zeros(len(alphas), dtype=bool)
     a, b = alphas[1:], 1.0 - alphas[1:]
-    factors = s_whitening[0] if s_whitening is not None else target_factor
+    factors = s_whitening[0] if s_whitening is not None else _factor(target)
     curve = None
     if factors is not None:
         inv_ell, logdet_l, inv_norm_sq = factors

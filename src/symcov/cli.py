@@ -143,6 +143,10 @@ def cmd_bmg(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # checked here: run_trial_sweep, a generator, runs only once the output
+    # file has its header, and runs any count below 2 serially
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     config = synth.parse_sweep_config(args.config)
     records = synth.run_trial_sweep(config, threads=args.threads)
     synth.write_trial_records_csv(args.out, records)

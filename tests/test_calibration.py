@@ -354,17 +354,18 @@ class TestWhitening:
     @pytest.mark.parametrize("n", [50, 100])
     def test_targets_factored_once_per_fold_on_target_whitened_folds(self, pathway_decoys,
                                                                      n, monkeypatch):
-        # n_train < M: the Gram route factors each target for R_train, while
-        # its LWNL term, positive definite, whitens every curve by its factor
+        # n_train < M: the Gram route factors each target for R_train but the
+        # trivial one, equal to R_train, while its LWNL term, positive
+        # definite, whitens every curve by its factor
         stats, folds = DataStats.of(_pathway_rows(n)), DEFAULT_FOLDS
         calls = _record_factorizations(monkeypatch)
         distinct = {id(stats.targets(folds, g)) for g in pathway_decoys.candidates}
         for g in pathway_decoys.candidates:
             cv_nll_alpha(stats, g)
-        assert len(calls) == folds * len(distinct)
+        assert len(calls) == folds * (len(distinct) - 1)
         for g in pathway_decoys.candidates:
             cv_nll_alpha(stats, g, use_lwnl_sample_term=True)
-        assert len(calls) == folds * len(distinct) + folds
+        assert len(calls) == folds * (len(distinct) - 1) + folds
 
     def test_lwnl_selection_below_m_scores_explicitly_only_singular_ends(self,
                                                                          pathway_decoys,

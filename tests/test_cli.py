@@ -556,6 +556,16 @@ class TestSweepAndDecoy:
         assert run_cli("sweep", "--config", str(cfg), "--out", str(b), "--threads", "4") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_sweep_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG)
+        out = tmp_path / "o.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                       "--threads", threads) == 2
+        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decoy_outputs(self, tmp_path):
         cfg = tmp_path / "decoy.cfg"
         cfg.write_text(
