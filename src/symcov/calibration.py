@@ -153,11 +153,13 @@ def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
 class DataStats(Dataset):
     """A centered dataset that computes on first use, and keeps, R_hat
     (``r_hat``), its ``lwnl_from_covariance`` result (``lwnl``), and per fold
-    count the fold ``splits``, each distinct target's fold projections
-    (``targets``) and its ``fold_scores``: the one cache of held-out
-    statistics, shared by every group and call on it. Estimators read
-    statistics through ``of``, which wraps a plain Dataset for one call only:
-    only a caller holding a DataStats keeps them."""
+    count the fold ``splits``, each fold's term per sample-term kind (the one
+    place its alpha-curve route is decided, in ``fold_scores``), each
+    distinct target's fold projections (``targets``) and its
+    ``fold_scores``: the one cache of held-out statistics, shared by every
+    group and call on it. Estimators read statistics through ``of``, which
+    wraps a plain Dataset for one call only: only a caller holding a
+    DataStats keeps them."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -181,15 +183,9 @@ class DataStats(Dataset):
     @property
     def lwnl(self):
         from . import shrinkage
+        # LWNL's n is N - 1: R_hat's rows are centered on their own mean
         return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat,
-                                                                           self.sample_rank()))
-
-    def sample_rank(self, held_out: int = 0) -> int:
-        """The rank of the rows a sample term is formed from, LWNL's sample
-        size n: N - 1 for R_hat, whose rows are centered on their own mean,
-        and N - ``held_out`` for a fold's training complement, whose rows are
-        centered on the mean of all N rows rather than on their own."""
-        return self.n_obs - held_out if held_out else self.n_obs - 1
+                                                                           self.n_obs - 1))
 
     def splits(self, folds: int) -> list[tuple[np.ndarray | None, np.ndarray,
                                                 SymmetricMatrix, SymmetricMatrix]]:
@@ -214,22 +210,25 @@ class DataStats(Dataset):
                     use_lwnl: bool) -> np.ndarray:
         """Read-only (k, n_alpha) held-out NLL of g's blend at every grid alpha
         on every fold, shared by every group of g's partition. Each fold's
-        sample term S (R_train, or its LWNL when ``use_lwnl``), its alpha = 0
-        score and its ``_sample_whitening``, none of which a group changes,
-        are kept once per fold count and kind."""
+        term, kept once per fold count and kind since no group changes it, is
+        the one place its curve's route is decided: the sample term S
+        (R_train, or its LWNL when ``use_lwnl``), its alpha = 0 score, and
+        either S's ``_sample_whitening`` or, for an R_train of fewer than M
+        rows, those training rows for the Gram route."""
         from . import shrinkage
 
         def term(fold, split):
-            _, x_test, r_train, r_test = split
+            x_train, x_test, r_train, r_test = split
             n_train = self.n_obs - len(x_test)
             if n_train < 2:
                 raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
-            s = (shrinkage.lwnl_from_covariance(r_train, self.sample_rank(len(x_test))).matrix
-                 if use_lwnl else r_train)
-            # R_train of fewer than M rows is singular by rank: no factor to try
-            whitening = (None if s is r_train and n_train < self.dim
-                         else _sample_whitening(s, x_test, r_test))
-            return s, matrixcore.gaussian_nll_per_sample(s, r_test), whitening
+            # LWNL's n is n_train: the training rows are centered on the mean of all N
+            s = shrinkage.lwnl_from_covariance(r_train, n_train).matrix if use_lwnl else r_train
+            # the split keeps the rows of an R_train singular by rank (fewer than M):
+            # no factor to try, the Gram route scores from them
+            gram_rows = None if use_lwnl else x_train
+            whitening = None if gram_rows is not None else _sample_whitening(s, x_test, r_test)
+            return s, matrixcore.gaussian_nll_per_sample(s, r_test), whitening, gram_rows
 
         def score():
             splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
@@ -305,14 +304,14 @@ def _eigen_curve(k: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       floor: float, k_min: float | None = None) -> tuple | None:
+                       floor: float, k_min: float | None = None) -> tuple:
     """For a symmetric K, columns W and blends a_j I + b_j K with b_j >= 0: the
     mask of blends certified by a_j + b_j lambda_min(K) >= ``floor`` (with
     lambda_min(K) from dstebz unless ``k_min`` gives a lower bound), and their
     logdet(a_j I + b_j K) and tr(W^T (a_j I + b_j K)^-1 W). K = H Theta H^T
     (dsytrd) turns every blend into the tridiagonal a_j I + b_j Theta; one
     dptsv solves them all as the diagonal blocks of one system, its LDL^T
-    pivots giving the logdets. None when a pivot is not positive."""
+    pivots giving the logdets. No blend is certified when a pivot is not positive."""
     c, diag, off, tau, _ = lapack.dsytrd(k, lower=1)
     if k_min is None:
         k_min = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, "E")[1][0]
@@ -327,25 +326,26 @@ def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarra
     pivots, _, x, info = lapack.dptsv((a[:, None] + np.outer(b, diag)).ravel(),
                                       sub.ravel()[:-1], np.tile(hw, (len(a), 1)))
     if info != 0:
-        return None
+        return np.zeros_like(keep), np.empty(0), np.empty(0)
     return (keep, np.log(pivots).reshape(-1, n).sum(axis=1),
             np.einsum("jir,ir->j", x.reshape(len(a), n, -1), hw))
 
 
 def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tuple | None,
-                 target: SymmetricMatrix, split: tuple, alphas: np.ndarray) -> np.ndarray:
+                 gram_rows: np.ndarray | None, target: SymmetricMatrix, split: tuple,
+                 alphas: np.ndarray) -> np.ndarray:
     """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
     on one fold ``split`` (X_train, X_test, R_train, R_test), from one
     factorization L L^T of S or of T: L^-1 blend(alpha) L^-T = a I + b K for
     one symmetric K, so the logdet is logdet(L L^T) + logdet(a I + b K) and
-    the trace term is tr((a I + b K)^-1 L^-1 R_test L^-T). One branch picks
-    the whitening and the route:
-    - By S, when the fold's ``s_whitening`` (``_sample_whitening``, once
-      per fold) holds S's ``_factor`` and the test statistic whitened by it:
+    the trace term is tr((a I + b K)^-1 L^-1 R_test L^-T). The fold's term
+    (``DataStats.fold_scores``) has decided the route:
+    - By S, when its ``s_whitening`` (``_sample_whitening``) holds S's
+      ``_factor`` and the test statistic whitened by it:
       K = L^-1 (T - S) L^-T, a = 1, b = alpha.
     - Otherwise by T, factored here (``_factor``) once its residual is nonzero:
-      - Gram, when S is R_train itself and the split kept X_train
-        (n_train < M): K = Y Y^T with Y = X_train L^-T / sqrt(n_train),
+      - Gram, when the term passes ``gram_rows``, the n_train < M training
+        rows of S = R_train: K = Y Y^T with Y = X_train L^-T / sqrt(n_train),
         a = alpha, b = 1 - alpha; K is PSD, so lambda_min(K) >= 0. The other
         M - n_train directions add (M - n_train) log alpha, and with
         Z = X_test L^-T and W = Y Z^T the trace term is
@@ -362,7 +362,7 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
     in one place. ``at_zero`` is the group-free alpha = 0 score.
     """
     s, t = sample_term.values, target.values
-    x_train, x_test, r_train, r_test = split
+    _, x_test, _, r_test = split
     # difference form: a zero residual (e.g. the trivial group) gives every
     # alpha the sample term's score bitwise, so structural ties stay exact
     residual = t - s
@@ -372,7 +372,6 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
     certified = np.zeros(len(alphas), dtype=bool)
     a, b = alphas[1:], 1.0 - alphas[1:]
     factors = s_whitening[0] if s_whitening is not None else _factor(target)
-    curve = None
     if factors is not None:
         inv_ell, logdet_l, inv_norm_sq = factors
         floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * inv_norm_sq
@@ -380,20 +379,17 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
         if s_whitening is not None:
             kernel, test = s_whitening[1]
             curve = kernel(_congruent(inv_ell, residual), test, ones, a, floor)
-        elif sample_term is r_train and x_train is not None:
-            (n_test, m), n_train = x_test.shape, len(x_train)
-            y = _whiten(inv_ell, x_train) / np.sqrt(n_train)
+        elif gram_rows is not None:
+            (n_test, m), n_train = x_test.shape, len(gram_rows)
+            y = _whiten(inv_ell, gram_rows) / np.sqrt(n_train)
             z = _whiten(inv_ell, x_test)
-            curve = _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)
-            if curve is not None:
-                keep, logdet, trace = curve
-                a = a[keep]
-                curve = (keep, logdet + (m - n_train) * np.log(a),
-                         (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * n_test))
+            keep, logdet, trace = _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)
+            a = a[keep]
+            curve = (keep, logdet + (m - n_train) * np.log(a),
+                     (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * n_test))
         else:
             kernel, test = _whitened_test(inv_ell, x_test, r_test)
             curve = kernel(_congruent(inv_ell, -residual), test, ones, b, floor)
-    if curve is not None:
         certified[1:], logdet, trace = curve
         scores[certified] = 0.5 * (logdet_l + logdet + trace)
     for j in np.flatnonzero(~certified[1:]) + 1:

@@ -175,7 +175,9 @@ def _shrink_eigenvalues(lam: np.ndarray, f: np.ndarray, hf: np.ndarray,
 def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
     """Nonlinear eigenvalue shrinkage (Ledoit & Wolf 2020, Ann. Statist.
     48(5):3043-3065) of a precomputed covariance whose centered rows have
-    rank ``n_obs``, the formulas' sample size n (``DataStats.sample_rank``).
+    rank ``n_obs``, the formulas' sample size n: N - 1 for R_hat, whose rows
+    are centered on their own mean, and n_train for a fold's training rows,
+    centered on the mean of all N rows.
 
     With M <= n, the p <= n map at c = M/n. Sample eigenvalues below
     RANK_RTOL * lambda_max are excluded from the KDE support and all map to

@@ -89,6 +89,9 @@ class PopulationSpec:
         if "group" in reads and self.group.dim != self.m:
             raise _FieldError(("group", "m"), f"population group {self.group.name} acts "
                               f"on {self.group.dim} points, not m = {self.m}")
+        if self.base_seed < 0:
+            raise _FieldError(("base_seed",), f"population needs base_seed >= 0, "
+                              f"got {self.base_seed}")
         if self.kind == POP_BLOCK_CIRCULANT and self.m % self.block_size:
             raise _FieldError(("block_size", "m"),
                               "block_circulant population needs block_size to divide m")
@@ -137,9 +140,27 @@ def make_population(spec: PopulationSpec) -> SymmetricMatrix:
     The random constructions carry a ridge of 1e-6 * (tr/m) to guarantee
     strict positive definiteness; the closed-form diagonal families are SPD
     by construction and are returned exactly (identity means the identity).
+    A shape that leaves sigma not positive definite (a ``two_block_ratio``
+    or ``geometric_decay`` of 0 or below) fails ``sample_gaussian``'s test
+    here, naming the kind's fields.
     """
-    _, build = POPULATIONS[spec.kind]
-    return build(spec)
+    return _population_with_root(spec)[0]
+
+
+def _population_with_root(spec: PopulationSpec) -> tuple[SymmetricMatrix, tuple]:
+    """``make_population``'s sigma and its ``_symmetric_root``, whose smallest
+    eigenvalue ``_draw_gaussian`` tests: tested here, where the spec's fields
+    can be named."""
+    reads, build = POPULATIONS[spec.kind]
+    sigma = build(spec)
+    root = _symmetric_root(sigma)
+    if root[1] <= 0.0:
+        # the shape fields set the spectrum; the seed only rotates or draws
+        shape = [field for field in reads if field != "base_seed"]
+        given = ", ".join(f"{field}={getattr(spec, field)}" for field in shape)
+        raise _FieldError((*shape, "kind"), f"population {spec.kind} ({given}) is not "
+                          f"positive definite (min eig {root[1]:.3e})")
+    return sigma, root
 
 
 def block_circulant_population(m: int, block_size: int, rho: float,
@@ -375,8 +396,7 @@ def run_mp_verification(c: float, spec: PopulationSpec, trials: int,
         raise ValueError(f"concentration ratio {c} leaves {n} rows at m = {spec.m}, below 2")
     if trials < 10:
         raise ValueError("MP verification needs at least 10 trials")
-    sigma = make_population(spec)
-    root = _symmetric_root(sigma)
+    sigma, root = _population_with_root(spec)
     err = {name: np.empty(trials) for name in ("sample", "lw2004", "lwnl")}
     for t in range(trials):
         data = DataStats.of(_draw_gaussian(*root, n, (base_seed, "mp", t)))
@@ -428,6 +448,8 @@ class SweepConfig:
                               ("folds", self.folds >= 2, ">= 2"),
                               ("n_list", min(self.n_list, default=0) >= 1, "entries >= 1"),
                               ("n_test", self.n_test >= 1, ">= 1"),
+                              ("trials", self.trials >= 1, ">= 1"),
+                              ("base_seed", self.base_seed >= 0, ">= 0"),
                               ("kappa", 1.0 <= self.kappa < math.inf, "finite and >= 1")):
             if not ok:
                 raise _FieldError((key,), f"sweep needs {key} {need}, got {getattr(self, key)}")
@@ -508,8 +530,7 @@ def run_trial_sweep(config: SweepConfig, threads: int = 1):
     emission is order-buffered so the output stream does not depend on the
     worker count.
     """
-    sigma = make_population(config.population)
-    root = _symmetric_root(sigma)
+    sigma, root = _population_with_root(config.population)
     tasks = [(ci, t) for ci in range(len(config.n_list))
              for t in range(config.trials)]
     if threads <= 1:

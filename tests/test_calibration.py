@@ -245,6 +245,14 @@ def _rows(n, m, seed, zero_column=None):
     return Dataset(rows).center()
 
 
+def _record_nll_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample",
+                        lambda sigma, r_test: calls.append(1) or gaussian_nll_per_sample(
+                            sigma, r_test))
+    return calls
+
+
 class TestAlphaCurve:
     """cv_nll_alpha scores each candidate's whole alpha curve per fold from
     one factorization; every fold score must match its explicit blend."""
@@ -282,11 +290,7 @@ class TestAlphaCurve:
         assert not np.array_equal(a.fold_scores[:, 1:], b.fold_scores[:, 1:])
 
     def test_one_cholesky_score_per_fold_when_well_conditioned(self, monkeypatch):
-        calls = []
-        def counting(sigma, r_test):
-            calls.append(1)
-            return gaussian_nll_per_sample(sigma, r_test)
-        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
+        calls = _record_nll_calls(monkeypatch)
         folds = 5
         stats = DataStats.of(_rows(200, 6, 65))
         for g in [groups.cyclic(6), groups.block_symmetric(3, 2)]:
@@ -372,11 +376,7 @@ class TestWhitening:
                                                                          monkeypatch):
         # n_train = 40: every fold whitens by its LWNL term; beside the five
         # alpha = 0 scores, only alpha = 1 of a singular target is explicit
-        calls = []
-        def counting(sigma, r_test):
-            calls.append(1)
-            return gaussian_nll_per_sample(sigma, r_test)
-        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
+        calls = _record_nll_calls(monkeypatch)
         bmg.bmg_with_fallback(_pathway_rows(50), pathway_decoys, use_lwnl=True)
         assert len(calls) <= 2 * DEFAULT_FOLDS
 
@@ -385,12 +385,19 @@ class TestWhitening:
     def test_no_explicit_blends_near_full_rank(self, pathway_decoys, n, use_lwnl,
                                                monkeypatch):
         # n_train = M .. 1.04 M: S is whitened only when well-conditioned
-        calls = []
-        def counting(sigma, r_test):
-            calls.append(1)
-            return gaussian_nll_per_sample(sigma, r_test)
-        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
+        calls = _record_nll_calls(monkeypatch)
         bmg.bmg_with_fallback(_pathway_rows(n), pathway_decoys, use_lwnl=use_lwnl)
+        assert len(calls) == DEFAULT_FOLDS
+
+    @pytest.mark.parametrize("n,use_lwnl", [(150, False), (400, False), (150, True)])
+    def test_constant_column_whitens_every_curve_by_its_target(self, pathway_decoys, n,
+                                                                use_lwnl, monkeypatch):
+        # centering zeroes a constant column: R_train is singular at every N and
+        # the LWNL term fails the kappa test, so no fold whitens by S
+        rows = _pathway_rows(n).rows.copy()
+        rows[:, 7] = 0.0
+        calls = _record_nll_calls(monkeypatch)
+        bmg.bmg_with_fallback(Dataset(rows).center(), pathway_decoys, use_lwnl=use_lwnl)
         assert len(calls) == DEFAULT_FOLDS
 
 
@@ -545,11 +552,7 @@ class TestTridiagonalRoute:
 
     def test_failed_tridiagonal_solve_falls_back_to_explicit_blends(self, monkeypatch):
         data, g = _rows(15, 16, 53), groups.cyclic(16)
-        calls = []
-        def counting(sigma, r_test):
-            calls.append(1)
-            return gaussian_nll_per_sample(sigma, r_test)
-        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample", counting)
+        calls = _record_nll_calls(monkeypatch)
         for use_lwnl in (False, True):
             cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl)
         assert len(calls) == 2 * calibration.DEFAULT_FOLDS   # the alpha = 0 scores alone

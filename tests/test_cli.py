@@ -414,6 +414,19 @@ class TestVerifyLwnl:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--seed", "-1"], "--seed"),
+        (["--population", synth.POP_TWO_BLOCK, "--two-block-ratio", "-3"], "--two-block-ratio"),
+        (["--population", synth.POP_GEOMETRIC, "--geometric-decay", "0"], "--geometric-decay"),
+    ])
+    def test_failed_population_check_is_config_error_naming_flag(self, tmp_path, capsys,
+                                                                 args, flag):
+        out = tmp_path / "p.csv"
+        assert run_cli("verify-lwnl", "--c", "0.5", "--m", "16", "--trials", "10",
+                       *args, "--out", str(out)) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 SWEEP_CFG = """
 m = 6
@@ -475,7 +488,9 @@ class TestSweepAndDecoy:
                                            ("library = preset:grid8", "library"),
                                            ("population = bogus", "population"),
                                            ("population = group_invariant", "population"),
-                                           ("block_size = 4", "block_size")])
+                                           ("block_size = 4", "block_size"),
+                                           ("base_seed = -1", "base_seed"),
+                                           ("trials = 0", "trials")])
     def test_sweep_config_failing_every_trial_is_config_error(self, tmp_path, capsys,
                                                               line, key):
         # the failing key's line is the config's last
@@ -494,7 +509,17 @@ class TestSweepAndDecoy:
                              "target_delta = 0.99"), "target_delta"),
         (population_cfg_with("population = group_invariant", "population_group = cyclic:5"),
          "population_group"),
-    ], ids=["not-positive-definite", "unreachable-delta", "group-of-wrong-size"])
+        (population_cfg_with("population = two_block", "two_block_ratio = -3"),
+         "two_block_ratio"),
+        (population_cfg_with("population = two_block", "two_block_ratio = 0"),
+         "two_block_ratio"),
+        (population_cfg_with("population = geometric", "geometric_decay = 0"),
+         "geometric_decay"),
+        (population_cfg_with("population = random_spd", "population_seed = -4"),
+         "population_seed"),
+    ], ids=["not-positive-definite", "unreachable-delta", "group-of-wrong-size",
+            "negative-two-block-ratio", "zero-two-block-ratio", "zero-geometric-decay",
+            "negative-population-seed"])
     def test_unbuildable_population_is_config_error_naming_key(self, tmp_path, capsys,
                                                                command, text, key):
         # the failing key's line is the config's last

@@ -95,6 +95,20 @@ class TestPopulations:
         w = np.sort(np.linalg.eigvalsh(make_population(spec).values))[::-1]
         np.testing.assert_allclose(w, 0.5 ** np.arange(6), rtol=1e-10)
 
+    @pytest.mark.parametrize("shape, field", [
+        (dict(kind=synth.POP_TWO_BLOCK, two_block_ratio=-3.0), "two_block_ratio"),
+        (dict(kind=synth.POP_GEOMETRIC, geometric_decay=0.0), "geometric_decay"),
+    ])
+    def test_population_not_positive_definite_fails_where_built(self, shape, field):
+        spec = PopulationSpec(m=6, base_seed=1, **shape)
+        with pytest.raises(ValueError, match="not positive definite") as err:
+            make_population(spec)
+        assert err.value.fields[0] == field
+        config = SweepConfig(population=spec, library=CandidateLibrary((groups.trivial(6),)),
+                             n_list=(8,), trials=1)
+        with pytest.raises(ValueError, match="not positive definite"):
+            next(run_trial_sweep(config))   # before any record, not one error record each
+
     def test_block_circulant_invariance_and_structure(self):
         sigma = make_population(PopulationSpec(m=20, kind=synth.POP_BLOCK_CIRCULANT,
                                                block_size=5, circulant_rho=0.4,
