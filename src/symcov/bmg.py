@@ -16,7 +16,7 @@ import numpy as np
 from . import calibration, matrixcore, shrinkage
 from .calibration import DEFAULT_FOLDS, DEFAULT_GRID_POINTS, DataStats
 from .groups import GroupAction, capped_order, haar_orthogonal, reynolds_project
-from .matrixcore import Dataset, SymmetricMatrix
+from .matrixcore import Dataset, DimensionMismatchError, SymmetricMatrix
 
 DEFAULT_KAPPA = 2.0
 
@@ -124,16 +124,21 @@ def bmg_with_fallback(data: Dataset, lib: CandidateLibrary,
     shrinkage of the unstructured sample covariance, flagged but reported
     as success; so does a dataset whose largest fold would leave fewer than
     2 training rows (N <= 2, and N = 3 with 2 folds). ``grid_points`` or
-    ``folds`` below 2 and ``kappa`` outside [1, inf) are errors whatever N
-    is. Otherwise returns the blend estimator (structural, or with the
-    nonlinearly shrunken sample term when ``use_lwnl``) at the selected
-    group and refit intensity. The report's ``delta`` is NaN under the
+    ``folds`` below 2, ``kappa`` outside [1, inf) and a candidate whose dim
+    is not the data's (``DimensionMismatchError`` naming each) are errors
+    whatever N is. Otherwise returns the blend estimator (structural, or
+    with the nonlinearly shrunken sample term when ``use_lwnl``) at the
+    selected group and refit intensity. The report's ``delta`` is NaN under the
     fallback and when R_hat is the zero matrix.
     """
     # the settings are checked before the fallback path can skip Tier 2
     calibration.alpha_grid(grid_points)
     if folds < 2:
         raise ValueError(f"cannot split {data.n_obs} rows into {folds} folds")
+    wrong = [g.name for g in lib.candidates if g.dim != data.dim]
+    if wrong:
+        raise DimensionMismatchError(f"library groups {wrong} do not act on "
+                                     f"the data's dimension {data.dim}")
     stats, n, k = DataStats.of(data), data.n_obs, min(folds, data.n_obs)
     admitted_names = tier1_admit(lib, n, data.dim, kappa)   # and kappa here
     # the largest fold holds ceil(n / k) rows; its training complement needs 2

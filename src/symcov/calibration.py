@@ -139,22 +139,36 @@ def _one_se_index(scores: np.ndarray) -> int:
     return best + 1 + int(promoted[-1]) if promoted.size else best
 
 
-def _factor(t: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
-    """(L^-1, logdet T, ||L^-1||_F^2) with T = L L^T, or None when T is not
-    positive definite."""
-    ell, info = lapack.dpotrf(t.values, lower=1, clean=1)
+def _factor(end: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
+    """(L^-1, logdet E, ||L^-1||_F^2) with E = L L^T when the blend end E
+    can whiten an alpha-curve, else None: the one test every whitening end
+    meets (S, and T on either route). E is positive definite with kappa =
+    max diag E ||L^-1||_F^2 and kappa^2 CURVE_GUARD <= 1. Whitened by E, the
+    other end can have eigenvalues down to about 1/kappa, which eigh resolves
+    to about eps kappa^2 relative; the bound keeps that within the
+    eps / CURVE_GUARD the guard allows. Near n_train = M the raw moment fails
+    it: whitening by it moved fold scores up to 6e-11 from their explicit
+    blends, against 3e-15 whitened by T. The LWNL term passes it below M
+    training rows too, its M - n_train null eigenvalues being of the order of
+    the kept ones, and fails it at n_train = M, where the sample spectrum
+    reaches down near zero, as does the trivial target there."""
+    ell, info = lapack.dpotrf(end.values, lower=1, clean=1)
     if info == 0:
         inv_ell, info = lapack.dtrtri(ell, lower=1)
     if info != 0:
         return None
-    return inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell)))), float(np.sum(inv_ell**2))
+    inv_norm_sq = float(np.sum(inv_ell**2))
+    if CURVE_GUARD * (np.diag(end.values).max() * inv_norm_sq) ** 2 > 1.0:
+        return None
+    return inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell)))), inv_norm_sq
 
 
 class DataStats(Dataset):
     """A centered dataset that computes on first use, and keeps, R_hat
     (``r_hat``), its ``lwnl_from_covariance`` result (``lwnl``), and per fold
     count the fold ``splits``, each fold's term per sample-term kind (the one
-    place its alpha-curve route is decided, in ``fold_scores``), each
+    place its alpha-curve route is decided, in ``fold_scores``: S whitens
+    only if it passes ``_factor``'s test, the one conditioning test), each
     distinct target's fold projections (``targets``) and its
     ``fold_scores``: the one cache of held-out statistics, shared by every
     group and call on it. Estimators read statistics through ``of``, which
@@ -213,8 +227,9 @@ class DataStats(Dataset):
         term, kept once per fold count and kind since no group changes it, is
         the one place its curve's route is decided: the sample term S
         (R_train, or its LWNL when ``use_lwnl``), its alpha = 0 score, and
-        either S's ``_sample_whitening`` or, for an R_train of fewer than M
-        rows, those training rows for the Gram route."""
+        either S's ``_whitening`` (None when S fails ``_factor``'s test) or,
+        for an R_train of fewer than M rows, those training rows for the
+        Gram route."""
         from . import shrinkage
 
         def term(fold, split):
@@ -227,7 +242,7 @@ class DataStats(Dataset):
             # the split keeps the rows of an R_train singular by rank (fewer than M):
             # no factor to try, the Gram route scores from them
             gram_rows = None if use_lwnl else x_train
-            whitening = None if gram_rows is not None else _sample_whitening(s, x_test, r_test)
+            whitening = None if gram_rows is not None else _whitening(s, x_test, r_test)
             return s, matrixcore.gaussian_nll_per_sample(s, r_test), whitening, gram_rows
 
         def score():
@@ -258,35 +273,20 @@ def _congruent(inv_ell: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _whiten(inv_ell, _whiten(inv_ell, a).T)
 
 
-def _sample_whitening(s: SymmetricMatrix, x_test: np.ndarray,
-                      r_test: SymmetricMatrix) -> tuple | None:
-    """(``_factor(S)``, ``_whitened_test`` by it) when the sample term S can
-    whiten every target's curve on its fold, else None: S is positive
-    definite with kappa = max diag S ||L^-1||_F^2 and kappa^2 CURVE_GUARD <= 1.
-    Whitened by S, the alpha = 1 end L^-1 T L^-T can have eigenvalues down to
-    about 1/kappa, which eigh resolves to about eps kappa^2 relative; the
-    bound keeps that within the eps / CURVE_GUARD the guard allows. Near
-    n_train = M the raw moment fails it: whitening by it moved fold scores up
-    to 6e-11 from their explicit blends, against 3e-15 whitened by T. The
-    LWNL term passes it below M training rows too, its M - n_train null
-    eigenvalues being of the order of the kept ones, and fails it at
-    n_train = M, where the sample spectrum reaches down near zero."""
-    factors = _factor(s)
-    if factors is None or CURVE_GUARD * (np.diag(s.values).max() * factors[2]) ** 2 > 1.0:
+def _whitening(end: SymmetricMatrix, x_test: np.ndarray, r_test: SymmetricMatrix) -> tuple | None:
+    """(``_factor(end)``, kernel, test statistic) for a blend end E that passes
+    ``_factor``'s test on one fold, else None. The test statistic, whitened
+    by E's factor with inverse L^-1, picks the kernel: ``_tridiagonal_curve``
+    with W = L^-1 X_test^T / sqrt(n_test) when the fold has fewer than
+    TRIDIAGONAL_ROW_FRACTION M test rows, ``_eigen_curve`` with
+    C = L^-1 R_test L^-T otherwise."""
+    factors = _factor(end)
+    if factors is None:
         return None
-    return factors, _whitened_test(factors[0], x_test, r_test)
-
-
-def _whitened_test(inv_ell: np.ndarray, x_test: np.ndarray,
-                   r_test: SymmetricMatrix) -> tuple:
-    """The curve kernel for one fold and its test statistic whitened by a
-    factor with inverse L^-1: ``_tridiagonal_curve`` with W = L^-1 X_test^T /
-    sqrt(n_test) when the fold has fewer than TRIDIAGONAL_ROW_FRACTION M test
-    rows, ``_eigen_curve`` with C = L^-1 R_test L^-T otherwise."""
-    n_test, m = x_test.shape
+    inv_ell, (n_test, m) = factors[0], x_test.shape
     if n_test < TRIDIAGONAL_ROW_FRACTION * m:
-        return _tridiagonal_curve, _whiten(inv_ell, x_test).T / np.sqrt(n_test)
-    return _eigen_curve, _congruent(inv_ell, r_test.values)
+        return factors, _tridiagonal_curve, _whiten(inv_ell, x_test).T / np.sqrt(n_test)
+    return factors, _eigen_curve, _congruent(inv_ell, r_test.values)
 
 
 def _eigen_curve(k: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -338,26 +338,23 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
     on one fold ``split`` (X_train, X_test, R_train, R_test), from one
     factorization L L^T of S or of T: L^-1 blend(alpha) L^-T = a I + b K for
     one symmetric K, so the logdet is logdet(L L^T) + logdet(a I + b K) and
-    the trace term is tr((a I + b K)^-1 L^-1 R_test L^-T). The fold's term
+    the trace term is tr((a I + b K)^-1 L^-1 R_test L^-T). Only an end that
+    passes ``_factor``'s conditioning test whitens. The fold's term
     (``DataStats.fold_scores``) has decided the route:
-    - By S, when its ``s_whitening`` (``_sample_whitening``) holds S's
-      ``_factor`` and the test statistic whitened by it:
-      K = L^-1 (T - S) L^-T, a = 1, b = alpha.
-    - Otherwise by T, factored here (``_factor``) once its residual is nonzero:
-      - Gram, when the term passes ``gram_rows``, the n_train < M training
-        rows of S = R_train: K = Y Y^T with Y = X_train L^-T / sqrt(n_train),
-        a = alpha, b = 1 - alpha; K is PSD, so lambda_min(K) >= 0. The other
-        M - n_train directions add (M - n_train) log alpha, and with
-        Z = X_test L^-T and W = Y Z^T the trace term is
-        (||Z||^2 - b tr(W^T (a I + b K)^-1 W)) / (alpha n_test).
-      - Otherwise K = L^-1 (S - T) L^-T, a = 1, b = 1 - alpha, with the test
-        statistic whitened by T (``_whitened_test``).
-    The whitened test statistic picks the kernel: ``_tridiagonal_curve`` for
-    fewer than TRIDIAGONAL_ROW_FRACTION M test rows, ``_eigen_curve``
-    otherwise. Alphas not certified to pass the pivot test of
+    - M x M, blend = E + beta (O - E) with E the whitening end and O the
+      other: K = L^-1 (O - E) L^-T, a = 1, b = beta, with E's ``_whitening``
+      picking the kernel. E = S with beta = alpha when the term holds S's
+      ``s_whitening``, else E = T with beta = 1 - alpha, T whitened here.
+    - Gram, when the term passes ``gram_rows``, the n_train < M training
+      rows of S = R_train, with T factored here: K = Y Y^T with
+      Y = X_train L^-T / sqrt(n_train), a = alpha, b = 1 - alpha; K is PSD,
+      so lambda_min(K) >= 0. The other M - n_train directions add
+      (M - n_train) log alpha, and with Z = X_test L^-T and W = Y Z^T the
+      trace term is (||Z||^2 - b tr(W^T (a I + b K)^-1 W)) / (alpha n_test).
+    Alphas not certified to pass the pivot test of
     ``gaussian_nll_per_sample`` (lambda_min(blend) >= lambda_min(a I + b K) /
     ||L^-1||_F^2, and no squared pivot exceeds the largest diagonal entry),
-    and all alphas when neither S nor T is factored or a tridiagonal pivot
+    and all alphas when no end passes ``_factor`` or a tridiagonal pivot
     fails, are scored on their explicit blends, so the +inf sentinel stays
     in one place. ``at_zero`` is the group-free alpha = 0 score.
     """
@@ -371,15 +368,18 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
         return scores
     certified = np.zeros(len(alphas), dtype=bool)
     a, b = alphas[1:], 1.0 - alphas[1:]
-    factors = s_whitening[0] if s_whitening is not None else _factor(target)
+    if gram_rows is None:   # blend = E + beta (O - E), with step = O - E
+        whitening, beta, step = ((s_whitening, a, residual) if s_whitening is not None
+                                 else (_whitening(target, x_test, r_test), b, -residual))
+        factors, kernel, test = whitening if whitening is not None else (None,) * 3
+    else:
+        factors = _factor(target)
     if factors is not None:
         inv_ell, logdet_l, inv_norm_sq = factors
         floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * inv_norm_sq
-        ones = np.ones_like(a)
-        if s_whitening is not None:
-            kernel, test = s_whitening[1]
-            curve = kernel(_congruent(inv_ell, residual), test, ones, a, floor)
-        elif gram_rows is not None:
+        if gram_rows is None:
+            curve = kernel(_congruent(inv_ell, step), test, np.ones_like(beta), beta, floor)
+        else:
             (n_test, m), n_train = x_test.shape, len(gram_rows)
             y = _whiten(inv_ell, gram_rows) / np.sqrt(n_train)
             z = _whiten(inv_ell, x_test)
@@ -387,9 +387,6 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
             a = a[keep]
             curve = (keep, logdet + (m - n_train) * np.log(a),
                      (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * n_test))
-        else:
-            kernel, test = _whitened_test(inv_ell, x_test, r_test)
-            curve = kernel(_congruent(inv_ell, -residual), test, ones, b, floor)
         certified[1:], logdet, trace = curve
         scores[certified] = 0.5 * (logdet_l + logdet + trace)
     for j in np.flatnonzero(~certified[1:]) + 1:

@@ -95,6 +95,13 @@ class PopulationSpec:
         if self.kind == POP_BLOCK_CIRCULANT and self.m % self.block_size:
             raise _FieldError(("block_size", "m"),
                               "block_circulant population needs block_size to divide m")
+        # the top ceil(split m) eigenvalues take the ratio: both blocks must be nonempty
+        split = self.two_block_split
+        if self.kind == POP_TWO_BLOCK and not (0.0 < split < 1.0
+                                               and math.ceil(split * self.m) < self.m):
+            raise _FieldError(("two_block_split", "m"), f"two_block population needs "
+                              f"0 < two_block_split and ceil(two_block_split * m) < m, "
+                              f"got {split} at m = {self.m}")
 
 
 def _ridge(values: np.ndarray) -> np.ndarray:
@@ -192,7 +199,7 @@ POPULATIONS = {
     POP_DELTA_CONTROLLED: (("base_seed", "group", "target_delta"), _delta_controlled),
     POP_IDENTITY: ((), lambda s: SymmetricMatrix.identity(s.m)),
     POP_TWO_BLOCK: (("base_seed", "two_block_ratio", "two_block_split"), lambda s: _rotated(
-        s, np.where(np.arange(s.m) < max(1, math.ceil(s.two_block_split * s.m)),
+        s, np.where(np.arange(s.m) < math.ceil(s.two_block_split * s.m),
                     s.two_block_ratio, 1.0))),
     POP_GEOMETRIC: (("base_seed", "geometric_decay"),
                     lambda s: _rotated(s, s.geometric_decay ** np.arange(s.m))),
@@ -447,7 +454,7 @@ class SweepConfig:
         for key, ok, need in (("grid_points", self.grid_points >= 2, ">= 2"),
                               ("folds", self.folds >= 2, ">= 2"),
                               ("n_list", min(self.n_list, default=0) >= 1, "entries >= 1"),
-                              ("n_test", self.n_test >= 1, ">= 1"),
+                              ("n_test", self.n_test >= 2, ">= 2"),
                               ("trials", self.trials >= 1, ">= 1"),
                               ("base_seed", self.base_seed >= 0, ">= 0"),
                               ("kappa", 1.0 <= self.kappa < math.inf, "finite and >= 1")):

@@ -316,10 +316,10 @@ class TestAlphaCurveOnLibrary:
     @pytest.mark.parametrize("use_lwnl,n", [
         (use_lwnl, n) for use_lwnl in (False, True) for n in (50, 100, 125, 150, 400, 2000)
         if (use_lwnl, n) != (True, 125)] + [pytest.param(True, 125, marks=pytest.mark.xfail(
-            strict=True, reason="at n_train = M the trivial target is near-singular: "
-                                "fold 0 of trivial-100 scores 5.2e6 nats at alpha = 1, "
-                                "where curve and explicit blend differ by 5.1e-10 "
-                                "relative (6.3e-10 before LWNL's p > n branch)"))])
+            strict=True, reason="fold 3 of trivial-100 is whitened by its LWNL term, and "
+                                "its trivial target (kappa about 1.3e5) is near-singular: "
+                                "at alpha = 1 curve and explicit blend differ by 3.5e-12 "
+                                "relative"))])
     def test_fold_scores_match_explicit_blends(self, pathway_decoys, n, use_lwnl):
         data = _pathway_rows(n)
         stats = DataStats.of(data)
@@ -370,6 +370,21 @@ class TestWhitening:
         for g in pathway_decoys.candidates:
             cv_nll_alpha(stats, g, use_lwnl_sample_term=True)
         assert len(calls) == folds * (len(distinct) - 1) + folds
+
+    def test_factor_rejects_an_ill_conditioned_positive_definite_end(self):
+        # kappa = max diag ||L^-1||_F^2 is about 1e6: kappa^2 CURVE_GUARD = 1e4 > 1
+        end = SymmetricMatrix(np.diag([1.0] * 7 + [1e-6]))
+        assert calibration._factor(end) is None
+        assert calibration._factor(SymmetricMatrix(np.diag([1.0] * 7 + [1e-3]))) is not None
+
+    def test_target_failing_the_test_scores_its_fold_explicitly(self, monkeypatch):
+        # n_train = M: fold 0's LWNL term and its trivial target (kappa about
+        # 2.9e7) both fail _factor's test, so all 12 alphas > 0 of that fold
+        # are scored on explicit blends, beside the five alpha = 0 scores
+        stats = DataStats.of(_pathway_rows(125))
+        calls = _record_nll_calls(monkeypatch)
+        cv_nll_alpha(stats, groups.trivial(100), use_lwnl_sample_term=True)
+        assert len(calls) == DEFAULT_FOLDS + DEFAULT_GRID_POINTS - 1
 
     def test_lwnl_selection_below_m_scores_explicitly_only_singular_ends(self,
                                                                          pathway_decoys,

@@ -70,9 +70,10 @@ class TestProject:
         assert run_cli("project", "--matrix", str(identity_csv),
                        "--group", str(gpath), "--out", str(out)) == 0
 
-    def test_missing_file_is_io_error(self, tmp_path):
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert run_cli("project", "--matrix", str(tmp_path / "nope.csv"),
                        "--group", "trivial:3", "--out", str(tmp_path / "o.csv")) == 4
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_nan_matrix_is_config_error_naming_line(self, tmp_path, capsys):
         src = tmp_path / "nan.csv"
@@ -81,9 +82,10 @@ class TestProject:
                        "--out", str(tmp_path / "out.csv")) == 2
         assert f"{src}:2:" in capsys.readouterr().err
 
-    def test_bad_group_spec_is_config_error(self, tmp_path, identity_csv):
+    def test_bad_group_spec_is_config_error(self, tmp_path, identity_csv, capsys):
         assert run_cli("project", "--matrix", str(identity_csv),
                        "--group", "bogus:3", "--out", str(tmp_path / "o.csv")) == 2
+        assert capsys.readouterr().err == "error: unknown group constructor 'bogus'\n"
 
     def test_bad_header_is_config_error_naming_line(self, tmp_path, capsys):
         src = tmp_path / "hdr.csv"
@@ -164,18 +166,20 @@ class TestEstimate:
             res = read_estimator_csv(out)
             assert res.matrix.dim == 4
 
-    def test_blend_without_alpha_is_config_error(self, tmp_path, dataset_csv):
+    def test_blend_without_alpha_is_config_error(self, tmp_path, dataset_csv, capsys):
         assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", "ad",
                        "--group", "block:2x2", "--out", str(tmp_path / "o.csv")) == 2
+        assert "estimator ad requires --alpha or --auto-alpha" in capsys.readouterr().err
 
     def test_eigensolver_failure_is_numerical_error(self, tmp_path, dataset_csv,
-                                                    monkeypatch):
+                                                    monkeypatch, capsys):
         def boom(values):
             raise np.linalg.LinAlgError("no convergence")
 
         monkeypatch.setattr(np.linalg, "eigh", boom)
         assert run_cli("estimate", "--data", str(dataset_csv), "--estimator", "lwnl",
                        "--out", str(tmp_path / "o.csv")) == 3
+        assert capsys.readouterr().err == "error: no convergence\n"
 
     @pytest.mark.parametrize("name,extra,flag", [
         ("ad", ["--group", "block:2x2", "--alpha", "0.25", "--auto-alpha", "cv"],
@@ -233,13 +237,15 @@ class TestCalibrate:
         assert run_cli("calibrate", "--data", str(dataset_csv), "--group", "block:2x2",
                        "--method", "cv", "--folds", "3", "--grid-points", "5",
                        "--trace", str(trace)) == 0
+        assert capsys.readouterr().out.endswith(" method=cv_nll\n")
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "fold,alpha,nll"
         assert len(lines) == 1 + 3 * 5
 
-    def test_one_grid_point_is_config_error(self, dataset_csv):
+    def test_one_grid_point_is_config_error(self, dataset_csv, capsys):
         assert run_cli("calibrate", "--data", str(dataset_csv), "--group", "block:2x2",
                        "--method", "cv", "--grid-points", "1") == 2
+        assert "alpha grid needs at least 2 points, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra,flag", [(["--use-lwnl"], "--use-lwnl"),
                                             (["--trace", "TRACE"], "--trace")])
@@ -275,7 +281,7 @@ def test_held_out_flag_without_held_out_calibration_is_config_error(
 
 
 class TestBmg:
-    def test_report_and_estimator_outputs(self, tmp_path, dataset_csv):
+    def test_report_and_estimator_outputs(self, tmp_path, dataset_csv, capsys):
         report = tmp_path / "report.csv"
         est = tmp_path / "est.csv"
         code = run_cli("bmg", "--data", str(dataset_csv),
@@ -283,17 +289,19 @@ class TestBmg:
                        "--kappa", "1.0", "--report", str(report),
                        "--estimator-out", str(est))
         assert code == 0
+        assert capsys.readouterr().out.startswith("selected=")
         lines = report.read_text().strip().splitlines()
         assert len(lines) == 4
         assert read_estimator_csv(est).matrix.dim == 4
 
-    def test_one_row_dataset_falls_back_with_exit_zero(self, tmp_path):
+    def test_one_row_dataset_falls_back_with_exit_zero(self, tmp_path, capsys):
         data_path = tmp_path / "one.csv"
         write_dataset_csv(data_path, Dataset(np.ones((1, 8))).center())
         report = tmp_path / "report.csv"
         code = run_cli("bmg", "--data", str(data_path), "--library",
                        "trivial:8;block:4x2", "--report", str(report))
         assert code == 0
+        assert capsys.readouterr().out.startswith("fallback alpha=")
         body = report.read_text()
         assert "candidate," in body
 
@@ -304,9 +312,10 @@ class TestBmg:
                        "--report", str(tmp_path / "r.csv")) == 0
         assert capsys.readouterr().out.rstrip().endswith("delta=nan")
 
-    def test_one_grid_point_is_config_error(self, tmp_path, dataset_csv):
+    def test_one_grid_point_is_config_error(self, tmp_path, dataset_csv, capsys):
         assert run_cli("bmg", "--data", str(dataset_csv), "--library", "trivial:4;s:4",
                        "--grid-points", "1", "--report", str(tmp_path / "r.csv")) == 2
+        assert "alpha grid needs at least 2 points, got 1" in capsys.readouterr().err
 
     def test_two_folds_on_three_rows_fall_back(self, tmp_path, capsys):
         # the larger of the two folds would leave one training row
@@ -325,6 +334,20 @@ class TestBmg:
         assert run_cli("bmg", "--data", str(data_path), "--library", "trivial:4;s:4",
                        "--folds", "1", "--report", str(tmp_path / "r.csv")) == 2
         assert f"cannot split {n} rows into 1 folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_library_of_wrong_dimension_is_config_error_naming_candidates(self, tmp_path,
+                                                                         capsys, n):
+        # checked before Tier 1, so N = 2 cannot reach the fallback
+        data_path = tmp_path / "data.csv"
+        write_dataset_csv(data_path, Dataset(np.random.default_rng(84).standard_normal(
+            (n, 6))).center())
+        report = tmp_path / "r.csv"
+        assert run_cli("bmg", "--data", str(data_path), "--library", "cyclic:4;s:4",
+                       "--report", str(report)) == 2
+        err = capsys.readouterr().err
+        assert "z4-flat" in err and "s4" in err
+        assert not report.exists()
 
     def test_one_token_header_is_config_error_naming_line(self, tmp_path, capsys):
         data_path = tmp_path / "hdr.csv"
@@ -354,7 +377,7 @@ class TestBmg:
                        "--report", str(tmp_path / "report.csv")) == 2
         assert f"{data_path}{message}" in capsys.readouterr().err
 
-    def test_library_directory(self, tmp_path, dataset_csv):
+    def test_library_directory(self, tmp_path, dataset_csv, capsys):
         libdir = tmp_path / "lib"
         libdir.mkdir()
         groups.write_group_file(libdir / "a.grp", groups.trivial(4))
@@ -362,6 +385,7 @@ class TestBmg:
         report = tmp_path / "report.csv"
         assert run_cli("bmg", "--data", str(dataset_csv), "--library", str(libdir),
                        "--kappa", "1.0", "--report", str(report)) == 0
+        assert capsys.readouterr().out.startswith("selected=")
 
     def test_comma_in_group_name_is_config_error(self, tmp_path, dataset_csv, capsys):
         lib = tmp_path / "lib"
@@ -377,7 +401,7 @@ class TestBmg:
 
 class TestVerifyLwnl:
     @pytest.mark.parametrize("c", ["0.5", "2"])
-    def test_summary_row_written(self, tmp_path, c):
+    def test_summary_row_written(self, tmp_path, capsys, c):
         out = tmp_path / "prial.csv"
         code = run_cli("verify-lwnl", "--c", c, "--m", "16", "--trials", "10",
                        "--seed", "3", "--out", str(out))
@@ -385,6 +409,8 @@ class TestVerifyLwnl:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "estimator,prial,se,mean_err,mean_err_sample,trials"
         assert len(lines) == 3
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(": PRIAL ")[0] for line in printed] == ["lw2004", "lwnl"]
 
     def test_unset_shape_flags_take_population_spec_defaults(self, tmp_path, monkeypatch):
         specs = []
@@ -418,6 +444,8 @@ class TestVerifyLwnl:
         (["--seed", "-1"], "--seed"),
         (["--population", synth.POP_TWO_BLOCK, "--two-block-ratio", "-3"], "--two-block-ratio"),
         (["--population", synth.POP_GEOMETRIC, "--geometric-decay", "0"], "--geometric-decay"),
+        (["--population", synth.POP_TWO_BLOCK, "--two-block-split", "3"], "--two-block-split"),
+        (["--population", synth.POP_TWO_BLOCK, "--two-block-split", "0"], "--two-block-split"),
     ])
     def test_failed_population_check_is_config_error_naming_flag(self, tmp_path, capsys,
                                                                  args, flag):
@@ -478,13 +506,15 @@ class TestSweepAndDecoy:
             assert row["error"] == "" and row["ad_fallback"] == row["adlwnl_fallback"] == "1"
 
     @pytest.mark.parametrize("key", ["folds", "grid_points"])
-    def test_sweep_single_fold_or_grid_point_is_config_error(self, tmp_path, key):
+    def test_sweep_single_fold_or_grid_point_is_config_error(self, tmp_path, capsys, key):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(sweep_cfg_with(f"{key} = 1"))
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+        assert f"config key '{key}': sweep needs {key} >= 2, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, key", [("kappa = 0.5", "kappa"), ("n_list = 16,0", "n_list"),
                                            ("n_test = 0", "n_test"),
+                                           ("n_test = 1", "n_test"),
                                            ("library = preset:grid8", "library"),
                                            ("population = bogus", "population"),
                                            ("population = group_invariant", "population"),
@@ -517,9 +547,19 @@ class TestSweepAndDecoy:
          "geometric_decay"),
         (population_cfg_with("population = random_spd", "population_seed = -4"),
          "population_seed"),
+        (population_cfg_with("population = two_block", "two_block_split = 2.0"),
+         "two_block_split"),
+        (population_cfg_with("population = two_block", "two_block_split = -1.0"),
+         "two_block_split"),
+        (population_cfg_with("population = two_block", "two_block_split = 0.0"),
+         "two_block_split"),
+        # ceil(0.9 m) = m at m = 6
+        (population_cfg_with("population = two_block", "two_block_split = 0.9"),
+         "two_block_split"),
     ], ids=["not-positive-definite", "unreachable-delta", "group-of-wrong-size",
             "negative-two-block-ratio", "zero-two-block-ratio", "zero-geometric-decay",
-            "negative-population-seed"])
+            "negative-population-seed", "two-block-split-above-one",
+            "negative-two-block-split", "zero-two-block-split", "two-block-split-rounding-to-m"])
     def test_unbuildable_population_is_config_error_naming_key(self, tmp_path, capsys,
                                                                command, text, key):
         # the failing key's line is the config's last
@@ -591,7 +631,7 @@ class TestSweepAndDecoy:
         assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_decoy_outputs(self, tmp_path):
+    def test_decoy_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "decoy.cfg"
         cfg.write_text(
             "m = 6\n"
@@ -609,6 +649,9 @@ class TestSweepAndDecoy:
         summary = tmp_path / "summary.csv"
         assert run_cli("decoy", "--config", str(cfg), "--out", str(out),
                        "--summary-out", str(summary)) == 0
+        # one "name: selected k/2" line per candidate selected at least once
+        printed = capsys.readouterr().out.splitlines()
+        assert printed and all(": selected " in line and line.endswith("/2") for line in printed)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 4  # trials x candidates
         assert summary.read_text().startswith("candidate,mean_cv_nll,selected_count")
@@ -625,17 +668,19 @@ class TestSweepAndDecoy:
                        "--out", str(tmp_path / "scores.csv")) == 2
         assert "LinAlgError: forced failure" in capsys.readouterr().err
 
-    def test_missing_config_is_io_error(self, tmp_path):
+    def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path / "o.csv")) == 4
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 class TestCliContract:
-    def test_unknown_flag_errors(self):
+    def test_unknown_flag_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("project", "--matrix", "x", "--group", "y", "--out", "z",
                     "--frobnicate")
         assert exc.value.code == 2
+        assert "error: unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -138,17 +138,18 @@ class TestWriterBytes:
         assert row == (f"5,1,7,inf,0.1,,,,,1e-300,,,,,,z3-flat,{THIRD},inf,1e-300,0"
                        ",,,,,,0,")
 
-    def test_verify_lwnl(self, tmp_path, monkeypatch):
+    def test_verify_lwnl(self, tmp_path, monkeypatch, capsys):
         rows = [{"estimator": "lwnl", "prial": np.float64(0.1), "se": 1 / 3,
                  "mean_err": np.float64(1e-300), "mean_err_sample": np.float64(np.inf),
                  "trials": 10}]
         monkeypatch.setattr(synth, "run_mp_verification", lambda *args, **kwargs: rows)
         out = tmp_path / "v.csv"
         assert run_cli("verify-lwnl", "--c", "0.5", "--out", out) == 0
+        assert capsys.readouterr().out == "lwnl: PRIAL 0.10% +- 0.33\n"
         assert out.read_text() == ("estimator,prial,se,mean_err,mean_err_sample,trials\n"
                                    f"lwnl,0.1,{THIRD},1e-300,inf,10\n")
 
-    def test_decoy(self, tmp_path, monkeypatch):
+    def test_decoy(self, tmp_path, monkeypatch, capsys):
         lib, report = self._report()
         record = synth.TrialRecord(cell_n=20, trial=0, seed=7, nll={}, frob={}, ad=report)
         monkeypatch.setattr(synth, "run_trial_sweep", lambda *args, **kwargs: iter([record]))
@@ -156,6 +157,7 @@ class TestWriterBytes:
         cfg.write_text("m = 3\nlibrary = cyclic:3;trivial:3\nn_list = 20\ntrials = 1\n")
         out, summary = tmp_path / "d.csv", tmp_path / "ds.csv"
         assert run_cli("decoy", "--config", cfg, "--out", out, "--summary-out", summary) == 0
+        assert capsys.readouterr().out == "z3-flat: selected 1/1\n"
         assert out.read_text() == (
             "trial,candidate,admitted,mean_cv_nll,best_alpha,selected,margin,delta\n"
             f"0,z3-flat,1,0.1,{THIRD},1,inf,1e-300\n"
@@ -164,7 +166,7 @@ class TestWriterBytes:
                                        "z3-flat,0.1,1,1\ntrivial-3,inf,0,1\n")
 
 
-def test_every_cli_writer_is_well_formed(tmp_path):
+def test_every_cli_writer_is_well_formed(tmp_path, capsys):
     rng = np.random.default_rng(83)
     data = tmp_path / "data.csv"
     matrixcore.write_dataset_csv(data, Dataset(rng.standard_normal((24, 6))).center())
@@ -190,6 +192,10 @@ def test_every_cli_writer_is_well_formed(tmp_path):
         ("decoy", "--config", decoy_cfg, "--out", out["decoy"], "--summary-out", out["summary"]),
     ):
         assert run_cli(*argv) == 0, argv
+    calibrate, bmg, *prial, decoy = capsys.readouterr().out.splitlines()
+    assert calibrate.endswith(" method=cv_nll") and bmg.startswith("selected=")
+    assert [line.split(": PRIAL ")[0] for line in prial] == ["lw2004", "lwnl"]
+    assert ": selected " in decoy
     check_matrix_body(out["project"].read_text().splitlines())
     for name in ("estimate", "winner"):
         meta, *body = out[name].read_text().splitlines()

@@ -341,15 +341,6 @@ class TestTrialSweep:
         assert len(records) == len(config.n_list)
         assert all("forced failure" in r.error for r in records)
 
-    def test_degenerate_test_set_scores_without_error(self):
-        # n_test=1 centers to the zero row, so the test covariance is the
-        # zero matrix; scoring still proceeds (the trace term vanishes)
-        config = tiny_sweep_config(n_list=(16,), n_test=1, trials=1,
-                                   estimators=("sample", "lw2004"))
-        rec = next(iter(run_trial_sweep(config)))
-        assert rec.error is None
-        assert all(math.isfinite(v) for v in rec.nll.values())
-
     def test_one_and_two_rows_keep_the_record(self):
         # N = 1: LWNL is undefined and left empty, every other estimator is
         # scored; N = 2: LW2004 pins alpha = 1, so it and the BMG fallbacks
