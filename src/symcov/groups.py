@@ -507,10 +507,12 @@ def enumerate_group(generators: list[np.ndarray], dim: int,
     return [np.array(e, dtype=int) for e in sorted(seen)]
 
 
+@functools.lru_cache(maxsize=128)
 def capped_order(g: GroupAction, cap: int) -> int:
     """min(|G|, cap) for cap >= 1, exact: the generator closure stops once it
     has ``cap`` elements, so the cost is bounded by the cap, not by |G|. The
-    Haar average, which has no finite order, counts as ``cap``."""
+    Haar average, which has no finite order, counts as ``cap``. Memoized per
+    (group, cap), like ``orbit_partition``."""
     if g.kind == KIND_HAAR:
         return cap
     elements = enumerate_group(g.generators, g.dim, cap=cap - 1)

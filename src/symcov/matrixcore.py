@@ -262,13 +262,23 @@ def read_matrix_csv(path) -> SymmetricMatrix:
 
 
 def parse_matrix(path, lines: list[tuple[int, str]]) -> SymmetricMatrix:
-    """A matrix CSV body: the dimension line M, then exactly M rows."""
+    """A matrix CSV body: the dimension line M, then exactly M rows of a
+    symmetric matrix. An entry that differs from its transpose by more than
+    1e-12 of the largest entry raises ValueError naming the file and the
+    line of the first row holding one."""
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     (m,) = parse_header(path, lines[0], 1)
     if len(lines) != m + 1:
         raise ValueError(f"{path}: expected {m} rows, found {len(lines) - 1}")
-    return SymmetricMatrix(parse_rows(path, lines[1:], m))
+    a = parse_rows(path, lines[1:], m)
+    apart = np.abs(a - a.T) > 1e-12 * np.abs(a).max()
+    if apart.any():
+        i, j = np.argwhere(apart)[0].tolist()
+        raise ValueError(f"{path}:{lines[1 + i][0]}: matrix is not symmetric: entry "
+                         f"({i + 1}, {j + 1}) is {format_field(a[i, j])}, its transpose "
+                         f"{format_field(a[j, i])}")
+    return SymmetricMatrix(a)
 
 
 def write_dataset_csv(path, data: Dataset) -> None:
@@ -277,7 +287,8 @@ def write_dataset_csv(path, data: Dataset) -> None:
 
 def read_dataset_csv(path) -> Dataset:
     """A centered dataset: the header line N,M, then N column-centered rows.
-    Rows that are not centered raise ValueError naming the header line."""
+    Rows that are not centered, a single row that is not zero included,
+    raise ValueError naming the header line."""
     lines = read_csv_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
@@ -286,6 +297,10 @@ def read_dataset_csv(path) -> Dataset:
         raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     rows = parse_rows(path, lines[1:], m)
     try:
+        # Dataset takes a single row as centered by assumption; in a file, a
+        # column with no spread must be zero however many rows it has
+        if n == 1 and rows.any():
+            raise CenteringError
         return Dataset(rows, centered=True)
     except CenteringError:
         raise ValueError(f"{path}:{lines[0][0]}: column means are not zero; "

@@ -450,6 +450,11 @@ class SweepConfig:
         unknown = set(self.estimators) - set(ESTIMATOR_ORDER)
         if unknown:
             raise _FieldError(("estimators",), f"unknown estimator toggles {sorted(unknown)}")
+        if not self.estimators:
+            raise _FieldError(("estimators",), "sweep needs at least one estimator")
+        repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
+        if repeated:
+            raise _FieldError(("estimators",), f"estimators {repeated} named more than once")
         # settings under which every trial would fail
         for key, ok, need in (("grid_points", self.grid_points >= 2, ">= 2"),
                               ("folds", self.folds >= 2, ">= 2"),

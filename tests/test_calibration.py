@@ -290,12 +290,15 @@ class TestAlphaCurve:
         assert not np.array_equal(a.fold_scores[:, 1:], b.fold_scores[:, 1:])
 
     def test_one_cholesky_score_per_fold_when_well_conditioned(self, monkeypatch):
+        # every R_train whitens: its one factor also scores alpha = 0, so no
+        # blend is scored explicitly
         calls = _record_nll_calls(monkeypatch)
+        factors = _record_factorizations(monkeypatch)
         folds = 5
         stats = DataStats.of(_rows(200, 6, 65))
         for g in [groups.cyclic(6), groups.block_symmetric(3, 2)]:
             cv_nll_alpha(stats, g, folds=folds)
-        assert len(calls) == folds
+        assert len(calls) == 0 and len(factors) == folds
 
 
 @pytest.fixture(scope="module")
@@ -379,12 +382,12 @@ class TestWhitening:
 
     def test_target_failing_the_test_scores_its_fold_explicitly(self, monkeypatch):
         # n_train = M: fold 0's LWNL term and its trivial target (kappa about
-        # 2.9e7) both fail _factor's test, so all 12 alphas > 0 of that fold
-        # are scored on explicit blends, beside the five alpha = 0 scores
+        # 2.9e7) both fail _factor's test, so all 13 alphas of that fold are
+        # scored on explicit blends; the other four folds whiten by S
         stats = DataStats.of(_pathway_rows(125))
         calls = _record_nll_calls(monkeypatch)
         cv_nll_alpha(stats, groups.trivial(100), use_lwnl_sample_term=True)
-        assert len(calls) == DEFAULT_FOLDS + DEFAULT_GRID_POINTS - 1
+        assert len(calls) == DEFAULT_GRID_POINTS
 
     def test_lwnl_selection_below_m_scores_explicitly_only_singular_ends(self,
                                                                          pathway_decoys,
@@ -399,10 +402,13 @@ class TestWhitening:
     @pytest.mark.parametrize("use_lwnl", [False, True])
     def test_no_explicit_blends_near_full_rank(self, pathway_decoys, n, use_lwnl,
                                                monkeypatch):
-        # n_train = M .. 1.04 M: S is whitened only when well-conditioned
+        # n_train = M .. 1.04 M: S is whitened only when well-conditioned, and
+        # only a fold whose S is not scores its alpha = 0 explicitly: R_train
+        # of M or M + 1 rows (N = 125, 126), and fold 0's LWNL term at N = 125
+        explicit = {(125, False): DEFAULT_FOLDS, (126, False): DEFAULT_FOLDS, (125, True): 1}
         calls = _record_nll_calls(monkeypatch)
         bmg.bmg_with_fallback(_pathway_rows(n), pathway_decoys, use_lwnl=use_lwnl)
-        assert len(calls) == DEFAULT_FOLDS
+        assert len(calls) == explicit.get((n, use_lwnl), 0)
 
     @pytest.mark.parametrize("n,use_lwnl", [(150, False), (400, False), (150, True)])
     def test_constant_column_whitens_every_curve_by_its_target(self, pathway_decoys, n,
@@ -529,6 +535,17 @@ class TestTridiagonalRoute:
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
         assert finite.any()
 
+    def test_no_alpha_certified_scores_no_blend(self):
+        rng = np.random.default_rng(55)
+        k = rng.standard_normal((5, 5))
+        k += k.T
+        a, b = np.ones(3), np.array([0.25, 0.5, 1.0])
+        floor = (a + b * np.linalg.eigvalsh(k)[0]).max() + 1.0   # above every bound
+        keep, logdet, trace = calibration._tridiagonal_curve(k, rng.standard_normal((5, 2)),
+                                                             a, b, floor)
+        np.testing.assert_array_equal(keep, [False] * 3)
+        assert logdet.size == trace.size == 0
+
     @pytest.mark.parametrize("m", [2, 3, 7])
     def test_kernel_matches_dense_algebra(self, m):
         rng = np.random.default_rng(52 + m)
@@ -570,12 +587,14 @@ class TestTridiagonalRoute:
         calls = _record_nll_calls(monkeypatch)
         for use_lwnl in (False, True):
             cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl)
-        assert len(calls) == 2 * calibration.DEFAULT_FOLDS   # the alpha = 0 scores alone
+        # the raw term's alpha = 0 scores alone: the LWNL term whitens and
+        # scores alpha = 0 from its factor
+        assert len(calls) == calibration.DEFAULT_FOLDS
         monkeypatch.setattr(calibration.lapack, "dptsv", lambda d, e, b: (d, e, b, 1))
         for use_lwnl in (False, True):
             calls.clear()
             got = cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl).fold_scores
-            assert len(calls) == got.size
+            assert len(calls) == got.size - use_lwnl * calibration.DEFAULT_FOLDS
             want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl)
             finite = np.isfinite(want)
             np.testing.assert_array_equal(np.isfinite(got), finite)
@@ -665,6 +684,52 @@ class TestFoldStats:
         np.testing.assert_array_equal(stats.r_hat.values, sample_covariance(data).values)
         assert stats.splits(5) is stats.splits(5)
         assert len(stats.splits(3)) == 3 and stats.splits(3) is not stats.splits(5)
+
+
+class TestFixedCosts:
+    """Work no candidate changes is done once per fold or group: a whitened
+    fold's alpha = 0 score is read off its factor, a training moment of at
+    least 2M rows is downdated from R_hat, and a group's partition key is
+    memoized."""
+
+    @pytest.mark.parametrize("n,m,use_lwnl,kernel", [
+        (15, 16, True, "_tridiagonal_curve"), (200, 6, False, "_eigen_curve"),
+        (40, 8, True, "_eigen_curve")])
+    def test_whitened_alpha_zero_matches_explicit_score(self, n, m, use_lwnl, kernel,
+                                                         monkeypatch):
+        data, g = _rows(n, m, 66), groups.cyclic(m)
+        stats = DataStats.of(data)
+        kernel_calls, original = [], getattr(calibration, kernel)
+        monkeypatch.setattr(calibration, kernel,
+                            lambda *args, **kw: kernel_calls.append(1) or original(*args, **kw))
+        calls = _record_nll_calls(monkeypatch)
+        got = cv_nll_alpha(stats, g, use_lwnl_sample_term=use_lwnl).fold_scores[:, 0]
+        assert calls == [] and len(kernel_calls) == DEFAULT_FOLDS
+        want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl)[:, 0]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [250, 2000], ids=["n_train=2M", "N=2000"])
+    def test_downdated_training_moment_matches_sliced_rows(self, n, monkeypatch):
+        stats, copies, delete = DataStats.of(_pathway_rows(n)), [], np.delete
+        monkeypatch.setattr(np, "delete", lambda *args, **kw: copies.append(1) or delete(
+            *args, **kw))
+        splits = stats.splits(DEFAULT_FOLDS)
+        monkeypatch.undo()
+        assert copies == []
+        for test, (train, _, r_train, _) in zip(fold_slices(n, DEFAULT_FOLDS), splits):
+            assert train is None and n - (test.stop - test.start) >= 2 * stats.dim
+            want = second_moment(np.delete(stats.rows, test, axis=0)).values
+            np.testing.assert_allclose(r_train.values, want, rtol=0,
+                                       atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("g", [groups.trivial(6), groups.cyclic(6), _alternating_6(),
+                                   groups.full_symmetric(6), groups.haar_orthogonal(6)],
+                             ids=lambda g: g.name)
+    def test_partition_key_memoized_as_computed(self, g):
+        key = calibration._partition_key(g)
+        assert key == calibration._partition_key.__wrapped__(g)
+        assert calibration._partition_key(g) is key
+        assert calibration._partition_key.cache_info().maxsize == 128
 
 
 class TestOneStandardErrorRule:

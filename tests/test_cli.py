@@ -1,4 +1,5 @@
 import importlib
+import re
 import subprocess
 import sys
 
@@ -81,6 +82,20 @@ class TestProject:
         assert run_cli("project", "--matrix", str(src), "--group", "cyclic:2",
                        "--out", str(tmp_path / "out.csv")) == 2
         assert f"{src}:2:" in capsys.readouterr().err
+
+    def test_asymmetric_matrix_is_config_error_naming_line(self, tmp_path, capsys):
+        src, out = tmp_path / "asym.csv", tmp_path / "out.csv"
+        src.write_text("2\n1.0,5.0\n0.0,1.0\n")
+        assert run_cli("project", "--matrix", str(src), "--group", "trivial:2",
+                       "--out", str(out)) == 2
+        assert f"{src}:2: matrix is not symmetric: entry (1, 2) is 5.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_asymmetry_within_rounding_is_read(self, tmp_path):
+        src, out = tmp_path / "near.csv", tmp_path / "out.csv"
+        src.write_text("2\n2.0,1.0\n1.0000000000001,2.0\n")
+        assert run_cli("project", "--matrix", str(src), "--group", "trivial:2",
+                       "--out", str(out)) == 0
 
     def test_bad_group_spec_is_config_error(self, tmp_path, identity_csv, capsys):
         assert run_cli("project", "--matrix", str(identity_csv),
@@ -219,6 +234,13 @@ class TestEstimate:
                        "--out", str(tmp_path / "o.csv")) == 2
         err = capsys.readouterr().err
         assert "would ignore --grid-points" in err and "at least 2 points" not in err
+
+    def test_asymmetric_estimator_matrix_names_line(self, tmp_path):
+        path = tmp_path / "est.csv"
+        path.write_text("sample,,,\n3\n1.0,0.0,0.0\n0.0,1.0,0.5\n0.0,0.0,1.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: matrix is not symmetric: entry (2, 3) is 0.5, its transpose 0.0")):
+            read_estimator_csv(path)
 
     def test_short_estimator_metadata_names_line(self, tmp_path):
         # no subcommand reads estimator CSVs; the reader is checked directly
@@ -369,7 +391,9 @@ class TestBmg:
         ("2,0\n\n", ":1: expected positive integers"),
         ("\n2,2\n1.0,2.0\n3.0,-2.0\n", ":2: column means are not zero"),
         ("2,2\n1.0,2.0\n1.0,-2.0\n", ":1: column means are not zero"),
-    ], ids=["no-rows", "no-columns", "uncentered", "constant-nonzero-column"])
+        ("1,2\n3.0,4.0\n", ":1: column means are not zero"),
+    ], ids=["no-rows", "no-columns", "uncentered", "constant-nonzero-column",
+            "one-nonzero-row"])
     def test_bad_dataset_is_config_error_naming_line(self, tmp_path, capsys, text, message):
         data_path = tmp_path / "bad.csv"
         data_path.write_text(text)
@@ -520,7 +544,9 @@ class TestSweepAndDecoy:
                                            ("population = group_invariant", "population"),
                                            ("block_size = 4", "block_size"),
                                            ("base_seed = -1", "base_seed"),
-                                           ("trials = 0", "trials")])
+                                           ("trials = 0", "trials"),
+                                           ("estimators =", "estimators"),
+                                           ("estimators = sample,sample", "estimators")])
     def test_sweep_config_failing_every_trial_is_config_error(self, tmp_path, capsys,
                                                               line, key):
         # the failing key's line is the config's last

@@ -183,6 +183,19 @@ class TestCappedOrder:
         assert capped_order(groups.haar_orthogonal(4), 7) == 7
         assert capped_order(groups.trivial(4), 7) == 1
 
+    @pytest.mark.parametrize("g,cap", [(groups.cyclic(12), 5), (groups.cyclic(12), 13),
+                                       (groups.full_symmetric(6), 30),
+                                       (groups.haar_orthogonal(3), 4)],
+                             ids=["z12-cap5", "z12-cap13", "s6-cap30", "haar3-cap4"])
+    def test_memoized_as_computed(self, g, cap):
+        want = capped_order.__wrapped__(g, cap)
+        assert capped_order(g, cap) == want
+        hits = capped_order.cache_info().hits
+        # an equal group built afresh reads the same entry
+        assert capped_order(GroupAction(g.name, g.dim, g.generators, g.kind), cap) == want
+        assert capped_order.cache_info().hits == hits + 1
+        assert capped_order.cache_info().maxsize == 128
+
 
 class TestOrbitPartition:
     def test_trivial_m3(self):

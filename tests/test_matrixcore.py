@@ -194,6 +194,15 @@ class TestCsv:
         np.testing.assert_array_equal(back.rows, d.rows)
         assert back.centered
 
+    def test_one_row_dataset_must_be_zero(self, tmp_path):
+        # Dataset takes one row as centered; a file's single row must be zero
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n3.0,4.0\n")
+        with pytest.raises(ValueError, match=f"{path}:1: column means are not zero"):
+            read_dataset_csv(path)
+        path.write_text("1,2\n0.0,0.0\n")
+        assert read_dataset_csv(path).centered
+
     def test_malformed_matrix_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("3\n1,2,3\n4,5,6\n")
