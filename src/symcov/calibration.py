@@ -7,7 +7,6 @@ so a parallel caller gets identical results to a serial one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,10 +242,9 @@ class DataStats(Dataset):
         (R_train, or its LWNL when ``use_lwnl``), its alpha = 0 score, and
         either S's ``_whitening`` (None when S fails ``_factor``'s test) or,
         for an R_train of fewer than M rows, those training rows for the
-        Gram route. A whitened S scores alpha = 0 from its factor as
-        (logdet S + tr(S^-1 R_test)) / 2, with the trace read off the
-        whitened test statistic; any other S by ``gaussian_nll_per_sample``,
-        the one home of the +inf sentinel."""
+        Gram route. A whitened S scores alpha = 0 as (logdet S + the trace
+        ``_whitening`` returns) / 2; any other S by
+        ``gaussian_nll_per_sample``, the one home of the +inf sentinel."""
         from . import shrinkage
 
         def term(fold, split):
@@ -262,10 +260,9 @@ class DataStats(Dataset):
             whitening = None if gram_rows is not None else _whitening(s, x_test, r_test)
             if whitening is None:
                 return s, matrixcore.gaussian_nll_per_sample(s, r_test), None, gram_rows
-            # alpha = 0 from S's own factor: tr(S^-1 R_test) is tr C, or ||W||_F^2
-            (_, logdet_s, _), kernel, test = whitening
-            trace = np.trace(test) if kernel is _eigen_curve else np.einsum("ij,ij->", test, test)
-            return s, 0.5 * (logdet_s + float(trace)), whitening, None
+            # alpha = 0 from S's own factor and the trace of its whitened test statistic
+            (_, logdet_s, _), _, _, trace = whitening
+            return s, 0.5 * (logdet_s + trace), whitening, None
 
         def score():
             splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
@@ -280,12 +277,11 @@ class DataStats(Dataset):
                             score)
 
 
-@functools.lru_cache(maxsize=128)
 def _partition_key(g: GroupAction):
-    """Equal for groups whose projections agree bitwise (Haar: one per
-    dimension). Memoized like ``orbit_partition``, so each group's M^2 labels
-    are serialized and hashed once."""
-    return g.dim if g.kind == KIND_HAAR else orbit_partition(g).sym_class_of.tobytes()
+    """Equal for groups whose projections agree bitwise: the buffer of
+    labels the projection reads, ``orbit_partition(g).key``, so no group's
+    labels are held twice (Haar: one per dimension)."""
+    return g.dim if g.kind == KIND_HAAR else orbit_partition(g).key
 
 
 def _whiten(inv_ell: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -299,19 +295,21 @@ def _congruent(inv_ell: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _whitening(end: SymmetricMatrix, x_test: np.ndarray, r_test: SymmetricMatrix) -> tuple | None:
-    """(``_factor(end)``, kernel, test statistic) for a blend end E that passes
-    ``_factor``'s test on one fold, else None. The test statistic, whitened
-    by E's factor with inverse L^-1, picks the kernel: ``_tridiagonal_curve``
-    with W = L^-1 X_test^T / sqrt(n_test) when the fold has fewer than
-    TRIDIAGONAL_ROW_FRACTION M test rows, ``_eigen_curve`` with
-    C = L^-1 R_test L^-T otherwise."""
+    """(``_factor(end)``, kernel, test statistic, tr(E^-1 R_test)) for a blend
+    end E that passes ``_factor``'s test on one fold, else None. The test
+    statistic, whitened by E's factor with inverse L^-1, picks the kernel:
+    ``_tridiagonal_curve`` with W = L^-1 X_test^T / sqrt(n_test), whose trace
+    is ||W||_F^2, when the fold has fewer than TRIDIAGONAL_ROW_FRACTION M test
+    rows, ``_eigen_curve`` with C = L^-1 R_test L^-T, trace tr C, otherwise."""
     factors = _factor(end)
     if factors is None:
         return None
     inv_ell, (n_test, m) = factors[0], x_test.shape
     if n_test < TRIDIAGONAL_ROW_FRACTION * m:
-        return factors, _tridiagonal_curve, _whiten(inv_ell, x_test).T / np.sqrt(n_test)
-    return factors, _eigen_curve, _congruent(inv_ell, r_test.values)
+        w = _whiten(inv_ell, x_test).T / np.sqrt(n_test)
+        return factors, _tridiagonal_curve, w, float(np.einsum("ij,ij->", w, w))
+    c = _congruent(inv_ell, r_test.values)
+    return factors, _eigen_curve, c, float(np.trace(c))
 
 
 def _eigen_curve(k: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -381,10 +379,7 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
     ||L^-1||_F^2, and no squared pivot exceeds the largest diagonal entry),
     and all alphas when no end passes ``_factor`` or a tridiagonal pivot
     fails, are scored on their explicit blends, so the +inf sentinel stays
-    in one place. ``at_zero`` is the group-free alpha = 0 score, which the
-    fold's term read from S's factor when S whitens (the trace of the
-    whitened test statistic), and took by ``gaussian_nll_per_sample``
-    otherwise.
+    in one place. ``at_zero`` is the fold term's group-free alpha = 0 score.
     """
     s, t = sample_term.values, target.values
     _, x_test, _, r_test = split
@@ -399,7 +394,7 @@ def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tupl
     if gram_rows is None:   # blend = E + beta (O - E), with step = O - E
         whitening, beta, step = ((s_whitening, a, residual) if s_whitening is not None
                                  else (_whitening(target, x_test, r_test), b, -residual))
-        factors, kernel, test = whitening if whitening is not None else (None,) * 3
+        factors, kernel, test, _ = whitening if whitening is not None else (None,) * 4
     else:
         factors = _factor(target)
     if factors is not None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import os
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,26 +112,28 @@ class GroupAction:
 @dataclass(frozen=True)
 class OrbitPartition:
     """Partition of ordered index pairs (i, j) into orbits of the conjugation
-    action, plus the symmetric merge of each class with its transpose.
+    action, merged with the transpose of each class.
 
     ``n_classes`` is the ordered-pair class count, i.e. the dimension of the
     full commutant algebra. ``d_g`` counts classes after merging (i, j) with
     (j, i): the dimension of the commutant restricted to symmetric matrices,
     which is the quantity the estimation theory runs on. Both are retained
     because group catalogues quote either one depending on context.
+
+    The merged labels are held once, as the bytes ``key`` that keys the
+    held-out fold caches; ``sym_class_of``, which the projection reads, is a
+    read-only view of them.
     """
 
     dim: int
-    class_of: np.ndarray        # (M, M) ordered-pair class ids
+    key: bytes = field(repr=False)   # the merged labels' buffer
+    sym_class_of: np.ndarray    # (M, M) view of ``key``: ids after merging transposes
     n_classes: int
-    sym_class_of: np.ndarray    # (M, M) ids after merging transposes
     d_g: int
     sym_anchor: np.ndarray      # flat index of each merged class's first entry
     sym_counts: np.ndarray      # entry count of each merged class
 
     def __post_init__(self) -> None:
-        self.class_of.flags.writeable = False
-        self.sym_class_of.flags.writeable = False
         self.sym_anchor.flags.writeable = False
         self.sym_counts.flags.writeable = False
 
@@ -229,9 +231,10 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
     class_of = labels.reshape(m, m)
     # Transposition is an involution on classes: merge each with its image.
     sym_labels, sym_anchor = _renumber_first_occurrence(np.minimum(class_of, class_of.T).ravel())
-    return OrbitPartition(dim=m, class_of=class_of, n_classes=len(anchor),
-                          sym_class_of=sym_labels.reshape(m, m), d_g=len(sym_anchor),
-                          sym_anchor=sym_anchor, sym_counts=np.bincount(sym_labels))
+    key = sym_labels.tobytes()
+    return OrbitPartition(dim=m, key=key, sym_class_of=np.frombuffer(key, np.intp).reshape(m, m),
+                          n_classes=len(anchor), d_g=len(sym_anchor), sym_anchor=sym_anchor,
+                          sym_counts=np.bincount(sym_labels))
 
 
 def _anchored_mean(values: np.ndarray, anchor: float) -> float:

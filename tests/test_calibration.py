@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -690,7 +691,7 @@ class TestFixedCosts:
     """Work no candidate changes is done once per fold or group: a whitened
     fold's alpha = 0 score is read off its factor, a training moment of at
     least 2M rows is downdated from R_hat, and a group's partition key is
-    memoized."""
+    its partition's label buffer, so each group holds its labels once."""
 
     @pytest.mark.parametrize("n,m,use_lwnl,kernel", [
         (15, 16, True, "_tridiagonal_curve"), (200, 6, False, "_eigen_curve"),
@@ -725,11 +726,40 @@ class TestFixedCosts:
     @pytest.mark.parametrize("g", [groups.trivial(6), groups.cyclic(6), _alternating_6(),
                                    groups.full_symmetric(6), groups.haar_orthogonal(6)],
                              ids=lambda g: g.name)
-    def test_partition_key_memoized_as_computed(self, g):
-        key = calibration._partition_key(g)
-        assert key == calibration._partition_key.__wrapped__(g)
-        assert calibration._partition_key(g) is key
-        assert calibration._partition_key.cache_info().maxsize == 128
+    def test_partition_key_is_the_partitions_label_buffer(self, g):
+        if g.kind == groups.KIND_HAAR:
+            assert calibration._partition_key(g) == g.dim
+            return
+        part = groups.orbit_partition(g)
+        assert calibration._partition_key(g) is part.key
+        assert part.sym_class_of.tobytes() == part.key
+        assert not part.sym_class_of.flags.writeable
+        with pytest.raises(ValueError):
+            part.sym_class_of.flags.writeable = True
+
+    def test_partition_keys_equal_exactly_for_equal_partitions(self, pathway_decoys):
+        names_of = {}
+        for g in pathway_decoys.candidates:
+            names_of.setdefault(calibration._partition_key(g), []).append(g.name)
+        # only the random subgroup shares a partition: it generates S_100
+        assert [names for names in names_of.values() if len(names) > 1] == [
+            ["s100", "random-s100-subgroup-seed42"]]
+        assert len(names_of) == len(pathway_decoys.candidates) - 1
+
+    def test_partitions_and_keys_hold_one_label_array_per_group(self):
+        # M = 400: 20 generator groups of 1.2 MiB of labels each, plus
+        # anchors and counts (26.3 MiB), and no second copy of the labels
+        # for the key (75.1 MiB with ordered labels and a copied key)
+        candidates = synth.pathway_library_with_decoys(400).candidates
+        groups.orbit_partition.cache_clear()
+        tracemalloc.start()
+        try:
+            held = [(groups.orbit_partition(g), calibration._partition_key(g))
+                    for g in candidates]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 20 and retained <= 30 * 2**20
 
 
 class TestOneStandardErrorRule:

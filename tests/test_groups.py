@@ -108,10 +108,10 @@ def generator_sets(draw):
 
 
 def pair_union_find_partition(g):
-    """The five OrbitPartition fields from a plain union-find over the M^2
-    ordered pairs, joining every pair with its image under each generator.
-    A pair whose points a generator fixes is its own image, so only pairs
-    with a moved point are visited."""
+    """n_classes, sym_class_of, d_g, sym_anchor and sym_counts from a plain
+    union-find over the M^2 ordered pairs, joining every pair with its image
+    under each generator. A pair whose points a generator fixes is its own
+    image, so only pairs with a moved point are visited."""
     m = g.dim
     parent = list(range(m * m))
 
@@ -137,7 +137,8 @@ def pair_union_find_partition(g):
             if key not in sym_ids:
                 anchors.append(i * m + j)
             sym_class_of[i, j] = sym_ids.setdefault(key, len(sym_ids))
-    return class_of, len(ids), sym_class_of, len(sym_ids), np.array(anchors)
+    return (len(ids), sym_class_of, len(sym_ids), np.array(anchors),
+            np.bincount(sym_class_of.ravel()))
 
 
 class TestGroupActionHash:
@@ -215,7 +216,7 @@ class TestOrbitPartition:
             part = orbit_partition(g)
             for perm in g.generators:
                 np.testing.assert_array_equal(
-                    part.class_of, part.class_of[np.ix_(perm, perm)])
+                    part.sym_class_of, part.sym_class_of[np.ix_(perm, perm)])
 
     def test_grid_anchor_values(self):
         # 8x8 grid anchors; each group carries two integer invariants, the
@@ -255,16 +256,20 @@ class TestOrbitPartition:
     @settings(max_examples=80, deadline=None)
     @given(generator_sets())
     def test_classes_are_exactly_the_orbitals(self, case):
-        # (a, b) and (c, d) share a class exactly when an enumerated group
-        # element maps one to the other
+        # (a, b) and (c, d) share a merged class exactly when an enumerated
+        # group element maps one to (c, d) or to (d, c); n_classes counts
+        # the ordered orbitals
         m, gens = case
         part = orbit_partition(GroupAction(name="g", dim=m, generators=tuple(gens)))
         elements = np.array(enumerate_group(gens, m))
         images = (elements[:, :, None] * m + elements[:, None, :]).reshape(len(elements), -1)
         joined = np.zeros((m * m, m * m), dtype=bool)
         joined[np.arange(m * m), images] = True
-        flat = part.class_of.ravel()
-        np.testing.assert_array_equal(joined, flat[:, None] == flat[None, :])
+        merged = joined | joined[:, np.arange(m * m).reshape(m, m).T.ravel()]
+        flat = part.sym_class_of.ravel()
+        np.testing.assert_array_equal(merged, flat[:, None] == flat[None, :])
+        assert part.n_classes == len(np.unique(joined, axis=0))
+        assert part.d_g == len(np.unique(merged, axis=0))
 
     @pytest.mark.parametrize("spec", ["preset:pathway100+decoys", "preset:grid8"])
     def test_library_partitions_match_pair_union_find(self, spec):
@@ -272,10 +277,10 @@ class TestOrbitPartition:
             if g.kind not in (groups.KIND_GENERATOR, groups.KIND_TRIVIAL):
                 continue
             part = orbit_partition(g)
-            class_of, n_classes, sym_class_of, d_g, sym_anchor = pair_union_find_partition(g)
-            np.testing.assert_array_equal(part.class_of, class_of, err_msg=g.name)
+            n_classes, sym_class_of, d_g, sym_anchor, sym_counts = pair_union_find_partition(g)
             np.testing.assert_array_equal(part.sym_class_of, sym_class_of, err_msg=g.name)
             np.testing.assert_array_equal(part.sym_anchor, sym_anchor, err_msg=g.name)
+            np.testing.assert_array_equal(part.sym_counts, sym_counts, err_msg=g.name)
             assert (part.n_classes, part.d_g) == (n_classes, d_g), g.name
 
     @pytest.mark.parametrize("spec", ["preset:pathway100+decoys", "preset:grid8"])

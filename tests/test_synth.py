@@ -416,7 +416,7 @@ class TestTrialFoldSharing:
         (record,) = run_trial_sweep(config)
         assert record.error is None and record.ad_lwnl is not None
         admitted = [pathway_decoys.by_name(name) for name in record.ad.tier1_admitted]
-        distinct = {groups.orbit_partition(g).sym_class_of.tobytes() for g in admitted}
+        distinct = {groups.orbit_partition(g).key for g in admitted}
         assert len(distinct) < len(admitted) == len(pathway_decoys.candidates)
         assert len(projections) == config.folds * len(distinct)
         # every fold has n_train >= M rows: one factor of each sample term whitens it
