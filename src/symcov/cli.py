@@ -166,9 +166,10 @@ def cmd_verify_lwnl(args) -> int:
     try:
         spec = synth.PopulationSpec(m=args.m, kind=args.population, base_seed=args.seed, **shape)
         rows = synth.run_mp_verification(args.c, spec, args.trials, base_seed=args.seed)
-    except synth._FieldError as exc:   # a failed check names the flag of its first field
-        flag = "seed" if exc.fields[0] == "base_seed" else exc.fields[0].replace("_", "-")
-        raise ValueError(f"--{flag}: {exc}") from None
+    except synth._FieldError as exc:   # named by the first of its fields that has a flag here
+        dests = [{"base_seed": "seed", "kind": "population"}.get(f, f) for f in exc.fields]
+        flag = next((dest for dest in dests if hasattr(args, dest)), "population")
+        raise ValueError(f"--{flag.replace('_', '-')}: {exc}") from None
     columns = ("estimator", "prial", "se", "mean_err", "mean_err_sample", "trials")
     matrixcore.write_csv(args.out, [columns] + [[row[c] for c in columns] for row in rows])
     for row in rows:

@@ -182,16 +182,18 @@ def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
     With M <= n, the p <= n map at c = M/n. Sample eigenvalues below
     RANK_RTOL * lambda_max are excluded from the KDE support and all map to
     one shared shrunken value, obtained by applying the map at the
-    exclusion threshold itself, which keeps it continuous at the cut. An
-    exactly degenerate retained spectrum (k * I input) is returned
-    unchanged, since the closed-form transform is not the identity there.
+    exclusion threshold itself, which keeps it continuous at the cut. A flat
+    retained spectrum (k * I input) is returned as it is, flagged
+    ``degenerate_spectrum``, since the closed-form map moves it.
 
     With M > n, the p > n branch: the top n eigenvalues (those above the
     threshold) form the KDE support and map by the p <= n map at c = 1,
     lambda / (pi^2 lambda^2 (f^2 + Hf^2)) in the paper's convention, and the
     M - n others share 1 / (pi (M - n)/n Hf(0)); with the pi of
     ``epanechnikov_kde`` absorbed in Hf, that is n / ((M - n) Hf(0)), about
-    n / (M - n) times the kept eigenvalues' harmonic mean.
+    n / (M - n) times the kept eigenvalues' harmonic mean. Both regimes
+    take one kernel estimate, at the kept eigenvalues and at the null ones'
+    query point: the threshold at M <= n, 0 at M > n.
     """
     if n_obs < 1:
         raise ValueError("nonlinear shrinkage requires at least 2 observations "
@@ -206,27 +208,16 @@ def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
     keep = lam >= threshold
     keep[:max(m - n_obs, 0)] = False   # at M > n, the M - n smallest are the null ones
     lam_kept = lam[keep]
-    flags: set[str] = set()
-    if not keep.all():
-        flags.add(FLAG_RANK_AWARE_KDE)
-        flags.add(FLAG_SINGULAR_INPUT)
-
+    flags = set() if keep.all() else {FLAG_RANK_AWARE_KDE, FLAG_SINGULAR_INPUT}
     if m > n_obs:
-        c = 1.0
-        f, hf = epanechnikov_kde(lam_kept, n_obs, np.append(lam_kept, 0.0))
-        null = n_obs / ((m - n_obs) * hf[-1])
+        c, point = 1.0, 0.0
+    elif lam_kept[-1] - lam_kept[0] <= 1e-12 * lam_max:
+        return EstimatorResult(EST_LWNL, r_hat, flags=flags | {FLAG_DEGENERATE_SPECTRUM})
     else:
-        c = m / n_obs
-        if lam_kept.max() - lam_kept.min() <= 1e-12 * lam_max:
-            # Degenerate retained spectrum: check the k*I fixed point and
-            # fall back to the input when the transform moves it.
-            f0, hf0 = epanechnikov_kde(lam_kept[:1], n_obs, lam_kept[:1])
-            moved = _shrink_eigenvalues(lam_kept[:1], f0, hf0, c)[0]
-            if abs(moved - lam_kept[0]) > 1e-8 * lam_kept[0]:
-                return EstimatorResult(EST_LWNL, r_hat,
-                                       flags=flags | {FLAG_DEGENERATE_SPECTRUM})
-        f, hf = epanechnikov_kde(lam_kept, n_obs, np.append(lam_kept, threshold))
-        null = _shrink_eigenvalues(threshold, f[-1], hf[-1], c)
+        c, point = m / n_obs, threshold
+    f, hf = epanechnikov_kde(lam_kept, n_obs, np.append(lam_kept, point))
+    null = (n_obs / ((m - n_obs) * hf[-1]) if m > n_obs
+            else _shrink_eigenvalues(point, f[-1], hf[-1], c))
     out_eigs = np.full(m, null)
     out_eigs[keep] = _shrink_eigenvalues(lam_kept, f[:-1], hf[:-1], c)
     matrix = SymmetricMatrix((u * out_eigs) @ u.T)

@@ -479,6 +479,25 @@ class TestVerifyLwnl:
         assert f"error: {flag}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_block_size_check_names_m_not_a_missing_flag(self, tmp_path, capsys):
+        # blocks of 20 do not divide the default --m 64; verify-lwnl has no --block-size
+        out = tmp_path / "p.csv"
+        assert run_cli("verify-lwnl", "--c", "0.5", "--population", synth.POP_BLOCK_CIRCULANT,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "error: --m: " in err and "--block-size" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("population", [  # every kind --population offers
+        kind for kind, (reads, _) in synth.POPULATIONS.items() if "group" not in reads])
+    def test_every_offered_population_runs_with_its_defaults(self, tmp_path, capsys,
+                                                             population):
+        out = tmp_path / "p.csv"
+        assert run_cli("verify-lwnl", "--c", "0.5", "--m", "20", "--population", population,
+                       "--trials", "10", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 3
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
 
 SWEEP_CFG = """
 m = 6

@@ -118,11 +118,26 @@ class TestLw2004Auto:
 
 
 class TestLwnl:
-    def test_scaled_identity_is_fixed_point(self):
-        r = SymmetricMatrix(3.0 * np.eye(16))
+    @pytest.mark.parametrize("diagonal, flags", [
+        ([3.0] * 16, {FLAG_DEGENERATE_SPECTRUM}),
+        ([2.0] * 8 + [0.0] * 8,
+         {FLAG_DEGENERATE_SPECTRUM, FLAG_RANK_AWARE_KDE, FLAG_SINGULAR_INPUT}),
+    ], ids=["scaled-identity", "rank-deficient"])
+    def test_flat_spectrum_is_returned_as_it_is(self, diagonal, flags):
+        r = SymmetricMatrix(np.diag(diagonal))
         res = lwnl_from_covariance(r, 32)
-        np.testing.assert_allclose(res.matrix.values, r.values, atol=1e-8)
-        assert FLAG_DEGENERATE_SPECTRUM in res.flags
+        assert res.matrix is r
+        assert res.flags == flags
+
+    def test_one_kept_eigenvalue_above_the_sample_rank_is_mapped(self):
+        # 16 columns, n = 1: a one-point retained spectrum is flat, but the
+        # flat exit is the p <= n regime's only
+        x = np.random.default_rng(26).standard_normal((2, 16))
+        r = second_moment(x - x.mean(axis=0))
+        res = lwnl_from_covariance(r, 1)
+        assert res.matrix is not r
+        assert FLAG_DEGENERATE_SPECTRUM not in res.flags
+        assert np.linalg.eigvalsh(res.matrix.values).min() > 0.0
 
     def test_requires_two_observations(self):
         with pytest.raises(ValueError):
