@@ -7,6 +7,7 @@ so a parallel caller gets identical results to a serial one.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,9 @@ DEFAULT_FOLDS = 5
 # this fraction of the largest diagonal entry: far above PIVOT_RTOL**2, so the
 # rounding of either factorization (about M^2 eps) cannot flip the verdict.
 CURVE_GUARD = 1e-8
-# _alpha_curve scores an M x M curve from a tridiagonal reduction and the
-# fold's test rows when there are fewer than this fraction of M of them, and
-# from an eigendecomposition otherwise: dptsv's cost grows with test rows times
-# alphas. With BLAS on one thread and 12 alphas, a tridiagonal curve passes an
+# _whitening takes the tridiagonal kernel below this fraction of M test rows,
+# the eigen kernel otherwise: dptsv's cost grows with test rows times alphas.
+# With BLAS on one thread and 12 alphas, a tridiagonal curve passes an
 # _eigen_curve's time at 40-48 test rows at M = 100 and at 64-128 at M = 400.
 TRIDIAGONAL_ROW_FRACTION = 0.25
 
@@ -139,19 +139,22 @@ def _one_se_index(scores: np.ndarray) -> int:
     return best + 1 + int(promoted[-1]) if promoted.size else best
 
 
-def _factor(end: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
-    """(L^-1, logdet E, ||L^-1||_F^2) with E = L L^T when the blend end E
-    can whiten an alpha-curve, else None: the one test every whitening end
-    meets (S, and T on either route). E is positive definite with kappa =
-    max diag E ||L^-1||_F^2 and kappa^2 CURVE_GUARD <= 1. Whitened by E, the
-    other end can have eigenvalues down to about 1/kappa, which eigh resolves
-    to about eps kappa^2 relative; the bound keeps that within the
-    eps / CURVE_GUARD the guard allows. Near n_train = M the raw moment fails
-    it: whitening by it moved fold scores up to 6e-11 from their explicit
-    blends, against 3e-15 whitened by T. The LWNL term passes it below M
-    training rows too, its M - n_train null eigenvalues being of the order of
-    the kept ones, and fails it at n_train = M, where the sample spectrum
-    reaches down near zero, as does the trivial target there."""
+@dataclass(frozen=True)
+class _Factor:
+    """L^-1, logdet E and ||L^-1||_F^2 of a blend end E = L L^T."""
+    inv_ell: np.ndarray
+    logdet: float
+    inv_norm_sq: float
+
+
+def _factor(end: SymmetricMatrix) -> _Factor | None:
+    """E's ``_Factor`` if the blend end E can whiten an alpha-curve, else None:
+    the one test every whitening end meets. E is positive definite with
+    kappa = max diag E ||L^-1||_F^2 and kappa^2 CURVE_GUARD <= 1: whitened by
+    E, the other end's eigenvalues down to about 1/kappa resolve to about
+    eps kappa^2 relative. Near n_train = M the raw moment fails it (whitened by
+    it, fold scores moved up to 6e-11 from explicit blends, 3e-15 by T), as does
+    the LWNL term at n_train = M, which passes below M training rows."""
     ell, info = lapack.dpotrf(end.values, lower=1, clean=1)
     if info == 0:
         inv_ell, info = lapack.dtrtri(ell, lower=1)
@@ -160,21 +163,52 @@ def _factor(end: SymmetricMatrix) -> tuple[np.ndarray, float, float] | None:
     inv_norm_sq = float(np.sum(inv_ell**2))
     if CURVE_GUARD * (np.diag(end.values).max() * inv_norm_sq) ** 2 > 1.0:
         return None
-    return inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell)))), inv_norm_sq
+    return _Factor(inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell)))), inv_norm_sq)
+
+
+@dataclass(frozen=True)
+class _Whitening:
+    """A blend end E's ``factor``, its curves' ``kernel`` and ``test`` statistic."""
+    factor: _Factor
+    kernel: Callable
+    test: np.ndarray
+    trace: float   # tr(E^-1 R_test)
+
+
+@dataclass(frozen=True)
+class Fold:
+    """One fold of ``DataStats.splits``: X_test (a view of the rows), R_train,
+    R_test, n_train, and ``rank`` = min(n_train, M), a bound on R_train's
+    rank. X_train, read only by the Gram route, is kept iff rank < M."""
+    x_train: np.ndarray | None
+    x_test: np.ndarray
+    r_train: SymmetricMatrix
+    r_test: SymmetricMatrix
+    n_train: int
+    rank: int
+
+
+@dataclass(frozen=True)
+class FoldTerm:
+    """A fold's sample term S (R_train, or its LWNL), its group-free alpha = 0
+    score, and the route of every target's ``_alpha_curve`` on the fold: Gram,
+    with the ``gram_rows`` of a raw S of rank below M, singular by rank, so
+    alpha = 0 is +inf with no Cholesky; whitened by S, if S passes ``_factor``,
+    alpha = 0 read off S's ``whitening``; else whitened by T if T passes it,
+    and explicit blends if not."""
+    sample: SymmetricMatrix
+    at_zero: float
+    whitening: _Whitening | None
+    gram_rows: np.ndarray | None
 
 
 class DataStats(Dataset):
     """A centered dataset that computes on first use, and keeps, R_hat
     (``r_hat``), its ``lwnl_from_covariance`` result (``lwnl``), and per fold
-    count the fold ``splits``, each fold's term per sample-term kind (the one
-    place its alpha-curve route is decided, in ``fold_scores``: S whitens
-    only if it passes ``_factor``'s test, the one conditioning test, and then
-    scores alpha = 0 from that factor, else by ``gaussian_nll_per_sample``),
-    each distinct target's fold projections (``targets``) and its
-    ``fold_scores``: the one cache of held-out statistics, shared by every
-    group and call on it. Estimators read statistics through ``of``, which
-    wraps a plain Dataset for one call only: only a caller holding a
-    DataStats keeps them."""
+    count the ``splits``, their ``FoldTerm`` per sample-term kind, each
+    distinct target's fold projections (``targets``) and ``fold_scores``: the
+    one cache of held-out statistics, shared by every group and call on it.
+    Estimators read it through ``of``: only a caller holding a DataStats keeps it."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -202,73 +236,56 @@ class DataStats(Dataset):
         return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat,
                                                                            self.n_obs - 1))
 
-    def splits(self, folds: int) -> list[tuple[np.ndarray | None, np.ndarray,
-                                                SymmetricMatrix, SymmetricMatrix]]:
-        """(X_train, X_test, R_train, R_test) per fold of ``fold_slices``: the
-        one place the rows are split. X_test is a view of the rows; X_train,
-        which only the Gram route reads, is None unless it has fewer rows than M.
-        From 2M training rows R_train is downdated from R_hat, with no copy of
-        the training rows."""
+    def splits(self, folds: int) -> list[Fold]:
+        """The ``Fold`` of each block of ``fold_slices``: the one place the rows
+        are split and each fold's rank and route facts are decided."""
 
-        def split(test):
+        def split(fold, test):
             x_test = self.rows[test]
             r_test, n_test = second_moment(x_test), len(x_test)
             n_train = self.n_obs - n_test
-            # Downdating cancels toward R_train's small eigenvalues: on
-            # pathway100+decoys it moved fold scores by up to 2.4e-9 relative
-            # at n_train = M, 4.1e-12 at 1.04 M, 4.8e-14 at 1.2 M and 1.8e-15
-            # at 2M, against a contract of 1e-12
+            if n_train < 2:
+                raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
+            rank = min(n_train, self.dim)
+            # From 2M rows R_train is downdated from R_hat, copying no rows; on
+            # pathway100+decoys downdating moved fold scores by up to 2.4e-9
+            # at n_train = M, 4.1e-12 at 1.04 M, 4.8e-14 at 1.2 M, 1.8e-15 at 2M
             if n_train >= 2 * self.dim:
                 r_train = (self.n_obs * self.r_hat.values - n_test * r_test.values) / n_train
-                return None, x_test, SymmetricMatrix(r_train), r_test
+                return Fold(None, x_test, SymmetricMatrix(r_train), r_test, n_train, rank)
             x_train = np.delete(self.rows, test, axis=0)
-            return (x_train if n_train < self.dim else None, x_test,
-                    second_moment(x_train), r_test)
+            return Fold(x_train if rank < self.dim else None, x_test, second_moment(x_train),
+                        r_test, n_train, rank)
 
-        return self._cached(("splits", folds),
-                            lambda: [split(test) for test in fold_slices(self.n_obs, folds)])
+        return self._cached(("splits", folds), lambda: [
+            split(fold, test) for fold, test in enumerate(fold_slices(self.n_obs, folds))])
 
     def targets(self, folds: int, g: GroupAction) -> tuple[SymmetricMatrix, ...]:
         """T = P_G(R_train) per fold, shared by every group of g's partition."""
         return self._cached(("targets", folds, _partition_key(g)), lambda: tuple(
-            reynolds_project(g, r_train) for _, _, r_train, _ in self.splits(folds)))
+            reynolds_project(g, fold.r_train) for fold in self.splits(folds)))
 
     def fold_scores(self, folds: int, g: GroupAction, grid_points: int,
                     use_lwnl: bool) -> np.ndarray:
         """Read-only (k, n_alpha) held-out NLL of g's blend at every grid alpha
-        on every fold, shared by every group of g's partition. Each fold's
-        term, kept once per fold count and kind since no group changes it, is
-        the one place its curve's route is decided: the sample term S
-        (R_train, or its LWNL when ``use_lwnl``), its alpha = 0 score, and
-        either S's ``_whitening`` (None when S fails ``_factor``'s test) or,
-        for an R_train of fewer than M rows, those training rows for the
-        Gram route. A whitened S scores alpha = 0 as (logdet S + the trace
-        ``_whitening`` returns) / 2; any other S by
-        ``gaussian_nll_per_sample``, the one home of the +inf sentinel."""
+        on every fold, on the route each fold's ``FoldTerm`` decides once."""
         from . import shrinkage
 
-        def term(fold, split):
-            x_train, x_test, r_train, r_test = split
-            n_train = self.n_obs - len(x_test)
-            if n_train < 2:
-                raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
+        def term(fold: Fold) -> FoldTerm:
             # LWNL's n is n_train: the training rows are centered on the mean of all N
-            s = shrinkage.lwnl_from_covariance(r_train, n_train).matrix if use_lwnl else r_train
-            # the split keeps the rows of an R_train singular by rank (fewer than M):
-            # no factor to try, the Gram route scores from them
-            gram_rows = None if use_lwnl else x_train
-            whitening = None if gram_rows is not None else _whitening(s, x_test, r_test)
+            s = (shrinkage.lwnl_from_covariance(fold.r_train, fold.n_train).matrix
+                 if use_lwnl else fold.r_train)
+            if not use_lwnl and fold.rank < self.dim:
+                return FoldTerm(s, np.inf, None, fold.x_train)
+            whitening = _whitening(s, fold)
             if whitening is None:
-                return s, matrixcore.gaussian_nll_per_sample(s, r_test), None, gram_rows
-            # alpha = 0 from S's own factor and the trace of its whitened test statistic
-            (_, logdet_s, _), _, _, trace = whitening
-            return s, 0.5 * (logdet_s + trace), whitening, None
+                return FoldTerm(s, matrixcore.gaussian_nll_per_sample(s, fold.r_test), None, None)
+            return FoldTerm(s, 0.5 * (whitening.factor.logdet + whitening.trace), whitening, None)
 
         def score():
             splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
-            terms = self._cached(("terms", folds, use_lwnl),
-                                 lambda: [term(f, split) for f, split in enumerate(splits)])
-            scores = np.array([_alpha_curve(*fold_term, t, split, alphas) for fold_term, t, split
+            terms = self._cached(("terms", folds, use_lwnl), lambda: [term(f) for f in splits])
+            scores = np.array([_alpha_curve(fold_term, t, fold, alphas) for fold_term, t, fold
                                in zip(terms, self.targets(folds, g), splits)])
             scores.flags.writeable = False
             return scores
@@ -294,22 +311,20 @@ def _congruent(inv_ell: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _whiten(inv_ell, _whiten(inv_ell, a).T)
 
 
-def _whitening(end: SymmetricMatrix, x_test: np.ndarray, r_test: SymmetricMatrix) -> tuple | None:
-    """(``_factor(end)``, kernel, test statistic, tr(E^-1 R_test)) for a blend
-    end E that passes ``_factor``'s test on one fold, else None. The test
-    statistic, whitened by E's factor with inverse L^-1, picks the kernel:
-    ``_tridiagonal_curve`` with W = L^-1 X_test^T / sqrt(n_test), whose trace
-    is ||W||_F^2, when the fold has fewer than TRIDIAGONAL_ROW_FRACTION M test
-    rows, ``_eigen_curve`` with C = L^-1 R_test L^-T, trace tr C, otherwise."""
-    factors = _factor(end)
-    if factors is None:
+def _whitening(end: SymmetricMatrix, fold: Fold) -> _Whitening | None:
+    """The ``_Whitening`` of a blend end E = L L^T on ``fold``, None when E
+    fails ``_factor``'s test: ``_tridiagonal_curve`` of W = L^-1 X_test^T /
+    sqrt(n_test), trace ||W||_F^2, below TRIDIAGONAL_ROW_FRACTION M test rows,
+    else ``_eigen_curve`` of C = L^-1 R_test L^-T, trace tr C."""
+    factor = _factor(end)
+    if factor is None:
         return None
-    inv_ell, (n_test, m) = factors[0], x_test.shape
+    n_test, m = fold.x_test.shape
     if n_test < TRIDIAGONAL_ROW_FRACTION * m:
-        w = _whiten(inv_ell, x_test).T / np.sqrt(n_test)
-        return factors, _tridiagonal_curve, w, float(np.einsum("ij,ij->", w, w))
-    c = _congruent(inv_ell, r_test.values)
-    return factors, _eigen_curve, c, float(np.trace(c))
+        w = _whiten(factor.inv_ell, fold.x_test).T / np.sqrt(n_test)
+        return _Whitening(factor, _tridiagonal_curve, w, float(np.einsum("ij,ij->", w, w)))
+    c = _congruent(factor.inv_ell, fold.r_test.values)
+    return _Whitening(factor, _eigen_curve, c, float(np.trace(c)))
 
 
 def _eigen_curve(k: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -354,70 +369,55 @@ def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarra
             np.einsum("jir,ir->j", x.reshape(len(a), n, -1), hw))
 
 
-def _alpha_curve(sample_term: SymmetricMatrix, at_zero: float, s_whitening: tuple | None,
-                 gram_rows: np.ndarray | None, target: SymmetricMatrix, split: tuple,
+def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
                  alphas: np.ndarray) -> np.ndarray:
-    """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha
-    on one fold ``split`` (X_train, X_test, R_train, R_test), from one
-    factorization L L^T of S or of T: L^-1 blend(alpha) L^-T = a I + b K for
-    one symmetric K, so the logdet is logdet(L L^T) + logdet(a I + b K) and
-    the trace term is tr((a I + b K)^-1 L^-1 R_test L^-T). Only an end that
-    passes ``_factor``'s conditioning test whitens. The fold's term
-    (``DataStats.fold_scores``) has decided the route:
-    - M x M, blend = E + beta (O - E) with E the whitening end and O the
-      other: K = L^-1 (O - E) L^-T, a = 1, b = beta, with E's ``_whitening``
-      picking the kernel. E = S with beta = alpha when the term holds S's
-      ``s_whitening``, else E = T with beta = 1 - alpha, T whitened here.
-    - Gram, when the term passes ``gram_rows``, the n_train < M training
-      rows of S = R_train, with T factored here: K = Y Y^T with
-      Y = X_train L^-T / sqrt(n_train), a = alpha, b = 1 - alpha; K is PSD,
-      so lambda_min(K) >= 0. The other M - n_train directions add
-      (M - n_train) log alpha, and with Z = X_test L^-T and W = Y Z^T the
-      trace term is (||Z||^2 - b tr(W^T (a I + b K)^-1 W)) / (alpha n_test).
-    Alphas not certified to pass the pivot test of
-    ``gaussian_nll_per_sample`` (lambda_min(blend) >= lambda_min(a I + b K) /
-    ||L^-1||_F^2, and no squared pivot exceeds the largest diagonal entry),
-    and all alphas when no end passes ``_factor`` or a tridiagonal pivot
-    fails, are scored on their explicit blends, so the +inf sentinel stays
-    in one place. ``at_zero`` is the fold term's group-free alpha = 0 score.
-    """
-    s, t = sample_term.values, target.values
-    _, x_test, _, r_test = split
+    """Held-out NLL of blend(alpha) = S + alpha (T - S) at every grid alpha on
+    one ``fold``, on the route ``term`` decided, from one factor L L^T: with
+    L^-1 blend(alpha) L^-T = a I + b K, the logdet is logdet(L L^T) +
+    logdet(a I + b K) and the trace term tr((a I + b K)^-1 L^-1 R_test L^-T).
+    M x M: blend = E + beta (O - E) for the whitening end E (S, beta = alpha;
+    T, beta = 1 - alpha), K = L^-1 (O - E) L^-T, a = 1, b = beta. Gram (T's
+    L): K = Y Y^T, Y = X_train L^-T / sqrt(n_train), a = alpha, b = 1 - alpha;
+    the M - n_train other directions add (M - n_train) log alpha, and with
+    Z = X_test L^-T, W = Y Z^T the trace term is (||Z||^2 - b tr(W^T (a I +
+    b K)^-1 W)) / (alpha n_test). Alphas not certified to pass the pivot test
+    of ``gaussian_nll_per_sample``, the one home of +inf, are scored there."""
+    s, t = term.sample.values, target.values
     # difference form: a zero residual (e.g. the trivial group) gives every
     # alpha the sample term's score bitwise, so structural ties stay exact
     residual = t - s
-    scores = np.full(len(alphas), at_zero)
+    scores = np.full(len(alphas), term.at_zero)
     if not residual.any():
         return scores
     certified = np.zeros(len(alphas), dtype=bool)
     a, b = alphas[1:], 1.0 - alphas[1:]
-    if gram_rows is None:   # blend = E + beta (O - E), with step = O - E
-        whitening, beta, step = ((s_whitening, a, residual) if s_whitening is not None
-                                 else (_whitening(target, x_test, r_test), b, -residual))
-        factors, kernel, test, _ = whitening if whitening is not None else (None,) * 4
+    if term.gram_rows is None:   # blend = E + beta (O - E), with step = O - E
+        whitening, beta, step = ((term.whitening, a, residual) if term.whitening is not None
+                                 else (_whitening(target, fold), b, -residual))
+        factor = None if whitening is None else whitening.factor
     else:
-        factors = _factor(target)
-    if factors is not None:
-        inv_ell, logdet_l, inv_norm_sq = factors
-        floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * inv_norm_sq
-        if gram_rows is None:
-            curve = kernel(_congruent(inv_ell, step), test, np.ones_like(beta), beta, floor)
+        factor = _factor(target)
+    if factor is not None:
+        floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * factor.inv_norm_sq
+        if term.gram_rows is None:
+            curve = whitening.kernel(_congruent(factor.inv_ell, step), whitening.test,
+                                     np.ones_like(beta), beta, floor)
         else:
-            (n_test, m), n_train = x_test.shape, len(gram_rows)
-            y = _whiten(inv_ell, gram_rows) / np.sqrt(n_train)
-            z = _whiten(inv_ell, x_test)
+            (n_test, m), n_train = fold.x_test.shape, fold.n_train
+            y = _whiten(factor.inv_ell, term.gram_rows) / np.sqrt(n_train)
+            z = _whiten(factor.inv_ell, fold.x_test)
             keep, logdet, trace = _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)
             a = a[keep]
             curve = (keep, logdet + (m - n_train) * np.log(a),
                      (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * n_test))
         certified[1:], logdet, trace = curve
-        scores[certified] = 0.5 * (logdet_l + logdet + trace)
+        scores[certified] = 0.5 * (factor.logdet + logdet + trace)
     for j in np.flatnonzero(~certified[1:]) + 1:
         # S + alpha (T - S), not matrixcore.blend: sharing the curve's residual
         # keeps both paths equal to rounding, while the convex form moved LWNL
         # fold scores at N = 50, M = 100 by up to 5.3e-7 relative
         blend = SymmetricMatrix(s + alphas[j] * residual)
-        scores[j] = matrixcore.gaussian_nll_per_sample(blend, r_test)
+        scores[j] = matrixcore.gaussian_nll_per_sample(blend, fold.r_test)
     return scores
 
 

@@ -223,7 +223,8 @@ class TestCvNll:
 
 def _explicit_fold_scores(data, g, grid_points=DEFAULT_GRID_POINTS, use_lwnl=False,
                           folds=DEFAULT_FOLDS):
-    """Every (fold, alpha) score from its own explicit blend."""
+    """Every (fold, alpha) score from its own explicit blend, but for a blend
+    equal to a raw R_train of fewer than M rows: singular by rank, it is +inf."""
     grid = alpha_grid(grid_points)
     scores = np.empty((folds, len(grid)))
     for fold, test in enumerate(fold_slices(data.n_obs, folds)):
@@ -233,9 +234,11 @@ def _explicit_fold_scores(data, g, grid_points=DEFAULT_GRID_POINTS, use_lwnl=Fal
                        if use_lwnl else r_train)
         residual = reynolds_project(g, r_train).values - sample_term.values
         r_test = second_moment(data.rows[test])
+        singular = not use_lwnl and len(x_train) < data.dim
         for j, alpha in enumerate(grid):
             blend = SymmetricMatrix(sample_term.values + alpha * residual)
-            scores[fold, j] = gaussian_nll_per_sample(blend, r_test)
+            scores[fold, j] = (np.inf if singular and np.array_equal(blend.values, r_train.values)
+                               else gaussian_nll_per_sample(blend, r_test))
     return scores
 
 
@@ -491,16 +494,32 @@ class TestGramPath:
         # 15 training rows of M = 16: kept for the Gram route
         stats = DataStats.of(_rows(20, 16, 91))
         assert stats.splits(4) is stats.splits(4)
-        for block, (train, test, _, _) in zip(fold_slices(20, 4), stats.splits(4)):
-            np.testing.assert_array_equal(train, np.delete(stats.rows, block, 0))
-            np.testing.assert_array_equal(test, stats.rows[block])
+        for block, fold in zip(fold_slices(20, 4), stats.splits(4)):
+            np.testing.assert_array_equal(fold.x_train, np.delete(stats.rows, block, 0))
+            np.testing.assert_array_equal(fold.x_test, stats.rows[block])
 
-    @pytest.mark.parametrize("n,m", [(20, 16), (20, 15), (40, 6)])
-    def test_fold_keeps_test_row_views_and_training_rows_only_below_m(self, n, m):
-        stats = DataStats.of(_rows(n, m, 92))
-        for train, test, _, _ in stats.splits(4):
-            assert np.shares_memory(test, stats.rows)
-            assert (train is None) == (n - len(test) >= m)
+    # five folds of N = 124 or 249 rows train on 99 and 100, or 199 and 200
+    fold_cases = [(20, 16, 4), (20, 15, 4), (40, 6, 4), (3, 100, 3)] + [
+        (n, 100, DEFAULT_FOLDS) for n in (50, 99, 100, 124, 125, 199, 200, 249, 250, 2000)]
+
+    @pytest.mark.parametrize("n,m,folds", fold_cases, ids=[f"{n}-{m}" for n, m, _ in fold_cases])
+    def test_fold_keeps_test_row_views_and_training_rows_only_below_m(self, n, m, folds,
+                                                                       monkeypatch):
+        # rank = min(n_train, M); X_train is kept iff n_train < M, and R_train
+        # is downdated from R_hat, copying no rows, iff n_train >= 2M
+        stats, copies, delete = DataStats.of(_rows(n, m, 92)), [], np.delete
+        monkeypatch.setattr(np, "delete", lambda *args, **kw: copies.append(1) or delete(
+            *args, **kw))
+        splits = stats.splits(folds)
+        monkeypatch.undo()
+        for block, fold in zip(fold_slices(n, folds), splits):
+            n_train = n - (block.stop - block.start)
+            assert fold.n_train == n_train and fold.rank == min(n_train, m)
+            assert np.shares_memory(fold.x_test, stats.rows)
+            np.testing.assert_array_equal(fold.r_test.values,
+                                          second_moment(stats.rows[block]).values)
+            assert (fold.x_train is None) == (n_train >= m)
+        assert len(copies) == sum(fold.n_train < 2 * m for fold in splits)
 
 
 class TestTridiagonalRoute:
@@ -520,9 +539,9 @@ class TestTridiagonalRoute:
             return
         distinct = {id(t): t for t in (data.targets(folds, g) for g in pathway_decoys.candidates)}
         # one per (fold, distinct target) with a nonzero residual
-        want = sum(not np.array_equal(t.values, r_train.values)
+        want = sum(not np.array_equal(t.values, fold.r_train.values)
                    for targets in distinct.values()
-                   for t, (_, _, r_train, _) in zip(targets, data.splits(folds)))
+                   for t, fold in zip(targets, data.splits(folds)))
         assert want > folds and len(calls) == want
 
     @pytest.mark.parametrize("use_lwnl", [False, True])
@@ -588,14 +607,14 @@ class TestTridiagonalRoute:
         calls = _record_nll_calls(monkeypatch)
         for use_lwnl in (False, True):
             cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl)
-        # the raw term's alpha = 0 scores alone: the LWNL term whitens and
-        # scores alpha = 0 from its factor
-        assert len(calls) == calibration.DEFAULT_FOLDS
+        # no explicit score: the raw term of 12 < M rows is +inf at alpha = 0
+        # by rank, and the LWNL term whitens and scores alpha = 0 from its factor
+        assert len(calls) == 0
         monkeypatch.setattr(calibration.lapack, "dptsv", lambda d, e, b: (d, e, b, 1))
         for use_lwnl in (False, True):
             calls.clear()
             got = cv_nll_alpha(data, g, use_lwnl_sample_term=use_lwnl).fold_scores
-            assert len(calls) == got.size - use_lwnl * calibration.DEFAULT_FOLDS
+            assert len(calls) == got.size - calibration.DEFAULT_FOLDS
             want = _explicit_fold_scores(data, g, use_lwnl=use_lwnl)
             finite = np.isfinite(want)
             np.testing.assert_array_equal(np.isfinite(got), finite)
@@ -717,10 +736,10 @@ class TestFixedCosts:
         splits = stats.splits(DEFAULT_FOLDS)
         monkeypatch.undo()
         assert copies == []
-        for test, (train, _, r_train, _) in zip(fold_slices(n, DEFAULT_FOLDS), splits):
-            assert train is None and n - (test.stop - test.start) >= 2 * stats.dim
+        for test, fold in zip(fold_slices(n, DEFAULT_FOLDS), splits):
+            assert fold.x_train is None and fold.n_train >= 2 * stats.dim
             want = second_moment(np.delete(stats.rows, test, axis=0)).values
-            np.testing.assert_allclose(r_train.values, want, rtol=0,
+            np.testing.assert_allclose(fold.r_train.values, want, rtol=0,
                                        atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("g", [groups.trivial(6), groups.cyclic(6), _alternating_6(),
