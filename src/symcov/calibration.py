@@ -11,10 +11,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from . import matrixcore
-from .matrixcore import Dataset, DimensionMismatchError, SymmetricMatrix, second_moment
+from .matrixcore import Dataset, DimensionMismatchError, SymmetricMatrix, cholesky, second_moment
 from .groups import (
     GroupAction,
     KIND_HAAR,
@@ -139,37 +139,20 @@ def _one_se_index(scores: np.ndarray) -> int:
     return best + 1 + int(promoted[-1]) if promoted.size else best
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """L^-1, logdet E and ||L^-1||_F^2 of a blend end E = L L^T."""
-    inv_ell: np.ndarray
-    logdet: float
-    inv_norm_sq: float
-
-
-def _factor(end: SymmetricMatrix) -> _Factor | None:
-    """E's ``_Factor`` if the blend end E can whiten an alpha-curve, else None:
-    the one test every whitening end meets. E is positive definite with
-    kappa = max diag E ||L^-1||_F^2 and kappa^2 CURVE_GUARD <= 1: whitened by
-    E, the other end's eigenvalues down to about 1/kappa resolve to about
-    eps kappa^2 relative. Near n_train = M the raw moment fails it (whitened by
-    it, fold scores moved up to 6e-11 from explicit blends, 3e-15 by T), as does
-    the LWNL term at n_train = M, which passes below M training rows."""
-    ell, info = lapack.dpotrf(end.values, lower=1, clean=1)
-    if info == 0:
-        inv_ell, info = lapack.dtrtri(ell, lower=1)
-    if info != 0:
-        return None
-    inv_norm_sq = float(np.sum(inv_ell**2))
-    if CURVE_GUARD * (np.diag(end.values).max() * inv_norm_sq) ** 2 > 1.0:
-        return None
-    return _Factor(inv_ell, 2.0 * float(np.sum(np.log(np.diag(ell)))), inv_norm_sq)
+def _whitens(end: SymmetricMatrix, factor: matrixcore.Factor) -> bool:
+    """Whether the blend end E of ``factor`` can whiten an alpha-curve, the one
+    test of every whitening end: kappa^2 CURVE_GUARD <= 1, kappa = max diag E
+    ||L^-1||_F^2, so the other end's eigenvalues down to about 1/kappa resolve
+    to about eps kappa^2 relative. Near n_train = M the raw moment fails it
+    (whitened by it, fold scores moved up to 6e-11 from explicit blends, 3e-15
+    by T), as does the LWNL term at n_train = M, which passes below M rows."""
+    return CURVE_GUARD * (np.diag(end.values).max() * factor.inv_norm_sq) ** 2 <= 1.0
 
 
 @dataclass(frozen=True)
 class _Whitening:
     """A blend end E's ``factor``, its curves' ``kernel`` and ``test`` statistic."""
-    factor: _Factor
+    factor: matrixcore.Factor
     kernel: Callable
     test: np.ndarray
     trace: float   # tr(E^-1 R_test)
@@ -193,9 +176,9 @@ class FoldTerm:
     """A fold's sample term S (R_train, or its LWNL), its group-free alpha = 0
     score, and the route of every target's ``_alpha_curve`` on the fold: Gram,
     with the ``gram_rows`` of a raw S of rank below M, singular by rank, so
-    alpha = 0 is +inf with no Cholesky; whitened by S, if S passes ``_factor``,
-    alpha = 0 read off S's ``whitening``; else whitened by T if T passes it,
-    and explicit blends if not."""
+    alpha = 0 is +inf with no Cholesky; else alpha = 0 is read off S's one
+    ``cholesky`` factor (+inf without one), and the curves are whitened by S
+    if it passes ``_whitens``, by T if T does, or scored on explicit blends."""
     sample: SymmetricMatrix
     at_zero: float
     whitening: _Whitening | None
@@ -277,10 +260,11 @@ class DataStats(Dataset):
                  if use_lwnl else fold.r_train)
             if not use_lwnl and fold.rank < self.dim:
                 return FoldTerm(s, np.inf, None, fold.x_train)
-            whitening = _whitening(s, fold)
-            if whitening is None:
-                return FoldTerm(s, matrixcore.gaussian_nll_per_sample(s, fold.r_test), None, None)
-            return FoldTerm(s, 0.5 * (whitening.factor.logdet + whitening.trace), whitening, None)
+            factor = cholesky(s)
+            whitening = _whitening(s, factor, fold)
+            if whitening is not None:
+                return FoldTerm(s, 0.5 * (factor.logdet + whitening.trace), whitening, None)
+            return FoldTerm(s, np.inf if factor is None else factor.nll(fold.r_test), None, None)
 
         def score():
             splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
@@ -301,27 +285,23 @@ def _partition_key(g: GroupAction):
     return g.dim if g.kind == KIND_HAAR else orbit_partition(g).key
 
 
-def _whiten(inv_ell: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """X L^-T for the lower-triangular L^-1, by one dtrmm: half a GEMM's work."""
-    return blas.dtrmm(1.0, inv_ell, x, side=1, lower=1, trans_a=1)
-
-
 def _congruent(inv_ell: np.ndarray, a: np.ndarray) -> np.ndarray:
     """L^-1 A L^-T for a symmetric A."""
-    return _whiten(inv_ell, _whiten(inv_ell, a).T)
+    return matrixcore.whiten(inv_ell, matrixcore.whiten(inv_ell, a).T)
 
 
-def _whitening(end: SymmetricMatrix, fold: Fold) -> _Whitening | None:
-    """The ``_Whitening`` of a blend end E = L L^T on ``fold``, None when E
-    fails ``_factor``'s test: ``_tridiagonal_curve`` of W = L^-1 X_test^T /
-    sqrt(n_test), trace ||W||_F^2, below TRIDIAGONAL_ROW_FRACTION M test rows,
-    else ``_eigen_curve`` of C = L^-1 R_test L^-T, trace tr C."""
-    factor = _factor(end)
-    if factor is None:
+def _whitening(end: SymmetricMatrix, factor: matrixcore.Factor | None,
+               fold: Fold) -> _Whitening | None:
+    """The ``_Whitening`` of a blend end E = L L^T on ``fold``, None when
+    ``cholesky`` could not factor E or E fails ``_whitens``:
+    ``_tridiagonal_curve`` of W = L^-1 X_test^T / sqrt(n_test), trace
+    ||W||_F^2, below TRIDIAGONAL_ROW_FRACTION M test rows, else
+    ``_eigen_curve`` of C = L^-1 R_test L^-T, trace tr C."""
+    if factor is None or not _whitens(end, factor):
         return None
     n_test, m = fold.x_test.shape
     if n_test < TRIDIAGONAL_ROW_FRACTION * m:
-        w = _whiten(factor.inv_ell, fold.x_test).T / np.sqrt(n_test)
+        w = matrixcore.whiten(factor.inv_ell, fold.x_test).T / np.sqrt(n_test)
         return _Whitening(factor, _tridiagonal_curve, w, float(np.einsum("ij,ij->", w, w)))
     c = _congruent(factor.inv_ell, fold.r_test.values)
     return _Whitening(factor, _eigen_curve, c, float(np.trace(c)))
@@ -380,8 +360,9 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
     L): K = Y Y^T, Y = X_train L^-T / sqrt(n_train), a = alpha, b = 1 - alpha;
     the M - n_train other directions add (M - n_train) log alpha, and with
     Z = X_test L^-T, W = Y Z^T the trace term is (||Z||^2 - b tr(W^T (a I +
-    b K)^-1 W)) / (alpha n_test). Alphas not certified to pass the pivot test
-    of ``gaussian_nll_per_sample``, the one home of +inf, are scored there."""
+    b K)^-1 W)) / (alpha n_test). A Gram T that ``cholesky`` cannot factor
+    makes every alpha > 0 +inf; other alphas not certified to pass its pivot
+    test are scored on explicit blends by ``gaussian_nll_per_sample``."""
     s, t = term.sample.values, target.values
     # difference form: a zero residual (e.g. the trivial group) gives every
     # alpha the sample term's score bitwise, so structural ties stay exact
@@ -393,10 +374,13 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
     a, b = alphas[1:], 1.0 - alphas[1:]
     if term.gram_rows is None:   # blend = E + beta (O - E), with step = O - E
         whitening, beta, step = ((term.whitening, a, residual) if term.whitening is not None
-                                 else (_whitening(target, fold), b, -residual))
+                                 else (_whitening(target, cholesky(target), fold), b, -residual))
         factor = None if whitening is None else whitening.factor
     else:
-        factor = _factor(target)
+        factor = cholesky(target)
+        if factor is None:   # ker T within ker S for T = P_G(S): every blend shares it
+            return np.where(alphas > 0, np.inf, scores)
+        factor = factor if _whitens(target, factor) else None
     if factor is not None:
         floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * factor.inv_norm_sq
         if term.gram_rows is None:
@@ -404,8 +388,8 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
                                      np.ones_like(beta), beta, floor)
         else:
             (n_test, m), n_train = fold.x_test.shape, fold.n_train
-            y = _whiten(factor.inv_ell, term.gram_rows) / np.sqrt(n_train)
-            z = _whiten(factor.inv_ell, fold.x_test)
+            y = matrixcore.whiten(factor.inv_ell, term.gram_rows) / np.sqrt(n_train)
+            z = matrixcore.whiten(factor.inv_ell, fold.x_test)
             keep, logdet, trace = _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)
             a = a[keep]
             curve = (keep, logdet + (m - n_train) * np.log(a),

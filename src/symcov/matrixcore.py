@@ -1,5 +1,5 @@
-"""Dense symmetric-matrix algebra: sample covariance, Gaussian negative
-log-likelihood, the convex blend, the Frobenius norm, and the CSV carriers.
+"""Dense symmetric-matrix algebra: sample covariance, the Cholesky factor and
+Gaussian NLL of a model, the convex blend, the Frobenius norm, and the CSV carriers.
 
 Everything here is immutable after construction and every operation is pure,
 so concurrent callers need no locking.
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack
 
 # Relative pivot below which a Cholesky factor is treated as rank deficient.
 PIVOT_RTOL = 1e-12
@@ -135,26 +135,45 @@ def sample_covariance(data: Dataset) -> SymmetricMatrix:
     return second_moment(data.rows)
 
 
-def gaussian_nll_per_sample(sigma: SymmetricMatrix, r_test: SymmetricMatrix) -> float:
-    """Per-sample Gaussian NLL: (1/2) logdet(sigma) + (1/2) tr(sigma^-1 r_test).
+@dataclass(frozen=True)
+class Factor:
+    """L^-1, logdet A and ||L^-1||_F^2 of a positive definite A = L L^T."""
+    inv_ell: np.ndarray
+    logdet: float
+    inv_norm_sq: float
 
-    Computed through a Cholesky factorization. A singular or non-positive-
-    definite model (smallest pivot <= PIVOT_RTOL times the largest) returns
-    +inf rather than raising: downstream sweeps tabulate non-finite scores as
-    legal losing entries, so the sentinel must propagate through comparisons.
-    """
+    def nll(self, r_test: SymmetricMatrix) -> float:
+        """(1/2) (logdet A + tr(A^-1 R_test)): sum (L^-1 R_test) * L^-1, one dtrmm."""
+        left = blas.dtrmm(1.0, self.inv_ell, r_test.values, lower=1)
+        return 0.5 * (self.logdet + float(np.einsum("ij,ij->", left, self.inv_ell)))
+
+
+def cholesky(a: SymmetricMatrix) -> Factor | None:
+    """A's ``Factor`` by dpotrf and dtrtri, the one factorization of a model, or
+    None when A is not positive definite or a pivot is <= PIVOT_RTOL * the largest."""
+    ell, info = lapack.dpotrf(a.values, lower=1, clean=1)
+    pivots = np.diag(ell)
+    if info != 0 or pivots.min() <= PIVOT_RTOL * pivots.max():
+        return None
+    inv_ell = lapack.dtrtri(ell, lower=1)[0]
+    return Factor(inv_ell, 2.0 * float(np.sum(np.log(pivots))), float(np.sum(inv_ell**2)))
+
+
+def whiten(inv_ell: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """X L^-T for the lower-triangular L^-1, by one dtrmm: half a GEMM's work."""
+    return blas.dtrmm(1.0, inv_ell, x, side=1, lower=1, trans_a=1)
+
+
+def gaussian_nll_per_sample(sigma: SymmetricMatrix, r_test: SymmetricMatrix) -> float:
+    """Per-sample Gaussian NLL (1/2) logdet(sigma) + (1/2) tr(sigma^-1 r_test)
+    of ``cholesky(sigma)``, or +inf, which sweeps tabulate as a losing entry,
+    when that is None. The pivot rule is the test only where no structure is
+    known (a user's estimator): a matrix singular by structure can pass it by
+    rounding, so a caller that knows one scores +inf without calling this."""
     if sigma.dim != r_test.dim:
         raise DimensionMismatchError(f"model dim {sigma.dim} != test dim {r_test.dim}")
-    try:
-        ell = np.linalg.cholesky(sigma.values)
-    except np.linalg.LinAlgError:
-        return float("inf")
-    piv = np.diag(ell)
-    if piv.min() <= PIVOT_RTOL * piv.max():
-        return float("inf")
-    logdet = 2.0 * float(np.sum(np.log(piv)))
-    solved = scipy.linalg.cho_solve((ell, True), r_test.values, check_finite=False)
-    return 0.5 * logdet + 0.5 * float(np.trace(solved))
+    factor = cholesky(sigma)
+    return float("inf") if factor is None else factor.nll(r_test)
 
 
 def blend(a: SymmetricMatrix, b: SymmetricMatrix, alpha: float) -> SymmetricMatrix:

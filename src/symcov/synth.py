@@ -523,7 +523,9 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
             est_lw, record.ad_lwnl = bmg_mod.bmg_with_fallback(train, *selection, use_lwnl=True)
             fitted["ad_lwnl_bmg"] = est_lw.matrix
         for name, matrix in fitted.items():
-            record.nll[name] = matrixcore.gaussian_nll_per_sample(matrix, r_test)
+            # R_hat of n centered rows has rank at most n - 1: singular at n <= M
+            record.nll[name] = (np.inf if name == "sample" and n <= sigma.dim
+                                else matrixcore.gaussian_nll_per_sample(matrix, r_test))
             record.frob[name] = matrixcore.frobenius_norm(
                 SymmetricMatrix.of_symmetric(matrix.values - sigma.values))
         if record.ad is not None and record.ad_lwnl is not None:

@@ -223,8 +223,11 @@ class TestCvNll:
 
 def _explicit_fold_scores(data, g, grid_points=DEFAULT_GRID_POINTS, use_lwnl=False,
                           folds=DEFAULT_FOLDS):
-    """Every (fold, alpha) score from its own explicit blend, but for a blend
-    equal to a raw R_train of fewer than M rows: singular by rank, it is +inf."""
+    """Every (fold, alpha) score from its own explicit blend, but where a raw
+    R_train of fewer than M rows makes a blend singular by structure, which is
+    +inf: the blend equal to R_train, singular by rank, and every alpha > 0
+    when ``matrixcore.cholesky`` cannot factor the target, whose kernel every
+    such blend shares."""
     grid = alpha_grid(grid_points)
     scores = np.empty((folds, len(grid)))
     for fold, test in enumerate(fold_slices(data.n_obs, folds)):
@@ -232,12 +235,15 @@ def _explicit_fold_scores(data, g, grid_points=DEFAULT_GRID_POINTS, use_lwnl=Fal
         r_train = second_moment(x_train)
         sample_term = (shrinkage.lwnl_from_covariance(r_train, len(x_train)).matrix
                        if use_lwnl else r_train)
-        residual = reynolds_project(g, r_train).values - sample_term.values
+        target = reynolds_project(g, r_train)
+        residual = target.values - sample_term.values
         r_test = second_moment(data.rows[test])
         singular = not use_lwnl and len(x_train) < data.dim
+        singular_target = singular and matrixcore.cholesky(target) is None
         for j, alpha in enumerate(grid):
             blend = SymmetricMatrix(sample_term.values + alpha * residual)
-            scores[fold, j] = (np.inf if singular and np.array_equal(blend.values, r_train.values)
+            scores[fold, j] = (np.inf if (singular and np.array_equal(blend.values, r_train.values))
+                               or (singular_target and alpha > 0)
                                else gaussian_nll_per_sample(blend, r_test))
     return scores
 
@@ -341,8 +347,8 @@ class TestAlphaCurveOnLibrary:
 
 
 def _record_factorizations(monkeypatch):
-    calls, factor = [], calibration.lapack.dpotrf
-    monkeypatch.setattr(calibration.lapack, "dpotrf",
+    calls, factor = [], matrixcore.lapack.dpotrf
+    monkeypatch.setattr(matrixcore.lapack, "dpotrf",
                         lambda a, **kw: calls.append(1) or factor(a, **kw))
     return calls
 
@@ -351,7 +357,7 @@ class TestWhitening:
     """A fold whose sample term S is well conditioned (LWNL at any n_train,
     R_train from n_train >= M rows) whitens every target's curve by S's one
     factor; every other fold factors each distinct target with a nonzero
-    residual once."""
+    residual once. Each explicit score factors its own blend."""
 
     @pytest.mark.parametrize("n", [400, 2000])
     def test_one_factor_per_fold_and_sample_term(self, pathway_decoys, n, monkeypatch):
@@ -367,37 +373,47 @@ class TestWhitening:
                                                                      n, monkeypatch):
         # n_train < M: the Gram route factors each target for R_train but the
         # trivial one, equal to R_train, while its LWNL term, positive
-        # definite, whitens every curve by its factor
+        # definite, whitens every curve by its factor; beside these, only the
+        # explicit scores factor
         stats, folds = DataStats.of(_pathway_rows(n)), DEFAULT_FOLDS
-        calls = _record_factorizations(monkeypatch)
+        calls, explicit = _record_factorizations(monkeypatch), _record_nll_calls(monkeypatch)
         distinct = {id(stats.targets(folds, g)) for g in pathway_decoys.candidates}
         for g in pathway_decoys.candidates:
             cv_nll_alpha(stats, g)
-        assert len(calls) == folds * (len(distinct) - 1)
+        assert len(calls) == folds * (len(distinct) - 1) + len(explicit)
         for g in pathway_decoys.candidates:
             cv_nll_alpha(stats, g, use_lwnl_sample_term=True)
-        assert len(calls) == folds * (len(distinct) - 1) + folds
+        assert len(calls) == folds * (len(distinct) - 1) + folds + len(explicit)
 
-    def test_factor_rejects_an_ill_conditioned_positive_definite_end(self):
+    def test_unfactorable_gram_targets_score_no_explicit_blend(self, pathway_decoys,
+                                                               monkeypatch):
+        # n_train = 40: z2-50-cartesian's target cannot be factored, and on the
+        # Gram route each of its alphas > 0 is +inf with no Cholesky of its own
+        calls = _record_nll_calls(monkeypatch)
+        _, report = bmg.bmg_with_fallback(_pathway_rows(50), pathway_decoys)
+        assert len(calls) == 0 and not report.fallback_used
+
+    def test_whitens_rejects_an_ill_conditioned_positive_definite_end(self):
         # kappa = max diag ||L^-1||_F^2 is about 1e6: kappa^2 CURVE_GUARD = 1e4 > 1
-        end = SymmetricMatrix(np.diag([1.0] * 7 + [1e-6]))
-        assert calibration._factor(end) is None
-        assert calibration._factor(SymmetricMatrix(np.diag([1.0] * 7 + [1e-3]))) is not None
+        ill, well = (SymmetricMatrix(np.diag([1.0] * 7 + [d])) for d in (1e-6, 1e-3))
+        assert not calibration._whitens(ill, matrixcore.cholesky(ill))
+        assert calibration._whitens(well, matrixcore.cholesky(well))
 
     def test_target_failing_the_test_scores_its_fold_explicitly(self, monkeypatch):
         # n_train = M: fold 0's LWNL term and its trivial target (kappa about
-        # 2.9e7) both fail _factor's test, so all 13 alphas of that fold are
-        # scored on explicit blends; the other four folds whiten by S
+        # 2.9e7) both fail _whitens, so the 12 alphas > 0 of that fold are
+        # scored on explicit blends and alpha = 0 off S's factor; the other
+        # four folds whiten by S
         stats = DataStats.of(_pathway_rows(125))
         calls = _record_nll_calls(monkeypatch)
         cv_nll_alpha(stats, groups.trivial(100), use_lwnl_sample_term=True)
-        assert len(calls) == DEFAULT_GRID_POINTS
+        assert len(calls) == DEFAULT_GRID_POINTS - 1
 
     def test_lwnl_selection_below_m_scores_explicitly_only_singular_ends(self,
                                                                          pathway_decoys,
                                                                          monkeypatch):
-        # n_train = 40: every fold whitens by its LWNL term; beside the five
-        # alpha = 0 scores, only alpha = 1 of a singular target is explicit
+        # n_train = 40: every fold whitens by its LWNL term; only alpha = 1 of a
+        # singular target is explicit
         calls = _record_nll_calls(monkeypatch)
         bmg.bmg_with_fallback(_pathway_rows(50), pathway_decoys, use_lwnl=True)
         assert len(calls) <= 2 * DEFAULT_FOLDS
@@ -407,23 +423,23 @@ class TestWhitening:
     def test_no_explicit_blends_near_full_rank(self, pathway_decoys, n, use_lwnl,
                                                monkeypatch):
         # n_train = M .. 1.04 M: S is whitened only when well-conditioned, and
-        # only a fold whose S is not scores its alpha = 0 explicitly: R_train
-        # of M or M + 1 rows (N = 125, 126), and fold 0's LWNL term at N = 125
-        explicit = {(125, False): DEFAULT_FOLDS, (126, False): DEFAULT_FOLDS, (125, True): 1}
+        # a fold whose S is not (R_train of M or M + 1 rows at N = 125, 126,
+        # fold 0's LWNL term at N = 125) reads its alpha = 0 off S's factor
         calls = _record_nll_calls(monkeypatch)
         bmg.bmg_with_fallback(_pathway_rows(n), pathway_decoys, use_lwnl=use_lwnl)
-        assert len(calls) == explicit.get((n, use_lwnl), 0)
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("n,use_lwnl", [(150, False), (400, False), (150, True)])
     def test_constant_column_whitens_every_curve_by_its_target(self, pathway_decoys, n,
                                                                 use_lwnl, monkeypatch):
         # centering zeroes a constant column: R_train is singular at every N and
-        # the LWNL term fails the kappa test, so no fold whitens by S
+        # the LWNL term fails the kappa test, so no fold whitens by S, and
+        # every alpha = 0 is read off S's factor or is +inf without one
         rows = _pathway_rows(n).rows.copy()
         rows[:, 7] = 0.0
         calls = _record_nll_calls(monkeypatch)
         bmg.bmg_with_fallback(Dataset(rows).center(), pathway_decoys, use_lwnl=use_lwnl)
-        assert len(calls) == DEFAULT_FOLDS
+        assert len(calls) == 0
 
 
 def _record_eigh_shapes(monkeypatch):
@@ -466,7 +482,9 @@ class TestGramPath:
         finite = np.isfinite(want)
         np.testing.assert_array_equal(np.isfinite(got), finite)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
-        assert finite.any()
+        # block-s4x3's target of 2 training rows has rank 11 of 12, and every
+        # blend shares its kernel
+        assert finite.any() == ((n_train, g.name) != (2, "block-s4x3"))
 
     def test_dependent_training_rows_stay_on_the_gram_route(self, monkeypatch):
         rows = np.random.default_rng(90).standard_normal((15, 16))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symcov.matrixcore import (
+    PIVOT_RTOL,
     CenteringError,
     Dataset,
     DimensionMismatchError,
@@ -137,6 +138,27 @@ class TestGaussianNll:
     def test_near_singular_pivot_returns_inf(self):
         sigma = SymmetricMatrix(np.diag([1.0, 1e-30]))
         assert math.isinf(gaussian_nll_per_sample(sigma, SymmetricMatrix(np.eye(2))))
+
+    @pytest.mark.parametrize("m", [1, 2, 12, 100])
+    def test_matches_slogdet_and_solve(self, m):
+        rng = np.random.default_rng(6 + m)
+        for _ in range(5):
+            sigma, r_test = rand_spd(rng, m), rand_spd(rng, m)
+            sign, logdet = np.linalg.slogdet(sigma.values)
+            want = 0.5 * logdet + 0.5 * np.trace(np.linalg.solve(sigma.values, r_test.values))
+            assert sign == 1.0
+            assert gaussian_nll_per_sample(sigma, r_test) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [
+        # indefinite: a rotation of diag(1, -1e-3, 4)
+        (lambda q: q @ np.diag([1.0, -1e-3, 4.0]) @ q.T)(
+            np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]),
+        # positive definite, its last pivot PIVOT_RTOL / 2 of a largest sqrt(2)
+        np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, PIVOT_RTOL**2 / 4]]),
+    ], ids=["indefinite", "small-pivot"])
+    def test_unfactorable_model_returns_inf(self, sigma):
+        assert math.isinf(gaussian_nll_per_sample(SymmetricMatrix(sigma),
+                                                  SymmetricMatrix(np.eye(3))))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,11 +1,11 @@
 """Each shared primitive of the package has one home: the keyed Philox
 stream (``groups._rng``), the overflow-safe Frobenius norm
-(``matrixcore.frobenius_norm``), the Cholesky factor that whitens an
-alpha-curve (``calibration._factor``), the fold split that copies rows
-(``DataStats.splits``) and the explicit held-out scores of calibration. A
-second copy would let two streams, two norms or two conditioning tests drift
-apart unseen, or pay again for work already done, so the sources are scanned
-for one."""
+(``matrixcore.frobenius_norm``), the Cholesky factor of a model, which scores
+it and whitens an alpha-curve (``matrixcore.cholesky``), the fold split that
+copies rows (``DataStats.splits``) and the explicit held-out scores of
+calibration. A second copy would let two streams, two norms or two
+factorizations drift apart unseen, or pay again for work already done, so the
+sources are scanned for one."""
 
 import ast
 from pathlib import Path
@@ -41,10 +41,14 @@ def test_frobenius_norm_is_taken_only_in_matrixcore():
     assert fro == ["matrixcore"]
 
 
-def test_curve_ends_are_factored_only_in_calibration_factor():
-    # a second dpotrf could whiten an alpha-curve past _factor's conditioning test
-    assert [(module, func) for module, func, _ in _calls("dpotrf")] == [("calibration",
-                                                                        "_factor")]
+def test_models_are_factored_only_in_matrixcore_cholesky():
+    # a second factorization could score a model or whiten an alpha-curve past
+    # the pivot rule, or from another LAPACK build than every other score
+    assert [(module, func) for module, func, _ in _calls("dpotrf")] == [("matrixcore",
+                                                                        "cholesky")]
+    assert {ast.unparse(node.func) for _, _, node in _calls("cholesky")} <= {
+        "cholesky", "matrixcore.cholesky"}
+    assert not list(_calls("cho_solve"))
 
 
 def test_rows_are_copied_only_in_the_fold_split():
@@ -54,20 +58,14 @@ def test_rows_are_copied_only_in_the_fold_split():
         ("calibration", "DataStats.splits.split")]
 
 
-def test_calibration_scores_blends_explicitly_only_off_the_whitened_route():
-    # a fold whitened by S scores alpha = 0 off its factor: another explicit
-    # score would pay a second Cholesky
-    assert sorted(func for module, func, _ in _calls("gaussian_nll_per_sample")
-                  if module == "calibration") == ["DataStats.fold_scores.term", "_alpha_curve"]
+def test_calibration_scores_only_explicit_blends_with_the_model_score():
+    # every fold's alpha = 0 reads its sample term's one factor: another
+    # gaussian_nll_per_sample would pay a second Cholesky
+    assert [func for module, func, _ in _calls("gaussian_nll_per_sample")
+            if module == "calibration"] == ["_alpha_curve"]
     tree = ast.parse((SRC / "calibration.py").read_text())
-
-    def scored_in(blocks):
-        return sum(isinstance(call, ast.Call)
-                   and getattr(call.func, "attr", None) == "gaussian_nll_per_sample"
-                   for block in blocks for stmt in block.body for call in ast.walk(stmt))
-
-    # one call under the fold term's `if whitening is None:`, one in a loop
-    # over the alphas left uncertified
-    assert scored_in(node for node in ast.walk(tree) if isinstance(node, ast.If)
-                     and ast.unparse(node.test) == "whitening is None") == 1
-    assert scored_in(node for node in ast.walk(tree) if isinstance(node, ast.For)) == 1
+    # the one call is in the loop over the alphas left uncertified
+    assert sum(isinstance(call, ast.Call)
+               and getattr(call.func, "attr", None) == "gaussian_nll_per_sample"
+               for loop in ast.walk(tree) if isinstance(loop, ast.For)
+               for stmt in loop.body for call in ast.walk(stmt)) == 1

@@ -328,6 +328,15 @@ class TestTrialSweep:
         want = gaussian_nll_per_sample(sample_covariance(train), sample_covariance(test))
         assert rec.nll["sample"] == want
 
+    def test_sample_nll_infinite_at_most_m_rows(self):
+        # R_hat of N centered rows has rank at most N - 1 < M at N <= M = 100
+        config = tiny_sweep_config(
+            population=PopulationSpec(m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20),
+            library=pathway_library(100), n_list=(50, 100, 400), n_test=200, trials=1,
+            estimators=("sample",))
+        nll = [rec.nll["sample"] for rec in run_trial_sweep(config)]
+        assert nll[:2] == [math.inf, math.inf] and math.isfinite(nll[2])
+
     def test_per_trial_failures_recorded_not_raised(self, monkeypatch):
         # force a genuine estimator failure: the record carries the message
         # and the sweep keeps going
@@ -407,11 +416,12 @@ class TestTrialFoldSharing:
 
     def test_each_fold_target_projected_and_factored_once(self, pathway_decoys, monkeypatch):
         projections, factorizations = [], []
-        project, factor = calibration.reynolds_project, calibration.lapack.dpotrf
+        project, factor = calibration.reynolds_project, matrixcore.lapack.dpotrf
         monkeypatch.setattr(calibration, "reynolds_project",
                             lambda g, a: projections.append(1) or project(g, a))
-        monkeypatch.setattr(calibration.lapack, "dpotrf",
+        monkeypatch.setattr(matrixcore.lapack, "dpotrf",
                             lambda a, **kw: factorizations.append(1) or factor(a, **kw))
+        scored = _record_calls(monkeypatch, matrixcore, "gaussian_nll_per_sample")
         config = _bmg_trial_config(pathway_decoys, 400)
         (record,) = run_trial_sweep(config)
         assert record.error is None and record.ad_lwnl is not None
@@ -419,8 +429,10 @@ class TestTrialFoldSharing:
         distinct = {groups.orbit_partition(g).key for g in admitted}
         assert len(distinct) < len(admitted) == len(pathway_decoys.candidates)
         assert len(projections) == config.folds * len(distinct)
-        # every fold has n_train >= M rows: one factor of each sample term whitens it
-        assert len(factorizations) == config.folds * 2
+        # every fold has n_train >= M rows: one factor of each sample term
+        # whitens it, and the only other factors score the record's estimates
+        assert len(scored) == len(record.nll)
+        assert len(factorizations) == config.folds * 2 + len(scored)
 
 
 def _record_calls(monkeypatch, module, name):
