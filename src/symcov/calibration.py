@@ -161,21 +161,21 @@ class _Whitening:
 @dataclass(frozen=True)
 class Fold:
     """One fold of ``DataStats.splits``: X_test (a view of the rows), R_train,
-    R_test, n_train, and ``rank`` = min(n_train, M), a bound on R_train's
-    rank. X_train, read only by the Gram route, is kept iff rank < M."""
+    R_test, n_train and ``dof`` = n_train, R_train's degrees of freedom (its rows
+    are centered on the mean of all N). X_train, for the Gram route, is kept iff dof < M."""
     x_train: np.ndarray | None
     x_test: np.ndarray
     r_train: SymmetricMatrix
     r_test: SymmetricMatrix
     n_train: int
-    rank: int
+    dof: int
 
 
 @dataclass(frozen=True)
 class FoldTerm:
     """A fold's sample term S (R_train, or its LWNL), its group-free alpha = 0
     score, and the route of every target's ``_alpha_curve`` on the fold: Gram,
-    with the ``gram_rows`` of a raw S of rank below M, singular by rank, so
+    with the ``gram_rows`` of a raw S of dof below M, singular by rank, so
     alpha = 0 is +inf with no Cholesky; else alpha = 0 is read off S's one
     ``cholesky`` factor (+inf without one), and the curves are whitened by S
     if it passes ``_whitens``, by T if T does, or scored on explicit blends."""
@@ -213,15 +213,18 @@ class DataStats(Dataset):
         return self._cached("r_hat", lambda: matrixcore.sample_covariance(self))
 
     @property
+    def dof(self) -> int:
+        """R_hat's degrees of freedom, N - 1, as its rows are centered on their own mean."""
+        return self.n_obs - 1
+
+    @property
     def lwnl(self):
         from . import shrinkage
-        # LWNL's n is N - 1: R_hat's rows are centered on their own mean
-        return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat,
-                                                                           self.n_obs - 1))
+        return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat, self.dof))
 
     def splits(self, folds: int) -> list[Fold]:
         """The ``Fold`` of each block of ``fold_slices``: the one place the rows
-        are split and each fold's rank and route facts are decided."""
+        are split and each fold's dof and route facts are decided."""
 
         def split(fold, test):
             x_test = self.rows[test]
@@ -229,16 +232,16 @@ class DataStats(Dataset):
             n_train = self.n_obs - n_test
             if n_train < 2:
                 raise ValueError(f"training complement of fold {fold} has fewer than 2 rows")
-            rank = min(n_train, self.dim)
+            dof = n_train
             # From 2M rows R_train is downdated from R_hat, copying no rows; on
             # pathway100+decoys downdating moved fold scores by up to 2.4e-9
             # at n_train = M, 4.1e-12 at 1.04 M, 4.8e-14 at 1.2 M, 1.8e-15 at 2M
             if n_train >= 2 * self.dim:
                 r_train = (self.n_obs * self.r_hat.values - n_test * r_test.values) / n_train
-                return Fold(None, x_test, SymmetricMatrix(r_train), r_test, n_train, rank)
+                return Fold(None, x_test, SymmetricMatrix(r_train), r_test, n_train, dof)
             x_train = np.delete(self.rows, test, axis=0)
-            return Fold(x_train if rank < self.dim else None, x_test, second_moment(x_train),
-                        r_test, n_train, rank)
+            return Fold(x_train if dof < self.dim else None, x_test, second_moment(x_train),
+                        r_test, n_train, dof)
 
         return self._cached(("splits", folds), lambda: [
             split(fold, test) for fold, test in enumerate(fold_slices(self.n_obs, folds))])
@@ -255,10 +258,9 @@ class DataStats(Dataset):
         from . import shrinkage
 
         def term(fold: Fold) -> FoldTerm:
-            # LWNL's n is n_train: the training rows are centered on the mean of all N
-            s = (shrinkage.lwnl_from_covariance(fold.r_train, fold.n_train).matrix
+            s = (shrinkage.lwnl_from_covariance(fold.r_train, fold.dof).matrix
                  if use_lwnl else fold.r_train)
-            if not use_lwnl and fold.rank < self.dim:
+            if not use_lwnl and fold.dof < self.dim:
                 return FoldTerm(s, np.inf, None, fold.x_train)
             factor = cholesky(s)
             whitening = _whitening(s, factor, fold)

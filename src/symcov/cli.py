@@ -181,6 +181,8 @@ def cmd_decoy(args) -> int:
     config = synth.parse_sweep_config(args.config)
     if len(config.n_list) != 1:
         raise ValueError(f"{args.config}: config key 'n_list': decoy runs take one cell")
+    if config.estimators != synth.ESTIMATOR_ORDER:
+        raise ValueError(f"{args.config}: config key 'estimators': decoy runs score ad_bmg only")
     selected_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
     finite_scores: dict[str, list] = {g.name: [] for g in config.library.candidates}
     records = synth.run_trial_sweep(dataclasses.replace(config, estimators=("ad_bmg",)))

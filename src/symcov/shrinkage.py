@@ -101,14 +101,14 @@ def lw2004_auto(data: Dataset) -> EstimatorResult:
     """Linear shrinkage with intensity from the Frobenius-MSE plug-in taken
     at the Haar-orthogonal group, whose projection is the scaled identity.
 
-    Up to two centered rows hold at most one effective observation: one row
+    Data of dof <= 1 holds at most one effective observation: one row
     centers to zero, and two center to x and -x, for which the plug-in
     returns alpha = 0 and the singular rank-1 sample covariance. Such input
     carries no anisotropy information, so alpha is pinned to 1 and the
     result is flagged ``singular_input``.
     """
     stats = DataStats.of(data)
-    if data.n_obs <= 2:
+    if stats.dof <= 1:
         res = lw2004(stats.r_hat, 1.0)
         return replace(res, flags=res.flags | {FLAG_SINGULAR_INPUT})
     return lw2004(stats.r_hat,
@@ -174,10 +174,9 @@ def _shrink_eigenvalues(lam: np.ndarray, f: np.ndarray, hf: np.ndarray,
 
 def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
     """Nonlinear eigenvalue shrinkage (Ledoit & Wolf 2020, Ann. Statist.
-    48(5):3043-3065) of a precomputed covariance whose centered rows have
-    rank ``n_obs``, the formulas' sample size n: N - 1 for R_hat, whose rows
-    are centered on their own mean, and n_train for a fold's training rows,
-    centered on the mean of all N rows.
+    48(5):3043-3065) of a precomputed covariance of ``n_obs`` degrees of
+    freedom, the formulas' sample size n: the ``dof`` of its rows' centering,
+    ``DataStats.dof`` for R_hat and ``Fold.dof`` for a fold's R_train.
 
     With M <= n, the p <= n map at c = M/n. Sample eigenvalues below
     RANK_RTOL * lambda_max are excluded from the KDE support and all map to
@@ -197,7 +196,7 @@ def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
     """
     if n_obs < 1:
         raise ValueError("nonlinear shrinkage requires at least 2 observations "
-                         f"(centered rows of rank >= 1), got rank {n_obs}")
+                         f"(dof >= 1), got dof {n_obs}")
     m = r_hat.dim
     lam, u = np.linalg.eigh(r_hat.values)
     lam_max = lam[-1]

@@ -80,6 +80,8 @@ class PopulationSpec:
     cross_block: float = 0.1
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise _FieldError(("m",), f"population needs m >= 1, got {self.m}")
         if self.kind not in POPULATIONS:
             raise _FieldError(("kind",), f"unknown population kind {self.kind!r}")
         reads, _ = POPULATIONS[self.kind]
@@ -510,7 +512,7 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
             fitted["sample"] = train.r_hat
         if "lw2004" in wanted:
             fitted["lw2004"] = shrinkage.lw2004_auto(train).matrix
-        if "lwnl" in wanted and n >= 2:   # undefined below 2 rows: left empty
+        if "lwnl" in wanted and train.dof >= 1:   # undefined at dof 0: left empty
             fitted["lwnl"] = shrinkage.lwnl(train).matrix
         if wanted & {"ad_bmg", "shah_bmg"}:
             est_ad, record.ad = bmg_mod.bmg_with_fallback(train, *selection, use_lwnl=False)
@@ -523,8 +525,7 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
             est_lw, record.ad_lwnl = bmg_mod.bmg_with_fallback(train, *selection, use_lwnl=True)
             fitted["ad_lwnl_bmg"] = est_lw.matrix
         for name, matrix in fitted.items():
-            # R_hat of n centered rows has rank at most n - 1: singular at n <= M
-            record.nll[name] = (np.inf if name == "sample" and n <= sigma.dim
+            record.nll[name] = (np.inf if name == "sample" and train.dof < sigma.dim
                                 else matrixcore.gaussian_nll_per_sample(matrix, r_test))
             record.frob[name] = matrixcore.frobenius_norm(
                 SymmetricMatrix.of_symmetric(matrix.values - sigma.values))

@@ -523,7 +523,7 @@ class TestGramPath:
     @pytest.mark.parametrize("n,m,folds", fold_cases, ids=[f"{n}-{m}" for n, m, _ in fold_cases])
     def test_fold_keeps_test_row_views_and_training_rows_only_below_m(self, n, m, folds,
                                                                        monkeypatch):
-        # rank = min(n_train, M); X_train is kept iff n_train < M, and R_train
+        # dof = n_train; X_train is kept iff n_train < M, and R_train
         # is downdated from R_hat, copying no rows, iff n_train >= 2M
         stats, copies, delete = DataStats.of(_rows(n, m, 92)), [], np.delete
         monkeypatch.setattr(np, "delete", lambda *args, **kw: copies.append(1) or delete(
@@ -532,7 +532,7 @@ class TestGramPath:
         monkeypatch.undo()
         for block, fold in zip(fold_slices(n, folds), splits):
             n_train = n - (block.stop - block.start)
-            assert fold.n_train == n_train and fold.rank == min(n_train, m)
+            assert fold.n_train == fold.dof == n_train
             assert np.shares_memory(fold.x_test, stats.rows)
             np.testing.assert_array_equal(fold.r_test.values,
                                           second_moment(stats.rows[block]).values)
@@ -722,6 +722,47 @@ class TestFoldStats:
         np.testing.assert_array_equal(stats.r_hat.values, sample_covariance(data).values)
         assert stats.splits(5) is stats.splits(5)
         assert len(stats.splits(3)) == 3 and stats.splits(3) is not stats.splits(5)
+
+
+class TestDegreesOfFreedom:
+    """Each centered moment's degrees of freedom are decided once, in
+    ``DataStats.dof`` (N - 1) and ``Fold.dof`` (n_train), and every rank rule
+    and LWNL call reads them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 124, 125, 2000])
+    def test_dof_of_r_hat_and_of_each_fold(self, n):
+        stats, folds = DataStats.of(_pathway_rows(n)), min(DEFAULT_FOLDS, n)
+        assert stats.dof == n - 1
+        if n == 2:   # no fold of 2 rows leaves 2 training rows
+            return
+        for test, fold in zip(fold_slices(n, folds), stats.splits(folds)):
+            assert fold.dof == fold.n_train == n - (test.stop - test.start)
+
+    @pytest.mark.parametrize("n", [124, 125])
+    def test_raw_rank_rules_flip_at_dof_m(self, pathway_decoys, n, monkeypatch):
+        # five folds of 124 rows train on 99 or 100 rows, of 125 rows on 100
+        terms, record = [], calibration.FoldTerm
+        monkeypatch.setattr(calibration, "FoldTerm",
+                            lambda *args: terms.append(record(*args)) or terms[-1])
+        stats = DataStats.of(_pathway_rows(n))
+        scores = cv_nll_alpha(stats, pathway_decoys.candidates[0]).fold_scores
+        splits = stats.splits(DEFAULT_FOLDS)
+        assert sorted({fold.dof for fold in splits}) == ([99, 100] if n == 124 else [100])
+        for fold, term, at_zero in zip(splits, terms, scores[:, 0]):
+            below = fold.dof < stats.dim
+            assert (fold.x_train is not None) == (term.gram_rows is not None) == below
+            assert math.isinf(term.at_zero) == math.isinf(at_zero) == below
+
+    def test_both_lwnl_calls_take_their_moments_dof(self, monkeypatch):
+        stats, folds = DataStats.of(_rows(30, 6, 76)), DEFAULT_FOLDS
+        calls, original = [], shrinkage.lwnl_from_covariance
+        monkeypatch.setattr(shrinkage, "lwnl_from_covariance",
+                            lambda r, n: calls.append((r, n)) or original(r, n))
+        stats.lwnl
+        cv_nll_alpha(stats, groups.cyclic(6), folds=folds, use_lwnl_sample_term=True)
+        moments = [(stats.r_hat, stats.dof)] + [(f.r_train, f.dof) for f in stats.splits(folds)]
+        assert [(id(r), n) for r, n in calls] == [(id(r), n) for r, n in moments]
+        assert [n for _, n in calls] == [29] + [24] * folds
 
 
 class TestFixedCosts:

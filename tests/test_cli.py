@@ -470,6 +470,8 @@ class TestVerifyLwnl:
         (["--population", synth.POP_GEOMETRIC, "--geometric-decay", "0"], "--geometric-decay"),
         (["--population", synth.POP_TWO_BLOCK, "--two-block-split", "3"], "--two-block-split"),
         (["--population", synth.POP_TWO_BLOCK, "--two-block-split", "0"], "--two-block-split"),
+        (["--m", "0"], "--m"),
+        (["--m", "-2"], "--m"),
     ])
     def test_failed_population_check_is_config_error_naming_flag(self, tmp_path, capsys,
                                                                  args, flag):
@@ -601,10 +603,13 @@ class TestSweepAndDecoy:
         # ceil(0.9 m) = m at m = 6
         (population_cfg_with("population = two_block", "two_block_split = 0.9"),
          "two_block_split"),
+        (sweep_cfg_with("m = 0"), "m"),
+        (sweep_cfg_with("m = -2"), "m"),
     ], ids=["not-positive-definite", "unreachable-delta", "group-of-wrong-size",
             "negative-two-block-ratio", "zero-two-block-ratio", "zero-geometric-decay",
             "negative-population-seed", "two-block-split-above-one",
-            "negative-two-block-split", "zero-two-block-split", "two-block-split-rounding-to-m"])
+            "negative-two-block-split", "zero-two-block-split", "two-block-split-rounding-to-m",
+            "zero-m", "negative-m"])
     def test_unbuildable_population_is_config_error_naming_key(self, tmp_path, capsys,
                                                                command, text, key):
         # the failing key's line is the config's last
@@ -621,6 +626,16 @@ class TestSweepAndDecoy:
         out = tmp_path / "o.csv"
         assert run_cli("decoy", "--config", str(cfg), "--out", str(out)) == 2
         assert f"{cfg}: config key 'n_list'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["estimators = lw2004", "estimators = ad_bmg, lwnl"])
+    def test_decoy_with_estimators_is_config_error_naming_them(self, tmp_path, capsys, line):
+        # decoy runs score ad_bmg alone, so an estimators key would be ignored
+        cfg = tmp_path / "decoy.cfg"
+        cfg.write_text(sweep_cfg_with("n_list = 16") + line + "\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("decoy", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}: config key 'estimators'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "decoy"])

@@ -2,10 +2,11 @@
 stream (``groups._rng``), the overflow-safe Frobenius norm
 (``matrixcore.frobenius_norm``), the Cholesky factor of a model, which scores
 it and whitens an alpha-curve (``matrixcore.cholesky``), the fold split that
-copies rows (``DataStats.splits``) and the explicit held-out scores of
-calibration. A second copy would let two streams, two norms or two
-factorizations drift apart unseen, or pay again for work already done, so the
-sources are scanned for one."""
+copies rows (``DataStats.splits``), the explicit held-out scores of
+calibration and a centered moment's degrees of freedom (``DataStats.dof``,
+``Fold.dof``). A second copy would let two streams, two norms, two
+factorizations or two sample sizes drift apart unseen, or pay again for work
+already done, so the sources are scanned for one."""
 
 import ast
 from pathlib import Path
@@ -13,10 +14,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "symcov"
 
 
-def _calls(name: str):
+def _nodes(match):
     """(module, dotted name of the enclosing class and function definitions
-    or None, call node) for every call of a function named ``name``, whether
-    reached as an attribute (``np.random.Philox``) or imported."""
+    or None, node) for every node of the sources that ``match`` accepts."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         scope = {tree: None}
@@ -25,9 +25,15 @@ def _calls(name: str):
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                 inner = node.name if inner is None else f"{inner}.{node.name}"
             scope.update((child, inner) for child in ast.iter_child_nodes(node))
-            if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
-                                                       getattr(node.func, "id", None)):
+            if match(node):
                 yield path.stem, scope[node], node
+
+
+def _calls(name: str):
+    """``_nodes`` of every call of a function named ``name``, whether reached
+    as an attribute (``np.random.Philox``) or imported."""
+    return _nodes(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)))
 
 
 def test_philox_is_constructed_in_one_place():
@@ -69,3 +75,18 @@ def test_calibration_scores_only_explicit_blends_with_the_model_score():
                and getattr(call.func, "attr", None) == "gaussian_nll_per_sample"
                for loop in ast.walk(tree) if isinstance(loop, ast.For)
                for stmt in loop.body for call in ast.walk(stmt)) == 1
+
+
+def test_degrees_of_freedom_are_decided_once_per_moment():
+    # R_hat's N - 1 is written only in DataStats.dof, and LWNL's sample size
+    # is read off the moment it shrinks, never recomputed beside the call
+    assert [(module, func) for module, func, _ in _nodes(
+        lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and ast.unparse(node.left).split(".")[-1] == "n_obs"
+        and isinstance(node.right, ast.Constant) and node.right.value == 1)] == [
+        ("calibration", "DataStats.dof")]
+    sizes = [node.args[1] if len(node.args) > 1 else
+             next(kw.value for kw in node.keywords if kw.arg == "n_obs")
+             for _, _, node in _calls("lwnl_from_covariance")]
+    assert len(sizes) == 2
+    assert all(isinstance(size, ast.Attribute) and size.attr == "dof" for size in sizes)

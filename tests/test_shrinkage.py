@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcov import groups, synth
+from symcov import calibration, groups, synth
 from symcov.matrixcore import Dataset, SymmetricMatrix, sample_covariance, second_moment
 from symcov.shrinkage import (
     EST_ADLWNL,
@@ -83,6 +83,16 @@ class TestLw2004Auto:
         assert res.alpha == 1.0
         assert FLAG_SINGULAR_INPUT in res.flags
         assert np.all(np.linalg.eigvalsh(res.matrix.values) > 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_alpha_pinned_exactly_at_dof_one(self, n, monkeypatch):
+        # dof = N - 1: the plug-in runs from 2 degrees of freedom on
+        calls, original = [], calibration.mse_plugin_alpha
+        monkeypatch.setattr(calibration, "mse_plugin_alpha",
+                            lambda data, g: calls.append(data.dof) or original(data, g))
+        res = lw2004_auto(gaussian_dataset(np.random.default_rng(23), n, 4))
+        assert (res.alpha == 1.0) == (FLAG_SINGULAR_INPUT in res.flags) == (n == 2)
+        assert calls == ([] if n == 2 else [2])
 
     @pytest.mark.parametrize("c", [2.0**-300, 1e-100, 1e100])
     def test_alpha_scale_free(self, c):

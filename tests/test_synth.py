@@ -329,13 +329,13 @@ class TestTrialSweep:
         assert rec.nll["sample"] == want
 
     def test_sample_nll_infinite_at_most_m_rows(self):
-        # R_hat of N centered rows has rank at most N - 1 < M at N <= M = 100
+        # R_hat of N centered rows has N - 1 degrees of freedom: singular at N <= M = 100
         config = tiny_sweep_config(
             population=PopulationSpec(m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20),
-            library=pathway_library(100), n_list=(50, 100, 400), n_test=200, trials=1,
+            library=pathway_library(100), n_list=(50, 100, 101, 400), n_test=200, trials=1,
             estimators=("sample",))
         nll = [rec.nll["sample"] for rec in run_trial_sweep(config)]
-        assert nll[:2] == [math.inf, math.inf] and math.isfinite(nll[2])
+        assert nll[:2] == [math.inf, math.inf] and all(map(math.isfinite, nll[2:]))
 
     def test_per_trial_failures_recorded_not_raised(self, monkeypatch):
         # force a genuine estimator failure: the record carries the message
