@@ -183,6 +183,8 @@ def cmd_decoy(args) -> int:
         raise ValueError(f"{args.config}: config key 'n_list': decoy runs take one cell")
     if config.estimators != synth.ESTIMATOR_ORDER:
         raise ValueError(f"{args.config}: config key 'estimators': decoy runs score ad_bmg only")
+    if config.n_test != synth.SweepConfig.n_test:
+        raise ValueError(f"{args.config}: config key 'n_test': decoy runs write no held-out score")
     selected_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
     finite_scores: dict[str, list] = {g.name: [] for g in config.library.candidates}
     records = synth.run_trial_sweep(dataclasses.replace(config, estimators=("ad_bmg",)))

@@ -183,12 +183,12 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
     Generator-based kind only; the Haar average has no pair partition.
     Results are memoized per GroupAction.
 
-    Pair (k, y) is labelled (r, u_k^-1(y)), where r is the smallest point of
-    k's orbit and the transversal element u_k maps r to k; one union-find
-    joins the labels of (i, j) and (g(i), g(j)) for every generator g. Each
-    join is made by a group element, so the classes are exactly the orbitals.
-    Classes are numbered in order of first appearance (row-major), so the
-    result does not depend on the transversal or on the order of the joins.
+    Pair (k, y) is labelled (r, u_k^-1(y)): r numbers k's orbit, u_k maps its
+    smallest point to k, so labels run 0..orbits*M-1. A union-find over them
+    joins (i, j) and (g(i), g(j)) for each generator g; as each join is a group
+    element, its classes, named by their smallest labels, are the orbitals.
+    Merged with their transposes, classes are numbered once by first
+    appearance (row-major), free of the transversal and the join order.
     """
     if g.kind == KIND_HAAR:
         raise GroupValidationError(f"orbit_partition undefined for kind {g.kind}")
@@ -199,7 +199,7 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
     # BFS from every orbit's smallest point at once: u_{g(k)}^-1 = u_k^-1 o g^-1
     inv_gens = np.argsort(gens, axis=1)
     reached = rep == points
-    frontier = np.flatnonzero(reached)
+    heads = frontier = np.flatnonzero(reached)
     u_inv = np.tile(points, (m, 1))
     via = np.full(m, -1)
     while frontier.size:
@@ -211,7 +211,8 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
         u_inv[new] = u_inv[frontier[parent][:, None], inv_gens[gen_of]]
         frontier = new
         reached[frontier] = True
-    raw = rep[:, None] * m + u_inv
+    n = heads.size * m   # pair labels: one row of M per orbit
+    raw = np.searchsorted(heads, rep)[:, None] * m + u_inv
     # Each generator g joins the labels of (s, y) and (g(s), g(y)) for every
     # point s it moves, in the rows and then in the columns of the labels; a
     # pair of fixed points keeps its label. The moved points of all
@@ -224,17 +225,16 @@ def orbit_partition(g: GroupAction) -> OrbitPartition:
             k, s = gen_of[lo:lo + step], point[lo:lo + step]
             kept, moved = r[s], r[gens[k, s][:, None], gens[k]]
             differ = moved != kept
-            joins.append(_distinct(kept[differ] * (m * m) + moved[differ]))
+            joins.append(_distinct(kept[differ] * n + moved[differ]))
     # each chunk's keys are sorted, so a stable sort (timsort) merges the runs
-    src, dst = np.divmod(_distinct(np.concatenate(joins), kind="stable"), m * m)
-    labels, anchor = _renumber_first_occurrence(_components(m * m, src, dst)[raw.ravel()])
-    class_of = labels.reshape(m, m)
+    src, dst = np.divmod(_distinct(np.concatenate(joins), kind="stable"), n)
+    root = _components(n, src, dst)   # each orbital named by its smallest label
     # Transposition is an involution on classes: merge each with its image.
-    sym_labels, sym_anchor = _renumber_first_occurrence(np.minimum(class_of, class_of.T).ravel())
+    sym_labels, sym_anchor = _renumber_first_occurrence(np.minimum(root[raw], root[raw.T]).ravel())
     key = sym_labels.tobytes()
     return OrbitPartition(dim=m, key=key, sym_class_of=np.frombuffer(key, np.intp).reshape(m, m),
-                          n_classes=len(anchor), d_g=len(sym_anchor), sym_anchor=sym_anchor,
-                          sym_counts=np.bincount(sym_labels))
+                          n_classes=int(np.count_nonzero(root == np.arange(n))), d_g=len(sym_anchor),
+                          sym_anchor=sym_anchor, sym_counts=np.bincount(sym_labels))
 
 
 def _anchored_mean(values: np.ndarray, anchor: float) -> float:

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import re
 import subprocess
@@ -517,6 +518,27 @@ base_seed = 9
 """
 
 
+# one cell of 2 trials over 4 candidates; no n_test key, which decoy runs reject
+DECOY_CFG = """m = 6
+population = block_circulant
+block_size = 3
+circulant_rho = 0.4
+cross_block = 0.05
+library = trivial:6;block:3x2;wreath:3x2;random-block:3x2:1
+n_list = 20
+trials = 2
+folds = 4
+grid_points = 5
+base_seed = 9
+"""
+
+
+def csv_records(path):
+    """The rows of a CSV file with a header, as dicts of their text fields."""
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
 def sweep_cfg_with(line):
     """SWEEP_CFG with ``line`` in place of the line setting the same key."""
     key = line.split("=")[0].strip()
@@ -638,6 +660,15 @@ class TestSweepAndDecoy:
         assert f"{cfg}: config key 'estimators'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_decoy_with_n_test_is_config_error_naming_it(self, tmp_path, capsys):
+        # decoy runs write no held-out score, so an n_test key would be ignored
+        cfg = tmp_path / "decoy.cfg"
+        cfg.write_text(DECOY_CFG + "n_test = 40\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("decoy", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"{cfg}: config key 'n_test'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep", "decoy"])
     @pytest.mark.parametrize("line, message", [
         ("populaton = identity", ":14: config key 'populaton' unknown"),
@@ -693,18 +724,7 @@ class TestSweepAndDecoy:
 
     def test_decoy_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "decoy.cfg"
-        cfg.write_text(
-            "m = 6\n"
-            "population = block_circulant\n"
-            "block_size = 3\n"
-            "circulant_rho = 0.4\n"
-            "cross_block = 0.05\n"
-            "library = trivial:6;block:3x2;wreath:3x2;random-block:3x2:1\n"
-            "n_list = 20\n"
-            "trials = 2\n"
-            "folds = 4\n"
-            "grid_points = 5\n"
-            "base_seed = 9\n")
+        cfg.write_text(DECOY_CFG)
         out = tmp_path / "scores.csv"
         summary = tmp_path / "summary.csv"
         assert run_cli("decoy", "--config", str(cfg), "--out", str(out),
@@ -715,6 +735,22 @@ class TestSweepAndDecoy:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 4  # trials x candidates
         assert summary.read_text().startswith("candidate,mean_cv_nll,selected_count")
+
+    def test_decoy_trials_are_the_sweeps_trials(self, tmp_path):
+        # decoy and sweep draw each trial's training rows from one stream, so
+        # the decoy's selected row restates the sweep record's ad_bmg fields
+        cfg = tmp_path / "decoy.cfg"
+        cfg.write_text(DECOY_CFG)
+        scores, sweep = tmp_path / "scores.csv", tmp_path / "sweep.csv"
+        assert run_cli("decoy", "--config", str(cfg), "--out", str(scores)) == 0
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(sweep)) == 0
+        selected = {row["trial"]: row for row in csv_records(scores) if row["selected"] == "1"}
+        records = csv_records(sweep)
+        assert sorted(selected) == [record["trial"] for record in records] == ["0", "1"]
+        for record in records:
+            row = selected[record["trial"]]
+            assert [row[c] for c in ("candidate", "best_alpha", "margin", "delta")] == \
+                [record[c] for c in ("ad_selected", "ad_alpha", "ad_margin", "ad_delta")]
 
     def test_decoy_trial_failure_is_config_error(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

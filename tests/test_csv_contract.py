@@ -175,7 +175,9 @@ def test_every_cli_writer_is_well_formed(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(TINY_CFG)
     decoy_cfg = tmp_path / "decoy.cfg"
-    decoy_cfg.write_text(TINY_CFG.replace("n_list = 4,20", "n_list = 20"))
+    # one cell, and no n_test key: decoy runs write no held-out score
+    decoy_cfg.write_text(TINY_CFG.replace("n_list = 4,20", "n_list = 20")
+                         .replace("n_test = 30\n", ""))
     out = {name: tmp_path / f"{name}.csv" for name in (
         "project", "estimate", "trace", "report", "winner", "sweep", "verify", "decoy",
         "summary")}

@@ -308,6 +308,23 @@ class TestOrbitPartition:
                         assert type(a) is type(b) and a == b, (g.name, rows, field.name)
         orbit_partition.cache_clear()
 
+    @pytest.mark.parametrize("g, orbits", [(groups.block_symmetric(20, 5), 5),
+                                           (groups.cyclic(100), 1), (groups.trivial(6), 6)],
+                             ids=["block-s20x5", "z100", "trivial-6"])
+    def test_pair_union_find_has_one_node_per_label(self, monkeypatch, g, orbits):
+        # the points' union-find has M nodes; the pairs' has one row of M
+        # labels per orbit, not M^2
+        sizes = []
+        components = groups._components
+
+        def spy(n, a, b):
+            sizes.append(n)
+            return components(n, a, b)
+
+        monkeypatch.setattr(groups, "_components", spy)
+        orbit_partition.__wrapped__(g)   # uncached, so the union-finds run
+        assert sizes == [g.dim, orbits * g.dim]
+
     def test_cli_import_leaves_scipy_sparse_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c",
