@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import lapack
@@ -22,6 +23,9 @@ from .groups import (
     projected_outer_sq_norms,
     reynolds_project,
 )
+
+if TYPE_CHECKING:
+    from . import shrinkage
 
 METHOD_MSE_PLUGIN = "mse_plugin"
 METHOD_CV_NLL = "cv_nll"
@@ -162,7 +166,8 @@ class _Whitening:
 class Fold:
     """One fold of ``DataStats.splits``: X_test (a view of the rows), R_train,
     R_test, n_train and ``dof`` = n_train, R_train's degrees of freedom (its rows
-    are centered on the mean of all N). X_train, for the Gram route, is kept iff dof < M."""
+    are centered on the mean of all N). X_train, for the Gram route and the
+    LWNL term's Gram spectrum, is kept iff dof < M."""
     x_train: np.ndarray | None
     x_test: np.ndarray
     r_train: SymmetricMatrix
@@ -178,11 +183,14 @@ class FoldTerm:
     with the ``gram_rows`` of a raw S of dof below M, singular by rank, so
     alpha = 0 is +inf with no Cholesky; else alpha = 0 is read off S's one
     ``cholesky`` factor (+inf without one), and the curves are whitened by S
-    if it passes ``_whitens``, by T if T does, or scored on explicit blends."""
+    if it passes ``_whitens``, by T if T does, or scored on explicit blends.
+    An S that whitens keeps its LWNL ``spectrum``, off which the curve of a
+    target equal to R_train, which commutes with S, is read."""
     sample: SymmetricMatrix
     at_zero: float
     whitening: _Whitening | None
     gram_rows: np.ndarray | None
+    spectrum: shrinkage.Spectrum | None = None
 
 
 class DataStats(Dataset):
@@ -220,7 +228,8 @@ class DataStats(Dataset):
     @property
     def lwnl(self):
         from . import shrinkage
-        return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(self.r_hat, self.dof))
+        return self._cached("lwnl", lambda: shrinkage.lwnl_from_covariance(
+            self.r_hat, self.dof, self.rows))
 
     def splits(self, folds: int) -> list[Fold]:
         """The ``Fold`` of each block of ``fold_slices``: the one place the rows
@@ -258,14 +267,16 @@ class DataStats(Dataset):
         from . import shrinkage
 
         def term(fold: Fold) -> FoldTerm:
-            s = (shrinkage.lwnl_from_covariance(fold.r_train, fold.dof).matrix
-                 if use_lwnl else fold.r_train)
             if not use_lwnl and fold.dof < self.dim:
-                return FoldTerm(s, np.inf, None, fold.x_train)
+                return FoldTerm(fold.r_train, np.inf, None, fold.x_train)
+            lwnl = (shrinkage.lwnl_from_covariance(fold.r_train, fold.dof, fold.x_train)
+                    if use_lwnl else None)
+            s = fold.r_train if lwnl is None else lwnl.matrix
             factor = cholesky(s)
             whitening = _whitening(s, factor, fold)
             if whitening is not None:
-                return FoldTerm(s, 0.5 * (factor.logdet + whitening.trace), whitening, None)
+                return FoldTerm(s, 0.5 * (factor.logdet + whitening.trace), whitening, None,
+                                None if lwnl is None else lwnl.spectrum)
             return FoldTerm(s, np.inf if factor is None else factor.nll(fold.r_test), None, None)
 
         def score():
@@ -323,6 +334,38 @@ def _eigen_curve(k: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray,
     return keep, np.log(good).sum(axis=1), (d / good).sum(axis=1)
 
 
+def _spectral_curve(spectrum: shrinkage.Spectrum, r_test: np.ndarray, alphas: np.ndarray,
+                    floor: float) -> tuple | None:
+    """``_eigen_curve``'s (mask, logdet, trace term), relative to S, of the
+    blends S + alpha (T - S) for S = nu I + U diag(phi - nu) U^T and a T =
+    U diag(lambda) U^T that commutes with it: on U the blend has eigenvalues
+    e = (1 - alpha) phi + alpha lambda, and I + alpha K has e / phi; on U's
+    complement, where T is zero, (1 - alpha) nu and 1 - alpha. The trace
+    term is sum d / e with d = diag(U^T R_test U), and tr R_test - sum d on
+    the complement. Certified as ``_eigen_curve`` is, min e / phi >=
+    ``floor``. None when a blend (but a singular alpha = 1 below the rank)
+    fails ``_whitens``' test, kappa^2 CURVE_GUARD <= 1 for its own condition
+    number: at kappa 4e5 to 3e7 (trivial-100 on pathway100+decoys, n_train
+    = M) the eigenvalues of T lost enough digits to move fold scores 8e-13 to
+    1.4e-10 from a 40-digit reference, against 4e-13 to 4e-12 for the curve
+    whitened by S."""
+    u, lam, phi, nu = spectrum.vectors, spectrum.sample, spectrum.shrunk, spectrum.null
+    d = np.einsum("ij,ij->j", u, r_test @ u)
+    e, scale, weight = phi + np.outer(alphas, lam - phi), phi, np.ones(len(phi))
+    blends = e
+    if nu is not None:   # the complement as one column, weighted by its dimension
+        e = np.column_stack([e, (1.0 - alphas) * nu])
+        d, scale = np.append(d, np.trace(r_test) - d.sum()), np.append(phi, nu)
+        weight = np.append(weight, len(u) - len(lam))
+        blends = e[alphas < 1.0]
+    low, high = blends.min(axis=1), blends.max(axis=1)
+    if not (low > 0).all() or CURVE_GUARD * np.max(high / low, initial=1.0) ** 2 > 1:
+        return None
+    keep = (e / scale).min(axis=1) >= floor
+    e = e[keep]
+    return keep, np.log(e / scale) @ weight, (d / e).sum(axis=1)
+
+
 def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
                        floor: float, k_min: float | None = None) -> tuple:
     """For a symmetric K, columns W and blends a_j I + b_j K with b_j >= 0: the
@@ -364,7 +407,11 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
     Z = X_test L^-T, W = Y Z^T the trace term is (||Z||^2 - b tr(W^T (a I +
     b K)^-1 W)) / (alpha n_test). A Gram T that ``cholesky`` cannot factor
     makes every alpha > 0 +inf; other alphas not certified to pass its pivot
-    test are scored on explicit blends by ``gaussian_nll_per_sample``."""
+    test are scored on explicit blends by ``gaussian_nll_per_sample``. A
+    target equal to R_train on a fold whitened by an LWNL S commutes with S:
+    its curve is read off S's ``Spectrum`` by ``_spectral_curve`` where that
+    resolves every blend, with no M x M reduction, and below the rank its
+    alpha = 1, T itself, is +inf by rank."""
     s, t = term.sample.values, target.values
     # difference form: a zero residual (e.g. the trivial group) gives every
     # alpha the sample term's score bitwise, so structural ties stay exact
@@ -374,6 +421,10 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
         return scores
     certified = np.zeros(len(alphas), dtype=bool)
     a, b = alphas[1:], 1.0 - alphas[1:]
+    commuting = term.spectrum is not None and np.array_equal(t, fold.r_train.values)
+    if commuting and term.spectrum.null is not None:   # T = R_train below the rank
+        certified = alphas == 1.0
+        scores[certified] = np.inf
     if term.gram_rows is None:   # blend = E + beta (O - E), with step = O - E
         whitening, beta, step = ((term.whitening, a, residual) if term.whitening is not None
                                  else (_whitening(target, cholesky(target), fold), b, -residual))
@@ -385,10 +436,11 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
         factor = factor if _whitens(target, factor) else None
     if factor is not None:
         floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * factor.inv_norm_sq
-        if term.gram_rows is None:
+        curve = _spectral_curve(term.spectrum, fold.r_test.values, a, floor) if commuting else None
+        if curve is None and term.gram_rows is None:
             curve = whitening.kernel(_congruent(factor.inv_ell, step), whitening.test,
                                      np.ones_like(beta), beta, floor)
-        else:
+        elif term.gram_rows is not None:
             (n_test, m), n_train = fold.x_test.shape, fold.n_train
             y = matrixcore.whiten(factor.inv_ell, term.gram_rows) / np.sqrt(n_train)
             z = matrixcore.whiten(factor.inv_ell, fold.x_test)
@@ -396,8 +448,9 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
             a = a[keep]
             curve = (keep, logdet + (m - n_train) * np.log(a),
                      (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * n_test))
-        certified[1:], logdet, trace = curve
-        scores[certified] = 0.5 * (factor.logdet + logdet + trace)
+        keep, logdet, trace = curve   # no curve certifies a blend singular by rank
+        certified[1:] |= keep
+        scores[1:][keep] = 0.5 * (factor.logdet + logdet + trace)
     for j in np.flatnonzero(~certified[1:]) + 1:
         # S + alpha (T - S), not matrixcore.blend: sharing the curve's residual
         # keeps both paths equal to rounding, while the convex form moved LWNL

@@ -8,7 +8,7 @@ Monte Carlo trials may call them concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class EstimatorResult:
     alpha: float | None = None
     group_name: str | None = None
     flags: frozenset[str] = frozenset()
+    # the nonlinear shrinkage's matrix in spectral form, where it was mapped
+    spectrum: Spectrum | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flags", frozenset(self.flags))
@@ -172,7 +174,21 @@ def _shrink_eigenvalues(lam: np.ndarray, f: np.ndarray, hf: np.ndarray,
     return lam / denom
 
 
-def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
+@dataclass(frozen=True)
+class Spectrum:
+    """A nonlinear shrinkage nu I + U diag(phi - nu) U^T of a moment R: U
+    (``vectors``) has orthonormal columns, on which R has eigenvalues
+    ``sample`` (lambda) and the estimate ``shrunk`` (phi). ``null`` (nu) is the
+    estimate on U's orthogonal complement, where R is zero, and None when U
+    is square."""
+    vectors: np.ndarray
+    sample: np.ndarray
+    shrunk: np.ndarray
+    null: float | None
+
+
+def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int,
+                         rows: np.ndarray | None = None) -> EstimatorResult:
     """Nonlinear eigenvalue shrinkage (Ledoit & Wolf 2020, Ann. Statist.
     48(5):3043-3065) of a precomputed covariance of ``n_obs`` degrees of
     freedom, the formulas' sample size n: the ``dof`` of its rows' centering,
@@ -193,21 +209,30 @@ def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
     n / (M - n) times the kept eigenvalues' harmonic mean. Both regimes
     take one kernel estimate, at the kept eigenvalues and at the null ones'
     query point: the threshold at M <= n, 0 at M > n.
+
+    ``rows``, when given, are the X with r_hat = X^T X / len(X). At M > n
+    the spectrum is then taken from their Gram matrix X X^T / len(X), which
+    has the same nonzero eigenvalues, with U = X^T V Lambda^(-1/2) /
+    sqrt(len(X)), and the estimate assembled as nu I + U diag(phi - nu) U^T:
+    no M x M eigendecomposition. A mapped result carries its ``Spectrum``.
     """
     if n_obs < 1:
         raise ValueError("nonlinear shrinkage requires at least 2 observations "
                          f"(dof >= 1), got dof {n_obs}")
     m = r_hat.dim
-    lam, u = np.linalg.eigh(r_hat.values)
+    gram = rows is not None and m > n_obs
+    lam, vecs = np.linalg.eigh(rows @ rows.T / len(rows) if gram else r_hat.values)
     lam_max = lam[-1]
     if lam_max <= 0.0:
         return EstimatorResult(EST_LWNL, r_hat,
                                flags={FLAG_DEGENERATE_SPECTRUM, FLAG_SINGULAR_INPUT})
     threshold = RANK_RTOL * lam_max
     keep = lam >= threshold
-    keep[:max(m - n_obs, 0)] = False   # at M > n, the M - n smallest are the null ones
+    # at M > n, the M - n smallest of R's M eigenvalues are the null ones; a
+    # Gram spectrum holds all but M - len(rows) of them, which are zero
+    keep[:max(len(lam) - n_obs, 0)] = False
     lam_kept = lam[keep]
-    flags = set() if keep.all() else {FLAG_RANK_AWARE_KDE, FLAG_SINGULAR_INPUT}
+    flags = set() if keep.sum() == m else {FLAG_RANK_AWARE_KDE, FLAG_SINGULAR_INPUT}
     if m > n_obs:
         c, point = 1.0, 0.0
     elif lam_kept[-1] - lam_kept[0] <= 1e-12 * lam_max:
@@ -217,10 +242,18 @@ def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int) -> EstimatorResult:
     f, hf = epanechnikov_kde(lam_kept, n_obs, np.append(lam_kept, point))
     null = (n_obs / ((m - n_obs) * hf[-1]) if m > n_obs
             else _shrink_eigenvalues(point, f[-1], hf[-1], c))
-    out_eigs = np.full(m, null)
-    out_eigs[keep] = _shrink_eigenvalues(lam_kept, f[:-1], hf[:-1], c)
-    matrix = SymmetricMatrix((u * out_eigs) @ u.T)
-    return EstimatorResult(EST_LWNL, matrix, flags=flags)
+    shrunk = _shrink_eigenvalues(lam_kept, f[:-1], hf[:-1], c)
+    if gram:
+        u = rows.T @ (vecs[:, keep] / np.sqrt(len(rows) * lam_kept))
+        matrix = (u * (shrunk - null)) @ u.T
+        matrix[np.diag_indices(m)] += null
+        spectrum = Spectrum(u, lam_kept, shrunk, null)
+    else:
+        out_eigs = np.full(m, null)
+        out_eigs[keep] = shrunk
+        matrix = (vecs * out_eigs) @ vecs.T
+        spectrum = Spectrum(vecs, lam, out_eigs, None)
+    return EstimatorResult(EST_LWNL, SymmetricMatrix(matrix), flags=flags, spectrum=spectrum)
 
 
 def lwnl(data: Dataset) -> EstimatorResult:

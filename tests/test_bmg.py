@@ -205,9 +205,9 @@ class TestTier2:
         calls = []
         original = shrinkage.lwnl_from_covariance
 
-        def counting(r_hat, n_obs):
+        def counting(r_hat, n_obs, rows):
             calls.append(n_obs)
-            return original(r_hat, n_obs)
+            return original(r_hat, n_obs, rows)
 
         monkeypatch.setattr(shrinkage, "lwnl_from_covariance", counting)
         folds = 5

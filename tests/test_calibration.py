@@ -346,6 +346,60 @@ class TestAlphaCurveOnLibrary:
                                        rtol=1e-12, atol=0, err_msg=g.name)
 
 
+def _record_curves(monkeypatch, name):
+    """The results of every call of the curve kernel ``name``."""
+    results, kernel = [], getattr(calibration, name)
+    monkeypatch.setattr(calibration, name,
+                        lambda *args, **kw: results.append(kernel(*args, **kw)) or results[-1])
+    return results
+
+
+class TestCommutingTarget:
+    """The trivial target equals R_train, which commutes with its LWNL term S:
+    on folds S whitens, its curve is read off S's spectrum with no M x M
+    reduction, and below the rank its alpha = 1, R_train itself, is +inf."""
+
+    @pytest.mark.parametrize("n", [200, 400, 2000])
+    def test_trivial_lwnl_scores_match_explicit_blends(self, n, monkeypatch):
+        data, trivial = _pathway_rows(n), groups.trivial(100)
+        spectral = _record_curves(monkeypatch, "_spectral_curve")
+        reductions = (_record_eigen_calls(monkeypatch), _record_tridiagonal_shapes(monkeypatch))
+        got = cv_nll_alpha(data, trivial, use_lwnl_sample_term=True).fold_scores
+        assert len(spectral) == DEFAULT_FOLDS and None not in spectral
+        assert reductions == ([], [])
+        want = _explicit_fold_scores(data, trivial, use_lwnl=True)
+        finite = np.isfinite(want)
+        assert finite.all()
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_below_the_rank_alpha_one_is_singular_with_no_explicit_blend(self, pathway_decoys,
+                                                                          monkeypatch):
+        # N = 110 >= kappa M at kappa = 1 admits trivial-100; its folds train on
+        # 88 rows, so R_train, the trivial target, has rank 88 < M
+        data = _pathway_rows(110)
+        stats, calls = DataStats.of(data), _record_nll_calls(monkeypatch)
+        spectral = _record_curves(monkeypatch, "_spectral_curve")
+        _, report = bmg.bmg_with_fallback(stats, pathway_decoys, kappa=1.0, use_lwnl=True)
+        assert len(calls) == 0
+        assert "trivial-100" in report.tier1_admitted
+        assert math.isfinite(report.tier2_scores["trivial-100"])
+        assert len(spectral) == DEFAULT_FOLDS and None not in spectral
+        got = cv_nll_alpha(stats, groups.trivial(100), use_lwnl_sample_term=True).fold_scores
+        assert np.isinf(got[:, -1]).all() and np.isfinite(got[:, :-1]).all()
+        want = _explicit_fold_scores(data, groups.trivial(100), use_lwnl=True)
+        np.testing.assert_allclose(got[:, :-1], want[:, :-1], rtol=1e-12, atol=0)
+
+    def test_an_ill_conditioned_target_keeps_the_whitened_curve(self, monkeypatch):
+        # n_train = M at N = 125: R_train's condition number reaches 8e5, past
+        # what the spectrum resolves, so those folds reduce K as before
+        spectral = _record_curves(monkeypatch, "_spectral_curve")
+        reductions = _record_eigen_calls(monkeypatch)
+        cv_nll_alpha(_pathway_rows(125), groups.trivial(100), use_lwnl_sample_term=True)
+        declined = sum(curve is None for curve in spectral)
+        assert declined > 0 and len(reductions) == declined
+
+
 def _record_factorizations(monkeypatch):
     calls, factor = [], matrixcore.lapack.dpotrf
     monkeypatch.setattr(matrixcore.lapack, "dpotrf",
@@ -678,7 +732,7 @@ class TestFoldStats:
         stats, folds = DataStats.of(_rows(30, 6, 75)), 5
         calls, original = [], shrinkage.lwnl_from_covariance
         monkeypatch.setattr(shrinkage, "lwnl_from_covariance",
-                            lambda r, n: calls.append(n) or original(r, n))
+                            lambda r, n, rows: calls.append(n) or original(r, n, rows))
         for grid_points in (DEFAULT_GRID_POINTS, 5):
             for g in (groups.cyclic(6), groups.block_symmetric(3, 2), groups.trivial(6)):
                 cv_nll_alpha(stats, g, grid_points, folds, use_lwnl_sample_term=True)
@@ -757,7 +811,7 @@ class TestDegreesOfFreedom:
         stats, folds = DataStats.of(_rows(30, 6, 76)), DEFAULT_FOLDS
         calls, original = [], shrinkage.lwnl_from_covariance
         monkeypatch.setattr(shrinkage, "lwnl_from_covariance",
-                            lambda r, n: calls.append((r, n)) or original(r, n))
+                            lambda r, n, rows: calls.append((r, n)) or original(r, n, rows))
         stats.lwnl
         cv_nll_alpha(stats, groups.cyclic(6), folds=folds, use_lwnl_sample_term=True)
         moments = [(stats.r_hat, stats.dof)] + [(f.r_train, f.dof) for f in stats.splits(folds)]

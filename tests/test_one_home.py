@@ -6,7 +6,9 @@ copies rows (``DataStats.splits``), the explicit held-out scores of
 calibration and a centered moment's degrees of freedom (``DataStats.dof``,
 ``Fold.dof``). A second copy would let two streams, two norms, two
 factorizations or two sample sizes drift apart unseen, or pay again for work
-already done, so the sources are scanned for one."""
+already done, so the sources are scanned for one. Calibration and the
+estimators each take one symmetric eigendecomposition: of an alpha-curve's K,
+and of the moment LWNL shrinks or its rows' Gram matrix."""
 
 import ast
 from pathlib import Path
@@ -55,6 +57,14 @@ def test_models_are_factored_only_in_matrixcore_cholesky():
     assert {ast.unparse(node.func) for _, _, node in _calls("cholesky")} <= {
         "cholesky", "matrixcore.cholesky"}
     assert not list(_calls("cho_solve"))
+
+
+def test_calibration_and_the_estimators_decompose_in_one_place_each():
+    # a commuting target's curve reads the LWNL term's spectrum, and a moment
+    # below the rank is decomposed through its rows, never again as M x M
+    assert [(module, func) for module, func, _ in _calls("eigh")
+            if module in ("calibration", "shrinkage")] == [
+        ("calibration", "_eigen_curve"), ("shrinkage", "lwnl_from_covariance")]
 
 
 def test_rows_are_copied_only_in_the_fold_split():

@@ -293,6 +293,71 @@ class TestLwnlAboveTheSampleRank:
             assert truth[0] / 10 <= w[0] and w[-1] <= 10 * truth[-1]
 
 
+class TestLwnlFromRows:
+    """Below the sample rank the spectrum comes from the n x n Gram matrix of
+    the moment's rows, and the result equals the M x M path's."""
+
+    M = 40
+
+    @staticmethod
+    def _moment(kind, dof, m, duplicated):
+        """The rows, their second moment and its dof: a fold's rows (dof of
+        them) or R_hat's centered rows (dof + 1); duplicated rows repeat the
+        first half, so the rank is below dof."""
+        n_rows = dof if kind == "fold" else dof + 1
+        rows = np.random.default_rng(100 + dof).standard_normal((n_rows, m))
+        if duplicated:
+            rows[n_rows - n_rows // 2:] = rows[:n_rows // 2]
+        if kind == "r_hat":
+            rows = Dataset(rows).center().rows
+        return rows, second_moment(rows), dof
+
+    # one row cannot repeat another, and two equal rows center to zero
+    @pytest.mark.parametrize("dof,duplicated", [
+        (1, False), (2, False), (2, True), (M // 2, False), (M // 2, True), (M - 1, False),
+        (M - 1, True)])
+    @pytest.mark.parametrize("kind", ["fold", "r_hat"])
+    def test_rows_path_equals_the_m_by_m_path(self, dof, duplicated, kind, monkeypatch):
+        rows, r, n_obs = self._moment(kind, dof, self.M, duplicated)
+        want = lwnl_from_covariance(r, n_obs)
+        decomposed, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: decomposed.append(a) or eigh(a))
+        got = lwnl_from_covariance(r, n_obs, rows)
+        # one decomposition, of the rows' Gram matrix, never of the moment
+        (a,) = decomposed
+        assert a.shape == (len(rows), len(rows))
+        np.testing.assert_allclose(a, rows @ rows.T / len(rows), rtol=1e-15, atol=0)
+        assert got.flags == want.flags
+        assert {FLAG_RANK_AWARE_KDE, FLAG_SINGULAR_INPUT} <= got.flags
+        np.testing.assert_allclose(got.matrix.values, want.matrix.values,
+                                   rtol=0, atol=1e-12 * np.abs(want.matrix.values).max())
+        # U spans the rows, and nu is the estimate on their complement
+        assert got.spectrum.vectors.shape == (self.M, np.linalg.matrix_rank(rows))
+        null_direction = np.linalg.svd(rows)[2][-1]
+        np.testing.assert_allclose(want.matrix.values @ null_direction,
+                                   got.spectrum.null * null_direction, rtol=0, atol=1e-12)
+
+    def test_spectrum_assembles_the_matrix(self):
+        # at and above the rank the M x M path keeps all M eigenpairs
+        for n_rows, rows in ((40, None), (10, "gram")):
+            x = np.random.default_rng(n_rows).standard_normal((n_rows, 16 if rows else 8))
+            res = lwnl_from_covariance(second_moment(x), n_rows, x if rows else None)
+            spec = res.spectrum
+            nu = 0.0 if spec.null is None else spec.null
+            assembled = (spec.vectors * (spec.shrunk - nu)) @ spec.vectors.T \
+                + nu * np.eye(len(spec.vectors))
+            np.testing.assert_allclose(assembled, res.matrix.values, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(spec.vectors.T @ second_moment(x).values @ spec.vectors,
+                                       np.diag(spec.sample), rtol=0, atol=1e-13)
+            assert (spec.null is None) == (rows is None)
+
+    def test_rows_at_or_above_the_rank_keep_the_m_by_m_path(self):
+        x = Dataset(np.random.default_rng(41).standard_normal((30, 12))).center().rows
+        r = second_moment(x)
+        np.testing.assert_array_equal(lwnl_from_covariance(r, 29, x).matrix.values,
+                                      lwnl_from_covariance(r, 29).matrix.values)
+
+
 class TestStructuralEstimators:
     def test_shah_trivial_group(self):
         rng = np.random.default_rng(27)

@@ -467,7 +467,7 @@ class TestTrialStatistics:
         assert len(moments) == 2 * k + 2
         # the training R_hat's, then one per fold sample term
         assert len(lwnl_inputs) == k + 1
-        assert len({(r.values.tobytes(), n_obs) for r, n_obs in lwnl_inputs}) == k + 1
+        assert len({(r.values.tobytes(), n_obs) for r, n_obs, _ in lwnl_inputs}) == k + 1
 
 
 class TestSweepConfigFile:
