@@ -166,8 +166,8 @@ class _Whitening:
 class Fold:
     """One fold of ``DataStats.splits``: X_test (a view of the rows), R_train,
     R_test, n_train and ``dof`` = n_train, R_train's degrees of freedom (its rows
-    are centered on the mean of all N). X_train, for the Gram route and the
-    LWNL term's Gram spectrum, is kept iff dof < M."""
+    are centered on the mean of all N), which every rank rule reads. X_train,
+    for the Gram route and the LWNL term's Gram spectrum, is kept iff dof < M."""
     x_train: np.ndarray | None
     x_test: np.ndarray
     r_train: SymmetricMatrix
@@ -180,7 +180,7 @@ class Fold:
 class FoldTerm:
     """A fold's sample term S (R_train, or its LWNL), its group-free alpha = 0
     score, and the route of every target's ``_alpha_curve`` on the fold: Gram,
-    with the ``gram_rows`` of a raw S of dof below M, singular by rank, so
+    on ``Fold.x_train``, for S = R_train of dof below M, singular by rank, so
     alpha = 0 is +inf with no Cholesky; else alpha = 0 is read off S's one
     ``cholesky`` factor (+inf without one), and the curves are whitened by S
     if it passes ``_whitens``, by T if T does, or scored on explicit blends.
@@ -189,7 +189,6 @@ class FoldTerm:
     sample: SymmetricMatrix
     at_zero: float
     whitening: _Whitening | None
-    gram_rows: np.ndarray | None
     spectrum: shrinkage.Spectrum | None = None
 
 
@@ -268,16 +267,16 @@ class DataStats(Dataset):
 
         def term(fold: Fold) -> FoldTerm:
             if not use_lwnl and fold.dof < self.dim:
-                return FoldTerm(fold.r_train, np.inf, None, fold.x_train)
+                return FoldTerm(fold.r_train, np.inf, None)
             lwnl = (shrinkage.lwnl_from_covariance(fold.r_train, fold.dof, fold.x_train)
                     if use_lwnl else None)
             s = fold.r_train if lwnl is None else lwnl.matrix
             factor = cholesky(s)
             whitening = _whitening(s, factor, fold)
             if whitening is not None:
-                return FoldTerm(s, 0.5 * (factor.logdet + whitening.trace), whitening, None,
+                return FoldTerm(s, 0.5 * (factor.logdet + whitening.trace), whitening,
                                 None if lwnl is None else lwnl.spectrum)
-            return FoldTerm(s, np.inf if factor is None else factor.nll(fold.r_test), None, None)
+            return FoldTerm(s, np.inf if factor is None else factor.nll(fold.r_test), None)
 
         def score():
             splits, alphas = self.splits(folds), np.asarray(alpha_grid(grid_points))
@@ -335,7 +334,7 @@ def _eigen_curve(k: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _spectral_curve(spectrum: shrinkage.Spectrum, r_test: np.ndarray, alphas: np.ndarray,
-                    floor: float) -> tuple | None:
+                    floor: float, singular: np.ndarray) -> tuple | None:
     """``_eigen_curve``'s (mask, logdet, trace term), relative to S, of the
     blends S + alpha (T - S) for S = nu I + U diag(phi - nu) U^T and a T =
     U diag(lambda) U^T that commutes with it: on U the blend has eigenvalues
@@ -343,8 +342,8 @@ def _spectral_curve(spectrum: shrinkage.Spectrum, r_test: np.ndarray, alphas: np
     complement, where T is zero, (1 - alpha) nu and 1 - alpha. The trace
     term is sum d / e with d = diag(U^T R_test U), and tr R_test - sum d on
     the complement. Certified as ``_eigen_curve`` is, min e / phi >=
-    ``floor``. None when a blend (but a singular alpha = 1 below the rank)
-    fails ``_whitens``' test, kappa^2 CURVE_GUARD <= 1 for its own condition
+    ``floor``. None when a blend not ``singular`` by structure fails
+    ``_whitens``' test, kappa^2 CURVE_GUARD <= 1 for its own condition
     number: at kappa 4e5 to 3e7 (trivial-100 on pathway100+decoys, n_train
     = M) the eigenvalues of T lost enough digits to move fold scores 8e-13 to
     1.4e-10 from a 40-digit reference, against 4e-13 to 4e-12 for the curve
@@ -352,12 +351,11 @@ def _spectral_curve(spectrum: shrinkage.Spectrum, r_test: np.ndarray, alphas: np
     u, lam, phi, nu = spectrum.vectors, spectrum.sample, spectrum.shrunk, spectrum.null
     d = np.einsum("ij,ij->j", u, r_test @ u)
     e, scale, weight = phi + np.outer(alphas, lam - phi), phi, np.ones(len(phi))
-    blends = e
     if nu is not None:   # the complement as one column, weighted by its dimension
         e = np.column_stack([e, (1.0 - alphas) * nu])
         d, scale = np.append(d, np.trace(r_test) - d.sum()), np.append(phi, nu)
         weight = np.append(weight, len(u) - len(lam))
-        blends = e[alphas < 1.0]
+    blends = e[~singular]
     low, high = blends.min(axis=1), blends.max(axis=1)
     if not (low > 0).all() or CURVE_GUARD * np.max(high / low, initial=1.0) ** 2 > 1:
         return None
@@ -405,13 +403,14 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
     L): K = Y Y^T, Y = X_train L^-T / sqrt(n_train), a = alpha, b = 1 - alpha;
     the M - n_train other directions add (M - n_train) log alpha, and with
     Z = X_test L^-T, W = Y Z^T the trace term is (||Z||^2 - b tr(W^T (a I +
-    b K)^-1 W)) / (alpha n_test). A Gram T that ``cholesky`` cannot factor
-    makes every alpha > 0 +inf; other alphas not certified to pass its pivot
-    test are scored on explicit blends by ``gaussian_nll_per_sample``. A
-    target equal to R_train on a fold whitened by an LWNL S commutes with S:
-    its curve is read off S's ``Spectrum`` by ``_spectral_curve`` where that
-    resolves every blend, with no M x M reduction, and below the rank its
-    alpha = 1, T itself, is +inf by rank."""
+    b K)^-1 W)) / (alpha n_test). Blends singular by structure are +inf
+    before any curve: every alpha > 0 on the Gram route when ``cholesky``
+    cannot factor T, and alpha = 1, T itself, of a target equal to an R_train
+    of dof below M. Other alphas not certified to pass T's pivot test are
+    scored on explicit blends by ``gaussian_nll_per_sample``. A target equal
+    to R_train on a fold whitened by an LWNL S commutes with S: its curve is
+    read off S's ``Spectrum`` by ``_spectral_curve`` where that resolves
+    every blend, with no M x M reduction."""
     s, t = term.sample.values, target.values
     # difference form: a zero residual (e.g. the trivial group) gives every
     # alpha the sample term's score bitwise, so structural ties stay exact
@@ -419,36 +418,37 @@ def _alpha_curve(term: FoldTerm, target: SymmetricMatrix, fold: Fold,
     scores = np.full(len(alphas), term.at_zero)
     if not residual.any():
         return scores
-    certified = np.zeros(len(alphas), dtype=bool)
     a, b = alphas[1:], 1.0 - alphas[1:]
-    commuting = term.spectrum is not None and np.array_equal(t, fold.r_train.values)
-    if commuting and term.spectrum.null is not None:   # T = R_train below the rank
-        certified = alphas == 1.0
-        scores[certified] = np.inf
-    if term.gram_rows is None:   # blend = E + beta (O - E), with step = O - E
+    below_rank, commuting = fold.dof < len(s), np.array_equal(t, fold.r_train.values)
+    gram = below_rank and term.sample is fold.r_train
+    t_factor = cholesky(target) if term.whitening is None else None
+    # singular by structure: every blend shares ker T within ker S for an
+    # unfactorable Gram T = P_G(S), and T = R_train below the rank is singular
+    certified = (alphas > 0 if gram and t_factor is None
+                 else (alphas == 1.0) & (commuting and below_rank))
+    scores[certified] = np.inf
+    if gram:
+        factor = t_factor if t_factor is not None and _whitens(target, t_factor) else None
+    else:   # blend = E + beta (O - E), with step = O - E
         whitening, beta, step = ((term.whitening, a, residual) if term.whitening is not None
-                                 else (_whitening(target, cholesky(target), fold), b, -residual))
+                                 else (_whitening(target, t_factor, fold), b, -residual))
         factor = None if whitening is None else whitening.factor
-    else:
-        factor = cholesky(target)
-        if factor is None:   # ker T within ker S for T = P_G(S): every blend shares it
-            return np.where(alphas > 0, np.inf, scores)
-        factor = factor if _whitens(target, factor) else None
     if factor is not None:
         floor = CURVE_GUARD * max(np.diag(s).max(), np.diag(t).max()) * factor.inv_norm_sq
-        curve = _spectral_curve(term.spectrum, fold.r_test.values, a, floor) if commuting else None
-        if curve is None and term.gram_rows is None:
-            curve = whitening.kernel(_congruent(factor.inv_ell, step), whitening.test,
-                                     np.ones_like(beta), beta, floor)
-        elif term.gram_rows is not None:
+        curve = (_spectral_curve(term.spectrum, fold.r_test.values, a, floor, certified[1:])
+                 if commuting and term.spectrum is not None else None)
+        if gram:
             (n_test, m), n_train = fold.x_test.shape, fold.n_train
-            y = matrixcore.whiten(factor.inv_ell, term.gram_rows) / np.sqrt(n_train)
+            y = matrixcore.whiten(factor.inv_ell, fold.x_train) / np.sqrt(n_train)
             z = matrixcore.whiten(factor.inv_ell, fold.x_test)
             keep, logdet, trace = _tridiagonal_curve(y @ y.T, y @ z.T, a, b, floor, k_min=0.0)
             a = a[keep]
             curve = (keep, logdet + (m - n_train) * np.log(a),
                      (np.einsum("ij,ij->", z, z) - (1.0 - a) * trace) / (a * n_test))
-        keep, logdet, trace = curve   # no curve certifies a blend singular by rank
+        elif curve is None:
+            curve = whitening.kernel(_congruent(factor.inv_ell, step), whitening.test,
+                                     np.ones_like(beta), beta, floor)
+        keep, logdet, trace = curve   # no curve certifies a blend singular by structure
         certified[1:] |= keep
         scores[1:][keep] = 0.5 * (factor.logdet + logdet + trace)
     for j in np.flatnonzero(~certified[1:]) + 1:

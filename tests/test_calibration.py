@@ -1,5 +1,7 @@
 import math
+import operator
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -248,6 +250,36 @@ def _explicit_fold_scores(data, g, grid_points=DEFAULT_GRID_POINTS, use_lwnl=Fal
     return scores
 
 
+def _dot(u, v):
+    return sum(map(operator.mul, u, v), Decimal(0))
+
+
+def _nll_40_digits(s, t, alpha, x_test):
+    """The held-out NLL (1/2) logdet B + (1/2) tr(B^-1 X_test^T X_test) / n_test
+    of the blend B = (1 - alpha) S + alpha T of the double S and T, formed and
+    scored at 40 significant digits (Cholesky by rows, in ``decimal``): a
+    reference for the double-precision routes, whatever the blend's kappa."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        alpha = Decimal(alpha)
+        ell = []
+        for i, (s_row, t_row) in enumerate(zip(s.tolist(), t.tolist())):
+            b = [(1 - alpha) * Decimal(s_ij) + alpha * Decimal(t_ij)
+                 for s_ij, t_ij in zip(s_row[:i + 1], t_row)]
+            row = []
+            for j in range(i):
+                row.append((b[j] - _dot(row, ell[j])) / ell[j][j])
+            row.append((b[i] - _dot(row, row)).sqrt())
+            ell.append(row)
+        trace = Decimal(0)
+        for x in x_test.tolist():
+            y = []
+            for i, row in enumerate(ell):
+                y.append((Decimal(x[i]) - _dot(y, row)) / row[i])
+            trace += _dot(y, y)
+        return (2 * sum(row[-1].ln() for row in ell) + trace / len(x_test)) / 2
+
+
 def _rows(n, m, seed, zero_column=None):
     rows = np.random.default_rng(seed).standard_normal((n, m))
     if zero_column is not None:
@@ -344,6 +376,22 @@ class TestAlphaCurveOnLibrary:
             np.testing.assert_array_equal(np.isfinite(res.fold_scores), finite, err_msg=g.name)
             np.testing.assert_allclose(res.fold_scores[finite], want[finite],
                                        rtol=1e-12, atol=0, err_msg=g.name)
+
+    def test_disputed_cell_within_1e_11_of_a_40_digit_score(self):
+        # the one cell the [True-125] case misses 1e-12 on: alpha = 1 of
+        # trivial-100 on fold 3, T = R_train of kappa 8.1e5, where curve and
+        # explicit blend differ by 3.8e-12 and each is 1.9e-12 or 2.0e-12 from
+        # the 40-digit score of the same double S and T
+        data, g, fold = _pathway_rows(125), groups.trivial(100), 3
+        test = fold_slices(data.n_obs, DEFAULT_FOLDS)[fold]
+        x_train = np.delete(data.rows, test, axis=0)
+        r_train = second_moment(x_train)
+        s = shrinkage.lwnl_from_covariance(r_train, len(x_train)).matrix.values
+        want = _nll_40_digits(s, reynolds_project(g, r_train).values, 1.0, data.rows[test])
+        curve = cv_nll_alpha(data, g, use_lwnl_sample_term=True).fold_scores[fold, -1]
+        explicit = _explicit_fold_scores(data, g, use_lwnl=True)[fold, -1]
+        for got in (curve, explicit):
+            assert abs(Decimal(got) - want) <= Decimal("1e-11") * abs(want)
 
 
 def _record_curves(monkeypatch, name):
@@ -804,8 +852,32 @@ class TestDegreesOfFreedom:
         assert sorted({fold.dof for fold in splits}) == ([99, 100] if n == 124 else [100])
         for fold, term, at_zero in zip(splits, terms, scores[:, 0]):
             below = fold.dof < stats.dim
-            assert (fold.x_train is not None) == (term.gram_rows is not None) == below
+            assert (fold.x_train is not None) == below
             assert math.isinf(term.at_zero) == math.isinf(at_zero) == below
+
+    def test_alpha_one_of_a_centered_fold_of_m_rows_is_singular_by_dof(self, monkeypatch):
+        # folds of M training rows centered on their own mean: dof M - 1 makes
+        # R_train, the trivial target, singular, though its M rows give LWNL
+        # the M x M path, whose spectrum has no null space to read a rank off;
+        # the pivot test accepts the explicit alpha = 1 blend on 4 of these 5
+        # folds, scoring 2e15 to 7e15, so only the rule on dof keeps them +inf
+        data, m = _pathway_rows(125), 100
+        rows, centered = data.rows, []
+        for test in fold_slices(len(rows), DEFAULT_FOLDS):
+            x_train = np.delete(rows, test, axis=0)
+            mean = x_train.mean(axis=0)
+            x_train, x_test = x_train - mean, rows[test] - mean
+            centered.append(calibration.Fold(x_train, x_test, second_moment(x_train),
+                                             second_moment(x_test), m, m - 1))
+        monkeypatch.setattr(DataStats, "splits", lambda self, folds: centered)
+        terms, original = [], shrinkage.lwnl_from_covariance
+        monkeypatch.setattr(shrinkage, "lwnl_from_covariance", lambda r, n, rows: terms.append(
+            original(r, n, rows)) or terms[-1])
+        calls = _record_nll_calls(monkeypatch)
+        got = cv_nll_alpha(data, groups.trivial(m), use_lwnl_sample_term=True).fold_scores
+        assert [term.spectrum.null for term in terms] == [None] * DEFAULT_FOLDS
+        assert len(calls) == 0
+        assert np.isinf(got[:, -1]).all() and np.isfinite(got[:, :-1]).all()
 
     def test_both_lwnl_calls_take_their_moments_dof(self, monkeypatch):
         stats, folds = DataStats.of(_rows(30, 6, 76)), DEFAULT_FOLDS

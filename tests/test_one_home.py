@@ -8,7 +8,8 @@ calibration and a centered moment's degrees of freedom (``DataStats.dof``,
 factorizations or two sample sizes drift apart unseen, or pay again for work
 already done, so the sources are scanned for one. Calibration and the
 estimators each take one symmetric eigendecomposition: of an alpha-curve's K,
-and of the moment LWNL shrinks or its rows' Gram matrix."""
+and of the moment LWNL shrinks or, when there are fewer rows than M, of their
+Gram matrix. An alpha-curve factors its target at one site."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,21 @@ def test_degrees_of_freedom_are_decided_once_per_moment():
              for _, _, node in _calls("lwnl_from_covariance")]
     assert len(sizes) == 2
     assert all(isinstance(size, ast.Attribute) and size.attr == "dof" for size in sizes)
+
+
+def test_alpha_curve_factors_its_target_at_one_site():
+    # the Gram route and the curve whitened by T share T's one factor, which
+    # also decides the Gram route's structural +inf
+    assert [func for module, func, _ in _calls("cholesky")
+            if module == "calibration"].count("_alpha_curve") == 1
+
+
+def test_lwnl_takes_the_gram_matrix_of_fewer_rows_than_m():
+    # the row count decides the decomposition and the dof only LWNL's regime:
+    # R_hat of M rows has dof M - 1 but no smaller Gram matrix
+    (gram,) = [node.value for module, func, node in _nodes(
+        lambda node: isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "gram")
+        if (module, func) == ("shrinkage", "lwnl_from_covariance")]
+    assert [ast.unparse(node) for node in ast.walk(gram) if isinstance(node, ast.Compare)
+            and not isinstance(node.ops[0], ast.IsNot)] == ["len(rows) < m"]
+    assert "n_obs" not in ast.unparse(gram)

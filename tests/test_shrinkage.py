@@ -294,8 +294,9 @@ class TestLwnlAboveTheSampleRank:
 
 
 class TestLwnlFromRows:
-    """Below the sample rank the spectrum comes from the n x n Gram matrix of
-    the moment's rows, and the result equals the M x M path's."""
+    """Fewer than M rows give the spectrum from their Gram matrix, and the
+    result equals the M x M path's; from M rows, whatever the dof, the M x M
+    moment is decomposed."""
 
     M = 40
 
@@ -313,10 +314,13 @@ class TestLwnlFromRows:
         return rows, second_moment(rows), dof
 
     # one row cannot repeat another, and two equal rows center to zero
-    @pytest.mark.parametrize("dof,duplicated", [
-        (1, False), (2, False), (2, True), (M // 2, False), (M // 2, True), (M - 1, False),
-        (M - 1, True)])
-    @pytest.mark.parametrize("kind", ["fold", "r_hat"])
+    DOFS = ((1, False), (2, False), (2, True), (M // 2, False), (M // 2, True),
+            (M - 1, False), (M - 1, True))
+
+    # R_hat of dof M - 1 has M rows, the M x M path's case below
+    @pytest.mark.parametrize("kind,dof,duplicated", [
+        (kind, dof, duplicated) for kind, dofs in (("fold", DOFS), ("r_hat", DOFS[:-2]))
+        for dof, duplicated in dofs])
     def test_rows_path_equals_the_m_by_m_path(self, dof, duplicated, kind, monkeypatch):
         rows, r, n_obs = self._moment(kind, dof, self.M, duplicated)
         want = lwnl_from_covariance(r, n_obs)
@@ -356,6 +360,23 @@ class TestLwnlFromRows:
         r = second_moment(x)
         np.testing.assert_array_equal(lwnl_from_covariance(r, 29, x).matrix.values,
                                       lwnl_from_covariance(r, 29).matrix.values)
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_r_hat_of_m_rows_takes_the_m_by_m_path_below_the_rank(self, duplicated,
+                                                                   monkeypatch):
+        # dof M - 1 < M puts LWNL in its p > n regime, but M rows make the Gram
+        # matrix as large as the moment, so the moment itself is decomposed
+        rows, r, n_obs = self._moment("r_hat", self.M - 1, self.M, duplicated)
+        assert len(rows) == self.M
+        want = lwnl_from_covariance(r, n_obs)
+        decomposed, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: decomposed.append(a) or eigh(a))
+        got = lwnl_from_covariance(r, n_obs, rows)
+        (a,) = decomposed
+        np.testing.assert_array_equal(a, r.values)
+        np.testing.assert_array_equal(got.matrix.values, want.matrix.values)
+        assert got.flags == want.flags and {FLAG_RANK_AWARE_KDE, FLAG_SINGULAR_INPUT} <= got.flags
+        assert got.spectrum.vectors.shape == (self.M, self.M) and got.spectrum.null is None
 
 
 class TestStructuralEstimators:
