@@ -45,6 +45,11 @@ CURVE_GUARD = 1e-8
 # With BLAS on one thread and 12 alphas, a tridiagonal curve passes an
 # _eigen_curve's time at 40-48 test rows at M = 100 and at 64-128 at M = 400.
 TRIDIAGONAL_ROW_FRACTION = 0.25
+# _tridiagonal_curve reduces a K of this order or more by LAPACK's blocked code,
+# with 64 (its largest block) of workspace per column; the unblocked code is
+# faster below it. With BLAS on one thread, blocked dsytrd took 1.43x the time at
+# order 40, 1.04x at 100, 0.94x at 128, 0.86x at 200 and 0.70x at 400.
+BLOCKED_ORDER = 128
 
 
 def alpha_grid(n_points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
@@ -97,8 +102,7 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
     if g.dim != data.dim:
         raise DimensionMismatchError(f"group dim {g.dim} != data dim {data.dim}")
     n = data.n_obs
-    shift = int(np.frexp(np.abs(data.rows).max())[1])
-    rows = np.ldexp(data.rows, -shift)
+    rows, shift = matrixcore.power_of_two_scaled(data.rows)
     r_hat = np.ldexp(data.r_hat.values, -2 * shift)
 
     def unscaled(v: float) -> float:
@@ -143,14 +147,20 @@ def _one_se_index(scores: np.ndarray) -> int:
     return best + 1 + int(promoted[-1]) if promoted.size else best
 
 
+def _resolves(kappa: float) -> bool:
+    """The one test of a blend's condition number kappa before an alpha-curve
+    leans on it, kappa^2 CURVE_GUARD <= 1: the eigenvalues of a curve's other
+    end down to about 1/kappa then resolve to about eps kappa^2 relative."""
+    return CURVE_GUARD * kappa ** 2 <= 1.0
+
+
 def _whitens(end: SymmetricMatrix, factor: matrixcore.Factor) -> bool:
-    """Whether the blend end E of ``factor`` can whiten an alpha-curve, the one
-    test of every whitening end: kappa^2 CURVE_GUARD <= 1, kappa = max diag E
-    ||L^-1||_F^2, so the other end's eigenvalues down to about 1/kappa resolve
-    to about eps kappa^2 relative. Near n_train = M the raw moment fails it
-    (whitened by it, fold scores moved up to 6e-11 from explicit blends, 3e-15
-    by T), as does the LWNL term at n_train = M, which passes below M rows."""
-    return CURVE_GUARD * (np.diag(end.values).max() * factor.inv_norm_sq) ** 2 <= 1.0
+    """Whether the blend end E of ``factor`` can whiten an alpha-curve: E
+    ``_resolves`` kappa = max diag E ||L^-1||_F^2. Near n_train = M the raw
+    moment fails it (whitened by it, fold scores moved up to 6e-11 from
+    explicit blends, 3e-15 by T), as does the LWNL term at n_train = M, which
+    passes below M rows."""
+    return _resolves(np.diag(end.values).max() * factor.inv_norm_sq)
 
 
 @dataclass(frozen=True)
@@ -319,18 +329,24 @@ def _whitening(end: SymmetricMatrix, factor: matrixcore.Factor | None,
     return _Whitening(factor, _eigen_curve, c, float(np.trace(c)))
 
 
+def _certified_tail(e: np.ndarray, d: np.ndarray, floor: float, weight=1.0) -> tuple:
+    """The (mask, logdet, trace term) of blends whose eigenvalues relative to
+    the whitening end are the rows of ``e``, the one certification of an
+    eigenvalue alpha-curve: a blend is certified when min e >= ``floor``, and
+    then has logdet sum ``weight`` log e, each eigenvalue counted with its
+    multiplicity, and trace term sum d / e for the test weights ``d``."""
+    keep = e.min(axis=1) >= floor
+    return keep, (weight * np.log(e[keep])).sum(axis=1), (d / e[keep]).sum(axis=1)
+
+
 def _eigen_curve(k: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray,
                  floor: float) -> tuple:
     """``_tridiagonal_curve``'s (mask, logdet, trace term) for a whitened test
     moment C (W W^T), from K = Q diag(mu) Q^T: each blend a_j I + b_j K has
-    eigenvalues e = a_j + b_j mu, is certified when min e >= ``floor``, and
-    has trace term sum d / e with d = diag(Q^T C Q)."""
+    eigenvalues a_j + b_j mu and test weights diag(Q^T C Q), certified by
+    ``_certified_tail``."""
     mu, q = np.linalg.eigh(k)
-    e = a[:, None] + np.outer(b, mu)
-    keep = e.min(axis=1) >= floor
-    d = np.einsum("ij,ij->j", q, c @ q)
-    good = e[keep]
-    return keep, np.log(good).sum(axis=1), (d / good).sum(axis=1)
+    return _certified_tail(a[:, None] + np.outer(b, mu), np.einsum("ij,ij->j", q, c @ q), floor)
 
 
 def _spectral_curve(spectrum: shrinkage.Spectrum, r_test: np.ndarray, alphas: np.ndarray,
@@ -338,30 +354,24 @@ def _spectral_curve(spectrum: shrinkage.Spectrum, r_test: np.ndarray, alphas: np
     """``_eigen_curve``'s (mask, logdet, trace term), relative to S, of the
     blends S + alpha (T - S) for S = nu I + U diag(phi - nu) U^T and a T =
     U diag(lambda) U^T that commutes with it: on U the blend has eigenvalues
-    e = (1 - alpha) phi + alpha lambda, and I + alpha K has e / phi; on U's
-    complement, where T is zero, (1 - alpha) nu and 1 - alpha. The trace
-    term is sum d / e with d = diag(U^T R_test U), and tr R_test - sum d on
-    the complement. Certified as ``_eigen_curve`` is, min e / phi >=
-    ``floor``. None when a blend not ``singular`` by structure fails
-    ``_whitens``' test, kappa^2 CURVE_GUARD <= 1 for its own condition
-    number: at kappa 4e5 to 3e7 (trivial-100 on pathway100+decoys, n_train
-    = M) the eigenvalues of T lost enough digits to move fold scores 8e-13 to
-    1.4e-10 from a 40-digit reference, against 4e-13 to 4e-12 for the curve
-    whitened by S."""
+    e = (1 - alpha) phi + alpha lambda and test weights d = diag(U^T R_test
+    U); on U's complement, where T is zero, (1 - alpha) nu, of multiplicity
+    M - r, and tr R_test - sum d, each read by ``_certified_tail`` relative
+    to S's eigenvalue there, phi or nu. None when a blend not ``singular`` by
+    structure fails ``_resolves`` for its own condition number: at kappa 4e5
+    to 3e7 (trivial-100 on pathway100+decoys, n_train = M) the eigenvalues of
+    T lost enough digits to move fold scores 8e-13 to 1.4e-10 from a 40-digit
+    reference, against 4e-13 to 4e-12 for the curve whitened by S."""
     u, lam, phi, nu = spectrum.vectors, spectrum.sample, spectrum.shrunk, spectrum.null
     d = np.einsum("ij,ij->j", u, r_test @ u)
-    e, scale, weight = phi + np.outer(alphas, lam - phi), phi, np.ones(len(phi))
+    e, scale, weight = phi + np.outer(alphas, lam - phi), phi, 1.0
     if nu is not None:   # the complement as one column, weighted by its dimension
-        e = np.column_stack([e, (1.0 - alphas) * nu])
-        d, scale = np.append(d, np.trace(r_test) - d.sum()), np.append(phi, nu)
-        weight = np.append(weight, len(u) - len(lam))
+        e, d = np.column_stack([e, (1.0 - alphas) * nu]), np.append(d, np.trace(r_test) - d.sum())
+        scale, weight = np.append(phi, nu), np.append(np.ones(len(lam)), len(u) - len(lam))
     blends = e[~singular]
-    low, high = blends.min(axis=1), blends.max(axis=1)
-    if not (low > 0).all() or CURVE_GUARD * np.max(high / low, initial=1.0) ** 2 > 1:
+    if not (blends > 0).all() or not _resolves(np.max(blends.max(1) / blends.min(1), initial=1.0)):
         return None
-    keep = (e / scale).min(axis=1) >= floor
-    e = e[keep]
-    return keep, np.log(e / scale) @ weight, (d / e).sum(axis=1)
+    return _certified_tail(e / scale, d / scale, floor, weight)
 
 
 def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -373,15 +383,20 @@ def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarra
     (dsytrd) turns every blend into the tridiagonal a_j I + b_j Theta; one
     dptsv solves them all as the diagonal blocks of one system, its LDL^T
     pivots giving the logdets. No blend is certified when a pivot is not positive."""
-    c, diag, off, tau, _ = lapack.dsytrd(k, lower=1)
+    block = 64 if len(k) >= BLOCKED_ORDER else 1
+    c, diag, off, tau, _ = lapack.dsytrd(k, lower=1, lwork=block * len(k))
     if k_min is None:
         k_min = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, "E")[1][0]
     keep = a + b * k_min >= floor
     if not keep.any():
         return keep, np.empty(0), np.empty(0)
     a, b, n = a[keep], b[keep], len(k)
-    # H^T W: H fixes e_1 and reflects rows 2..n, as dormtr applies it
-    hw = np.vstack([w[:1], lapack.dormqr("L", "T", c[1:, :-1], tau, w[1:], w.shape[1])[0]])
+    # H^T W: H fixes e_1 and reflects rows 2..n, as dormtr applies it. dormqr
+    # keeps 4160 of a blocked workspace for its block reflector, so it runs
+    # blocked only from 66 columns of W, where it gains (at order 100 with 80
+    # columns, 187 -> 106 us; with 10, the blocked code takes 86 us, not 41)
+    hw = np.vstack([w[:1], lapack.dormqr("L", "T", c[1:, :-1], tau, w[1:],
+                                         block * w.shape[1])[0]])
     sub = np.zeros((len(a), n))   # the last column, zero, separates the blocks
     sub[:, :-1] = np.outer(b, off)
     pivots, _, x, info = lapack.dptsv((a[:, None] + np.outer(b, diag)).ravel(),

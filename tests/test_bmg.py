@@ -264,6 +264,21 @@ class TestFallback:
         (_, want), (_, got) = (bmg_with_fallback(d, nothing) for d in (data, scaled))
         assert got.fallback_used and got.alpha == pytest.approx(want.alpha, rel=1e-12)
 
+    @pytest.mark.parametrize("use_lwnl", [False, True])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_selection_scale_free_where_an_inverse_factor_leaves_the_float_range(
+            self, n, use_lwnl):
+        # at 1e-150 some factor's ||L^-1||_F^2 passes the float range: it
+        # reads +inf, which certifies no curve, with no overflow warning
+        sigma = synth.block_circulant_population(100, 20, 0.5, 0.1)
+        data = synth.sample_gaussian(sigma, n, (1,))
+        scaled = Dataset(data.rows * 1e-150, centered=True)
+        lib = synth.parse_library_spec("preset:pathway100+decoys")
+        (_, want), (_, got) = (bmg_with_fallback(d, lib, use_lwnl=use_lwnl)
+                               for d in (data, scaled))
+        assert not got.fallback_used
+        assert (got.selected, got.alpha) == (want.selected, want.alpha)
+
     def test_falls_back_exactly_when_no_fold_of_min_k_n_leaves_two_training_rows(self):
         # S_4 passes the prefilter at every N, so only the folds decide
         lib = CandidateLibrary((groups.full_symmetric(4),))

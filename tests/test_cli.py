@@ -806,6 +806,14 @@ class TestCliContract:
         for module in set(symcov._EXPORTS.values()):
             assert getattr(symcov, module) is importlib.import_module(f"symcov.{module}")
 
+    def test_an_unknown_attribute_is_an_attribute_error(self):
+        # the lazy lookup loads nothing for a name outside the export table,
+        # so hasattr and a misspelt name behave as on any module
+        import symcov
+        with pytest.raises(AttributeError, match="module 'symcov' has no attribute 'lw2005'"):
+            symcov.lw2005
+        assert not hasattr(symcov, "lw2005")
+
     def test_console_entry_point(self, tmp_path):
         # the installed script wires to the same main
         proc = subprocess.run([sys.executable, "-m", "symcov.cli", "--help"],

@@ -153,3 +153,13 @@ class TestSynth:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}:4: config key 'estimators': unknown estimator toggles ['bogus']")):
             synth.parse_sweep_config(path)
+
+    def test_a_failed_check_of_default_fields_names_the_file_only(self, tmp_path):
+        # blocks of 40 at the default rho 0.5 and cross level 0.1 are not
+        # positive definite, and the check names the two fields no line gives
+        path = tmp_path / "sweep.cfg"
+        path.write_text("m = 80\npopulation = block_circulant\nblock_size = 40\n"
+                        "library = s80\nn_list = 10\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: block-circulant (rho=0.5, cross=0.1) is not positive definite")):
+            synth.parse_sweep_config(path)

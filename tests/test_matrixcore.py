@@ -9,6 +9,7 @@ from symcov.matrixcore import (
     Dataset,
     DimensionMismatchError,
     SymmetricMatrix,
+    cholesky,
     frobenius_norm,
     gaussian_nll_per_sample,
     read_dataset_csv,
@@ -172,6 +173,18 @@ class TestGaussianNll:
         for _ in range(20):
             other = rand_spd(rng, 5)
             assert base <= gaussian_nll_per_sample(other, sigma) + 1e-12
+
+
+class TestCholesky:
+    def test_inverse_norm_past_the_float_range_is_inf(self):
+        # A = L L^T with L = [[2^-510, 0], [2^-500, 2^-510]], all normal
+        # numbers: L^-1 holds -2^520, whose square overflows
+        a = SymmetricMatrix(np.array([[2.0**-1020, 2.0**-1010],
+                                      [2.0**-1010, 2.0**-1000 + 2.0**-1020]]))
+        factor = cholesky(a)
+        assert factor.inv_ell[1, 0] == -(2.0**520)
+        assert factor.inv_norm_sq == math.inf
+        assert factor.nll(a) == 0.5 * factor.logdet + 1.0
 
 
 class TestFrobenius:

@@ -1,5 +1,6 @@
 """Each shared primitive of the package has one home: the keyed Philox
-stream (``groups._rng``), the overflow-safe Frobenius norm
+stream (``groups._rng``), the overflow-safe power-of-two scaling
+(``matrixcore.power_of_two_scaled``) and Frobenius norm
 (``matrixcore.frobenius_norm``), the Cholesky factor of a model, which scores
 it and whitens an alpha-curve (``matrixcore.cholesky``), the fold split that
 copies rows (``DataStats.splits``), the explicit held-out scores of
@@ -9,7 +10,8 @@ factorizations or two sample sizes drift apart unseen, or pay again for work
 already done, so the sources are scanned for one. Calibration and the
 estimators each take one symmetric eigendecomposition: of an alpha-curve's K,
 and of the moment LWNL shrinks or, when there are fewer rows than M, of their
-Gram matrix. An alpha-curve factors its target at one site."""
+Gram matrix. An alpha-curve factors its target at one site, and every
+eigenvalue alpha-curve shares one certified tail and one condition-number test."""
 
 import ast
 from pathlib import Path
@@ -48,6 +50,13 @@ def test_frobenius_norm_is_taken_only_in_matrixcore():
            if any(isinstance(arg, ast.Constant) and arg.value == "fro"
                   for arg in [*node.args, *(kw.value for kw in node.keywords)])]
     assert fro == ["matrixcore"]
+
+
+def test_power_of_two_scaling_is_chosen_in_one_place():
+    # the Frobenius norm and the plug-in's fourth powers scale by the same
+    # exact rule
+    assert [(module, func) for module, func, _ in _calls("frexp")] == [
+        ("matrixcore", "power_of_two_scaled")]
 
 
 def test_models_are_factored_only_in_matrixcore_cholesky():
@@ -119,3 +128,20 @@ def test_lwnl_takes_the_gram_matrix_of_fewer_rows_than_m():
     assert [ast.unparse(node) for node in ast.walk(gram) if isinstance(node, ast.Compare)
             and not isinstance(node.ops[0], ast.IsNot)] == ["len(rows) < m"]
     assert "n_obs" not in ast.unparse(gram)
+
+
+def test_eigenvalue_alpha_curves_share_one_tail_and_one_kappa_rule():
+    # the curve whitened by an end and the one read off a commuting LWNL
+    # spectrum certify, sum and test conditioning alike, so neither drifts
+    assert sorted(func for _, func, _ in _calls("_certified_tail")) == [
+        "_eigen_curve", "_spectral_curve"]
+    assert sorted(func for _, func, _ in _nodes(
+        lambda node: isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.GtE)
+        and ast.unparse(node.comparators[0]) == "floor")) == [
+        "_certified_tail", "_tridiagonal_curve"]
+    # kappa^2 CURVE_GUARD <= 1 is written once; the floor is the guard's other use
+    assert sorted(func for _, func, _ in _calls("_resolves")) == ["_spectral_curve", "_whitens"]
+    assert sorted(func for module, func, _ in _nodes(
+        lambda node: isinstance(node, ast.Name) and node.id == "CURVE_GUARD"
+        and isinstance(node.ctx, ast.Load)) if module == "calibration") == [
+        "_alpha_curve", "_resolves"]
