@@ -45,7 +45,7 @@ CURVE_GUARD = 1e-8
 # With BLAS on one thread and 12 alphas, a tridiagonal curve passes an
 # _eigen_curve's time at 40-48 test rows at M = 100 and at 64-128 at M = 400.
 TRIDIAGONAL_ROW_FRACTION = 0.25
-# _tridiagonal_curve reduces a K of this order or more by LAPACK's blocked code,
+# _tridiagonal_curve reduces a K of this order or more by LAPACK's blocked dsytrd,
 # with 64 (its largest block) of workspace per column; the unblocked code is
 # faster below it. With BLAS on one thread, blocked dsytrd took 1.43x the time at
 # order 40, 1.04x at 100, 0.94x at 128, 0.86x at 200 and 0.70x at 400.
@@ -102,7 +102,8 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
     if g.dim != data.dim:
         raise DimensionMismatchError(f"group dim {g.dim} != data dim {data.dim}")
     n = data.n_obs
-    rows, shift = matrixcore.power_of_two_scaled(data.rows)
+    shift = int(np.frexp(np.abs(data.rows).max())[1])
+    rows = np.ldexp(data.rows, -shift)
     r_hat = np.ldexp(data.r_hat.values, -2 * shift)
 
     def unscaled(v: float) -> float:
@@ -391,12 +392,8 @@ def _tridiagonal_curve(k: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarra
     if not keep.any():
         return keep, np.empty(0), np.empty(0)
     a, b, n = a[keep], b[keep], len(k)
-    # H^T W: H fixes e_1 and reflects rows 2..n, as dormtr applies it. dormqr
-    # keeps 4160 of a blocked workspace for its block reflector, so it runs
-    # blocked only from 66 columns of W, where it gains (at order 100 with 80
-    # columns, 187 -> 106 us; with 10, the blocked code takes 86 us, not 41)
-    hw = np.vstack([w[:1], lapack.dormqr("L", "T", c[1:, :-1], tau, w[1:],
-                                         block * w.shape[1])[0]])
+    # H^T W: H fixes e_1 and reflects rows 2..n, as dormtr applies it
+    hw = np.vstack([w[:1], lapack.dormqr("L", "T", c[1:, :-1], tau, w[1:], w.shape[1])[0]])
     sub = np.zeros((len(a), n))   # the last column, zero, separates the blocks
     sub[:, :-1] = np.outer(b, off)
     pivots, _, x, info = lapack.dptsv((a[:, None] + np.outer(b, diag)).ravel(),

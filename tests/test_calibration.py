@@ -686,14 +686,16 @@ class TestTridiagonalRoute:
         np.testing.assert_array_equal(keep, [False] * 3)
         assert logdet.size == trace.size == 0
 
-    @pytest.mark.parametrize("m", [2, 3, 7])
+    @pytest.mark.parametrize("m", [2, 3, 7, calibration.BLOCKED_ORDER + 2])
     def test_kernel_matches_dense_algebra(self, m):
+        # from BLOCKED_ORDER dsytrd reduces K blocked, and dormqr applies its
+        # reflectors to a wide W
         rng = np.random.default_rng(52 + m)
         k = rng.standard_normal((m, m))
         k += k.T
         k -= (np.linalg.eigvalsh(k)[-1] + 1.0) * np.eye(m)   # spectrum at most -1
         lam_min = np.linalg.eigvalsh(k)[0]
-        w = rng.standard_normal((m, 3))
+        w = rng.standard_normal((m, 3 if m < calibration.BLOCKED_ORDER else 70))
         a, b = np.full(4, -1.5 * lam_min), np.array([0.0, 0.5, 1.0, 2.0])
         # the eigen kernel reads W W^T as the whitened test moment
         for keep, logdet, trace in (

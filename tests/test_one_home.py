@@ -1,6 +1,5 @@
 """Each shared primitive of the package has one home: the keyed Philox
-stream (``groups._rng``), the overflow-safe power-of-two scaling
-(``matrixcore.power_of_two_scaled``) and Frobenius norm
+stream (``groups._rng``), the overflow-safe Frobenius norm
 (``matrixcore.frobenius_norm``), the Cholesky factor of a model, which scores
 it and whitens an alpha-curve (``matrixcore.cholesky``), the fold split that
 copies rows (``DataStats.splits``), the explicit held-out scores of
@@ -50,13 +49,6 @@ def test_frobenius_norm_is_taken_only_in_matrixcore():
            if any(isinstance(arg, ast.Constant) and arg.value == "fro"
                   for arg in [*node.args, *(kw.value for kw in node.keywords)])]
     assert fro == ["matrixcore"]
-
-
-def test_power_of_two_scaling_is_chosen_in_one_place():
-    # the Frobenius norm and the plug-in's fourth powers scale by the same
-    # exact rule
-    assert [(module, func) for module, func, _ in _calls("frexp")] == [
-        ("matrixcore", "power_of_two_scaled")]
 
 
 def test_models_are_factored_only_in_matrixcore_cholesky():
