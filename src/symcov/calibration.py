@@ -50,6 +50,12 @@ TRIDIAGONAL_ROW_FRACTION = 0.25
 # faster below it. With BLAS on one thread, blocked dsytrd took 1.43x the time at
 # order 40, 1.04x at 100, 0.94x at 128, 0.86x at 200 and 0.70x at 400.
 BLOCKED_ORDER = 128
+# DataStats takes rows whose largest |entry| is 0 or within 2^(+-_ROW_EXPONENT).
+# On block-circulant rows a selection keeps its choice and alpha up to a largest
+# entry of 2^505 at M = 1000 (2^507 at M = 100), from where the raw moments and
+# class sums overflow, and down to the smallest measured: 2^-504 at M = 1000,
+# 2^-531 at M = 100.
+_ROW_EXPONENT = 500
 
 
 def alpha_grid(n_points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
@@ -209,12 +215,18 @@ class DataStats(Dataset):
     count the ``splits``, their ``FoldTerm`` per sample-term kind, each
     distinct target's fold projections (``targets``) and ``fold_scores``: the
     one cache of held-out statistics, shared by every group and call on it.
-    Estimators read it through ``of``: only a caller holding a DataStats keeps it."""
+    Estimators read it through ``of``: only a caller holding a DataStats keeps it.
+    Rows whose largest |entry| is neither 0 nor within [2^-500, 2^500] raise
+    ValueError: outside that range the moments can leave the float range."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not self.centered:
             raise matrixcore.CenteringError("statistics require centered data")
+        top, bound = float(np.abs(self.rows).max()), 2.0 ** _ROW_EXPONENT
+        if top and not 1.0 / bound <= top <= bound:
+            raise ValueError(f"the rows' largest |entry| {top!r} is outside the supported "
+                             f"range [2^-{_ROW_EXPONENT}, 2^{_ROW_EXPONENT}]: rescale them")
 
     @classmethod
     def of(cls, data: Dataset) -> "DataStats":

@@ -19,7 +19,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import dataclasses
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
@@ -187,13 +186,14 @@ def cmd_decoy(args) -> int:
         raise ValueError(f"{args.config}: config key 'n_test': decoy runs write no held-out score")
     selected_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
     finite_scores: dict[str, list] = {g.name: [] for g in config.library.candidates}
-    records = synth.run_trial_sweep(dataclasses.replace(config, estimators=("ad_bmg",)))
+    sigma = synth.make_population(config.population)
     rows = [("trial", *bmg_mod.REPORT_COLUMNS)]
-    for record in records:
-        if record.error:
-            raise ValueError(record.error)
-        report = record.ad
-        rows += bmg_mod.report_fields(config.library, report, record.trial)
+    for trial in range(config.trials):
+        # the sweep's training rows of this trial: cell 0, stream 0
+        train = synth.sample_gaussian(sigma, config.n_list[0], (config.base_seed, 0, trial, 0))
+        _, report = bmg_mod.bmg_with_fallback(train, config.library, config.kappa,
+                                              config.grid_points, config.folds)
+        rows += bmg_mod.report_fields(config.library, report, trial)
         if not report.fallback_used:
             selected_counts[report.selected] += 1
         for name, score in report.tier2_scores.items():

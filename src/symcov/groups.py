@@ -50,15 +50,9 @@ def _rng(*key) -> np.random.Generator:
 
 
 def _as_perms(gens: tuple, m: int) -> tuple[Perm, ...]:
-    """Every generator as a tuple of ints, checked in one stacked sort; when
-    the stack is not a set of permutations, the first bad generator raises
-    with its position as the error's ``index``."""
-    try:
-        arr = np.asarray(gens, dtype=int)
-    except (TypeError, ValueError):   # ragged, or not integers
-        arr = None
-    if arr is not None and arr.shape == (len(gens), m) and (np.sort(arr, axis=1) == np.arange(m)).all():
-        return tuple(map(tuple, arr.tolist()))
+    """Every generator as a tuple of ints; the first that is not a
+    permutation of 0..m-1 raises with its position as the error's ``index``."""
+    perms = []
     for index, gen in enumerate(gens):
         arr = np.asarray(gen, dtype=int)
         if arr.shape != (m,) or not np.array_equal(np.sort(arr), np.arange(m)):
@@ -66,7 +60,8 @@ def _as_perms(gens: tuple, m: int) -> tuple[Perm, ...]:
                 f"generator {arr.tolist()} is not a permutation of 0..{m - 1}")
             exc.index = index
             raise exc
-    return ()   # no generators: any that pass one by one also pass stacked
+        perms.append(tuple(arr.tolist()))
+    return tuple(perms)
 
 
 @dataclass(frozen=True)
@@ -77,11 +72,14 @@ class GroupAction:
     action is A -> P A P^T with P[g[i], i] = 1. The group order is never
     stored: ``capped_order`` counts it from the generators up to the cap a
     caller needs.
+
+    The hash is that of (name, dim, kind): equal groups share those fields,
+    and it costs the same at any M, however many generators a group has.
     """
 
     name: str
     dim: int
-    generators: tuple[Perm, ...] = ()
+    generators: tuple[Perm, ...] = field(default=(), hash=False)
     kind: str = KIND_GENERATOR
 
     def __post_init__(self) -> None:
@@ -93,20 +91,6 @@ class GroupAction:
         if self.kind == KIND_HAAR and gens:
             raise GroupValidationError(f"kind {self.kind} carries no generators")
         object.__setattr__(self, "generators", gens)
-
-    def __hash__(self) -> int:
-        # hashed once per instance: the generators are hashed on every
-        # orbit_partition cache lookup otherwise
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.name, self.dim, self.generators, self.kind))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self) -> dict:
-        # string hashes are salted per process, so a pickle carries no hash
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)
@@ -491,8 +475,9 @@ def decoy_random_partition_blocks(m: int, block_size: int, seed: int) -> GroupAc
 
 
 def enumerate_group(generators: list[np.ndarray], dim: int,
-                    cap: int = 10**6) -> list[np.ndarray] | None:
-    """BFS closure of the generated group; None when the order exceeds cap."""
+                    cap: int = 10**6) -> list[Perm] | None:
+    """BFS closure of the generated group, its elements as sorted tuples;
+    None when the order exceeds cap."""
     seen = {tuple(range(dim))}
     frontier = [tuple(range(dim))]
     gens = [tuple(g) for g in generators]
@@ -507,7 +492,7 @@ def enumerate_group(generators: list[np.ndarray], dim: int,
                     if len(seen) > cap:
                         return None
         frontier = nxt
-    return [np.array(e, dtype=int) for e in sorted(seen)]
+    return sorted(seen)
 
 
 @functools.lru_cache(maxsize=128)

@@ -93,10 +93,12 @@ class Dataset:
         if not np.isfinite(r).all():
             raise ValueError("dataset contains a non-finite value")
         # A single row carries no empirical centering evidence: there the flag
-        # records the caller's mean-zero modelling assumption.
-        if self.centered and r.shape[0] >= 2 and np.any(np.abs(r.mean(axis=0))
-                                                        > 1e-10 * r.std(axis=0)):
-            raise CenteringError("centered flag set but column means are not zero")
+        # records the caller's mean-zero modelling assumption. A spread past the
+        # float range reads +inf: DataStats rejects such rows by their scale.
+        if self.centered and r.shape[0] >= 2:
+            with np.errstate(over="ignore"):
+                if np.any(np.abs(r.mean(axis=0)) > 1e-10 * r.std(axis=0)):
+                    raise CenteringError("centered flag set but column means are not zero")
         r = r.copy()
         r.flags.writeable = False
         object.__setattr__(self, "rows", r)

@@ -279,6 +279,23 @@ class TestFallback:
         assert not got.fallback_used
         assert (got.selected, got.alpha) == (want.selected, want.alpha)
 
+    @pytest.mark.parametrize("use_lwnl", [False, True])
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_selection_scale_free_to_the_edges_of_the_row_range(self, n, use_lwnl):
+        # rows scaled by powers of two to a largest |entry| just below 2^500
+        # and just above 2^-500, the ends of DataStats' range
+        sigma = synth.block_circulant_population(100, 20, 0.5, 0.1)
+        data = synth.sample_gaussian(sigma, n, (1,))
+        shift = int(np.frexp(np.abs(data.rows).max())[1])   # largest in [2^(shift-1), 2^shift)
+        lib = synth.parse_library_spec("preset:pathway100")
+        _, want = bmg_with_fallback(data, lib, use_lwnl=use_lwnl)
+        assert want.selected == "z20-wr-s5"
+        for exponent in (500 - shift, 1 - 500 - shift):
+            scaled = Dataset(np.ldexp(data.rows, exponent), centered=True)
+            assert 2.0**-500 <= np.abs(scaled.rows).max() <= 2.0**500
+            _, got = bmg_with_fallback(scaled, lib, use_lwnl=use_lwnl)
+            assert (got.selected, got.alpha) == (want.selected, want.alpha)
+
     def test_falls_back_exactly_when_no_fold_of_min_k_n_leaves_two_training_rows(self):
         # S_4 passes the prefilter at every N, so only the folds decide
         lib = CandidateLibrary((groups.full_symmetric(4),))

@@ -348,10 +348,10 @@ def pathway_decoys():
     return synth.parse_library_spec("preset:pathway100+decoys")
 
 
-def _pathway_rows(n):
+def _pathway_rows(n, draw=71):
     sigma = synth.make_population(synth.PopulationSpec(
         m=100, kind=synth.POP_BLOCK_CIRCULANT, block_size=20))
-    return synth.sample_gaussian(sigma, n, (71, n))
+    return synth.sample_gaussian(sigma, n, (draw, n))
 
 
 class TestAlphaCurveOnLibrary:
@@ -446,6 +446,76 @@ class TestCommutingTarget:
         cv_nll_alpha(_pathway_rows(125), groups.trivial(100), use_lwnl_sample_term=True)
         declined = sum(curve is None for curve in spectral)
         assert declined > 0 and len(reductions) == declined
+
+
+def _relative_error(got, want):
+    return abs(Decimal(got) - want) / abs(want)
+
+
+def _kappa(a):
+    eigs = np.linalg.eigvalsh(a)
+    return eigs[-1] / eigs[0]
+
+
+class TestFortyDigitReference:
+    """Disputed cells, where two double-precision routes disagree past 1e-12:
+    each route's error against ``_nll_40_digits`` of the same double S and T,
+    with the blend's condition number (CHANGES.md tabulates the errors)."""
+
+    def test_lwnl_spectra_near_c_one_each_score_their_own_s(self):
+        # N = 124, s = 73, fold 1: 99 training rows, c = 1.01. The LWNL term
+        # from the Gram spectrum (the route's) and from the M x M spectrum (the
+        # explicit blends') agree to 2.3e-13, yet score alpha = 0 5.3e-11
+        # apart; each score is within 4.5e-15 of the 40-digit score of its own S
+        data, fold = _pathway_rows(124, draw=73), 1
+        test = fold_slices(data.n_obs, DEFAULT_FOLDS)[fold]
+        x_train, x_test = np.delete(data.rows, test, axis=0), data.rows[test]
+        r_train = second_moment(x_train)
+        gram = shrinkage.lwnl_from_covariance(r_train, len(x_train), x_train).matrix
+        full = shrinkage.lwnl_from_covariance(r_train, len(x_train)).matrix
+        want_gram, want_full = (_nll_40_digits(s.values, s.values, 0.0, x_test)
+                                for s in (gram, full))
+        route = cv_nll_alpha(data, groups.trivial(100), use_lwnl_sample_term=True)
+        explicit = _explicit_fold_scores(data, groups.trivial(100), use_lwnl=True)
+        assert _relative_error(route.fold_scores[fold, 0], want_gram) <= Decimal("1e-14")
+        assert _relative_error(explicit[fold, 0], want_full) <= Decimal("1e-14")
+        assert _relative_error(gaussian_nll_per_sample(gram, second_moment(x_test)),
+                               want_gram) <= Decimal("1e-14")
+        assert _relative_error(want_gram, want_full) >= Decimal("2e-11")
+        assert 1e3 <= _kappa(gram.values) <= 1e4
+
+    def test_trivial_folds_of_m_training_rows_keep_the_curve_whitened_by_s(self, monkeypatch):
+        # N = 125, draws 71-73: every fold trains on M rows. On the 14 folds
+        # S whitens, the closed form declines T's blends (kappa 6.9e4 to
+        # 2.9e7 at alpha = 1) for the curve whitened by S, which is within
+        # 8.5e-12 of the 40-digit score there, where the closed form would
+        # be up to 1.4e-10 off and the explicit blend up to 4.8e-11
+        errors = {"route": [], "closed": [], "explicit": []}
+        for draw in (71, 72, 73):
+            data, trivial = _pathway_rows(125, draw), groups.trivial(100)
+            with monkeypatch.context() as patch:
+                spectral = _record_curves(patch, "_spectral_curve")
+                route = cv_nll_alpha(data, trivial, use_lwnl_sample_term=True).fold_scores
+            with monkeypatch.context() as patch:
+                patch.setattr(calibration, "_resolves", lambda kappa: True)
+                closed = cv_nll_alpha(data, trivial, use_lwnl_sample_term=True).fold_scores
+            explicit = _explicit_fold_scores(data, trivial, use_lwnl=True)
+            assert spectral and all(curve is None for curve in spectral)
+            for fold, test in enumerate(fold_slices(data.n_obs, DEFAULT_FOLDS)):
+                x_train = np.delete(data.rows, test, axis=0)
+                r_train = second_moment(x_train)
+                s = shrinkage.lwnl_from_covariance(r_train, len(x_train)).matrix
+                if not calibration._whitens(s, matrixcore.cholesky(s)):
+                    continue   # draw 71, fold 0: every alpha is an explicit blend
+                want = _nll_40_digits(s.values, r_train.values, 1.0, data.rows[test])
+                for name, scores in (("route", route), ("closed", closed),
+                                     ("explicit", explicit)):
+                    errors[name].append(_relative_error(scores[fold, -1], want))
+                assert 5e4 <= _kappa(r_train.values) <= 5e7
+        assert len(errors["route"]) == 14
+        assert max(errors["route"]) <= Decimal("3e-11")
+        assert max(errors["explicit"]) <= Decimal("1.5e-10")
+        assert Decimal("5e-11") <= max(errors["closed"]) <= Decimal("5e-10")
 
 
 def _record_factorizations(monkeypatch):

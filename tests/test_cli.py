@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symcov import bmg as bmg_mod
-from symcov import groups, synth
+from symcov import groups, matrixcore, synth
 from symcov.cli import main
 from symcov.matrixcore import (
     Dataset,
@@ -334,6 +334,19 @@ class TestBmg:
         assert run_cli("bmg", "--data", str(data_path), "--library", "trivial:6;s:6;cyclic:6",
                        "--report", str(tmp_path / "r.csv")) == 0
         assert capsys.readouterr().out.rstrip().endswith("delta=nan")
+
+    @pytest.mark.parametrize("k", [510, -510])
+    def test_rows_outside_the_scale_range_are_config_error_naming_it(self, tmp_path,
+                                                                     capsys, k):
+        sigma = synth.block_circulant_population(100, 20, 0.5, 0.1)
+        data_path = tmp_path / "scaled.csv"
+        write_dataset_csv(data_path, Dataset(
+            np.ldexp(synth.sample_gaussian(sigma, 50, (1,)).rows, k), centered=True))
+        report = tmp_path / "r.csv"
+        assert run_cli("bmg", "--data", str(data_path), "--library", "preset:pathway100",
+                       "--report", str(report)) == 2
+        assert "outside the supported range [2^-500, 2^500]" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_one_grid_point_is_config_error(self, tmp_path, dataset_csv, capsys):
         assert run_cli("bmg", "--data", str(dataset_csv), "--library", "trivial:4;s:4",
@@ -752,7 +765,7 @@ class TestSweepAndDecoy:
             assert [row[c] for c in ("candidate", "best_alpha", "margin", "delta")] == \
                 [record[c] for c in ("ad_selected", "ad_alpha", "ad_margin", "ad_delta")]
 
-    def test_decoy_trial_failure_is_config_error(self, tmp_path, capsys, monkeypatch):
+    def test_decoy_trial_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
@@ -761,8 +774,20 @@ class TestSweepAndDecoy:
         cfg.write_text("m = 6\npopulation = identity\nlibrary = trivial:6;block:3x2\n"
                        "n_list = 20\ntrials = 2\n")
         assert run_cli("decoy", "--config", str(cfg),
-                       "--out", str(tmp_path / "scores.csv")) == 2
-        assert "LinAlgError: forced failure" in capsys.readouterr().err
+                       "--out", str(tmp_path / "scores.csv")) == 3
+        assert "error: forced failure" in capsys.readouterr().err
+
+    def test_decoy_scores_no_held_out_rows(self, tmp_path, monkeypatch):
+        # a decoy trial is a selection on the training rows alone: no test
+        # rows are drawn, so no estimate is scored against them
+        calls = []
+        nll = matrixcore.gaussian_nll_per_sample
+        monkeypatch.setattr(matrixcore, "gaussian_nll_per_sample",
+                            lambda *args: calls.append(1) or nll(*args))
+        cfg = tmp_path / "decoy.cfg"
+        cfg.write_text(DECOY_CFG)
+        assert run_cli("decoy", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 0
+        assert calls == []
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--config", str(tmp_path / "nope.cfg"),

@@ -151,8 +151,7 @@ class TestWriterBytes:
 
     def test_decoy(self, tmp_path, monkeypatch, capsys):
         lib, report = self._report()
-        record = synth.TrialRecord(cell_n=20, trial=0, seed=7, nll={}, frob={}, ad=report)
-        monkeypatch.setattr(synth, "run_trial_sweep", lambda *args, **kwargs: iter([record]))
+        monkeypatch.setattr(bmg_mod, "bmg_with_fallback", lambda *args, **kwargs: (None, report))
         cfg = tmp_path / "decoy.cfg"
         cfg.write_text("m = 3\nlibrary = cyclic:3;trivial:3\nn_list = 20\ntrials = 1\n")
         out, summary = tmp_path / "d.csv", tmp_path / "ds.csv"

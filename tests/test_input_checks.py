@@ -8,7 +8,7 @@ import pytest
 
 from symcov import groups, synth
 from symcov.bmg import CandidateLibrary
-from symcov.calibration import mse_plugin_alpha, write_cv_trace_csv
+from symcov.calibration import DataStats, mse_plugin_alpha, write_cv_trace_csv
 from symcov.cli import main
 from symcov.groups import GroupAction, GroupValidationError
 from symcov.matrixcore import (
@@ -31,6 +31,18 @@ class TestCalibration:
     def test_mse_plugin_group_of_other_dim(self, data):
         with pytest.raises(DimensionMismatchError, match="group dim 3 != data dim 4"):
             mse_plugin_alpha(data, groups.trivial(3))
+
+    @pytest.mark.parametrize("top", [0.0, 2.0**-500, 2.0**500])
+    def test_rows_at_the_ends_of_the_scale_range(self, top):
+        rows = np.array([[top, -top], [-top, top]])
+        assert np.abs(DataStats(rows, centered=True).rows).max() == top
+
+    @pytest.mark.parametrize("top", [np.nextafter(2.0**-500, 0), np.nextafter(2.0**500, np.inf)])
+    def test_rows_past_the_ends_of_the_scale_range(self, top):
+        rows = np.array([[top, -top], [-top, top]])
+        with pytest.raises(ValueError, match=re.escape("outside the supported range "
+                                                       "[2^-500, 2^500]")):
+            DataStats(rows, centered=True)
 
     def test_cv_trace_of_plug_in_result(self, tmp_path, data):
         result = mse_plugin_alpha(data, groups.full_symmetric(4))

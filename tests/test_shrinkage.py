@@ -197,6 +197,22 @@ class TestLwnl:
             got = lwnl(Dataset(data.rows[:, p], centered=True)).matrix.values
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("n", [4, 40])   # above and below the sample rank
+    @pytest.mark.parametrize("top", [-500, 500])
+    def test_scales_with_the_rows_to_the_ends_of_their_range(self, n, top):
+        # a kept eigenvalue near 1e-9 of the largest: at a largest entry of
+        # 2^-500 the kernel's 1 / bandwidth of the unscaled spectrum would
+        # leave the float range. eigh rescales a matrix far from 1, so the
+        # map scales to rounding, not bitwise
+        rows = np.random.default_rng(27).standard_normal((n, 4)) * [1.0, 1.0, 1.0, 3e-5]
+        data = Dataset(rows).center()
+        # a largest entry in [2^499, 2^500) or [2^-500, 2^-499)
+        exponent = top + (top < 0) - int(np.frexp(np.abs(data.rows).max())[1])
+        scaled = Dataset(np.ldexp(data.rows, exponent), centered=True)
+        want = np.ldexp(lwnl(data).matrix.values, 2 * exponent)
+        got = lwnl(scaled).matrix.values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_psd_outputs(self):
         rng = np.random.default_rng(26)
         for n, m in ((40, 8), (8, 12), (100, 20)):
