@@ -96,8 +96,8 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
     returned with a degenerate note (every alpha gives the same blend).
 
     Both sums are of fourth powers of the rows. They are taken of the rows
-    scaled by a power of two to a largest entry in [1/2, 1), and of R_hat
-    scaled to match, and the two variances are scaled back: the scaling is
+    scaled by ``matrixcore.unit_scaled`` (a power of two, to a largest entry
+    in [1/2, 1)), and of R_hat scaled to match, and the two variances are scaled back: the scaling is
     exact, so alpha is the same at any scale of the rows (the variances
     themselves can still underflow or overflow) and unchanged bitwise at
     ordinary scales.
@@ -108,8 +108,7 @@ def mse_plugin_alpha(data: Dataset, g: GroupAction) -> CalibrationResult:
     if g.dim != data.dim:
         raise DimensionMismatchError(f"group dim {g.dim} != data dim {data.dim}")
     n = data.n_obs
-    shift = int(np.frexp(np.abs(data.rows).max())[1])
-    rows = np.ldexp(data.rows, -shift)
+    rows, shift = matrixcore.unit_scaled(data.rows)
     r_hat = np.ldexp(data.r_hat.values, -2 * shift)
 
     def unscaled(v: float) -> float:

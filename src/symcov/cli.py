@@ -186,11 +186,10 @@ def cmd_decoy(args) -> int:
         raise ValueError(f"{args.config}: config key 'n_test': decoy runs write no held-out score")
     selected_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
     finite_scores: dict[str, list] = {g.name: [] for g in config.library.candidates}
-    sigma = synth.make_population(config.population)
+    _, root = synth._population_with_root(config.population)
     rows = [("trial", *bmg_mod.REPORT_COLUMNS)]
     for trial in range(config.trials):
-        # the sweep's training rows of this trial: cell 0, stream 0
-        train = synth.sample_gaussian(sigma, config.n_list[0], (config.base_seed, 0, trial, 0))
+        train = synth._trial_rows(config, root, 0, trial, 0)   # the sweep's training rows
         _, report = bmg_mod.bmg_with_fallback(train, config.library, config.kappa,
                                               config.grid_points, config.folds)
         rows += bmg_mod.report_fields(config.library, report, trial)

@@ -78,7 +78,9 @@ class Dataset:
     Every value must be finite. When ``centered`` is set and there are at
     least two rows, every column mean must vanish to within 1e-10 times the
     column standard deviation, so a column with no spread must be zero; the
-    constructor checks both.
+    constructor checks both. The means and deviations are taken of the rows
+    scaled by ``unit_scaled``, exactly, so the check decides alike at any
+    scale, also where the unscaled spread's squares underflow or overflow.
     """
 
     rows: np.ndarray
@@ -93,12 +95,15 @@ class Dataset:
         if not np.isfinite(r).all():
             raise ValueError("dataset contains a non-finite value")
         # A single row carries no empirical centering evidence: there the flag
-        # records the caller's mean-zero modelling assumption. A spread past the
-        # float range reads +inf: DataStats rejects such rows by their scale.
+        # records the caller's mean-zero modelling assumption.
         if self.centered and r.shape[0] >= 2:
-            with np.errstate(over="ignore"):
-                if np.any(np.abs(r.mean(axis=0)) > 1e-10 * r.std(axis=0)):
-                    raise CenteringError("centered flag set but column means are not zero")
+            x, _ = unit_scaled(r)
+            mean = x.mean(axis=0)
+            x -= mean   # x.std(axis=0)'s deviations, squared in place: no second temporary
+            x *= x
+            if np.any(np.abs(mean) > 1e-10 * np.sqrt(x.mean(axis=0))):
+                raise CenteringError("centered flag set but column means are not zero")
+            del x   # freed before the copy below, which then takes its pages, not fresh ones
         r = r.copy()
         r.flags.writeable = False
         object.__setattr__(self, "rows", r)
@@ -193,16 +198,20 @@ def blend(a: SymmetricMatrix, b: SymmetricMatrix, alpha: float) -> SymmetricMatr
     return SymmetricMatrix((1.0 - alpha) * a.values + alpha * b.values)
 
 
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e) for the e that puts the largest |entry| of a 2^-e in
+    [1/2, 1); a zero array comes back as zeros with e = 0. The one
+    power-of-two scaling: it is exact, so squares and sums taken of the scaled
+    entries neither overflow nor underflow at any scale of ``a``, and a result
+    scaled back by 2^e is unchanged bitwise at ordinary scales."""
+    shift = int(np.frexp(max(a.max(), -a.min()))[1])
+    return np.ldexp(a, -shift), shift
+
+
 def frobenius_norm(a: SymmetricMatrix) -> float:
-    """||a||_F, taken of the entries scaled by a power of two to a largest
-    entry in [1/2, 1) and scaled back: the scaling is exact, so the squares
-    neither overflow nor underflow at any scale of ``a`` and the result at
-    ordinary scales is unchanged bitwise."""
-    peak = np.abs(a.values).max()
-    if peak == 0.0:
-        return 0.0
-    shift = int(np.frexp(peak)[1])
-    return float(np.ldexp(np.linalg.norm(np.ldexp(a.values, -shift), "fro"), shift))
+    """||a||_F, taken of ``unit_scaled`` entries and scaled back."""
+    values, shift = unit_scaled(a.values)
+    return float(np.ldexp(np.linalg.norm(values, "fro"), shift))
 
 
 # ---------------------------------------------------------------------------

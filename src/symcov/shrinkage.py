@@ -241,11 +241,11 @@ def lwnl_from_covariance(r_hat: SymmetricMatrix, n_obs: int,
         return EstimatorResult(EST_LWNL, r_hat, flags=flags | {FLAG_DEGENERATE_SPECTRUM})
     else:
         c, point = m / n_obs, threshold
-    # the kernel runs on the spectrum scaled by a power of two to lambda_max in
-    # [1/2, 1): exactly, so the map is unchanged, while its density, of size
-    # 1 / lambda, stays in the float range at any scale of the rows
-    shift = int(np.frexp(lam_max)[1])
-    lam_s, point_s = np.ldexp(lam_kept, -shift), np.ldexp(point, -shift)
+    # the kernel runs on the kept spectrum unit_scaled, lambda_max (the largest
+    # kept) to [1/2, 1): exactly, so the map is unchanged, while its density,
+    # of size 1 / lambda, stays in the float range at any scale of the rows
+    lam_s, shift = matrixcore.unit_scaled(lam_kept)
+    point_s = np.ldexp(point, -shift)
     f, hf = epanechnikov_kde(lam_s, n_obs, np.append(lam_s, point_s))
     null = np.ldexp(n_obs / ((m - n_obs) * hf[-1]) if m > n_obs
                     else _shrink_eigenvalues(point_s, f[-1], hf[-1], c), shift)

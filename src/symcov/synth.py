@@ -5,7 +5,9 @@ presets with their decoy extensions, and the paired-split trial sweep.
 
 Every random draw comes from a counter-based generator keyed by
 (base_seed, cell, trial, stream), so per-trial streams are independent and
-the output is identical under any parallel schedule.
+the output is identical under any parallel schedule. Gaussian rows are drawn
+as Z sigma^(1/2) at one site, through the population's symmetric square root,
+which is taken, and tested positive definite, once per run.
 """
 
 from __future__ import annotations
@@ -150,26 +152,24 @@ def make_population(spec: PopulationSpec) -> SymmetricMatrix:
     strict positive definiteness; the closed-form diagonal families are SPD
     by construction and are returned exactly (identity means the identity).
     A shape that leaves sigma not positive definite (a ``two_block_ratio``
-    or ``geometric_decay`` of 0 or below) fails ``sample_gaussian``'s test
+    or ``geometric_decay`` of 0 or below) fails ``_symmetric_root``'s test
     here, naming the kind's fields.
     """
     return _population_with_root(spec)[0]
 
 
-def _population_with_root(spec: PopulationSpec) -> tuple[SymmetricMatrix, tuple]:
-    """``make_population``'s sigma and its ``_symmetric_root``, whose smallest
-    eigenvalue ``_draw_gaussian`` tests: tested here, where the spec's fields
-    can be named."""
+def _population_with_root(spec: PopulationSpec) -> tuple[SymmetricMatrix, np.ndarray]:
+    """``make_population``'s sigma and its ``_symmetric_root``, whose failed
+    test names the spec's fields here."""
     reads, build = POPULATIONS[spec.kind]
     sigma = build(spec)
-    root = _symmetric_root(sigma)
-    if root[1] <= 0.0:
+    try:
+        return sigma, _symmetric_root(sigma)
+    except _FieldError as exc:
         # the shape fields set the spectrum; the seed only rotates or draws
         shape = [field for field in reads if field != "base_seed"]
         given = ", ".join(f"{field}={getattr(spec, field)}" for field in shape)
-        raise _FieldError((*shape, "kind"), f"population {spec.kind} ({given}) is not "
-                          f"positive definite (min eig {root[1]:.3e})")
-    return sigma, root
+        raise _FieldError((*shape, "kind"), f"population {spec.kind} ({given}): {exc}") from None
 
 
 def block_circulant_population(m: int, block_size: int, rho: float,
@@ -211,25 +211,28 @@ POPULATIONS = {
 }
 
 
-def _symmetric_root(sigma: SymmetricMatrix) -> tuple[np.ndarray, float]:
-    """sigma^(1/2) with negative eigenvalues clipped, and sigma's smallest eigenvalue."""
+def _symmetric_root(sigma: SymmetricMatrix) -> np.ndarray:
+    """sigma^(1/2), through which every Gaussian row is drawn: the one
+    eigendecomposition of a population. A sigma that is not positive
+    definite raises ValueError naming its smallest eigenvalue."""
     w, u = np.linalg.eigh(sigma.values)
-    return (u * np.sqrt(np.maximum(w, 0.0))) @ u.T, w.min()
+    if w[0] <= 0.0:
+        raise _FieldError((), f"covariance is not positive definite (min eig {w[0]:.3e})")
+    return (u * np.sqrt(w)) @ u.T
 
 
-def _draw_gaussian(root: np.ndarray, w_min: float, n: int, seed) -> Dataset:
-    if w_min <= 0.0:
-        raise ValueError("sample_gaussian requires a positive-definite covariance")
-    key = seed if isinstance(seed, tuple) else (seed,)
-    z = _rng(*key).standard_normal((n, root.shape[0]))
-    return Dataset(z @ root, centered=False).center()
+def _gaussian_rows(root: np.ndarray, n: int, key: tuple) -> np.ndarray:
+    """The one Gaussian draw: n rows Z root, for Z standard normal from the
+    stream ``key``, of mean zero and covariance root^2, not centered."""
+    return _rng(*key).standard_normal((n, root.shape[0])) @ root
 
 
 def sample_gaussian(sigma: SymmetricMatrix, n: int, seed) -> Dataset:
     """N mean-zero Gaussian draws through the symmetric square root, then
     column-centered. A single observation centers to the zero row and its
     sample covariance is the zero matrix (documented degenerate case)."""
-    return _draw_gaussian(*_symmetric_root(sigma), n, seed)
+    key = seed if isinstance(seed, tuple) else (seed,)
+    return Dataset(_gaussian_rows(_symmetric_root(sigma), n, key)).center()
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +345,10 @@ def parse_library_spec(text: str) -> CandidateLibrary:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo oracles: variance components and blend risk.
+# Monte Carlo oracles: variance components and blend risk. Each trial's R_hat
+# is the second moment (1/N) X^T X of uncentered rows: the oracles need
+# E[R_hat] = Sigma exactly, which centering biases by (N-1)/N.
 # ---------------------------------------------------------------------------
-
-def _raw_second_moment(root: np.ndarray, n: int, key) -> SymmetricMatrix:
-    """Second moment (1/N) X^T X of draws X = Z root, not centered: the theory
-    oracles below need E[R_hat] = Sigma exactly, which centering biases by (N-1)/N."""
-    z = _rng(*key).standard_normal((n, root.shape[0]))
-    return matrixcore.second_moment(z @ root)
-
 
 def estimate_variance_components(sigma: SymmetricMatrix, g: GroupAction, n: int,
                                  trials: int, seed: int):
@@ -358,9 +356,9 @@ def estimate_variance_components(sigma: SymmetricMatrix, g: GroupAction, n: int,
     V_perp = E||(I - P_G)(R - Sigma)||_F^2 with standard errors."""
     v_in = np.empty(trials)
     v_perp = np.empty(trials)
-    root, _ = _symmetric_root(sigma)
+    root = _symmetric_root(sigma)
     for t in range(trials):
-        u = _raw_second_moment(root, n, (seed, "vc", t)).values - sigma.values
+        u = matrixcore.second_moment(_gaussian_rows(root, n, (seed, "vc", t))).values - sigma.values
         u_in = reynolds_project(g, SymmetricMatrix(u)).values
         v_in[t] = np.sum(u_in**2)
         v_perp[t] = np.sum((u - u_in) ** 2)
@@ -374,9 +372,9 @@ def estimate_blend_risk(sigma: SymmetricMatrix, g: GroupAction, n: int,
     All alphas share each trial's draw (paired across the grid)."""
     alphas = np.asarray(alphas, dtype=float)
     risks = np.empty((trials, len(alphas)))
-    root, _ = _symmetric_root(sigma)
+    root = _symmetric_root(sigma)
     for t in range(trials):
-        r_hat = _raw_second_moment(root, n, (seed, "risk", t))
+        r_hat = matrixcore.second_moment(_gaussian_rows(root, n, (seed, "risk", t)))
         proj = reynolds_project(g, r_hat)
         for j, alpha in enumerate(alphas):
             blend = matrixcore.blend(r_hat, proj, alpha).values
@@ -408,7 +406,7 @@ def run_mp_verification(c: float, spec: PopulationSpec, trials: int,
     sigma, root = _population_with_root(spec)
     err = {name: np.empty(trials) for name in ("sample", "lw2004", "lwnl")}
     for t in range(trials):
-        data = DataStats.of(_draw_gaussian(*root, n, (base_seed, "mp", t)))
+        data = DataStats.of(Dataset(_gaussian_rows(root, n, (base_seed, "mp", t))).center())
         for name, fit in (("sample", data.r_hat), ("lw2004", shrinkage.lw2004_auto(data).matrix),
                           ("lwnl", shrinkage.lwnl(data).matrix)):
             err[name][t] = np.sum((fit.values - sigma.values) ** 2)
@@ -496,14 +494,21 @@ TRIAL_CSV_COLUMNS = (
 )
 
 
-def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix,
-                   root: tuple[np.ndarray, float], cell_idx: int, trial: int) -> TrialRecord:
-    n = config.n_list[cell_idx]
-    record = TrialRecord(cell_n=n, trial=trial, seed=config.base_seed,
+def _trial_rows(config: SweepConfig, root: np.ndarray, cell: int, trial: int, stream: int):
+    """A sweep trial's centered rows, drawn from the stream (base_seed, cell,
+    trial, stream): its n_list[cell] training rows from stream 0 (which
+    ``symcov decoy`` selects on too) and its n_test test rows from stream 1."""
+    n = config.n_test if stream else config.n_list[cell]
+    return Dataset(_gaussian_rows(root, n, (config.base_seed, cell, trial, stream))).center()
+
+
+def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix, root: np.ndarray,
+                   cell_idx: int, trial: int) -> TrialRecord:
+    record = TrialRecord(cell_n=config.n_list[cell_idx], trial=trial, seed=config.base_seed,
                          nll={}, frob={})
     try:
-        train = DataStats.of(_draw_gaussian(*root, n, (config.base_seed, cell_idx, trial, 0)))
-        test = _draw_gaussian(*root, config.n_test, (config.base_seed, cell_idx, trial, 1))
+        train = DataStats.of(_trial_rows(config, root, cell_idx, trial, 0))
+        test = _trial_rows(config, root, cell_idx, trial, 1)
         r_test = matrixcore.sample_covariance(test)
         wanted = set(config.estimators)
         selection = (config.library, config.kappa, config.grid_points, config.folds)

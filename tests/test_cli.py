@@ -335,7 +335,9 @@ class TestBmg:
                        "--report", str(tmp_path / "r.csv")) == 0
         assert capsys.readouterr().out.rstrip().endswith("delta=nan")
 
-    @pytest.mark.parametrize("k", [510, -510])
+    # at 2^-540 and 2^-560 the rows' column spread would underflow but for
+    # Dataset's scaled centering check, which they pass
+    @pytest.mark.parametrize("k", [510, -510, -540, -560])
     def test_rows_outside_the_scale_range_are_config_error_naming_it(self, tmp_path,
                                                                      capsys, k):
         sigma = synth.block_circulant_population(100, 20, 0.5, 0.1)
@@ -788,6 +790,18 @@ class TestSweepAndDecoy:
         cfg.write_text(DECOY_CFG)
         assert run_cli("decoy", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 0
         assert calls == []
+
+    def test_decoy_takes_the_population_root_once_per_run(self, tmp_path, monkeypatch):
+        # the config check takes one root and the run one more, through which
+        # every trial's training rows are drawn
+        roots = []
+        symmetric_root = synth._symmetric_root
+        monkeypatch.setattr(synth, "_symmetric_root",
+                            lambda sigma: roots.append(1) or symmetric_root(sigma))
+        cfg = tmp_path / "decoy.cfg"
+        cfg.write_text(DECOY_CFG)
+        assert run_cli("decoy", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 0
+        assert len(roots) == 2
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--config", str(tmp_path / "nope.cfg"),

@@ -12,6 +12,7 @@ from symcov.calibration import DataStats, mse_plugin_alpha, write_cv_trace_csv
 from symcov.cli import main
 from symcov.groups import GroupAction, GroupValidationError
 from symcov.matrixcore import (
+    CenteringError,
     Dataset,
     DimensionMismatchError,
     SymmetricMatrix,
@@ -49,6 +50,55 @@ class TestCalibration:
         with pytest.raises(ValueError, match="calibration result carries no fold trace"):
             write_cv_trace_csv(tmp_path / "trace.csv", result)
         assert not (tmp_path / "trace.csv").exists()
+
+
+class TestCenteringAtAnyScale:
+    """Dataset's centering check takes the rows scaled by a power of two, so
+    it decides alike at any scale: the spread's squares neither underflow
+    (a centered column read as off-center) nor overflow (an off-center one
+    read as centered)."""
+
+    @pytest.fixture
+    def centered(self):
+        sigma = synth.block_circulant_population(100, 20, 0.5, 0.1)
+        return synth.sample_gaussian(sigma, 50, (1,)).rows
+
+    @pytest.mark.parametrize("k", [-540, -560])
+    def test_centered_rows_below_the_range_reach_the_range_check(self, tmp_path, centered, k):
+        # from a CSV, symcov bmg exits 2 naming the range (test_cli)
+        rows = np.ldexp(centered, k)
+        np.testing.assert_array_equal(Dataset(rows, centered=True).rows, rows)
+        path = tmp_path / "scaled.csv"
+        write_dataset_csv(path, Dataset(rows, centered=True))
+        np.testing.assert_array_equal(read_dataset_csv(path).rows, rows)
+        with pytest.raises(ValueError, match=re.escape("outside the supported range "
+                                                       "[2^-500, 2^500]")):
+            DataStats(rows, centered=True)
+
+    def test_uncentered_rows_above_the_range_are_not_centered(self, tmp_path, centered):
+        rows = np.ldexp(centered + 1.0, 515)   # each column's spread squared overflows
+        with pytest.raises(CenteringError, match="column means are not zero"):
+            Dataset(rows, centered=True)
+        path = tmp_path / "uncentered.csv"
+        write_dataset_csv(path, Dataset(rows))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: column means are "
+                                             "not zero"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("k", [0, 300, -300, 515, -560])
+    def test_decisions_at_any_scale_are_those_of_the_rows_at_scale_one(self, centered, k):
+        # a column offset by 1e-9 of its spread fails the check and one offset
+        # by 1e-11 passes it, decided at scale 1 by the plain formula
+        for offset in (1e-9, -1e-9, 1e-11, -1e-11):
+            rows = centered.copy()
+            rows[:, 3] += offset * rows[:, 3].std()
+            fails = bool(np.any(np.abs(rows.mean(axis=0)) > 1e-10 * rows.std(axis=0)))
+            assert fails == (abs(offset) > 1e-10)
+            if fails:
+                with pytest.raises(CenteringError):
+                    Dataset(np.ldexp(rows, k), centered=True)
+            else:
+                Dataset(np.ldexp(rows, k), centered=True)
 
 
 def test_cli_shah_without_group_is_config_error(tmp_path, capsys, data):

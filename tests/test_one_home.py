@@ -1,6 +1,10 @@
 """Each shared primitive of the package has one home: the keyed Philox
-stream (``groups._rng``), the overflow-safe Frobenius norm
-(``matrixcore.frobenius_norm``), the Cholesky factor of a model, which scores
+stream (``groups._rng``), the exact power-of-two scaling that keeps squares
+in the float range at any scale of the rows (``matrixcore.unit_scaled``), the
+overflow-safe Frobenius norm (``matrixcore.frobenius_norm``), a population's
+square root, its one eigendecomposition and positive-definiteness test
+(``synth._symmetric_root``), through which every Gaussian row is drawn at one
+site (``synth._gaussian_rows``), the Cholesky factor of a model, which scores
 it and whitens an alpha-curve (``matrixcore.cholesky``), the fold split that
 copies rows (``DataStats.splits``), the explicit held-out scores of
 calibration and a centered moment's degrees of freedom (``DataStats.dof``,
@@ -42,6 +46,29 @@ def _calls(name: str):
 
 def test_philox_is_constructed_in_one_place():
     assert [module for module, _, _ in _calls("Philox")] == ["groups"]
+
+
+def test_power_of_two_scaling_is_decided_only_in_unit_scaled():
+    # the norm, the MSE plug-in, the LWNL kernel and the centering check
+    # scale alike, so each keeps its result at any scale of the rows
+    assert [(module, func) for module, func, _ in _calls("frexp")] == [
+        ("matrixcore", "unit_scaled")]
+    assert sorted((module, func) for module, func, _ in _calls("unit_scaled")) == [
+        ("calibration", "mse_plugin_alpha"), ("matrixcore", "Dataset.__post_init__"),
+        ("matrixcore", "frobenius_norm"), ("shrinkage", "lwnl_from_covariance")]
+
+
+def test_a_population_is_decomposed_and_drawn_through_in_one_place_each():
+    # sampling, the sweep, the decoy run and the oracles share one root and
+    # one test of it, and draw their rows as Z root at one site
+    assert [(module, func) for module, func, _ in _calls("eigh") if module == "synth"] == [
+        ("synth", "_symmetric_root")]
+    assert sorted(func for module, func, _ in _calls("_symmetric_root")) == [
+        "_population_with_root", "estimate_blend_risk", "estimate_variance_components",
+        "sample_gaussian"]
+    assert [(module, func) for module, func, _ in _nodes(
+        lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        and "standard_normal" in ast.unparse(node.left))] == [("synth", "_gaussian_rows")]
 
 
 def test_frobenius_norm_is_taken_only_in_matrixcore():

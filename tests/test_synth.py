@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -155,6 +156,19 @@ class TestMonteCarloOracles:
             rhs = v_in + (1 - a) ** 2 * v_perp + a**2 * bn2
             tol = 3 * math.sqrt(risk_se[j] ** 2 + se_in**2 + (1 - a) ** 4 * se_perp**2)
             assert abs(risk[j] - rhs) <= tol
+
+    def test_oracles_reject_a_covariance_that_is_not_positive_definite(self):
+        # eigenvalues 3 and -1: every draw goes through the one root, which
+        # refuses it, as sampling does, rather than clipping -1 to 0
+        q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        sigma = SymmetricMatrix(q @ np.diag([3.0, -1.0]) @ q.T)
+        g = groups.trivial(2)
+        for draw in (lambda: estimate_variance_components(sigma, g, 10, 5, seed=1),
+                     lambda: estimate_blend_risk(sigma, g, 10, [0.0, 0.5], 5, seed=2),
+                     lambda: sample_gaussian(sigma, 10, seed=3)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "covariance is not positive definite (min eig -1.000e+00)")):
+                draw()
 
     def test_dominance_condition_and_ordering(self):
         # small structural residual: the matched-side quantity is below the
