@@ -222,7 +222,7 @@ class DataStats(Dataset):
         super().__post_init__()
         if not self.centered:
             raise matrixcore.CenteringError("statistics require centered data")
-        top, bound = float(np.abs(self.rows).max()), 2.0 ** _ROW_EXPONENT
+        top, bound = float(max(self.rows.max(), -self.rows.min())), 2.0 ** _ROW_EXPONENT
         if top and not 1.0 / bound <= top <= bound:
             raise ValueError(f"the rows' largest |entry| {top!r} is outside the supported "
                              f"range [2^-{_ROW_EXPONENT}, 2^{_ROW_EXPONENT}]: rescale them")

@@ -186,10 +186,9 @@ def cmd_decoy(args) -> int:
         raise ValueError(f"{args.config}: config key 'n_test': decoy runs write no held-out score")
     selected_counts: dict[str, int] = {g.name: 0 for g in config.library.candidates}
     finite_scores: dict[str, list] = {g.name: [] for g in config.library.candidates}
-    _, root = synth._population_with_root(config.population)
     rows = [("trial", *bmg_mod.REPORT_COLUMNS)]
     for trial in range(config.trials):
-        train = synth._trial_rows(config, root, 0, trial, 0)   # the sweep's training rows
+        train = synth._trial_rows(config, 0, trial, 0)   # the sweep's training rows
         _, report = bmg_mod.bmg_with_fallback(train, config.library, config.kappa,
                                               config.grid_points, config.folds)
         rows += bmg_mod.report_fields(config.library, report, trial)

@@ -78,9 +78,10 @@ class Dataset:
     Every value must be finite. When ``centered`` is set and there are at
     least two rows, every column mean must vanish to within 1e-10 times the
     column standard deviation, so a column with no spread must be zero; the
-    constructor checks both. The means and deviations are taken of the rows
-    scaled by ``unit_scaled``, exactly, so the check decides alike at any
-    scale, also where the unscaled spread's squares underflow or overflow.
+    constructor checks both. The means and deviations are taken of each
+    column scaled by ``unit_scaled``, exactly, so the check decides alike at
+    any scale of the column, also where the unscaled spread's squares
+    underflow or overflow, or would beside a column far larger.
     """
 
     rows: np.ndarray
@@ -97,7 +98,7 @@ class Dataset:
         # A single row carries no empirical centering evidence: there the flag
         # records the caller's mean-zero modelling assumption.
         if self.centered and r.shape[0] >= 2:
-            x, _ = unit_scaled(r)
+            x, _ = unit_scaled(r, axis=0)
             mean = x.mean(axis=0)
             x -= mean   # x.std(axis=0)'s deviations, squared in place: no second temporary
             x *= x
@@ -118,10 +119,18 @@ class Dataset:
 
     def center(self) -> "Dataset":
         """Return a column-mean-centered copy with the centered flag set; a
-        column with no spread centers to exactly zero."""
+        column with no spread centers to exactly zero. A column far from zero
+        leaves the rounding of its mean in the centered rows: rows the check
+        rejects are centered once more, on their own mean. So rows center
+        whenever their column means and centered entries are finite, save a
+        column spread over too few subnormal steps (below about 1e-313) for a
+        mean of zero to be represented."""
         rows = self.rows - self.rows.mean(axis=0)
         rows[:, (self.rows == self.rows[0]).all(axis=0)] = 0.0
-        return Dataset(rows, centered=True)
+        try:
+            return Dataset(rows, centered=True)
+        except CenteringError:
+            return Dataset(rows - rows.mean(axis=0), centered=True)
 
 
 def second_moment(rows: np.ndarray) -> SymmetricMatrix:
@@ -198,13 +207,14 @@ def blend(a: SymmetricMatrix, b: SymmetricMatrix, alpha: float) -> SymmetricMatr
     return SymmetricMatrix((1.0 - alpha) * a.values + alpha * b.values)
 
 
-def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+def unit_scaled(a: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, int | np.ndarray]:
     """(a 2^-e, e) for the e that puts the largest |entry| of a 2^-e in
-    [1/2, 1); a zero array comes back as zeros with e = 0. The one
+    [1/2, 1); a zero array comes back as zeros with e = 0. With axis = 0,
+    each column of a 2-D ``a`` takes its own e, and e is their array. The one
     power-of-two scaling: it is exact, so squares and sums taken of the scaled
     entries neither overflow nor underflow at any scale of ``a``, and a result
     scaled back by 2^e is unchanged bitwise at ordinary scales."""
-    shift = int(np.frexp(max(a.max(), -a.min()))[1])
+    shift = np.frexp(np.maximum(a.max(axis), -a.min(axis)))[1]
     return np.ldexp(a, -shift), shift
 
 

@@ -7,14 +7,16 @@ Every random draw comes from a counter-based generator keyed by
 (base_seed, cell, trial, stream), so per-trial streams are independent and
 the output is identical under any parallel schedule. Gaussian rows are drawn
 as Z sigma^(1/2) at one site, through the population's symmetric square root,
-which is taken, and tested positive definite, once per run.
+which is taken, and tested positive definite, once per population built. A
+``SweepConfig`` builds its population as its last check and keeps sigma and
+the root, so a sweep or decoy run reads that one build.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,7 +162,7 @@ def make_population(spec: PopulationSpec) -> SymmetricMatrix:
 
 def _population_with_root(spec: PopulationSpec) -> tuple[SymmetricMatrix, np.ndarray]:
     """``make_population``'s sigma and its ``_symmetric_root``, whose failed
-    test names the spec's fields here."""
+    test names the spec's fields here; a ``SweepConfig`` keeps both."""
     reads, build = POPULATIONS[spec.kind]
     sigma = build(spec)
     try:
@@ -435,6 +437,11 @@ def run_mp_verification(c: float, spec: PopulationSpec, trials: int,
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A checked sweep: its last check builds the population, whose sigma and
+    ``_symmetric_root`` it keeps for every run of it to read, so a config that
+    exists can run. Equality, hashing, repr and ``dataclasses.replace`` see
+    only the fields given; a replaced config builds its population again."""
+
     population: PopulationSpec
     library: CandidateLibrary
     n_list: tuple[int, ...]
@@ -445,6 +452,8 @@ class SweepConfig:
     trials: int = 50
     base_seed: int = 1
     estimators: tuple[str, ...] = ESTIMATOR_ORDER
+    sigma: SymmetricMatrix = field(init=False, compare=False, repr=False)
+    root: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         unknown = set(self.estimators) - set(ESTIMATOR_ORDER)
@@ -469,6 +478,8 @@ class SweepConfig:
         if wrong:
             raise _FieldError(("library",),
                               f"library groups {wrong} do not act on m = {self.population.m}")
+        # the last check: a population that cannot be built fails here
+        self.__dict__.update(zip(("sigma", "root"), _population_with_root(self.population)))
 
 
 @dataclass
@@ -494,21 +505,20 @@ TRIAL_CSV_COLUMNS = (
 )
 
 
-def _trial_rows(config: SweepConfig, root: np.ndarray, cell: int, trial: int, stream: int):
+def _trial_rows(config: SweepConfig, cell: int, trial: int, stream: int):
     """A sweep trial's centered rows, drawn from the stream (base_seed, cell,
     trial, stream): its n_list[cell] training rows from stream 0 (which
     ``symcov decoy`` selects on too) and its n_test test rows from stream 1."""
     n = config.n_test if stream else config.n_list[cell]
-    return Dataset(_gaussian_rows(root, n, (config.base_seed, cell, trial, stream))).center()
+    return Dataset(_gaussian_rows(config.root, n, (config.base_seed, cell, trial, stream))).center()
 
 
-def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix, root: np.ndarray,
-                   cell_idx: int, trial: int) -> TrialRecord:
+def _run_one_trial(config: SweepConfig, cell_idx: int, trial: int) -> TrialRecord:
     record = TrialRecord(cell_n=config.n_list[cell_idx], trial=trial, seed=config.base_seed,
                          nll={}, frob={})
     try:
-        train = DataStats.of(_trial_rows(config, root, cell_idx, trial, 0))
-        test = _trial_rows(config, root, cell_idx, trial, 1)
+        train = DataStats.of(_trial_rows(config, cell_idx, trial, 0))
+        test = _trial_rows(config, cell_idx, trial, 1)
         r_test = matrixcore.sample_covariance(test)
         wanted = set(config.estimators)
         selection = (config.library, config.kappa, config.grid_points, config.folds)
@@ -530,10 +540,10 @@ def _run_one_trial(config: SweepConfig, sigma: SymmetricMatrix, root: np.ndarray
             est_lw, record.ad_lwnl = bmg_mod.bmg_with_fallback(train, *selection, use_lwnl=True)
             fitted["ad_lwnl_bmg"] = est_lw.matrix
         for name, matrix in fitted.items():
-            record.nll[name] = (np.inf if name == "sample" and train.dof < sigma.dim
+            record.nll[name] = (np.inf if name == "sample" and train.dof < config.sigma.dim
                                 else matrixcore.gaussian_nll_per_sample(matrix, r_test))
             record.frob[name] = matrixcore.frobenius_norm(
-                SymmetricMatrix.of_symmetric(matrix.values - sigma.values))
+                SymmetricMatrix.of_symmetric(matrix.values - config.sigma.values))
         if record.ad is not None and record.ad_lwnl is not None:
             record.choice_agree = (not record.ad.fallback_used
                                    and not record.ad_lwnl.fallback_used
@@ -550,15 +560,14 @@ def run_trial_sweep(config: SweepConfig, threads: int = 1):
     emission is order-buffered so the output stream does not depend on the
     worker count.
     """
-    sigma, root = _population_with_root(config.population)
     tasks = [(ci, t) for ci in range(len(config.n_list))
              for t in range(config.trials)]
     if threads <= 1:
         for ci, t in tasks:
-            yield _run_one_trial(config, sigma, root, ci, t)
+            yield _run_one_trial(config, ci, t)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda ct: _run_one_trial(config, sigma, root, *ct), tasks)
+        yield from pool.map(lambda ct: _run_one_trial(config, *ct), tasks)
 
 
 def trial_record_row(record: TrialRecord) -> str:
@@ -613,8 +622,10 @@ def parse_sweep_config(path) -> SweepConfig:
     """A sweep config of key=value lines; a line that is not key=value, an
     unknown key, a repeated key, a value that does not parse, fails a check
     or leaves the population unbuildable, and a population key that the
-    chosen kind does not read each raise ValueError naming its line. ``#``
-    starts a comment only at the start of a line."""
+    chosen kind does not read each raise ValueError naming its line. The
+    sweep keys are parsed and checked before the population is built, which
+    the returned config keeps. ``#`` starts a comment only at the start of a
+    line."""
     raw: dict[str, tuple[int, str]] = {}
     for no, line in matrixcore.read_csv_lines(path):
         key, sep, val = (part.strip() for part in line.partition("="))
@@ -657,6 +668,7 @@ def parse_sweep_config(path) -> SweepConfig:
         if key in raw and field not in ("m", "kind", *reads):
             raise ValueError(f"{path}:{raw[key][0]}: population {population.kind} "
                              f"would ignore config key {key!r}")
-    # a population that cannot be built fails here, before any output file opens
-    checked(lambda: make_population(population), _POPULATION_KEYS)
-    return checked(lambda: SweepConfig(population=population, **given(_SWEEP_KEYS)), _SWEEP_KEYS)
+    # the population is built here, before any output file opens; the sweep's
+    # base_seed, not population_seed, is the key of SweepConfig's base_seed
+    return checked(lambda: SweepConfig(population=population, **given(_SWEEP_KEYS)),
+                   _POPULATION_KEYS | _SWEEP_KEYS)

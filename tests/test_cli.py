@@ -616,6 +616,19 @@ class TestSweepAndDecoy:
         assert f"{cfg}:{len(text.splitlines())}: config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_base_seed_check_names_base_seed_beside_population_seed(self, tmp_path,
+                                                                          capsys):
+        # population_seed and the sweep's base_seed set fields of one name; a
+        # failed check of the sweep's field names the sweep's key
+        text = population_cfg_with("population = random_spd", "population_seed = 3").replace(
+            "base_seed = 9", "base_seed = -1")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 2
+        no = text.splitlines().index("base_seed = -1") + 1
+        assert (f"{cfg}:{no}: config key 'base_seed': sweep needs base_seed >= 0"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["sweep", "decoy"])
     @pytest.mark.parametrize("text, key", [
         (sweep_cfg_with("cross_block = 1.5"), "cross_block"),
@@ -791,17 +804,25 @@ class TestSweepAndDecoy:
         assert run_cli("decoy", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 0
         assert calls == []
 
-    def test_decoy_takes_the_population_root_once_per_run(self, tmp_path, monkeypatch):
-        # the config check takes one root and the run one more, through which
-        # every trial's training rows are drawn
+    @staticmethod
+    def roots_taken(tmp_path, monkeypatch, command, text):
+        """How many population roots one run of ``command`` on ``text`` takes."""
         roots = []
         symmetric_root = synth._symmetric_root
         monkeypatch.setattr(synth, "_symmetric_root",
                             lambda sigma: roots.append(1) or symmetric_root(sigma))
-        cfg = tmp_path / "decoy.cfg"
-        cfg.write_text(DECOY_CFG)
-        assert run_cli("decoy", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 0
-        assert len(roots) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 0
+        return len(roots)
+
+    def test_decoy_takes_the_population_root_once_per_run(self, tmp_path, monkeypatch):
+        # the config keeps the root its check takes, and every trial's
+        # training rows are drawn through that one
+        assert self.roots_taken(tmp_path, monkeypatch, "decoy", DECOY_CFG) == 1
+
+    def test_sweep_takes_the_population_root_once_per_run(self, tmp_path, monkeypatch):
+        assert self.roots_taken(tmp_path, monkeypatch, "sweep", SWEEP_CFG) == 1
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert run_cli("sweep", "--config", str(tmp_path / "nope.cfg"),

@@ -53,10 +53,10 @@ class TestCalibration:
 
 
 class TestCenteringAtAnyScale:
-    """Dataset's centering check takes the rows scaled by a power of two, so
-    it decides alike at any scale: the spread's squares neither underflow
-    (a centered column read as off-center) nor overflow (an off-center one
-    read as centered)."""
+    """Dataset's centering check takes each column scaled by its own power
+    of two, so it decides alike at any scale: the spread's squares neither
+    underflow (a centered column read as off-center) nor overflow (an
+    off-center one read as centered)."""
 
     @pytest.fixture
     def centered(self):
@@ -99,6 +99,20 @@ class TestCenteringAtAnyScale:
                     Dataset(np.ldexp(rows, k), centered=True)
             else:
                 Dataset(np.ldexp(rows, k), centered=True)
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_a_column_far_from_the_others_in_scale_is_judged_at_its_own(self, centered, k):
+        # each column is scaled by its own power of two: a centered column of
+        # 2^-600 beside columns of 1 is not read as off-center because its
+        # squares underflow, and a column of 2^600 does not hide the others
+        scale = np.ones(centered.shape[1])
+        scale[3] = np.ldexp(1.0, k)
+        Dataset(centered * scale, centered=True)
+        for col in (3, 4):
+            off = centered.copy()
+            off[:, col] += 1e-9 * off[:, col].std()
+            with pytest.raises(CenteringError):
+                Dataset(off * scale, centered=True)
 
 
 def test_cli_shah_without_group_is_config_error(tmp_path, capsys, data):
@@ -221,7 +235,7 @@ class TestSynth:
         # positive definite, and the check names the two fields no line gives
         path = tmp_path / "sweep.cfg"
         path.write_text("m = 80\npopulation = block_circulant\nblock_size = 40\n"
-                        "library = s80\nn_list = 10\n")
+                        "library = s:80\nn_list = 10\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: block-circulant (rho=0.5, cross=0.1) is not positive definite")):
             synth.parse_sweep_config(path)

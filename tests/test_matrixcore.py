@@ -74,6 +74,22 @@ class TestDataset:
         d = Dataset(np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]])).center()
         assert np.array_equal(d.rows[:, 0], np.zeros(3))
 
+    @pytest.mark.parametrize("n, offset", [(50, 1e6), (2000, 1e5), (50, -1e12)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_far_from_zero_center(self, n, offset, seed):
+        # one pass leaves the rounding of a large mean, about 1e-10 of a unit
+        # spread at 1e6, in every column; the second moves it by that rounding
+        rows = offset + np.random.default_rng(seed).standard_normal((n, 10))
+        d = Dataset(rows).center()   # passes its own centering check
+        np.testing.assert_allclose(d.rows, rows - rows.mean(axis=0), rtol=0,
+                                   atol=64 * np.spacing(abs(offset)))
+
+    @pytest.mark.parametrize("n", [2, 50, 2000])
+    def test_gaussian_rows_center_in_one_pass(self, n):
+        # rows the first pass centers are kept as it leaves them, bitwise
+        rows = np.random.default_rng(n).standard_normal((n, 10)) @ np.diag(np.arange(1.0, 11.0))
+        np.testing.assert_array_equal(Dataset(rows).center().rows, rows - rows.mean(axis=0))
+
     def test_single_row_centers_to_zero(self):
         d = Dataset(np.array([[3.0, -1.0, 2.0]])).center()
         assert np.array_equal(d.rows, np.zeros((1, 3)))

@@ -66,6 +66,10 @@ def test_a_population_is_decomposed_and_drawn_through_in_one_place_each():
     assert sorted(func for module, func, _ in _calls("_symmetric_root")) == [
         "_population_with_root", "estimate_blend_risk", "estimate_variance_components",
         "sample_gaussian"]
+    # a sweep config keeps the population its check builds, and every run reads it
+    assert sorted((module, func) for module, func, _ in _calls("_population_with_root")) == [
+        ("synth", "SweepConfig.__post_init__"), ("synth", "make_population"),
+        ("synth", "run_mp_verification")]
     assert [(module, func) for module, func, _ in _nodes(
         lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
         and "standard_normal" in ast.unparse(node.left))] == [("synth", "_gaussian_rows")]

@@ -105,10 +105,11 @@ class TestPopulations:
         with pytest.raises(ValueError, match="not positive definite") as err:
             make_population(spec)
         assert err.value.fields[0] == field
-        config = SweepConfig(population=spec, library=CandidateLibrary((groups.trivial(6),)),
-                             n_list=(8,), trials=1)
-        with pytest.raises(ValueError, match="not positive definite"):
-            next(run_trial_sweep(config))   # before any record, not one error record each
+        # the config's last check builds the population: no config, so no run
+        with pytest.raises(ValueError, match="not positive definite") as err:
+            SweepConfig(population=spec, library=CandidateLibrary((groups.trivial(6),)),
+                        n_list=(8,), trials=1)
+        assert err.value.fields[0] == field
 
     def test_block_circulant_invariance_and_structure(self):
         sigma = make_population(PopulationSpec(m=20, kind=synth.POP_BLOCK_CIRCULANT,
